@@ -30,12 +30,13 @@ lint:
 bench-smoke:
 	$(PYTHON) benchmarks/bench_hotpath.py --smoke
 
-## High-concurrency scaling tiers (1k/4k/10k queued requests): vectorized
-## vs scalar engine step-loop overhead, regression-gated at >= 5x (4k tier).
+## High-concurrency scaling tiers (1k/4k/10k queued requests): engine
+## step-loop overhead, regression-gated at <= 256 us/step (4k+ tiers).
 bench-scale:
 	$(PYTHON) benchmarks/bench_hotpath.py --scale
 
-## The reduced 1k-request variant CI runs (job: bench-scale-smoke).
+## The reduced 1k-request variant CI runs (job: bench-scale-smoke),
+## gated at <= 188 us/step.
 bench-scale-smoke:
 	$(PYTHON) benchmarks/bench_hotpath.py --scale --smoke
 

@@ -34,8 +34,7 @@ SERVING_ROW_KEYS = frozenset({
 #: Keys every ``hotpath_scale`` row must carry.
 SCALE_ROW_KEYS = frozenset({
     "requests", "steps", "peak_batch", "throughput_tok_s",
-    "scalar_overhead_us_per_step", "vectorized_overhead_us_per_step",
-    "overhead_speedup",
+    "overhead_us_per_step", "phases_us_per_step",
 })
 
 #: The attribution fraction keys (repro.obs.attrib ATTRIBUTION_KEYS —

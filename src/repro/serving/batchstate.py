@@ -6,21 +6,21 @@ python-level scans: phase partitioning, context-token sums, deadline
 checks, retry-queue sorts.  This module holds the three structures that
 erase those scans:
 
-* :class:`BatchState` — a struct-of-arrays mirror of the running batch
-  (context length, generated count, phase flag, deadlines, KV row) kept in
-  admission order, so each step's partition/aggregate/advance work is a
-  handful of numpy operations instead of O(batch) python;
+* :class:`BatchState` — the engine's only representation of the running
+  batch: a struct-of-arrays (context length, generated count, phase flag,
+  deadlines, KV row, abort point) kept in admission order, so each step's
+  partition/aggregate/advance work is a handful of numpy operations
+  instead of O(batch) python, and every edge case (fault, abort,
+  preemption, expiry) is a row operation;
 * :class:`DeadlineHeap` — a lazy-deletion min-heap over waiting requests'
   deadlines, giving the per-step expiry sweep O(expired · log n) cost and
-  fixing the head-of-queue-only expiry bug (deep-queued requests past
-  their deadline are now shed no matter where they sit in the deque);
+  shedding deep-queued requests past their deadline no matter where they
+  sit in the deque;
 * :class:`RetryHeap` — backed-off retries keyed ``(not_before,
   request_id)``, replacing a per-step full sort with O(log n) pushes.
 
-Everything here is pure bookkeeping over data the engine already tracks;
-the engine's *decisions* (and therefore its reports) are bit-identical to
-the per-request scalar loops, which stay available as the oracle behind
-``EngineConfig.vectorized=False``.
+The engine's reports are pinned by goldens recorded from the per-request
+loop these structures replaced (``tests/serving/engine_goldens.json``).
 """
 
 from __future__ import annotations
@@ -40,15 +40,19 @@ _INITIAL_CAPACITY = 64
 class BatchState:
     """Struct-of-arrays view of the running batch, in admission order.
 
-    The request list (``reqs``) stays the source of truth for identity and
-    ordering; the parallel numpy arrays carry the per-step hot fields.  A
-    request's ``generated`` counter is advanced *in the array* on the fast
-    path and written back to the object lazily (:meth:`sync`) at lifecycle
-    events — finish, preemption, expiry, fault — and before any scalar
-    fallback step, so the object view is always accurate where it is read.
-    ``phase`` and ``prefill_progress`` mutate rarely (once per request /
-    once per chunk) and are kept eagerly consistent on both sides.
+    The request list (``reqs``) carries identity and ordering; the parallel
+    numpy arrays carry the per-step hot fields.  A request's ``generated``
+    counter is advanced *in the array* and written back to the object
+    lazily (:meth:`sync`) at lifecycle events — first token, finish,
+    preemption, expiry, fault — so the object view is accurate wherever it
+    is read.  ``phase`` and ``prefill_progress`` mutate rarely (once per
+    request / once per chunk) and are kept eagerly consistent on both
+    sides.
     """
+
+    #: The per-row arrays, grown and compacted together.
+    _COLUMNS = ("_ctx", "_gen", "_max_new", "_decoding", "_e2e_dl",
+                "_ttft_dl", "_kv_row", "_abort_at")
 
     def __init__(self) -> None:
         self.reqs: list[Request] = []
@@ -69,8 +73,7 @@ class BatchState:
 
     def _grow(self) -> None:
         new_cap = self._cap * 2
-        for name in ("_ctx", "_gen", "_max_new", "_decoding", "_e2e_dl",
-                     "_ttft_dl", "_kv_row", "_abort_at"):
+        for name in self._COLUMNS:
             old = getattr(self, name)
             fresh = np.zeros(new_cap, dtype=old.dtype)
             fresh[: self._cap] = old
@@ -91,24 +94,6 @@ class BatchState:
         self._ttft_dl[i] = req.ttft_deadline
         self._kv_row[i] = kv_row
         self._abort_at[i] = abort_at
-
-    def rebuild(self, reqs: list[Request], kv_rows: list[int],
-                abort_ats: list[int]) -> None:
-        """Re-mirror the batch from scratch (after a scalar fallback step
-        restructured the running list arbitrarily)."""
-        self.reqs = reqs
-        n = len(reqs)
-        while n > self._cap:
-            self._grow()
-        for i, req in enumerate(reqs):
-            self._ctx[i] = req.context_len
-            self._gen[i] = req.generated
-            self._max_new[i] = req.max_new_tokens
-            self._decoding[i] = req.phase is Phase.DECODE
-            self._e2e_dl[i] = req.e2e_deadline
-            self._ttft_dl[i] = req.ttft_deadline
-            self._kv_row[i] = kv_rows[i]
-            self._abort_at[i] = abort_ats[i]
 
     # ------------------------------------------------------------- views
 
@@ -154,8 +139,8 @@ class BatchState:
     def set_prefill_progress(self, i: int, progress: int) -> None:
         self._ctx[i] = progress
 
-    def advance(self, idx: np.ndarray) -> None:
-        """Record one decoded token for every index in ``idx``."""
+    def advance(self, idx: np.ndarray | int) -> None:
+        """Record one decoded token for every row in ``idx``."""
         self._ctx[idx] += 1
         self._gen[idx] += 1
 
@@ -165,24 +150,16 @@ class BatchState:
         req.generated = int(self._gen[i])
         return req
 
-    def sync_all(self) -> None:
-        gen = self._gen
-        for i, req in enumerate(self.reqs):
-            req.generated = int(gen[i])
-
-    def remove(self, idx: np.ndarray) -> None:
-        """Drop the (ascending) indices, preserving relative order of the
-        survivors — admission order is what victim selection keys on."""
+    def rebuild(self, keep: np.ndarray) -> None:
+        """Compact the batch to the rows where ``keep`` is True, preserving
+        their relative (admission) order — the order victim selection
+        keys on.  The request list is updated in place."""
         n = len(self.reqs)
-        keep = np.ones(n, dtype=bool)
-        keep[idx] = False
         kept = int(keep.sum())
-        for name in ("_ctx", "_gen", "_max_new", "_decoding", "_e2e_dl",
-                     "_ttft_dl", "_kv_row", "_abort_at"):
+        for name in self._COLUMNS:
             arr = getattr(self, name)
             arr[:kept] = arr[:n][keep]
-        drop = set(int(i) for i in idx)
-        self.reqs[:] = [r for i, r in enumerate(self.reqs) if i not in drop]
+        self.reqs[:] = [r for r, k in zip(self.reqs, keep.tolist()) if k]
 
 
 class DeadlineHeap:
@@ -192,9 +169,10 @@ class DeadlineHeap:
     e2e_deadline)``.  Entries are never removed eagerly: a popped entry
     whose request is no longer WAITING (admitted, already expired, or
     terminal) is simply discarded, and a preempted request is re-pushed on
-    its way back to the queue.  ``expired`` therefore yields exactly the
-    queued requests whose deadline has passed — wherever they sit in the
-    FIFO deque — in deterministic (deadline, arrival, id) order.
+    its way back to the queue (so a request can hold two live entries).
+    ``expired`` therefore yields exactly the queued requests whose deadline
+    has passed — wherever they sit in the FIFO deque, each once — in
+    deterministic (deadline, arrival, id) order.
     """
 
     def __init__(self) -> None:
@@ -216,10 +194,12 @@ class DeadlineHeap:
         """Pop every tracked request whose deadline passed by ``clock``
         and is still WAITING (stale entries are discarded)."""
         out: list[Request] = []
+        seen: set[int] = set()
         heap = self._heap
         while heap and heap[0][0] < clock:
-            _, _, _, req = heapq.heappop(heap)
-            if req.phase is Phase.WAITING:
+            _, _, rid, req = heapq.heappop(heap)
+            if req.phase is Phase.WAITING and rid not in seen:
+                seen.add(rid)
                 out.append(req)
         return out
 

@@ -45,7 +45,7 @@ from repro.kernels.tiling import GEMMShape
 from repro.model.config import ModelConfig
 from repro.serving.batchstate import BatchState, DeadlineHeap, RetryHeap
 from repro.serving.faults import FaultKind, FaultPlan
-from repro.serving.memory_planner import DEFAULT_HBM_BYTES, MemoryPlan, plan_memory
+from repro.serving.memory_planner import DEFAULT_HBM_BYTES, plan_memory
 from repro.serving.paged_kv import PagedKVManager
 from repro.serving.request import Phase, Request
 from repro.serving.systems import ServingSystem
@@ -58,9 +58,6 @@ __all__ = ["EngineConfig", "ThroughputReport", "ServingEngine"]
 
 #: Per-step framework overhead: scheduler, sampling, python/driver time.
 DEFAULT_STEP_OVERHEAD = 100e-6
-
-#: Phases that occupy a slot in the running batch (hold a KV allocation).
-_ACTIVE = (Phase.DECODE, Phase.PREFILL)
 
 
 @dataclass(frozen=True)
@@ -92,11 +89,6 @@ class EngineConfig:
         degrade_pressure: KV-pool block-usage fraction treated as pressure.
         degrade_window: consecutive hot (cool) steps before the degradation
             policy shrinks (re-grows) the admission knobs.
-        vectorized: run the step loop's bookkeeping (phase partitioning,
-            context sums, token advancement, deadline checks) over numpy
-            batch arrays instead of per-request python scans.  Decisions
-            and reports are bit-identical either way; ``False`` keeps the
-            scalar loops as the correctness oracle.
     """
 
     max_batch: int = 512
@@ -120,7 +112,6 @@ class EngineConfig:
     degrade_under_pressure: bool = False
     degrade_pressure: float = 0.92
     degrade_window: int = 4
-    vectorized: bool = True
 
     def __post_init__(self) -> None:
         if self.decode_attention not in DECODE_ATTENTION:
@@ -597,32 +588,17 @@ class ServingEngine:
         if self.config.tensor_parallel > 1:
             from repro.serving.parallel import TPConfig, TPStackModel
 
-            tp = TPConfig(degree=self.config.tensor_parallel)
-            self._tp_stack = TPStackModel(model, system.kernel, tp)
-            # Aggregate memory across the TP group: each GPU holds its
-            # weight shard (embeddings replicated) and a KV shard.
-            degree = tp.degree
-            weight_agg = self._tp_stack.weight_bytes_per_gpu(
-                system.weight_bytes_per_param
-            ) * degree
-            workspace = self.config.hbm_bytes * degree * 0.05
-            kv_pool = self.config.hbm_bytes * degree - weight_agg - workspace
-            self.plan = MemoryPlan(
-                model=model.name,
-                system=system.name,
-                hbm_bytes=self.config.hbm_bytes * degree,
-                weight_bytes=weight_agg,
-                workspace_bytes=workspace,
-                kv_pool_bytes=max(kv_pool, 0.0),
-                kv_bytes_per_token=model.kv_values_per_token()
-                * system.kv_bytes_per_value,
+            self._tp_stack = TPStackModel(
+                model, system.kernel,
+                TPConfig(degree=self.config.tensor_parallel),
             )
-        else:
-            self.plan = plan_memory(model, system, self.config.hbm_bytes)
+        self.plan = plan_memory(
+            model, system, self.config.hbm_bytes, self.config.tensor_parallel
+        )
         if not self.plan.fits:
             raise ValueError(
                 f"{model.name} weights ({self.plan.weight_bytes / 1e9:.1f} GB as "
-                f"{system.name}) do not fit in {self.config.hbm_bytes / 1e9:.0f} GB"
+                f"{system.name}) do not fit in {self.plan.hbm_bytes / 1e9:.0f} GB"
             )
         self.kv = PagedKVManager(
             self.plan.kv_pool_bytes,
@@ -742,10 +718,10 @@ class ServingEngine:
         high-concurrency benchmark tier reads this; simulated results are
         unaffected).
 
-        With ``EngineConfig.vectorized`` (the default) the per-step
-        bookkeeping runs over numpy batch arrays (:class:`BatchState`);
-        steps a fault or abort touches fall back to the scalar loop, whose
-        decisions the fast path reproduces exactly.
+        The running batch lives in numpy arrays (:class:`BatchState`), so
+        each step's bookkeeping is a few array operations; faults, aborts,
+        finishes and expiries are row operations, and only a step whose
+        KV growth needs preemption walks the decoding rows one by one.
 
         Requests with nonzero ``arrival_time`` form a trace: the clock fast-
         forwards over idle gaps and admission only considers arrived
@@ -789,11 +765,7 @@ class ServingEngine:
             for r in waiting:
                 expiry.push(r)
         retry_queue = RetryHeap()
-        state = BatchState() if self.config.vectorized else None
-        # In vectorized mode ``running`` aliases state.reqs; any scalar
-        # fallback that rebinds it is followed by a rebuild restoring the
-        # alias before the next iteration's admission code runs.
-        running: list[Request] = state.reqs if state is not None else []
+        state = BatchState()
         prof = profiler
         committed_tokens = 0
         capacity = int(self.kv.token_capacity * self.config.kv_capacity_slack)
@@ -867,26 +839,43 @@ class ServingEngine:
                     reason=reason,
                 )
 
+        def fail(req: Request, reason: str) -> None:
+            """Terminally fail a request that holds no KV allocation."""
+            nonlocal failed
+            req.fail(reason, clock)
+            failed += 1
+            if tel is not None:
+                tel.on_fail(req, clock)
+            if rec is not None:
+                rec.on_fail(req, clock)
+            if tracer is not None:
+                tracer.record_event(
+                    "failed", ts=clock, request_id=req.request_id,
+                    reason=reason,
+                )
+
+        def record_fault(kind: FaultKind, req: Request | None = None) -> None:
+            """Count one injected fault: a step fault, or (``req`` given) a
+            request abort."""
+            nonlocal faults_injected
+            faults_injected += 1
+            if tel is not None:
+                tel.on_fault(kind.value, clock)
+            attrs = {} if req is None else {"request_id": req.request_id}
+            if tracer is not None:
+                tracer.record_event("fault", ts=clock, kind=kind.value, **attrs)
+            if rec is not None and req is not None:
+                rec.on_request_fault(req, kind.value, clock)
+
         def retry_or_fail(req: Request, reason: str) -> None:
             """Reset a faulted in-flight request: back off and re-queue it,
             or fail it once the retry budget is spent.  The request must
-            currently hold a KV allocation."""
-            nonlocal output_tokens, retries_total, failed
-            lost = req.reset_for_retry()
-            output_tokens -= lost
+            currently hold a KV allocation (and be synced from its row)."""
+            nonlocal output_tokens, retries_total
+            output_tokens -= req.reset_for_retry()
             release_kv(req)
             if req.retries > self.config.max_retries:
-                req.fail(reason, clock)
-                failed += 1
-                if tel is not None:
-                    tel.on_fail(req, clock)
-                if rec is not None:
-                    rec.on_fail(req, clock)
-                if tracer is not None:
-                    tracer.record_event(
-                        "failed", ts=clock, request_id=req.request_id,
-                        reason=reason,
-                    )
+                fail(req, reason)
                 return
             retries_total += 1
             req.not_before = clock + self.config.retry_backoff * (
@@ -929,16 +918,6 @@ class ServingEngine:
             """Drop terminal (heap-swept) entries from the deque head."""
             while waiting and waiting[0].is_terminal:
                 waiting.popleft()
-
-        def add_running(req: Request) -> None:
-            """Enter the batch (and its array mirror, when vectorized)."""
-            if state is not None:
-                abort_at = -1
-                if abort_points and req.retries == 0:
-                    abort_at = abort_points.get(req.request_id, -1)
-                state.add(req, self.kv.sequence_row(req.request_id), abort_at)
-            else:
-                running.append(req)
 
         def start_request(req: Request) -> None:
             """Post-admission bookkeeping shared by the arrival and retry
@@ -985,13 +964,52 @@ class ServingEngine:
                     tel.on_step("prefill", dt, 1)
                 if rec is not None:
                     rec.heartbeat("prefill", dt, 1, 0, clock, pf_gemm, pf_attn)
-            add_running(req)
+            # Request aborts only hit a request's first attempt.
+            abort_at = abort_points.get(req.request_id, -1) if req.retries == 0 else -1
+            state.add(req, self.kv.sequence_row(req.request_id), abort_at)
+
+        def settle(i: int) -> None:
+            """Lifecycle of row ``i`` right after it decoded a token: the
+            first-token stamp, then its scheduled abort (a fault beats the
+            finish it may coincide with) or its finish, either of which
+            drops the row from this step's ``keep``."""
+            nonlocal completed, deadline_misses
+            req = state.sync(i)
+            gen = req.generated
+            if gen == 1:
+                req.first_token_time = clock
+                if tel is not None:
+                    tel.on_first_token(req, clock)
+                if rec is not None:
+                    rec.on_first_token(req, clock)
+            if gen == state.abort_at[i]:
+                # Per-request transient fault: the first attempt aborts
+                # here; retries run clean.
+                record_fault(FaultKind.REQUEST_ABORT, req)
+                retry_or_fail(req, "request aborted")
+                keep[i] = False
+                return
+            if gen < req.max_new_tokens:
+                return
+            keep[i] = False
+            req.phase = Phase.FINISHED
+            req.finish_time = clock
+            release_kv(req)
+            completed += 1
+            if has_slos and not req.slo_met:
+                deadline_misses += 1
+                if tel is not None:
+                    tel.deadline_misses.inc()
+            if tel is not None:
+                tel.on_finish(req, clock)
+            if rec is not None:
+                rec.on_finish(req, clock)
 
         with run_span:
             for _ in range(self.config.max_steps):
                 if prof is not None:
                     prof.begin()
-                if not running:
+                if not state:
                     clean_waiting()
                     next_arrival = (
                         waiting[0].arrival_time if waiting else float("inf")
@@ -1012,7 +1030,7 @@ class ServingEngine:
                 # accepted once, so they queue ahead of new arrivals).
                 while (
                     retry_queue
-                    and len(running) < eff_max_batch
+                    and len(state) < eff_max_batch
                     and retry_queue.next_ready_time() <= clock
                 ):
                     req = retry_queue.peek()
@@ -1038,7 +1056,7 @@ class ServingEngine:
                     clean_waiting()
                     if not (
                         waiting
-                        and len(running) < eff_max_batch
+                        and len(state) < eff_max_batch
                         and waiting[0].arrival_time <= clock
                     ):
                         break
@@ -1060,7 +1078,7 @@ class ServingEngine:
                     waiting.popleft()
                     start_request(req)
 
-                if not running:
+                if not state:
                     clean_waiting()
                     if not waiting and not retry_queue:
                         break
@@ -1078,44 +1096,26 @@ class ServingEngine:
                         reject(req, "admission failed with an empty KV pool")
                     else:
                         req = retry_queue.pop()
-                        req.fail("re-admission failed with an empty KV pool", clock)
-                        failed += 1
-                        if tel is not None:
-                            tel.on_fail(req, clock)
-                        if rec is not None:
-                            rec.on_fail(req, clock)
+                        fail(req, "re-admission failed with an empty KV pool")
                     continue
                 if prof is not None:
                     prof.lap("admit")
 
-                n_run = len(running)
+                # Partition and aggregate over the batch arrays.
+                n_run = len(state)
                 peak_batch = max(peak_batch, n_run)
-                if state is not None:
-                    # Partition and aggregate over the batch arrays: no
-                    # per-request python in the common case.
-                    dec_idx = np.flatnonzero(state.decoding)
-                    n_dec = int(dec_idx.size)
-                    if n_dec < n_run:
-                        pf_i = int(np.flatnonzero(~state.decoding)[0])
-                        prefill_req = running[pf_i]
-                    else:
-                        pf_i = -1
-                        prefill_req = None
-                    dec_context = int(state.ctx[dec_idx].sum()) if n_dec else 0
-                else:
-                    dec_idx = None
-                    pf_i = -1
-                    decode_reqs = [r for r in running if r.phase is Phase.DECODE]
-                    n_dec = len(decode_reqs)
-                    prefill_req = next(
-                        (r for r in running if r.phase is Phase.PREFILL), None
-                    )
-                    dec_context = sum(r.context_len for r in decode_reqs)
+                dec_idx = np.flatnonzero(state.decoding)
+                n_dec = int(dec_idx.size)
+                pf_i = -1
+                prefill_req = None
                 chunk = 0
-                if prefill_req is not None:
+                if n_dec < n_run:
+                    pf_i = int(np.flatnonzero(~state.decoding)[0])
+                    prefill_req = state.reqs[pf_i]
                     chunk = min(
                         eff_chunk, prefill_req.prompt_len - prefill_req.prefill_progress
                     )
+                dec_context = int(state.ctx[dec_idx].sum()) if n_dec else 0
 
                 # One continuous-batching iteration: decode tokens plus (when
                 # chunking) one prompt chunk share the same GEMM pass.
@@ -1158,10 +1158,7 @@ class ServingEngine:
                         start=clock, duration=dt, kind=kind,
                         batch=n_run, decode_tokens=n_dec,
                         prefill_tokens=chunk,
-                        context_tokens=(
-                            int(state.ctx.sum()) if state is not None
-                            else sum(r.context_len for r in running)
-                        ),
+                        context_tokens=int(state.ctx.sum()),
                     )
                 clock += dt
                 gemm_s += gemm
@@ -1196,174 +1193,77 @@ class ServingEngine:
                     )
 
                 if fault is not None:
-                    faults_injected += 1
-                    if tel is not None:
-                        tel.on_fault(fault.kind.value, clock)
-                    if tracer is not None:
-                        tracer.record_event(
-                            "fault", ts=clock, kind=fault.kind.value
-                        )
+                    record_fault(fault.kind)
 
+                # Rows still in the batch once this step settles; the
+                # batch is compacted to them at the end of the step.
+                keep = np.ones(n_run, dtype=bool)
                 step_preemptions = 0
                 tokens_this_step = 0
-                # Vectorized fast path: legal when no fault fired, no
-                # request-abort lands this token, and the KV manager can
-                # grow every decoding sequence without preempting (its
-                # conservative precondition implies the scalar loop below
-                # would not preempt either — decisions are identical).
-                fast = False
-                if state is not None and fault is None:
-                    if n_dec == 0:
-                        fast = True
-                    elif not (
-                        abort_points
-                        and bool(np.any(
-                            state.gen[dec_idx] + 1 == state.abort_at[dec_idx]
-                        ))
-                    ):
-                        fast = self.kv.append_token_many(state.kv_row[dec_idx])
-                if fast:
+                # A kernel fault discards the step's results: the time is
+                # spent but no tokens land and no prefill progress is made;
+                # the engine retries the same work next iteration.
+                if fault is None or fault.kind is not FaultKind.KERNEL_FAULT:
                     if chunk:
                         prefill_req.prefill_progress += chunk
                         state.set_prefill_progress(
                             pf_i, prefill_req.prefill_progress
                         )
                         if prefill_req.prefill_progress >= prefill_req.prompt_len:
+                            # First decode happens next iteration.
                             prefill_req.phase = Phase.DECODE
                             state.mark_decode(pf_i)
                             if rec is not None:
                                 rec.on_prefill_done(prefill_req)
-                    if n_dec:
+                    if n_dec and self.kv.append_token_many(state.kv_row[dec_idx]):
                         state.advance(dec_idx)
                         tokens_this_step = n_dec
-                        output_tokens += n_dec
-                        if tel is not None:
-                            tel.output_tokens.inc(n_dec)
-                        gen_now = state.gen[dec_idx]
-                        for i in dec_idx[gen_now == 1]:
-                            req = state.sync(int(i))
-                            req.first_token_time = clock
-                            if tel is not None:
-                                tel.on_first_token(req, clock)
-                            if rec is not None:
-                                rec.on_first_token(req, clock)
-                        finish_hits = dec_idx[gen_now >= state.max_new[dec_idx]]
-                        if finish_hits.size:
-                            for i in finish_hits:
-                                req = state.sync(int(i))
-                                req.phase = Phase.FINISHED
-                                req.finish_time = clock
-                                self.kv.free(req.request_id)
-                                committed_tokens -= req.total_len
-                                completed += 1
-                                if has_slos and not req.slo_met:
-                                    deadline_misses += 1
-                                    if tel is not None:
-                                        tel.deadline_misses.inc()
+                        gen = state.gen[dec_idx]
+                        events = dec_idx[
+                            (gen == 1)
+                            | (gen >= state.max_new[dec_idx])
+                            | (gen == state.abort_at[dec_idx])
+                        ]
+                        for i in events.tolist():
+                            settle(i)
+                    elif n_dec:
+                        # The pool cannot grow every sequence at once: grow
+                        # them one by one in admission order, preempting the
+                        # most recently admitted decoder whenever it runs dry.
+                        for i in dec_idx.tolist():
+                            req = state.reqs[i]
+                            if req.phase is not Phase.DECODE:
+                                continue  # preempted earlier in this step
+                            appended = True
+                            while not self.kv.append_token(req.request_id):
+                                v = self._pick_victim(state.reqs, i)
+                                if v is None:
+                                    # Nothing decodable to evict: retry this
+                                    # request after other work drains.
+                                    retry_or_fail(state.sync(i), "KV pool exhausted")
+                                    keep[i] = False
+                                    appended = False
+                                    break
+                                victim = state.sync(v)
+                                output_tokens -= victim.preempt()
+                                preemptions += 1
+                                step_preemptions += 1
+                                release_kv(victim)
+                                keep[v] = False
+                                waiting.appendleft(victim)
+                                if has_slos:
+                                    expiry.push(victim)
                                 if tel is not None:
-                                    tel.on_finish(req, clock)
+                                    tel.on_preempt(victim, clock)
                                 if rec is not None:
-                                    rec.on_finish(req, clock)
-                            state.remove(finish_hits)
-                elif fault is not None and fault.kind is FaultKind.KERNEL_FAULT:
-                    # The step's results are discarded: the time is spent but
-                    # no tokens land and no prefill progress is made; the
-                    # engine retries the same work next iteration.
-                    if state is not None:
-                        state.sync_all()
-                    still_running = list(running)
-                else:
-                    if state is not None:
-                        # Scalar fallback (fault / abort / KV-growth edge):
-                        # write the lazily-advanced counters back so the
-                        # object view the loop reads is accurate.
-                        state.sync_all()
-                    if chunk:
-                        prefill_req.prefill_progress += chunk
-                        if prefill_req.prefill_progress >= prefill_req.prompt_len:
-                            prefill_req.phase = Phase.DECODE
-                            if rec is not None:
-                                rec.on_prefill_done(prefill_req)
-
-                    still_running = []
-                    for req in running:
-                        if req.phase is Phase.PREFILL or (
-                            req is prefill_req and chunk
-                        ):
-                            # Still prefilling, or finished its last chunk this
-                            # step (first decode happens next iteration).
-                            still_running.append(req)
-                            continue
-                        if req.phase is not Phase.DECODE:
-                            continue  # preempted earlier in this step
-                        appended = True
-                        while not self.kv.append_token(req.request_id):
-                            victim = self._pick_victim(running, req)
-                            if victim is None:
-                                # Nothing decodable to evict: instead of
-                                # crashing, give this attempt up and retry
-                                # the request after other work drains.
-                                retry_or_fail(req, "KV pool exhausted")
-                                appended = False
-                                break
-                            output_tokens -= victim.preempt()
-                            preemptions += 1
-                            step_preemptions += 1
-                            self.kv.free(victim.request_id)
-                            committed_tokens -= victim.total_len
-                            waiting.appendleft(victim)
-                            if has_slos:
-                                expiry.push(victim)
-                            if tel is not None:
-                                tel.on_preempt(victim, clock)
-                            if rec is not None:
-                                rec.on_preempt(victim, clock)
-                        if not appended:
-                            continue
-                        req.advance()
-                        output_tokens += 1
-                        tokens_this_step += 1
-                        if tel is not None:
-                            tel.output_tokens.inc()
-                        if req.generated == 1:
-                            req.first_token_time = clock
-                            if tel is not None:
-                                tel.on_first_token(req, clock)
-                            if rec is not None:
-                                rec.on_first_token(req, clock)
-                        if (
-                            abort_points
-                            and req.retries == 0
-                            and abort_points.get(req.request_id) == req.generated
-                        ):
-                            # Per-request transient fault: the first attempt
-                            # aborts here; retries run clean.
-                            faults_injected += 1
-                            if tel is not None:
-                                tel.on_fault(FaultKind.REQUEST_ABORT.value, clock)
-                            if rec is not None:
-                                rec.on_request_fault(
-                                    req, FaultKind.REQUEST_ABORT.value, clock
-                                )
-                            if req.phase is Phase.FINISHED:
-                                req.phase = Phase.DECODE  # fault beats finish
-                            retry_or_fail(req, "request aborted")
-                            continue
-                        if req.phase is Phase.FINISHED:
-                            req.finish_time = clock
-                            self.kv.free(req.request_id)
-                            committed_tokens -= req.total_len
-                            completed += 1
-                            if has_slos and not req.slo_met:
-                                deadline_misses += 1
-                                if tel is not None:
-                                    tel.deadline_misses.inc()
-                            if tel is not None:
-                                tel.on_finish(req, clock)
-                            if rec is not None:
-                                rec.on_finish(req, clock)
-                        else:
-                            still_running.append(req)
+                                    rec.on_preempt(victim, clock)
+                            if appended:
+                                state.advance(i)
+                                tokens_this_step += 1
+                                settle(i)
+                output_tokens += tokens_this_step
+                if tel is not None and tokens_this_step:
+                    tel.output_tokens.inc(tokens_this_step)
                 if prof is not None:
                     prof.lap("decode")
                 if tel is not None:
@@ -1375,49 +1275,34 @@ class ServingEngine:
                     )
                 if prof is not None:
                     prof.lap("heartbeat")
-                if not fast:
-                    # A victim processed earlier in this step may linger in
-                    # still_running with phase WAITING; drop it (it is queued).
-                    running = [r for r in still_running if r.phase in _ACTIVE]
 
-                if fault is not None and fault.kind is FaultKind.KV_LOSS and running:
+                if fault is not None and fault.kind is FaultKind.KV_LOSS:
                     # One running sequence's cache blocks are lost; the
                     # victim restarts from scratch (recompute) after backoff.
-                    idx = int(fault.victim_draw * len(running)) % len(running)
-                    victim = running[idx]
-                    if rec is not None:
-                        rec.on_request_fault(
-                            victim, FaultKind.KV_LOSS.value, clock
-                        )
-                    retry_or_fail(victim, "KV blocks lost")
-                    running = [r for r in running if r.phase in _ACTIVE]
+                    alive = np.flatnonzero(keep)
+                    if alive.size:
+                        i = int(alive[int(fault.victim_draw * alive.size) % alive.size])
+                        victim = state.sync(i)
+                        if rec is not None:
+                            rec.on_request_fault(
+                                victim, FaultKind.KV_LOSS.value, clock
+                            )
+                        retry_or_fail(victim, "KV blocks lost")
+                        keep[i] = False
 
                 if has_slos:
-                    if fast:
-                        if len(running):
-                            e2e_hit = clock > state.e2e_dl
-                            hits = np.flatnonzero(
-                                e2e_hit
-                                | ((state.gen == 0) & (clock > state.ttft_dl))
-                            )
-                            if hits.size:
-                                for i in hits:
-                                    req = state.sync(int(i))
-                                    release_kv(req)
-                                    if e2e_hit[i]:
-                                        expire(req, "e2e deadline expired mid-flight")
-                                    else:
-                                        expire(req, "TTFT deadline expired")
-                                state.remove(hits)
-                    else:
-                        for req in running:
-                            if clock > req.e2e_deadline:
-                                release_kv(req)
-                                expire(req, "e2e deadline expired mid-flight")
-                            elif req.generated == 0 and clock > req.ttft_deadline:
-                                release_kv(req)
-                                expire(req, "TTFT deadline expired")
-                        running = [r for r in running if r.phase in _ACTIVE]
+                    e2e_hit = clock > state.e2e_dl
+                    hits = np.flatnonzero(keep & (
+                        e2e_hit | ((state.gen == 0) & (clock > state.ttft_dl))
+                    ))
+                    for i in hits.tolist():
+                        req = state.sync(i)
+                        release_kv(req)
+                        if e2e_hit[i]:
+                            expire(req, "e2e deadline expired mid-flight")
+                        else:
+                            expire(req, "TTFT deadline expired")
+                        keep[i] = False
 
                 if self.config.degrade_under_pressure:
                     used = self.kv.num_blocks - self.kv.free_blocks
@@ -1450,20 +1335,8 @@ class ServingEngine:
                         if tel is not None:
                             tel.degraded_steps.inc()
 
-                if state is not None and not fast:
-                    # A scalar step restructured the batch arbitrarily
-                    # (preemptions, retries, arbitrary removals): re-mirror
-                    # it and restore the running <-> state.reqs alias.
-                    state.rebuild(
-                        running,
-                        [self.kv.sequence_row(r.request_id) for r in running],
-                        [
-                            (abort_points.get(r.request_id, -1)
-                             if abort_points and r.retries == 0 else -1)
-                            for r in running
-                        ],
-                    )
-                    running = state.reqs
+                if not keep.all():
+                    state.rebuild(keep)
                 if prof is not None:
                     prof.lap("schedule")
             else:
@@ -1515,9 +1388,10 @@ class ServingEngine:
         return self.kv.allocate(req.request_id, req.prompt_len)
 
     @staticmethod
-    def _pick_victim(running: list[Request], current: Request) -> Request | None:
-        """Most recently admitted decodable request other than ``current``."""
-        for candidate in reversed(running):
-            if candidate is not current and candidate.phase is Phase.DECODE:
-                return candidate
+    def _pick_victim(running: list[Request], current: int) -> int | None:
+        """Row of the most recently admitted decodable request other than
+        row ``current``."""
+        for j in range(len(running) - 1, -1, -1):
+            if j != current and running[j].phase is Phase.DECODE:
+                return j
         return None

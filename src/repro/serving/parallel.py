@@ -11,9 +11,9 @@ latency) across GPUs.  This module models the standard Megatron layout:
 * KV cache and attention work shard by heads.
 
 Communication uses the ring all-reduce cost ``2 (p-1)/p * bytes / link_bw``
-over NVLink.  The model exposes the same interfaces the single-GPU engine
-uses (per-layer GEMM latency, memory plan), so the serving loop is reused
-unchanged.
+over NVLink.  The model exposes the per-layer GEMM latency the single-GPU
+engine uses, and :func:`repro.serving.memory_planner.plan_memory` plans the
+group's memory, so the serving loop is reused unchanged.
 """
 
 from __future__ import annotations
@@ -119,11 +119,3 @@ class TPStackModel:
         total = per_block * self.model.n_layers
         self._cache[m] = total
         return total
-
-    def weight_bytes_per_gpu(self, bytes_per_param: float) -> float:
-        """Each GPU holds 1/degree of the block weights plus a full copy of
-        the embeddings/head (the common simple deployment)."""
-        shapes = self.model.linear_shapes()
-        block_params = sum(n * k for n, k in shapes.values()) * self.model.n_layers
-        other = self.model.weight_parameters() - block_params
-        return (block_params / self.tp.degree + other) * bytes_per_param

@@ -12,9 +12,9 @@ every loop iteration's wall time to one of five phases:
 * ``decode``    — per-token bookkeeping (KV growth, finish/first-token);
 * ``heartbeat`` — telemetry and live-observability feeding.
 
-``model`` time is identical work in the scalar and vectorized engines, so
-the benchmark's step-overhead ratio is computed over the other four
-(:meth:`overhead_seconds`) — the python the vectorized engine erases.
+``model`` time is cost-model work, not bookkeeping, so the benchmark's
+step-loop overhead is the sum of the other four
+(:meth:`overhead_seconds`).
 
 Note this module reads the wall clock by design (it measures *host*
 python cost, never simulated time) and is deliberately outside the

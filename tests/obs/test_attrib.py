@@ -5,9 +5,8 @@ Three layers:
 * direct-feed unit tests of :class:`CostLedger` (charge bookkeeping, queue
   settlement, KV economics incl. prefix sharing via a real PagedKVManager
   fork, the bounded completed ring);
-* the ISSUE's acceptance property, over chaos + overload traces in all
-  four engine modes (chunked/whole-prompt x vectorized/scalar): for every
-  completed request the attributed components sum to its recorded e2e
+* the sum-to-e2e property, over chaos + overload traces in both
+  prefill modes (chunked / whole-prompt): for every completed request the attributed components sum to its recorded e2e
   within float32 tolerance — and the attached ledger never perturbs the
   engine report (PR 5 parity, re-asserted here against the baseline run);
 * analyzer units (critical path, tail explainer, baseline diff, snapshot
@@ -220,31 +219,29 @@ CHAOS = FaultPlan(
 )
 
 
-def _engine(chunk, vectorized):
+def _engine(chunk):
     return ServingEngine(
         get_model_config("llama-3-8b"),
         build_system("comet"),
         config=EngineConfig(
             max_batch=32, hbm_bytes=20e9, prefill_chunk_tokens=chunk,
-            vectorized=vectorized,
         ),
     )
 
 
 @pytest.mark.parametrize("chunk", [256, None], ids=["chunked", "whole"])
-@pytest.mark.parametrize("vectorized", [True, False], ids=["vec", "scalar"])
 class TestSumToE2EProperty:
     """ISSUE acceptance: attributed components sum to the recorded e2e
     within float32 tolerance, for every completed request of a chaos +
     overload run — and the ledger never perturbs the report."""
 
-    def test_components_sum_to_e2e(self, chunk, vectorized):
-        engine = _engine(chunk, vectorized)
+    def test_components_sum_to_e2e(self, chunk):
+        engine = _engine(chunk)
         trace = make_overload_trace(
             40, engine.kv.token_capacity, overload=2.0, ttft_slo=1.0,
             seed=0,
         )
-        baseline = _engine(chunk, vectorized).run(
+        baseline = _engine(chunk).run(
             make_overload_trace(
                 40, engine.kv.token_capacity, overload=2.0, ttft_slo=1.0,
                 seed=0,
@@ -270,8 +267,8 @@ class TestSumToE2EProperty:
         # Chaos + 2x overload must exercise non-finish paths too.
         assert outcomes - {"finished"}, outcomes
 
-    def test_aggregate_fractions_normalize(self, chunk, vectorized):
-        engine = _engine(chunk, vectorized)
+    def test_aggregate_fractions_normalize(self, chunk):
+        engine = _engine(chunk)
         trace = make_overload_trace(
             30, engine.kv.token_capacity, overload=2.0, ttft_slo=1.0,
             seed=1,

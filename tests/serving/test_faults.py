@@ -2,10 +2,15 @@
 
 import pytest
 
-from repro.model.config import get_model_config
+from repro.model.config import get_model_config, tiny_config
 from repro.serving.engine import EngineConfig, ServingEngine
 from repro.serving.faults import FaultKind, FaultPlan
-from repro.serving.request import TERMINAL_PHASES, Phase, make_batch_requests
+from repro.serving.request import (
+    TERMINAL_PHASES,
+    Phase,
+    Request,
+    make_batch_requests,
+)
 from repro.serving.systems import build_system
 from repro.serving.trace import EngineTracer
 from repro.serving.workload import make_overload_trace
@@ -149,6 +154,43 @@ class TestChaosRuns:
         )
         kinds = {e.cat for e in tracer.events()}
         assert "fault" in kinds
+
+    def test_trace_instants_match_report_counts(self):
+        """Every counted fault (request aborts included), failure, retry,
+        rejection and timeout leaves exactly one chrome-trace instant."""
+        eng = ServingEngine(
+            tiny_config(), build_system("comet"),
+            config=EngineConfig(max_batch=8, hbm_bytes=1e6, max_retries=1),
+        )
+        reqs = make_overload_trace(
+            60, eng.kv.token_capacity, overload=2.0, burst_seconds=0.01,
+            e2e_slo=0.08, seed=1,
+        )
+        # Can never fit the commit capacity: rejected at admission.
+        reqs.append(
+            Request(len(reqs), prompt_len=eng.kv.token_capacity,
+                    max_new_tokens=1)
+        )
+        tracer = EngineTracer()
+        rep = eng.run(reqs, tracer=tracer, faults=FaultPlan(
+            seed=3, step_fault_rate=0.05, kv_loss_rate=0.4,
+            request_abort_rate=0.5,
+        ))
+        kinds = [e.cat for e in tracer.events()]
+        counts = {
+            "fault": rep.faults_injected,
+            "failed": rep.requests_failed,
+            "retry": rep.retries,
+            "rejected": rep.requests_rejected,
+            "timed_out": rep.requests_timed_out,
+        }
+        assert all(counts.values()), counts  # every kind is exercised
+        assert {k: kinds.count(k) for k in counts} == counts
+        aborts = [
+            e for e in tracer.events()
+            if e.cat == "fault" and e.attrs["kind"] == "request_abort"
+        ]
+        assert aborts and all("request_id" in e.attrs for e in aborts)
 
 
 class TestFaultEffects:

@@ -5,6 +5,7 @@ import pytest
 from repro.kernels.w4ax import W4AxKernel
 from repro.model.config import get_model_config
 from repro.serving.engine import EngineConfig, ServingEngine
+from repro.serving.memory_planner import weight_bytes_per_gpu
 from repro.serving.parallel import (
     TPConfig,
     TPStackModel,
@@ -81,9 +82,9 @@ class TestTPStackModel:
         assert 1.2 < speedup < 4.0
 
     def test_weight_bytes_decrease_per_gpu(self, llama70b):
-        single = TPStackModel(llama70b, W4AxKernel(), TPConfig(degree=1))
-        quad = TPStackModel(llama70b, W4AxKernel(), TPConfig(degree=4))
-        assert quad.weight_bytes_per_gpu(2.0) < 0.5 * single.weight_bytes_per_gpu(2.0)
+        single = weight_bytes_per_gpu(llama70b, 2.0, degree=1)
+        quad = weight_bytes_per_gpu(llama70b, 2.0, degree=4)
+        assert quad < 0.5 * single
 
 
 class TestTPEngine:

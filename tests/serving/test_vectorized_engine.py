@@ -1,19 +1,30 @@
-"""Parity and regression tests for the vectorized engine step loop.
+"""Golden pins and regression tests for the engine's batch-array step loop.
 
-``EngineConfig.vectorized=False`` keeps the original per-request scalar
-loops as the correctness oracle; every scenario here runs the same trace
-through both modes and requires the full :class:`ThroughputReport` (and
-every request's terminal state) to be **bit-identical**.  The scenarios
-deliberately cross the fast path's bail-out conditions: chunked prefill,
-optimistic admission with preemptions, transient/KV-loss/straggler/abort
-faults, SLO shedding, and graceful degradation.
+The engine keeps its running batch only in :class:`BatchState` arrays.  A
+per-request scalar loop used to run beside it as the correctness oracle;
+before that loop was deleted, the two agreed bit for bit on every scenario
+here, and their shared outcome — the full :class:`ThroughputReport` plus
+every request's ``(phase, generated, retries, first_token_time,
+finish_time)`` — was recorded in ``engine_goldens.json`` (floats as hex).
+Each scenario must still reproduce its golden exactly.  The scenarios
+cross every edge of the step loop: chunked prefill, optimistic admission
+with preemptions, kernel/KV-loss/straggler/abort faults, SLO shedding,
+graceful degradation, and the deadline sweep over the waiting queue.
 
-Also covered: the waiting-queue expiry fix (deadline sweep over the whole
-queue, not just the head) and units for the batch-state containers.
+Regenerate the goldens only for a deliberate semantic change::
+
+    PYTHONPATH=src python tests/serving/test_vectorized_engine.py --regen
+
+Also covered: units for the batch-state containers.
 """
 
+import json
+import re
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.model.config import get_model_config
@@ -25,15 +36,21 @@ from repro.serving.stepprof import StepPhaseProfiler
 from repro.serving.systems import build_system
 from repro.serving.workload import make_overload_trace, make_poisson_trace
 
+GOLDENS_PATH = Path(__file__).with_name("engine_goldens.json")
+
+# A small device keeps the overload scenarios short (the KV pool, not the
+# scenario shape, sets the step count).
+_SMALL_HBM = 20e9
+
+_CHAOS = dict(
+    step_fault_rate=0.1, kv_loss_rate=0.02, straggler_rate=0.05,
+    request_abort_rate=0.1,
+)
+
 
 @pytest.fixture(scope="module")
 def llama8b():
     return get_model_config("llama-3-8b")
-
-
-# A small device keeps the overload scenarios short (the KV pool, not the
-# scenario shape, sets the step count); parity is pool-size independent.
-_SMALL_HBM = 20e9
 
 
 def _kv_capacity(llama8b):
@@ -44,146 +61,169 @@ def _kv_capacity(llama8b):
     return eng.kv.token_capacity
 
 
-def _run_both(llama8b, trace_fn, faults=None, **cfg):
-    """Run the same trace through scalar and vectorized engines."""
-    outcomes = {}
-    for vectorized in (False, True):
-        engine = ServingEngine(
-            llama8b,
-            build_system("comet"),
-            config=EngineConfig(
-                vectorized=vectorized,
-                **{"hbm_bytes": _SMALL_HBM, **cfg},
-            ),
-        )
-        reqs = trace_fn()
-        report = engine.run(reqs, faults=faults)
-        outcomes[vectorized] = (report, reqs)
-    return outcomes
+def _same_length_burst():
+    return [
+        Request(i, prompt_len=900, max_new_tokens=900, arrival_time=0.0)
+        for i in range(10)
+    ]
 
 
-def _assert_identical(outcomes):
-    scalar_rep, scalar_reqs = outcomes[False]
-    vec_rep, vec_reqs = outcomes[True]
-    assert asdict(vec_rep) == asdict(scalar_rep)
-    for s, v in zip(scalar_reqs, vec_reqs):
-        assert v.phase is s.phase, (v.request_id, v.phase, s.phase)
-        assert v.generated == s.generated
-        assert v.retries == s.retries
-        assert v.first_token_time == s.first_token_time
-        assert v.finish_time == s.finish_time
-        assert v.arrival_time == s.arrival_time
+def _deep_queue():
+    # r0 occupies the only batch slot; r1 (queue head) has a lenient
+    # deadline; r2 sits BEHIND r1 with a deadline that lapses while r0 is
+    # still decoding.
+    return [
+        Request(0, prompt_len=256, max_new_tokens=64, arrival_time=0.0),
+        Request(1, prompt_len=64, max_new_tokens=8, arrival_time=0.0,
+                e2e_slo=1000.0),
+        Request(2, prompt_len=64, max_new_tokens=8, arrival_time=0.0,
+                e2e_slo=1e-4),
+    ]
 
 
-class TestVectorizedParity:
-    """vectorized=True must be bit-identical to the scalar oracle."""
+def _anti_ordered_deadlines():
+    # Deadlines deliberately anti-ordered vs queue position.
+    return [Request(0, prompt_len=256, max_new_tokens=96, arrival_time=0.0)] + [
+        Request(i, prompt_len=64, max_new_tokens=8, arrival_time=0.0,
+                e2e_slo=slo)
+        for i, slo in ((1, 3e-4), (2, 2e-4), (3, 1e-4))
+    ]
 
-    def test_poisson_trace(self, llama8b):
-        _assert_identical(_run_both(
-            llama8b,
+
+def _scenarios(llama8b):
+    """name -> (EngineConfig kwargs, trace factory, FaultPlan or None)."""
+    cap = _kv_capacity(llama8b)
+    small = {"hbm_bytes": _SMALL_HBM}
+    return {
+        "poisson_trace": (
+            {**small, "max_batch": 32},
             lambda: make_poisson_trace(60, arrival_rate=64.0, seed=3),
-            max_batch=32,
-        ))
-
-    def test_chunked_prefill(self, llama8b):
-        _assert_identical(_run_both(
-            llama8b,
+            None,
+        ),
+        "chunked_prefill": (
+            {**small, "max_batch": 24, "prefill_chunk_tokens": 256},
             lambda: make_poisson_trace(80, arrival_rate=96.0, seed=5),
-            max_batch=24,
-            prefill_chunk_tokens=256,
-        ))
-
-    def test_optimistic_admission_preemptions(self, llama8b):
-        # A pool barely above the weights: optimistic admission
-        # overcommits within a few hundred steps and must preempt.
-        def trace():
-            return [
-                Request(i, prompt_len=900, max_new_tokens=900,
-                        arrival_time=0.0)
-                for i in range(10)
-            ]
-
-        outcomes = _run_both(
-            llama8b, trace,
-            hbm_bytes=4.8e9,  # ~11k-token KV pool
-            max_batch=16,
-            reserve_full_sequence=False,
-        )
-        _assert_identical(outcomes)
-        # The scenario must actually exercise the preemption path.
-        assert outcomes[True][0].preemptions > 0
-        assert outcomes[True][0].requests_completed == 10
-
-    def test_fault_chaos(self, llama8b):
-        faults = FaultPlan(
-            seed=7,
-            step_fault_rate=0.1,
-            kv_loss_rate=0.02,
-            straggler_rate=0.05,
-            request_abort_rate=0.1,
-        )
-        _assert_identical(_run_both(
-            llama8b,
+            None,
+        ),
+        # A pool barely above the weights (~11k tokens): optimistic
+        # admission overcommits within a few hundred steps and must preempt.
+        "optimistic_admission_preemptions": (
+            {"hbm_bytes": 4.8e9, "max_batch": 16,
+             "reserve_full_sequence": False},
+            _same_length_burst,
+            None,
+        ),
+        "fault_chaos": (
+            {**small, "max_batch": 24},
             lambda: make_poisson_trace(70, arrival_rate=80.0, seed=11),
-            faults=faults,
-            max_batch=24,
-        ))
-
-    def test_slo_overload_shedding(self, llama8b):
-        cap = _kv_capacity(llama8b)
-        _assert_identical(_run_both(
-            llama8b,
+            FaultPlan(seed=7, **_CHAOS),
+        ),
+        "slo_overload_shedding": (
+            {**small, "max_batch": 32},
             lambda: make_overload_trace(
                 60, cap, overload=4.0, ttft_slo=0.6, e2e_slo=4.0, seed=4
             ),
-            max_batch=32,
-        ))
-
-    def test_kitchen_sink(self, llama8b):
-        cap = _kv_capacity(llama8b)
-        faults = FaultPlan(seed=3, step_fault_rate=0.06, kv_loss_rate=0.01)
-        _assert_identical(_run_both(
-            llama8b,
+            None,
+        ),
+        "kitchen_sink": (
+            {**small, "max_batch": 24, "prefill_chunk_tokens": 512,
+             "degrade_under_pressure": True},
             lambda: make_overload_trace(
                 80, cap, overload=3.0, ttft_slo=0.8, e2e_slo=5.0, seed=9
             ),
-            faults=faults,
-            max_batch=24,
-            prefill_chunk_tokens=512,
-            degrade_under_pressure=True,
-        ))
+            FaultPlan(seed=3, step_fault_rate=0.06, kv_loss_rate=0.01),
+        ),
+        # Chunked prefill + TTFT SLOs + step faults deterministically shed
+        # a request while it is backing off before a retry.
+        "retry_backoff_shed_by_deadline_sweep": (
+            {**small, "max_batch": 8, "prefill_chunk_tokens": 256},
+            lambda: make_overload_trace(
+                12, cap, overload=2.0, ttft_slo=0.5, e2e_slo=None, seed=0
+            ),
+            FaultPlan(seed=0, **_CHAOS),
+        ),
+        "deep_queued_expired_request_is_shed": (
+            {"max_batch": 1}, _deep_queue, None,
+        ),
+        "out_of_order_deadlines_shed_in_deadline_order": (
+            {"max_batch": 1}, _anti_ordered_deadlines, None,
+        ),
+    }
+
+
+def _outcome(report, reqs):
+    """JSON-exact form of a run: floats as hex strings."""
+    return {
+        "report": {
+            k: v.hex() if isinstance(v, float) else v
+            for k, v in asdict(report).items()
+        },
+        "requests": [
+            [r.phase.value, r.generated, r.retries,
+             r.first_token_time.hex(), r.finish_time.hex()]
+            for r in reqs
+        ],
+    }
+
+
+def _run(llama8b, name):
+    cfg, trace_fn, faults = _scenarios(llama8b)[name]
+    engine = ServingEngine(
+        llama8b, build_system("comet"), config=EngineConfig(**cfg)
+    )
+    reqs = trace_fn()
+    return engine.run(reqs, faults=faults), reqs
+
+
+def _golden(name):
+    with GOLDENS_PATH.open() as fh:
+        return json.load(fh)[name]
+
+
+def _assert_golden(llama8b, name):
+    report, reqs = _run(llama8b, name)
+    assert _outcome(report, reqs) == _golden(name)
+    return report, reqs
+
+
+class TestVectorizedParity:
+    """The batch-array engine reproduces the scalar oracle's goldens."""
+
+    def test_poisson_trace(self, llama8b):
+        _assert_golden(llama8b, "poisson_trace")
+
+    def test_chunked_prefill(self, llama8b):
+        _assert_golden(llama8b, "chunked_prefill")
+
+    def test_optimistic_admission_preemptions(self, llama8b):
+        report, _ = _assert_golden(
+            llama8b, "optimistic_admission_preemptions"
+        )
+        # The scenario must actually exercise the preemption path.
+        assert report.preemptions > 0
+        assert report.requests_completed == 10
+
+    def test_fault_chaos(self, llama8b):
+        report, _ = _assert_golden(llama8b, "fault_chaos")
+        assert report.faults_injected > 0 and report.retries > 0
+
+    def test_slo_overload_shedding(self, llama8b):
+        report, _ = _assert_golden(llama8b, "slo_overload_shedding")
+        assert report.requests_timed_out > 0
+
+    def test_kitchen_sink(self, llama8b):
+        report, _ = _assert_golden(llama8b, "kitchen_sink")
+        assert report.faults_injected > 0 and report.requests_timed_out > 0
 
     def test_retry_backoff_shed_by_deadline_sweep(self, llama8b):
         # Regression: a faulted request in retry backoff stays WAITING and
         # its deadline-heap entry stays live, so the sweep can shed it
         # first; the retry queue must lazily discard the now-terminal
         # entry instead of expiring it a second time (which raised
-        # "request N already terminal").  Chunked prefill + TTFT SLOs +
-        # step faults is the deterministic trigger.
-        faults = FaultPlan(
-            seed=0,
-            step_fault_rate=0.1,
-            kv_loss_rate=0.02,
-            straggler_rate=0.05,
-            request_abort_rate=0.1,
+        # "request N already terminal").
+        report, reqs = _assert_golden(
+            llama8b, "retry_backoff_shed_by_deadline_sweep"
         )
-
-        def trace():
-            eng = ServingEngine(
-                llama8b, build_system("comet"),
-                config=EngineConfig(hbm_bytes=_SMALL_HBM),
-            )
-            return make_overload_trace(
-                12, eng.kv.token_capacity, overload=2.0, ttft_slo=0.5,
-                e2e_slo=None, seed=0,
-            )
-
-        outcomes = _run_both(
-            llama8b, trace, faults=faults,
-            max_batch=8, prefill_chunk_tokens=256,
-        )
-        _assert_identical(outcomes)
-        report, reqs = outcomes[True]
         # The scenario must actually shed a backed-off retry.
         assert any(
             r.retries > 0 and r.phase is Phase.TIMED_OUT for r in reqs
@@ -193,7 +233,7 @@ class TestVectorizedParity:
     def test_profiler_phases_cover_every_step(self, llama8b):
         engine = ServingEngine(
             llama8b, build_system("comet"),
-            config=EngineConfig(max_batch=16, vectorized=True),
+            config=EngineConfig(max_batch=16),
         )
         prof = StepPhaseProfiler()
         report = engine.run(
@@ -216,27 +256,10 @@ class TestWaitingQueueExpiry:
     passes, regardless of queue position.
     """
 
-    def _engine(self, llama8b, vectorized):
-        return ServingEngine(
-            llama8b, build_system("comet"),
-            config=EngineConfig(max_batch=1, vectorized=vectorized),
+    def test_deep_queued_expired_request_is_shed(self, llama8b):
+        report, (r0, r1, r2) = _assert_golden(
+            llama8b, "deep_queued_expired_request_is_shed"
         )
-
-    @pytest.mark.parametrize("vectorized", [False, True])
-    def test_deep_queued_expired_request_is_shed(self, llama8b, vectorized):
-        # r0 occupies the only batch slot; r1 (queue head) has a lenient
-        # deadline; r2 sits BEHIND r1 with a deadline that lapses while
-        # r0 is still decoding.
-        r0 = Request(0, prompt_len=256, max_new_tokens=64, arrival_time=0.0)
-        r1 = Request(
-            1, prompt_len=64, max_new_tokens=8, arrival_time=0.0,
-            e2e_slo=1000.0,
-        )
-        r2 = Request(
-            2, prompt_len=64, max_new_tokens=8, arrival_time=0.0,
-            e2e_slo=1e-4,
-        )
-        report = self._engine(llama8b, vectorized).run([r0, r1, r2])
         assert r2.phase is Phase.TIMED_OUT
         assert r2.generated == 0  # shed from the queue, never admitted
         assert r0.phase is Phase.FINISHED
@@ -244,19 +267,11 @@ class TestWaitingQueueExpiry:
         assert report.requests_timed_out == 1
         assert report.requests_completed == 2
 
-    @pytest.mark.parametrize("vectorized", [False, True])
-    def test_out_of_order_deadlines_shed_in_deadline_order(
-        self, llama8b, vectorized
-    ):
-        # Deadlines deliberately anti-ordered vs queue position.
-        blocker = Request(0, prompt_len=256, max_new_tokens=96,
-                          arrival_time=0.0)
-        queued = [
-            Request(i, prompt_len=64, max_new_tokens=8, arrival_time=0.0,
-                    e2e_slo=slo)
-            for i, slo in ((1, 3e-4), (2, 2e-4), (3, 1e-4))
-        ]
-        self._engine(llama8b, vectorized).run([blocker] + queued)
+    def test_out_of_order_deadlines_shed_in_deadline_order(self, llama8b):
+        _, reqs = _assert_golden(
+            llama8b, "out_of_order_deadlines_shed_in_deadline_order"
+        )
+        queued = reqs[1:]
         assert all(r.phase is Phase.TIMED_OUT for r in queued)
         # time_out stamps finish_time with the shed clock: later deadline
         # can never be shed before an earlier one.
@@ -277,27 +292,27 @@ class TestBatchState:
         for i, r in enumerate(reqs):
             state.add(r, kv_row=i, abort_at=-1)
         assert state.reqs == reqs
-        import numpy as np
-
         state.advance(np.array([0, 2]))
         assert reqs[0].generated == 0  # arrays lead, objects lag
-        state.sync_all()
+        for i in range(len(state)):
+            state.sync(i)
         assert [r.generated for r in reqs] == [1, 0, 1]
 
     def test_remove_keeps_alias_and_arrays_consistent(self):
-        import numpy as np
-
         state = BatchState()
         reqs = [self._req(i) for i in range(4)]
         for i, r in enumerate(reqs):
             state.add(r, kv_row=10 + i, abort_at=-1)
+        state.advance(np.array([1]))
         alias = state.reqs
-        state.remove(np.array([1, 3]))
-        assert state.reqs is alias  # in-place: engine's `running` alias
-        kept = {r.request_id for r in state.reqs}
-        assert kept == {0, 2}
-        rows = {int(state.kv_row[i]) for i in range(len(state.reqs))}
-        assert rows == {10, 12}
+        state.rebuild(np.array([True, False, True, False]))
+        assert state.reqs is alias  # compacted in place
+        assert [r.request_id for r in state.reqs] == [0, 2]
+        assert state.kv_row.tolist() == [10, 12]
+        assert state.gen.tolist() == [0, 0]
+        state.rebuild(np.array([False, True]))
+        assert [r.request_id for r in state.reqs] == [2]
+        assert state.kv_row.tolist() == [12]
 
     def test_grows_past_initial_capacity(self):
         state = BatchState()
@@ -326,6 +341,15 @@ class TestDeadlineHeap:
         heap.push(Request(0, prompt_len=4, max_new_tokens=4))
         assert len(heap) == 0
 
+    def test_request_pushed_twice_expires_once(self):
+        # A preempted request is re-pushed while its admission-time entry
+        # is still live; sweeping both at once must not expire it twice.
+        heap = DeadlineHeap()
+        r = Request(0, prompt_len=4, max_new_tokens=4, ttft_slo=0.1)
+        heap.push(r)
+        heap.push(r)
+        assert heap.expired(1.0) == [r]
+
     def test_lazy_deletion_of_terminal_entries(self):
         heap = DeadlineHeap()
         r = Request(0, prompt_len=4, max_new_tokens=4, e2e_slo=0.1)
@@ -352,3 +376,25 @@ class TestRetryHeap:
         heap = RetryHeap()
         assert not heap
         assert heap.next_ready_time() == float("inf")
+
+
+def _regen() -> None:
+    """Rewrite engine_goldens.json from the current engine."""
+    model = get_model_config("llama-3-8b")
+    goldens = {
+        name: _outcome(*_run(model, name)) for name in _scenarios(model)
+    }
+    text = json.dumps(goldens, indent=1, sort_keys=True)
+    # One line per request row keeps the file reviewable.
+    text = re.sub(
+        r"\[\n\s+([^\[\]{}]*?)\n\s+\]",
+        lambda m: "[" + re.sub(r",\n\s+", ", ", m.group(1)) + "]",
+        text,
+    )
+    GOLDENS_PATH.write_text(text + "\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regen"]:
+        raise SystemExit(f"usage: python {sys.argv[0]} --regen")
+    _regen()
