@@ -7,7 +7,7 @@ export PYTHONPATH := src
 .PHONY: test staticcheck staticcheck-json staticcheck-baseline lint bench-smoke bench-scale bench-scale-smoke live-obs-smoke validate-bench analyze-smoke
 
 test:
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x -q --durations=10
 
 ## Blocking invariant gate (numerics / determinism / obs / API / layering).
 staticcheck:

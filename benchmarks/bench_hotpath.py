@@ -13,13 +13,18 @@ Guards the two vectorized inference hot paths against regressions:
   speedup (target: >= 5x at 32+ blocks).
 * **Model decode** — end-to-end `greedy_generate` tokens/s on a tiny
   transformer with a KV4 cache, the number a serving stack actually ships.
+* **Simulated serving** — tok/s and latency tails on the simulated clock,
+  on a tiny model and on llama-3-8b at the Fig. 10 1024/512 shape.
+* **Cost model** — µs per cold-memo `GEMMKernel.latency` call against
+  tile count, beside the replaced per-tile path's cost.
 
 Run standalone (CI ``bench-smoke`` does exactly this)::
 
     PYTHONPATH=src python benchmarks/bench_hotpath.py --smoke
 
 or under pytest like every other ``bench_*`` module.  Results land in
-``benchmarks/results/hotpath_{kvcache,gemm,decode}.{txt,json}``; the JSON
+``benchmarks/results/hotpath_{kvcache,gemm,decode,serving,costmodel}``
+``.{txt,json}``; the JSON
 files seed the perf trajectory (uploaded as a CI artifact).  Set
 ``$REPRO_EMIT_METRICS`` to also capture the ``kvcache.*`` hit/miss and
 ``kernel.gemm_blocks_batched_total`` counters.
@@ -61,6 +66,41 @@ SMOKE_DECODE = dict(prompts=(8, 32), new_tokens=8)
 # (requests in the simulated serving trace, concurrency cap)
 FULL_SERVING = dict(num_requests=48, max_batch=32)
 SMOKE_SERVING = dict(num_requests=16, max_batch=8)
+# Paper-shape serving rows: Fig. 10 at input/output 1024/512 on llama-3-8b,
+# batch = min(plan max, 256), every request at t=0 (as perfbench's
+# fig10_batch workload runs it).
+PAPER_SERVING = dict(model="llama-3-8b", systems=("comet", "trtllm-w4a16"),
+                     prompt=1024, output=512, max_batch=256)
+# (kernels, models, token counts m, cold-memo timing repeats per point)
+FULL_COSTMODEL = dict(kernels=("comet-w4ax", "trtllm-w4a16", "qserve-w4a8"),
+                      models=("llama-3-8b", "llama-3-70b"),
+                      ms=(1, 256, 1024), repeats=5)
+SMOKE_COSTMODEL = dict(FULL_COSTMODEL, repeats=3)
+#: Microseconds per cold ``GEMMKernel.latency`` call on the per-tile cost
+#: model this bench replaced (one WorkTile and one TileTask object per
+#: thread block), keyed (kernel, model, m): the "before" of the
+#: ``hotpath_costmodel`` rows.  Median of 3 runs of the FULL_COSTMODEL
+#: grid; Intel Xeon VM (2 vCPU), Python 3.11.7, numpy 2.4.6.
+PER_TILE_US_PER_CALL = {
+    ("comet-w4ax", "llama-3-8b", 1): 5822,
+    ("comet-w4ax", "llama-3-8b", 256): 7093,
+    ("comet-w4ax", "llama-3-8b", 1024): 17537,
+    ("trtllm-w4a16", "llama-3-8b", 1): 46970,
+    ("trtllm-w4a16", "llama-3-8b", 256): 54912,
+    ("trtllm-w4a16", "llama-3-8b", 1024): 108572,
+    ("qserve-w4a8", "llama-3-8b", 1): 42299,
+    ("qserve-w4a8", "llama-3-8b", 256): 51909,
+    ("qserve-w4a8", "llama-3-8b", 1024): 106198,
+    ("comet-w4ax", "llama-3-70b", 1): 6856,
+    ("comet-w4ax", "llama-3-70b", 256): 9031,
+    ("comet-w4ax", "llama-3-70b", 1024): 32994,
+    ("trtllm-w4a16", "llama-3-70b", 1): 46208,
+    ("trtllm-w4a16", "llama-3-70b", 256): 71283,
+    ("trtllm-w4a16", "llama-3-70b", 1024): 209661,
+    ("qserve-w4a8", "llama-3-70b", 1): 61931,
+    ("qserve-w4a8", "llama-3-70b", 256): 69340,
+    ("qserve-w4a8", "llama-3-70b", 1024): 200117,
+}
 # (queued-request tiers for the high-concurrency scaling bench)
 FULL_SCALE = dict(tiers=(1000, 4000, 10000), max_batch=512)
 SMOKE_SCALE = dict(tiers=(1000,), max_batch=256)
@@ -201,9 +241,7 @@ def run_serving_bench(num_requests=48, max_batch=32):
     ``attribution`` fractions (repro.obs.attrib cost ledger) so
     ``repro.cli analyze --baseline`` can flag step-phase regressions.
     """
-    from repro.obs import live as live_obs
     from repro.serving.engine import EngineConfig, ServingEngine
-    from repro.serving.metrics import LatencyReport
     from repro.serving.systems import build_system
     from repro.serving.workload import make_poisson_trace
 
@@ -219,29 +257,106 @@ def run_serving_bench(num_requests=48, max_batch=32):
             num_requests, arrival_rate=50.0, mean_prompt_len=64,
             mean_new_tokens=32, seed=3,
         )
-        live = live_obs.attach(
-            window_seconds=1.0, attrib_capacity=num_requests
+        rows.append(_serving_row(model.name, system_name, engine, requests))
+    return rows
+
+
+def run_paper_serving_bench(model="llama-3-8b", systems=("comet", "trtllm-w4a16"),
+                            prompt=1024, output=512, max_batch=256):
+    """Simulated serving rows at a paper shape (Fig. 10, 1024/512).
+
+    The tiny-model rows above cannot separate the systems (COMET and
+    TRT-LLM-FP16 tie there); at llama-3-8b the rows track the paper's
+    actual COMET-over-W4A16 ratio.  Same row schema, simulated clock.
+    """
+    from repro.model.config import get_model_config
+    from repro.serving.engine import EngineConfig, ServingEngine
+    from repro.serving.request import make_batch_requests
+    from repro.serving.systems import build_system
+
+    rows = []
+    for system_name in systems:
+        engine = ServingEngine(
+            get_model_config(model), build_system(system_name),
+            config=EngineConfig(max_batch=max_batch),
         )
-        try:
-            report = engine.run(requests)
-        finally:
-            live_obs.detach()
-        attribution = live.attrib.aggregate()
-        lat = LatencyReport.from_requests(requests)
-        rows.append(
-            {
-                "system": system_name,
-                "requests": report.requests_completed,
-                "throughput_tok_s": report.throughput,
-                "ttft_p50_ms": lat.ttft_p50 * 1e3,
-                "ttft_p99_ms": lat.ttft_p99 * 1e3,
-                "tpot_p99_ms": lat.tpot_p99 * 1e3,
-                "e2e_p99_s": lat.e2e_p99,
-                "e2e_max_s": lat.e2e_max,
-                "attribution": attribution["fractions"],
-                "attribution_dominant": attribution["dominant"],
-            }
-        )
+        batch = min(max(engine.plan.max_batch(prompt + output), 1), max_batch)
+        requests = make_batch_requests(batch, prompt, output)
+        rows.append(_serving_row(model, system_name, engine, requests))
+    return rows
+
+
+def _serving_row(model_name, system_name, engine, requests) -> dict:
+    """Serve ``requests`` with the cost ledger attached; one trajectory row."""
+    from repro.obs import live as live_obs
+    from repro.serving.metrics import LatencyReport
+
+    live = live_obs.attach(window_seconds=1.0, attrib_capacity=len(requests))
+    try:
+        report = engine.run(requests)
+    finally:
+        live_obs.detach()
+    attribution = live.attrib.aggregate()
+    lat = LatencyReport.from_requests(requests)
+    return {
+        "model": model_name,
+        "system": system_name,
+        "requests": report.requests_completed,
+        "throughput_tok_s": report.throughput,
+        "ttft_p50_ms": lat.ttft_p50 * 1e3,
+        "ttft_p99_ms": lat.ttft_p99 * 1e3,
+        "tpot_p99_ms": lat.tpot_p99 * 1e3,
+        "e2e_p99_s": lat.e2e_p99,
+        "e2e_max_s": lat.e2e_max,
+        "attribution": attribution["fractions"],
+        "attribution_dominant": attribution["dominant"],
+    }
+
+
+# -------------------------------------------------------------- cost model
+
+
+def run_costmodel_bench(kernels=("comet-w4ax", "trtllm-w4a16", "qserve-w4a8"),
+                        models=("llama-3-8b", "llama-3-70b"),
+                        ms=(1, 256, 1024), repeats=5):
+    """Host cost of one cold-memo ``GEMMKernel.latency`` call.
+
+    Per (kernel, model, m): the median over ``repeats`` of the mean wall
+    time of costing each distinct linear shape of the model with the
+    process-wide latency memo cleared first, beside the tile count of the
+    chosen tiling and the per-tile path's cost for the same point.
+    """
+    from repro.api import KERNELS
+    from repro.kernels.base import clear_latency_memo
+    from repro.kernels.tiling import GEMMShape
+    from repro.model.config import get_model_config
+
+    rows = []
+    for model in models:
+        nk = sorted(set(get_model_config(model).linear_shapes().values()))
+        for kernel_name in kernels:
+            kernel = KERNELS[kernel_name]()
+            for m in ms:
+                shapes = [GEMMShape(m, n, k) for n, k in nk]
+                samples = []
+                for _ in range(repeats):
+                    clear_latency_memo()
+                    t0 = time.perf_counter()
+                    lats = [kernel.latency(shape) for shape in shapes]
+                    samples.append((time.perf_counter() - t0) / len(shapes))
+                us = float(np.median(samples)) * 1e6
+                before = PER_TILE_US_PER_CALL.get((kernel_name, model, m))
+                rows.append({
+                    "kernel": kernel_name,
+                    "model": model,
+                    "m": int(m),
+                    "shapes": len(shapes),
+                    "tiles_per_call": sum(lat.num_tiles for lat in lats) / len(lats),
+                    "us_per_call": us,
+                    "per_tile_us_per_call": before,
+                    "speedup": before / us if before else None,
+                })
+    clear_latency_memo()
     return rows
 
 
@@ -345,7 +460,11 @@ def run_all(smoke: bool = False, scale: bool = False) -> dict:
         "kvcache": run_kvcache_bench(**kv_args),
         "gemm": run_gemm_bench(**gemm_args),
         "decode": run_decode_bench(**decode_args),
-        "serving": run_serving_bench(**serving_args),
+        "serving": (run_serving_bench(**serving_args)
+                    + run_paper_serving_bench(**PAPER_SERVING)),
+        "costmodel": run_costmodel_bench(
+            **(SMOKE_COSTMODEL if smoke else FULL_COSTMODEL)
+        ),
     }
     if scale:
         results["scale"] = run_scale_bench(
@@ -400,13 +519,34 @@ def run_all(smoke: bool = False, scale: bool = False) -> dict:
         "hotpath_serving",
         format_table(
             "Hot path — simulated serving throughput and latency tails",
-            ["system", "requests", "tok/s", "TTFT p99 ms", "e2e p99 s"],
+            ["model", "system", "requests", "tok/s", "TTFT p99 ms",
+             "e2e p99 s"],
             [
-                [r["system"], r["requests"], r["throughput_tok_s"],
+                [r["model"], r["system"], r["requests"], r["throughput_tok_s"],
                  r["ttft_p99_ms"], r["e2e_p99_s"]]
                 for r in serving
             ],
-            notes=["simulated clock: deterministic across machines."],
+            notes=["simulated clock: deterministic across machines;",
+                   "llama-3-8b rows: Fig. 10 at 1024/512, all requests at t=0."],
+        ),
+    )
+    costmodel = results["costmodel"]
+    emit(
+        "hotpath_costmodel",
+        format_table(
+            "Cost model — one cold-memo GEMMKernel.latency call",
+            ["kernel", "model", "m", "tiles/call", "us/call",
+             "per-tile us/call", "speedup"],
+            [
+                [r["kernel"], r["model"], r["m"], r["tiles_per_call"],
+                 r["us_per_call"], r["per_tile_us_per_call"], r["speedup"]]
+                for r in costmodel
+            ],
+            notes=[
+                "us/call: tile-class costing, latency memo cleared first;",
+                "per-tile us/call: the replaced per-tile path (see",
+                "PER_TILE_US_PER_CALL for its hardware).",
+            ],
         ),
     )
     if scale:
@@ -441,6 +581,11 @@ def run_all(smoke: bool = False, scale: bool = False) -> dict:
     emit_json(
         "hotpath_serving",
         {"mode": results["mode"], "rows": serving},
+        trajectory="serving",
+    )
+    emit_json(
+        "hotpath_costmodel",
+        {"mode": results["mode"], "rows": costmodel},
         trajectory="serving",
     )
     return results

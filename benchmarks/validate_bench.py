@@ -27,8 +27,14 @@ DEFAULT_PATH = REPO_ROOT / "BENCH_serving.json"
 
 #: Keys every ``hotpath_serving`` row must carry.
 SERVING_ROW_KEYS = frozenset({
-    "system", "requests", "throughput_tok_s", "ttft_p50_ms", "ttft_p99_ms",
-    "tpot_p99_ms", "e2e_p99_s", "e2e_max_s", "attribution",
+    "model", "system", "requests", "throughput_tok_s", "ttft_p50_ms",
+    "ttft_p99_ms", "tpot_p99_ms", "e2e_p99_s", "e2e_max_s", "attribution",
+})
+
+#: Keys every ``hotpath_costmodel`` row must carry.
+COSTMODEL_ROW_KEYS = frozenset({
+    "kernel", "model", "m", "shapes", "tiles_per_call", "us_per_call",
+    "per_tile_us_per_call", "speedup",
 })
 
 #: Keys every ``hotpath_scale`` row must carry.
@@ -125,6 +131,14 @@ def validate(doc: object) -> list:
                     )
         elif name == "hotpath_scale":
             _check_rows(name, payload, SCALE_ROW_KEYS, errors)
+        elif name == "hotpath_costmodel":
+            rows = _check_rows(name, payload, COSTMODEL_ROW_KEYS, errors)
+            for i, row in enumerate(rows):
+                us = row.get("us_per_call") if isinstance(row, dict) else None
+                if isinstance(us, (int, float)) and not us > 0:
+                    errors.append(
+                        f"{name}: rows[{i}].us_per_call={us} is not positive"
+                    )
         # Unknown benchmark names are allowed (future emitters) as long as
         # they keep the {mode, rows} envelope.
         else:
@@ -142,7 +156,8 @@ def _good_doc() -> dict:
             "hotpath_serving": {
                 "mode": "smoke",
                 "rows": [{
-                    "system": "comet", "requests": 16,
+                    "model": "serving-bench", "system": "comet",
+                    "requests": 16,
                     "throughput_tok_s": 1800.0, "ttft_p50_ms": 1.0,
                     "ttft_p99_ms": 2.0, "tpot_p99_ms": 0.3,
                     "e2e_p99_s": 0.01, "e2e_max_s": 0.02,
@@ -196,6 +211,29 @@ def test_rejects_empty_rows_and_bad_mode():
     errors = validate(doc)
     assert any("non-empty list" in e for e in errors)
     assert any("mode" in e for e in errors)
+
+
+def test_costmodel_rows_are_gated():
+    doc = _good_doc()
+    row = {
+        "kernel": "comet-w4ax", "model": "llama-3-8b", "m": 256,
+        "shapes": 4, "tiles_per_call": 700.0, "us_per_call": 250.0,
+        "per_tile_us_per_call": 40000.0, "speedup": 160.0,
+    }
+    doc["benchmarks"]["hotpath_costmodel"] = {"mode": "full", "rows": [row]}
+    assert validate(doc) == []
+    del row["tiles_per_call"]
+    row["us_per_call"] = 0.0
+    errors = validate(doc)
+    assert any("missing keys" in e and "tiles_per_call" in e for e in errors)
+    assert any("us_per_call=0.0 is not positive" in e for e in errors)
+
+
+def test_serving_rows_carry_the_model():
+    doc = _good_doc()
+    del doc["benchmarks"]["hotpath_serving"]["rows"][0]["model"]
+    errors = validate(doc)
+    assert any("missing keys" in e and "'model'" in e for e in errors)
 
 
 def test_committed_document_validates():

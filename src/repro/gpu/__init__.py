@@ -16,7 +16,6 @@ from repro.gpu.memory import (
 from repro.gpu.simulator import (
     SchedulePolicy,
     ScheduleResult,
-    TileTask,
     simulate_schedule,
 )
 from repro.gpu.spec import A100_80G_SXM4, H100_SXM5, KNOWN_GPUS, GPUSpec
@@ -30,7 +29,6 @@ __all__ = [
     "SchedulePolicy",
     "ScheduleResult",
     "StageTimes",
-    "TileTask",
     "bank_conflict_degree",
     "conversion_time",
     "global_load_time",

@@ -17,35 +17,14 @@ This is the execution model behind the paper's Section 4.4 (Figure 8):
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 import repro.obs as obs
 
-__all__ = ["TileTask", "SchedulePolicy", "ScheduleResult", "simulate_schedule"]
-
-
-@dataclass(frozen=True)
-class TileTask:
-    """One tile's worth of work.
-
-    Attributes:
-        duration: seconds of SM time the tile needs.
-        divisible: whether work stealing may split this tile (reductions
-            make some tiles atomic).
-        tag: free-form label ('int4'/'int8') for reporting.
-    """
-
-    duration: float
-    divisible: bool = True
-    tag: str = ""
-
-    def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise ValueError("duration must be non-negative")
+__all__ = ["SchedulePolicy", "ScheduleResult", "simulate_schedule"]
 
 
 class SchedulePolicy(Enum):
@@ -78,136 +57,121 @@ class ScheduleResult:
         return float(self.per_sm_busy.mean() / span)
 
 
-def _wave_barrier(durations: list[float], num_sms: int, sync: float):
-    busy = np.zeros(num_sms, dtype=np.float64)
-    makespan = 0.0
-    waves = 0
-    for w0 in range(0, len(durations), num_sms):
-        wave = durations[w0 : w0 + num_sms]
-        for sm, d in enumerate(wave):
-            busy[sm] += d
-        makespan += max(wave) + sync
-        waves += 1
-    return makespan, busy, waves, sync * waves
+def _lpt_busy(durations: np.ndarray, num_sms: int) -> np.ndarray:
+    """Per-SM load of the longest-processing-time greedy: tiles in
+    descending duration each go to the least-loaded SM (lowest index on
+    ties), handed out one ``(duration, count)`` class at a time.
 
-
-def _static_queue(durations: list[float], num_sms: int, sync: float):
-    busy = np.zeros(num_sms, dtype=np.float64)
-    for i, d in enumerate(durations):
-        busy[i % num_sms] += d
-    waves = -(-len(durations) // num_sms) if durations else 0
-    return float(busy.max()) + sync, busy, waves, sync
-
-
-def _lpt_assign(durations: list[float], num_sms: int) -> list[list[float]]:
-    """Longest-processing-time greedy assignment."""
-    heap = [(0.0, sm) for sm in range(num_sms)]
-    heapq.heapify(heap)
-    queues: list[list[float]] = [[] for _ in range(num_sms)]
-    for d in sorted(durations, reverse=True):
-        load, sm = heapq.heappop(heap)
-        queues[sm].append(d)
-        heapq.heappush(heap, (load + d, sm))
-    return queues
-
-
-def _balanced(durations: list[float], num_sms: int, sync: float):
-    # Remapping may always keep the original static binding, so take the
-    # better of the LPT remap and the round-robin identity mapping (LPT is
-    # a heuristic and can lose on adversarial inputs).
-    lpt_busy = np.array(
-        [sum(q) for q in _lpt_assign(durations, num_sms)], dtype=np.float64
-    )
-    rr_busy = np.zeros(num_sms, dtype=np.float64)
-    for i, d in enumerate(durations):
-        rr_busy[i % num_sms] += d
-    busy = lpt_busy if lpt_busy.max() <= rr_busy.max() else rr_busy
-    waves = -(-len(durations) // num_sms) if durations else 0
-    return float(busy.max()) + sync, busy, waves, sync
-
-
-def _work_stealing(
-    tasks: list[TileTask],
-    num_sms: int,
-    sync: float,
-    steal_overhead: float,
-    max_split: int,
-):
-    durations = [t.duration for t in tasks]
-    _, balanced_busy, _, _ = _balanced(durations, num_sms, 0.0)
-    busy = balanced_busy.copy()  # float64 sim-time accumulator from _balanced
-    # Idle SMs steal halves of the largest remaining piece; every stolen
-    # piece pays a shared-memory re-load overhead.  Pieces stop splitting
-    # below 1/max_split of the original tile.
-    divisible = any(t.divisible for t in tasks)
-    if divisible and len(durations) > 0:
-        min_piece = max(durations) / max_split
-        for _ in range(16 * num_sms):
-            hi = int(busy.argmax())
-            lo = int(busy.argmin())
-            gap = busy[hi] - busy[lo]
-            if gap <= min_piece:
+    SM ``s`` takes its ``j``-th tile of a class at load ``loads[s] + j x
+    duration`` (added one tile at a time), which rises with ``j``, so the
+    greedy gives the class exactly the ``count`` lowest ``(load, s, j)``
+    slots.  The slot table holds ``depth`` tiles per SM; an SM that fills
+    it may be owed more, so it doubles (up to ``count + 1``) until none
+    does.
+    """
+    loads = np.zeros(num_sms, dtype=np.float64)
+    values, counts = np.unique(durations, return_counts=True)
+    for duration, count in zip(values[::-1].tolist(), counts[::-1].tolist()):
+        depth = -(-count // num_sms) + 1
+        while True:
+            slots = np.empty((depth + 1, num_sms), dtype=np.float64)
+            slots[0] = loads
+            slots[1:] = duration
+            np.add.accumulate(slots, axis=0, out=slots)
+            offered = slots[:depth]
+            cut = np.partition(offered, count - 1, axis=None)[count - 1]
+            taken = np.count_nonzero(offered < cut, axis=0)
+            # Slots at the cut value go to the lowest SM indices first.
+            ties = np.count_nonzero(offered == cut, axis=0)
+            short = count - taken.sum()
+            taken += np.minimum(ties, np.maximum(short - (np.cumsum(ties) - ties), 0))
+            if taken.max() < depth:
                 break
-            moved = min(gap / 2.0, busy[hi] / 2.0)
-            if moved < min_piece / 2:
-                break
-            busy[hi] -= moved
-            busy[lo] += moved * (1.0 + steal_overhead)
-    waves = -(-len(durations) // num_sms) if durations else 0
-    return float(busy.max()) + sync, busy, waves, sync
+            depth = min(2 * depth, count + 1)  # no SM takes more than count
+        loads = slots[taken, np.arange(num_sms)]
+    return loads
+
+
+def _steal(busy: np.ndarray, min_piece: float, steal_overhead: float) -> None:
+    """Idle SMs steal halves of the largest remaining piece; every stolen
+    piece pays a shared-memory re-load overhead.  Pieces stop splitting
+    below ``min_piece``."""
+    for _ in range(16 * len(busy)):
+        hi = int(busy.argmax())
+        lo = int(busy.argmin())
+        gap = busy[hi] - busy[lo]
+        if gap <= min_piece:
+            break
+        moved = min(gap / 2.0, busy[hi] / 2.0)
+        if moved < min_piece / 2:
+            break
+        busy[hi] -= moved
+        busy[lo] += moved * (1.0 + steal_overhead)
 
 
 def simulate_schedule(
-    tasks: list[TileTask],
+    durations: np.ndarray,
     num_sms: int,
     policy: SchedulePolicy = SchedulePolicy.WORK_STEALING,
     sync_overhead: float = 1e-6,
     steal_overhead: float = 0.05,
     max_split: int = 8,
+    divisible: bool = True,
 ) -> ScheduleResult:
     """Simulate a tile schedule and return the kernel makespan.
 
     Args:
-        tasks: tile workload (order matters for the fixed-binding policies).
+        durations: seconds of SM time each tile needs, in issue order
+            (order matters for the fixed-binding policies).
         num_sms: available streaming multiprocessors.
-        policy: scheduling strategy (see class docstring).
+        policy: scheduling strategy (see module docstring).
         sync_overhead: cost of one inter-SM barrier.
         steal_overhead: fractional cost a stolen piece pays (data re-load).
         max_split: maximum pieces a tile may be decomposed into.
+        divisible: whether work stealing may split tiles (reductions make
+            some tiles atomic).
     """
     if num_sms <= 0:
         raise ValueError("num_sms must be positive")
-    if not tasks:
+    # Simulated seconds are float64 end to end (bit-exact sums).
+    durations = np.asarray(durations, dtype=np.float64)  # staticcheck: ignore[NUM003]
+    if len(durations) == 0:
         return ScheduleResult(policy, 0.0, np.zeros(num_sms, dtype=np.float64), 0, 0.0)
-    durations = [t.duration for t in tasks]
+    if durations.min() < 0:
+        raise ValueError("durations must be non-negative")
     with obs.span(
         "gpu.simulate_schedule", cat="gpu",
-        policy=policy.value, tiles=len(tasks), sms=num_sms,
+        policy=policy.value, tiles=len(durations), sms=num_sms,
     ):
+        # The static binding puts tile i on SM i % num_sms in wave
+        # i // num_sms; zero-duration slots pad the ragged last wave.
+        num_waves = -(-len(durations) // num_sms)
+        waves = np.zeros(num_waves * num_sms, dtype=np.float64)
+        waves[: len(durations)] = durations
+        waves = waves.reshape(num_waves, num_sms)
+        # Per-SM sums wave by wave in issue order (sequential, not pairwise).
+        busy = np.add.accumulate(waves, axis=0)[-1].copy()
+        sync_time = sync_overhead
         if policy is SchedulePolicy.WAVE_BARRIER:
-            makespan, busy, waves, sync = _wave_barrier(
-                durations, num_sms, sync_overhead
-            )
-        elif policy is SchedulePolicy.STATIC_QUEUE:
-            makespan, busy, waves, sync = _static_queue(
-                durations, num_sms, sync_overhead
-            )
-        elif policy is SchedulePolicy.BALANCED:
-            makespan, busy, waves, sync = _balanced(
-                durations, num_sms, sync_overhead
-            )
-        elif policy is SchedulePolicy.WORK_STEALING:
-            makespan, busy, waves, sync = _work_stealing(
-                tasks, num_sms, sync_overhead, steal_overhead, max_split
-            )
-        else:  # pragma: no cover - exhaustive enum
-            raise ValueError(f"unknown policy {policy}")
+            # Every wave costs its slowest tile plus a barrier.
+            makespan = float(np.add.accumulate(waves.max(axis=1) + sync_overhead)[-1])
+            sync_time = sync_overhead * num_waves
+        else:
+            if policy is not SchedulePolicy.STATIC_QUEUE:
+                # Remapping may always keep the static binding, so take the
+                # better of the LPT remap and round-robin (LPT is a
+                # heuristic and can lose on adversarial inputs).
+                lpt = _lpt_busy(durations, num_sms)
+                busy = lpt if lpt.max() <= busy.max() else busy
+            if policy is SchedulePolicy.WORK_STEALING and divisible:
+                _steal(busy, float(durations.max()) / max_split, steal_overhead)
+            makespan = float(busy.max()) + sync_overhead
     result = ScheduleResult(
         policy=policy,
         makespan=makespan,
-        per_sm_busy=np.asarray(busy),
-        num_waves=waves,
-        sync_time=sync,
+        per_sm_busy=busy,
+        num_waves=num_waves,
+        sync_time=sync_time,
     )
     if obs.enabled():
         _record_schedule_metrics(result, num_sms)

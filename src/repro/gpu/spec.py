@@ -57,6 +57,10 @@ class GPUSpec:
             self, "tensor_core_tput", MappingProxyType(dict(self.tensor_core_tput))
         )
 
+    def __hash__(self) -> int:
+        # Equal specs share a name; equality still compares every field.
+        return hash(self.name)
+
     def tc_tput(self, precision: str) -> float:
         """Whole-chip tensor-core ops/s at a precision ('fp16'/'int8'/'int4')."""
         try:

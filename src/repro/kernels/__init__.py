@@ -10,7 +10,12 @@ from repro.kernels.attention import (
     NaivePrefillAttention,
     PrefillAttentionKernel,
 )
-from repro.kernels.base import GEMMKernel, KernelLatency, PrecisionProfile
+from repro.kernels.base import (
+    GEMMKernel,
+    KernelLatency,
+    PrecisionProfile,
+    clear_latency_memo,
+)
 from repro.kernels.baselines import (
     CuBLASW16A16,
     OracleW4A4,
@@ -39,10 +44,9 @@ from repro.kernels.verification import VerificationReport, verify_kernels
 from repro.kernels.tiling import (
     GEMMShape,
     TileShape,
-    WorkTile,
-    build_tiles,
     k_slice_precisions,
     precision_runs,
+    tile_grid,
 )
 from repro.kernels.w4ax import DEFAULT_INT8_FRACTION, W4AxKernel
 
@@ -75,8 +79,7 @@ __all__ = [
     "TileShape",
     "VENDOR_TILE_CANDIDATES",
     "W4AxKernel",
-    "WorkTile",
-    "build_tiles",
+    "clear_latency_memo",
     "deinterleave_from_ldmatrix",
     "fast_int4to8",
     "fp4_to_int8_shift",
@@ -86,4 +89,5 @@ __all__ = [
     "naive_int4to8",
     "pack_int4_words_swapped",
     "precision_runs",
+    "tile_grid",
 ]

@@ -2,11 +2,13 @@
 
 Every kernel (COMET-W4Ax and all baselines) shares the execution model:
 
-1. the GEMM is tiled (:mod:`repro.kernels.tiling`);
-2. each tile's on-chip time is ``smem + convert + mma`` — shared-memory
+1. the GEMM is cut into thread blocks, described as tile classes
+   (:func:`repro.kernels.tiling.tile_grid`);
+2. each class's on-chip time is ``smem + convert + mma`` — shared-memory
    operand movement (with bank-conflict multipliers), CUDA-core format
-   conversion, tensor-core math;
-3. tiles are scheduled across SMs under a policy
+   conversion, tensor-core math — costed once and expanded to one duration
+   per block;
+3. the blocks are scheduled across SMs under a policy
    (:mod:`repro.gpu.simulator`);
 4. with the software pipeline, off-chip traffic overlaps compute, so kernel
    latency is the max of the on-chip makespan and the DRAM roofline;
@@ -22,20 +24,29 @@ and the mma format.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import Counter as _TallyCounter
 from dataclasses import dataclass
+
+import numpy as np
 
 import repro.obs as obs
 from repro.gpu.isa import conversion_time, mma_time
 from repro.gpu.memory import global_load_time, smem_load_time
-from repro.gpu.simulator import SchedulePolicy, TileTask, simulate_schedule
+from repro.gpu.simulator import SchedulePolicy, simulate_schedule
 from repro.gpu.spec import A100_80G_SXM4, GPUSpec
-from repro.kernels.tiling import GEMMShape, TileShape, WorkTile, build_tiles
+from repro.kernels.tiling import GEMMShape, TileClass, TileGrid, TileShape, tile_grid
 
-__all__ = ["PrecisionProfile", "KernelLatency", "GEMMKernel"]
+__all__ = ["PrecisionProfile", "KernelLatency", "GEMMKernel", "clear_latency_memo"]
 
 #: Split-k occupancy target: aim for two waves' worth of thread blocks.
 _OCCUPANCY_FACTOR = 2
+
+#: Process-wide ``(kernel config key, shape) -> KernelLatency`` memo.
+_LATENCY_MEMO: dict[tuple, KernelLatency] = {}
+
+
+def clear_latency_memo() -> None:
+    """Forget every memoized latency (the next calls cost from scratch)."""
+    _LATENCY_MEMO.clear()
 
 
 @dataclass(frozen=True)
@@ -77,9 +88,9 @@ class KernelLatency:
     tile: TileShape
     num_tiles: int
     utilization: float
-    #: Telemetry extras, populated only while ``repro.obs`` is enabled so
-    #: the disabled path pays nothing: tile counts by precision, CUDA-core
-    #: conversion instruction total, and conflict-serialized tile count.
+    #: Telemetry extras (closed-form counts over the tile classes): tile
+    #: counts by precision, CUDA-core conversion instruction total, and
+    #: conflict-serialized tile count.
     tiles_by_precision: tuple[tuple[str, int], ...] = ()
     convert_instructions: float = 0.0
     smem_conflict_tiles: int = 0
@@ -105,6 +116,9 @@ class GEMMKernel(ABC):
         self.policy = policy
         self.pipelined = pipelined
         self.act_quant_instr = act_quant_instr
+        #: Everything the latency estimate depends on besides the shape;
+        #: subclasses append their own settings.
+        self._config_key = (type(self), spec, policy, pipelined, act_quant_instr)
 
     # ------------------------------------------------------------------
     # Kernel-specific configuration
@@ -115,7 +129,7 @@ class GEMMKernel(ABC):
         """Cost profile for tiles of a given activation precision."""
 
     def precision_source(self, shape: GEMMShape) -> dict:
-        """kwargs for :func:`build_tiles` selecting tile precisions.
+        """kwargs for :func:`tile_grid` selecting tile precisions.
 
         Uniform kernels return a 0/1 ``int8_fraction``; COMET overrides.
         """
@@ -148,7 +162,7 @@ class GEMMKernel(ABC):
     def _used_precisions(self) -> list[str]:
         return ["int4", "int8"]
 
-    def tile_onchip_time(self, wt: WorkTile) -> float:
+    def tile_onchip_time(self, wt: TileClass) -> float:
         """Shared-memory + conversion + tensor-core time for one tile."""
         p = self.profile(wt.precision)
         smem_bytes = (
@@ -160,7 +174,7 @@ class GEMMKernel(ABC):
         mma = mma_time(self.spec, wt.rows, wt.cols, wt.depth, p.mma_precision)
         return smem + conv + mma
 
-    def tile_load_time(self, wt: WorkTile, active_sms: int) -> float:
+    def tile_load_time(self, wt: TileClass, active_sms: int) -> float:
         p = self.profile(wt.precision)
         nbytes = (
             wt.rows * wt.depth * p.act_load_bytes
@@ -168,18 +182,19 @@ class GEMMKernel(ABC):
         )
         return global_load_time(self.spec, nbytes, active_sms)
 
-    def dram_traffic_bytes(self, shape: GEMMShape, tiles: list[WorkTile]) -> float:
+    def dram_traffic_bytes(self, shape: GEMMShape, grid: TileGrid) -> float:
         """Unique-or-streamed DRAM traffic, with L2 capturing small operands."""
-        m_tiles = len({t.mi for t in tiles})
-        n_tiles = len({t.ni for t in tiles})
-        act_unique = 0.0
-        weight_unique = 0.0
-        for t in tiles:
-            p = self.profile(t.precision)
+        m_tiles, n_tiles = grid.m_tiles, grid.n_tiles
+        act, weight = [], []
+        for c in grid.classes:
+            p = self.profile(c.precision)
             # Summing over all tiles counts each activation region n_tiles
             # times and each weight region m_tiles times; divide back out.
-            act_unique += t.rows * t.depth * p.act_load_bytes / max(n_tiles, 1)
-            weight_unique += t.cols * t.depth * p.weight_load_bytes / max(m_tiles, 1)
+            act.append(c.rows * c.depth * p.act_load_bytes / max(n_tiles, 1))
+            weight.append(c.cols * c.depth * p.weight_load_bytes / max(m_tiles, 1))
+        # Summed block by block in block order, as the blocks stream.
+        act_unique = float(np.add.accumulate(grid.expand(act))[-1])
+        weight_unique = float(np.add.accumulate(grid.expand(weight))[-1])
         # Operands that fit in L2 hit DRAM once; larger ones stream per pass.
         act_traffic = act_unique * (1 if act_unique <= self.spec.l2_capacity else n_tiles)
         weight_traffic = weight_unique * (
@@ -188,35 +203,42 @@ class GEMMKernel(ABC):
         out_bytes = 2.0 * shape.m * shape.n  # FP16 output writes
         return act_traffic + weight_traffic + out_bytes
 
-    def _reduction_overhead(self, tiles: list[WorkTile]) -> float:
+    def _reduction_overhead(self, shape: GEMMShape, grid: TileGrid) -> float:
         """Split-k partial-sum combine cost (write + read at HBM rate)."""
-        extra = sum(1 for t in tiles if t.needs_reduction)
-        if extra == 0:
+        if len(grid.runs) == 1:
             return 0.0
-        outputs = len({(t.mi, t.ni) for t in tiles})
+        extra = grid.num_tiles
+        outputs = grid.m_tiles * grid.n_tiles
         partials = extra - outputs if extra > outputs else 0
-        nbytes = 2.0 * 4.0 * sum(
-            t.rows * t.cols for t in tiles if t.needs_reduction
-        ) * (partials / max(extra, 1))
+        # Every run's blocks together cover the whole m x n output.
+        nbytes = 2.0 * 4.0 * (len(grid.runs) * shape.m * shape.n) * (partials / extra)
         return nbytes / self.spec.hbm_bandwidth + self.spec.tile_sync_overhead
 
     def latency(self, shape: GEMMShape) -> KernelLatency:
-        """Estimate kernel latency, choosing the best candidate tile shape."""
-        best: KernelLatency | None = None
+        """Estimate kernel latency, choosing the best candidate tile shape.
+
+        Memoized process-wide on (kernel configuration, shape); a memo hit
+        still opens the ``kernel.latency`` span and records the
+        ``kernel.*`` metrics, but simulates no schedule.
+        """
         with obs.span(
             "kernel.latency", cat="kernel", kernel=self.name, shape=str(shape)
         ):
-            for tile in self.candidate_tiles(shape):
-                if not self._fits_shared_memory(tile):
-                    continue
-                cand = self._latency_for_tile(shape, tile)
-                if best is None or cand.seconds < best.seconds:
-                    best = cand
-        if best is None:
-            raise ValueError(
-                f"{self.name}: no candidate tile fits shared memory "
-                f"({self.spec.shared_mem_per_sm} B)"
-            )
+            key = (self._config_key, shape)
+            best = _LATENCY_MEMO.get(key)
+            if best is None:
+                for tile in self.candidate_tiles(shape):
+                    if not self._fits_shared_memory(tile):
+                        continue
+                    cand = self._latency_for_tile(shape, tile)
+                    if best is None or cand.seconds < best.seconds:
+                        best = cand
+                if best is None:
+                    raise ValueError(
+                        f"{self.name}: no candidate tile fits shared memory "
+                        f"({self.spec.shared_mem_per_sm} B)"
+                    )
+                _LATENCY_MEMO[key] = best
         if obs.enabled():
             self._record_latency_metrics(best)
         return best
@@ -250,28 +272,26 @@ class GEMMKernel(ABC):
 
     def _latency_for_tile(self, shape: GEMMShape, tile: TileShape) -> KernelLatency:
         spec = self.spec
-        tiles = build_tiles(
+        grid = tile_grid(
             shape,
             tile,
             target_tiles=_OCCUPANCY_FACTOR * spec.num_sms,
             **self.precision_source(shape),
         )
-        active = min(len(tiles), spec.num_sms)
-        if self.pipelined:
-            durations = [self.tile_onchip_time(t) for t in tiles]
-        else:
-            durations = [
-                self.tile_onchip_time(t) + self.tile_load_time(t, active)
-                for t in tiles
-            ]
-        tasks = [
-            TileTask(duration=d, tag=t.precision)
-            for d, t in zip(durations, tiles)
-        ]
+        classes = grid.classes
+        profiles = {c.precision: self.profile(c.precision) for c in classes}
+        active = min(grid.num_tiles, spec.num_sms)
+        cost: dict[TileClass, float] = {}  # split-k repeats equal classes
+        for c in classes:
+            if c not in cost:
+                cost[c] = self.tile_onchip_time(c)
+                if not self.pipelined:
+                    cost[c] += self.tile_load_time(c, active)
+        durations = grid.expand([cost[c] for c in classes])
         sched = simulate_schedule(
-            tasks, spec.num_sms, self.policy, sync_overhead=spec.tile_sync_overhead
+            durations, spec.num_sms, self.policy, sync_overhead=spec.tile_sync_overhead
         )
-        dram_seconds = self.dram_traffic_bytes(shape, tiles) / spec.hbm_bandwidth
+        dram_seconds = self.dram_traffic_bytes(shape, grid) / spec.hbm_bandwidth
         span = (
             max(sched.makespan, dram_seconds) if self.pipelined else sched.makespan
         )
@@ -282,33 +302,28 @@ class GEMMKernel(ABC):
             / spec.num_sms
         )
         overhead = (
-            spec.kernel_launch_overhead + act_quant + self._reduction_overhead(tiles)
+            spec.kernel_launch_overhead
+            + act_quant
+            + self._reduction_overhead(shape, grid)
         )
-        by_precision: tuple[tuple[str, int], ...] = ()
-        convert_instr = 0.0
-        conflict_tiles = 0
-        if obs.enabled():
-            by_precision = tuple(
-                sorted(_TallyCounter(t.precision for t in tiles).items())
-            )
-            profiles = {p: self.profile(p) for p, _ in by_precision}
-            convert_instr = sum(
-                t.cols * t.depth * profiles[t.precision].convert_per_weight
-                for t in tiles
-            )
-            conflict_tiles = sum(
-                1 for t in tiles
-                if profiles[t.precision].smem_serialization > 1.0
-            )
+        by_precision: dict[str, int] = {}
+        for c in classes:
+            by_precision[c.precision] = by_precision.get(c.precision, 0) + c.count
         return KernelLatency(
             seconds=span + overhead,
             onchip_makespan=sched.makespan,
             dram_seconds=dram_seconds,
             overhead_seconds=overhead,
             tile=tile,
-            num_tiles=len(tiles),
+            num_tiles=grid.num_tiles,
             utilization=sched.utilization,
-            tiles_by_precision=by_precision,
-            convert_instructions=convert_instr,
-            smem_conflict_tiles=conflict_tiles,
+            tiles_by_precision=tuple(sorted(by_precision.items())),
+            convert_instructions=sum(
+                c.count * c.cols * c.depth * profiles[c.precision].convert_per_weight
+                for c in classes
+            ),
+            smem_conflict_tiles=sum(
+                c.count for c in classes
+                if profiles[c.precision].smem_serialization > 1.0
+            ),
         )

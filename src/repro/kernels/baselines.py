@@ -39,7 +39,8 @@ VENDOR_TILE_CANDIDATES: tuple[TileShape, ...] = (
 
 
 class _UniformKernel(GEMMKernel):
-    """A kernel whose tiles all share one activation precision."""
+    """A kernel whose tiles all share one activation precision: its
+    ``profile`` ignores the int4/int8 label tile_grid gives each k-slice."""
 
     uniform_precision = "int8"
 
@@ -50,16 +51,6 @@ class _UniformKernel(GEMMKernel):
 
     def _used_precisions(self) -> list[str]:
         return [self.uniform_precision]
-
-    def profile(self, precision: str) -> PrecisionProfile:
-        if precision != self.uniform_precision:
-            # build_tiles labels slices int8/int4 by fraction; a uniform
-            # kernel maps both labels to its single profile.
-            precision = self.uniform_precision
-        return self._profile()
-
-    def _profile(self) -> PrecisionProfile:  # pragma: no cover - abstract
-        raise NotImplementedError
 
     def candidate_tiles(self, shape: GEMMShape) -> list[TileShape]:
         return list(VENDOR_TILE_CANDIDATES)
@@ -74,7 +65,7 @@ class CuBLASW16A16(_UniformKernel):
     def __init__(self, spec: GPUSpec = A100_80G_SXM4):
         super().__init__(spec=spec, policy=SchedulePolicy.BALANCED, pipelined=True)
 
-    def _profile(self) -> PrecisionProfile:
+    def profile(self, precision: str) -> PrecisionProfile:
         return PrecisionProfile(
             act_load_bytes=2.0,
             weight_load_bytes=2.0,
@@ -101,7 +92,7 @@ class TRTLLMW4A16(_UniformKernel):
     def __init__(self, spec: GPUSpec = A100_80G_SXM4):
         super().__init__(spec=spec, policy=SchedulePolicy.BALANCED, pipelined=True)
 
-    def _profile(self) -> PrecisionProfile:
+    def profile(self, precision: str) -> PrecisionProfile:
         return PrecisionProfile(
             act_load_bytes=2.0,
             weight_load_bytes=0.5,
@@ -127,7 +118,7 @@ class TRTLLMW8A8(_UniformKernel):
             act_quant_instr=2.0,
         )
 
-    def _profile(self) -> PrecisionProfile:
+    def profile(self, precision: str) -> PrecisionProfile:
         return PrecisionProfile(
             act_load_bytes=1.0,
             weight_load_bytes=1.0,
@@ -159,7 +150,7 @@ class QServeW4A8(_UniformKernel):
             act_quant_instr=2.0,
         )
 
-    def _profile(self) -> PrecisionProfile:
+    def profile(self, precision: str) -> PrecisionProfile:
         return PrecisionProfile(
             act_load_bytes=1.0,
             weight_load_bytes=0.5,
@@ -187,7 +178,7 @@ class OracleW4A4(_UniformKernel):
             act_quant_instr=2.0,
         )
 
-    def _profile(self) -> PrecisionProfile:
+    def profile(self, precision: str) -> PrecisionProfile:
         return PrecisionProfile(
             act_load_bytes=0.5,
             weight_load_bytes=0.5,

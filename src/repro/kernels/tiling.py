@@ -17,16 +17,18 @@ split further (split-k) to raise occupancy, as vendor kernels do.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
 __all__ = [
     "GEMMShape",
     "TileShape",
-    "WorkTile",
+    "TileClass",
+    "TileGrid",
     "k_slice_precisions",
     "precision_runs",
-    "build_tiles",
+    "tile_grid",
 ]
 
 
@@ -63,28 +65,6 @@ class TileShape:
             raise ValueError("tile dims must be positive")
 
 
-@dataclass(frozen=True)
-class WorkTile:
-    """One thread block's work: an output tile over a k-range.
-
-    Attributes:
-        mi/ni: output tile coordinates.
-        rows/cols: actual output extents (ragged at the edges).
-        depth: reduction elements this block accumulates.
-        precision: 'int4' or 'int8' activation precision of the k-range.
-        needs_reduction: True when other blocks contribute to the same
-            output tile (partials must be combined).
-    """
-
-    mi: int
-    ni: int
-    rows: int
-    cols: int
-    depth: int
-    precision: str
-    needs_reduction: bool
-
-
 def k_slice_precisions(
     num_k_slices: int,
     int8_fraction: float | None = None,
@@ -119,33 +99,76 @@ def precision_runs(
     """Collapse per-slice precisions into contiguous ``(precision, depth)``
     runs, where depth is in reduction elements."""
     runs: list[tuple[str, int]] = []
-    for si, prec in enumerate(precisions):
-        depth = min(tile_k, shape_k - si * tile_k)
-        if runs and runs[-1][0] == prec:
-            runs[-1] = (prec, runs[-1][1] + depth)
-        else:
-            runs.append((prec, depth))
+    start = 0
+    for prec, group in groupby(precisions):
+        stop = start + len(list(group))
+        # Every slice is tile_k deep except a ragged last one.
+        runs.append((prec, min(stop * tile_k, shape_k) - start * tile_k))
+        start = stop
     return runs
 
 
-def build_tiles(
+def _edge_extents(size: int, tile: int) -> list[tuple[int, int]]:
+    """``(extent, count)`` of the full tiles, then the ragged edge tile."""
+    return [(e, n) for e, n in ((tile, size // tile), (size % tile, 1)) if e and n]
+
+
+@dataclass(frozen=True)
+class TileClass:
+    """``count`` identical thread blocks: a ``rows x cols`` output tile
+    (ragged at the edges) over a k-run ``depth`` deep at ``precision``."""
+
+    rows: int
+    cols: int
+    depth: int
+    precision: str
+    count: int
+
+
+@dataclass(frozen=True, eq=False)
+class TileGrid:
+    """The thread blocks of one GEMM, as tile classes.
+
+    Block ``(mi, ni, run)`` covers output tile ``(mi, ni)`` over k-run
+    ``runs[run]``.  Blocks with the same row extent, column extent and run
+    do identical work, so there are at most ``4 * len(runs)`` classes;
+    ``class_ids`` holds every block's class in ``(mi, ni, run)`` order.
+    """
+
+    m_tiles: int
+    n_tiles: int
+    runs: tuple[tuple[str, int], ...]
+    classes: tuple[TileClass, ...]
+    class_ids: np.ndarray
+
+    @property
+    def num_tiles(self) -> int:
+        return len(self.class_ids)
+
+    def expand(self, per_class: list[float]) -> np.ndarray:
+        """One float64 value per block, in block order."""
+        values = np.asarray(per_class, dtype=np.float64)  # staticcheck: ignore[NUM003]
+        return values[self.class_ids]
+
+
+def tile_grid(
     shape: GEMMShape,
     tile: TileShape = TileShape(),
     int8_fraction: float | None = None,
     is_high: np.ndarray | None = None,
     target_tiles: int | None = None,
-) -> list[WorkTile]:
-    """Enumerate the thread-block work items of a (mixed-precision) GEMM.
+) -> TileGrid:
+    """Cut a (mixed-precision) GEMM into thread blocks.
 
     Args:
         shape: GEMM problem size.
         tile: thread-block tile extents.
         int8_fraction / is_high: precision source (see
             :func:`k_slice_precisions`); uniform kernels pass 0.0 or 1.0.
-        target_tiles: if given and the natural tile count is smaller, k-runs
-            are split (split-k) until the count reaches the target or runs
-            can no longer be divided — the occupancy heuristic real kernels
-            apply for small-batch GEMMs.
+        target_tiles: if given and the natural block count is smaller,
+            k-runs are split (split-k) until the count reaches the target or
+            runs can no longer be divided — the occupancy heuristic real
+            kernels apply for small-batch GEMMs.
     """
     m_tiles = -(-shape.m // tile.tm)
     n_tiles = -(-shape.n // tile.tn)
@@ -169,23 +192,18 @@ def build_tiles(
             slices = depth // tile.tk
             left = (slices // 2) * tile.tk
             runs[i : i + 1] = [(prec, left), (prec, depth - left)]
-
-    needs_reduction = len(runs) > 1
-    tiles: list[WorkTile] = []
-    for mi in range(m_tiles):
-        rows = min(tile.tm, shape.m - mi * tile.tm)
-        for ni in range(n_tiles):
-            cols = min(tile.tn, shape.n - ni * tile.tn)
-            for prec, depth in runs:
-                tiles.append(
-                    WorkTile(
-                        mi=mi,
-                        ni=ni,
-                        rows=rows,
-                        cols=cols,
-                        depth=depth,
-                        precision=prec,
-                        needs_reduction=needs_reduction,
-                    )
-                )
-    return tiles
+    row_ext = _edge_extents(shape.m, tile.tm)
+    col_ext = _edge_extents(shape.n, tile.tn)
+    classes = tuple(
+        TileClass(rows, cols, depth, prec, row_count * col_count)
+        for rows, row_count in row_ext
+        for cols, col_count in col_ext
+        for prec, depth in runs
+    )
+    # Class (r * len(col_ext) + c) * len(runs) + k has row extent r,
+    # column extent c and run k.
+    r = np.repeat(np.arange(len(row_ext)), [n for _, n in row_ext])
+    c = np.repeat(np.arange(len(col_ext)), [n for _, n in col_ext])
+    tiles = r[:, None] * len(col_ext) + c[None, :]
+    class_ids = (tiles[:, :, None] * len(runs) + np.arange(len(runs))).ravel()
+    return TileGrid(m_tiles, n_tiles, tuple(runs), classes, class_ids)

@@ -29,7 +29,7 @@ from repro.core.fmpq import mixed_precision_matmul
 from repro.core.weightquant import QuantizedWeight
 from repro.gpu.simulator import SchedulePolicy
 from repro.gpu.spec import A100_80G_SXM4, GPUSpec
-from repro.kernels.base import GEMMKernel, PrecisionProfile
+from repro.kernels.base import GEMMKernel, KernelLatency, PrecisionProfile
 from repro.kernels.conversion import (
     FAST_INSTRUCTIONS_PER_VALUE,
     NAIVE_INSTRUCTIONS_PER_VALUE,
@@ -69,6 +69,7 @@ class W4AxKernel(GEMMKernel):
         self.int8_fraction = int8_fraction
         self.weight_interleave = weight_interleave
         self.fast_conversion = fast_conversion
+        self._config_key += (int8_fraction, weight_interleave, fast_conversion)
         self._ldmatrix = ldmatrix_plan(interleaved=weight_interleave)
         # Section 4.3: next-generation GPUs (H100) drop the INT4 tensor
         # cores; there the low-precision tiles convert FP4/INT4 operands to
@@ -76,12 +77,14 @@ class W4AxKernel(GEMMKernel):
         self._has_int4_mma = "int4" in spec.tensor_core_tput
 
     def precision_source(self, shape: GEMMShape) -> dict:
-        if obs.enabled():
-            obs.metrics().gauge(
-                "kernel.w4ax_int8_fraction",
-                obs.metric_help("kernel.w4ax_int8_fraction"),
-            ).set(self.int8_fraction)
         return {"int8_fraction": self.int8_fraction}
+
+    def _record_latency_metrics(self, lat: KernelLatency) -> None:
+        super()._record_latency_metrics(lat)
+        obs.metrics().gauge(
+            "kernel.w4ax_int8_fraction",
+            obs.metric_help("kernel.w4ax_int8_fraction"),
+        ).set(self.int8_fraction)
 
     def candidate_tiles(self, shape: GEMMShape) -> list[TileShape]:
         # Fixed tiling keeps the mixed-precision block layout intact

@@ -1,8 +1,18 @@
-"""Shared fixtures: trained zoo models (cached on disk across runs)."""
+"""Shared fixtures: trained zoo models (cached on disk across runs) and a
+cold GEMM latency memo for every test."""
 
 import pytest
 
+from repro.kernels.base import clear_latency_memo
 from repro.training.zoo import load_zoo_model
+
+
+@pytest.fixture(autouse=True)
+def cold_latency_memo():
+    """Start every test with an empty process-wide latency memo, so
+    telemetry a cold cost-model call emits (schedule spans, gpu.*
+    counters) does not depend on which tests ran before."""
+    clear_latency_memo()
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,7 @@
 """Tests for the SM tile-schedule simulator."""
 
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,19 +9,19 @@ from hypothesis import strategies as st
 
 from repro.gpu.simulator import (
     SchedulePolicy,
-    TileTask,
+    _lpt_busy,
     simulate_schedule,
 )
 
 
-def tasks_of(durations, divisible=True):
-    return [TileTask(duration=d, divisible=divisible) for d in durations]
+def tasks_of(durations):
+    return np.asarray(durations, dtype=np.float64)
 
 
 class TestValidation:
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
-            TileTask(duration=-1.0)
+            simulate_schedule(tasks_of([1.0, -1.0]), 4)
 
     def test_bad_sm_count(self):
         with pytest.raises(ValueError):
@@ -88,6 +90,41 @@ class TestBalanced:
             assert bal.makespan <= static.makespan + 1e-12
 
 
+def greedy_lpt_loads(durations, num_sms):
+    """Task-at-a-time LPT: descending durations, each to the least-loaded
+    SM (lowest index on ties), loads summed one task at a time."""
+    heap = [(0.0, sm) for sm in range(num_sms)]
+    loads = [0.0] * num_sms
+    for d in sorted(durations, reverse=True):
+        load, sm = heapq.heappop(heap)
+        loads[sm] = load + d
+        heapq.heappush(heap, (loads[sm], sm))
+    return loads
+
+
+class TestClassLPT:
+    @given(
+        st.lists(
+            st.tuples(st.floats(1e-9, 1e-3), st.integers(1, 400)),
+            min_size=1, max_size=6,
+        ),
+        st.integers(1, 140),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_task_at_a_time_greedy(self, classes, num_sms):
+        """Filling SMs a whole (duration, count) class at a time gives the
+        task-at-a-time greedy's per-SM loads bit for bit."""
+        durations = [d for d, count in classes for _ in range(count)]
+        got = _lpt_busy(tasks_of(durations), num_sms)
+        assert got.tolist() == greedy_lpt_loads(durations, num_sms)
+
+    def test_uneven_loads_take_several_tasks_per_sm(self):
+        # One long tile pins SM0; the short ones all go to SM1 and SM2.
+        durations = [10.0] + [1.0] * 6
+        got = _lpt_busy(tasks_of(durations), 3)
+        assert got.tolist() == greedy_lpt_loads(durations, 3) == [10.0, 3.0, 3.0]
+
+
 class TestWorkStealing:
     def test_splits_ragged_final_wave(self):
         # Figure 8(e): 2 tiles on 4 SMs — idle SMs steal half of each.
@@ -108,8 +145,10 @@ class TestWorkStealing:
         assert costly.makespan >= cheap.makespan
 
     def test_indivisible_tiles_not_split(self):
-        tasks = tasks_of([2.0, 2.0], divisible=False)
-        r = simulate_schedule(tasks, 4, SchedulePolicy.WORK_STEALING, 0.0)
+        tasks = tasks_of([2.0, 2.0])
+        r = simulate_schedule(
+            tasks, 4, SchedulePolicy.WORK_STEALING, 0.0, divisible=False
+        )
         assert r.makespan == pytest.approx(2.0)
 
     def test_never_slower_than_balanced(self):

@@ -19,9 +19,9 @@ from repro.kernels.baselines import (
 from repro.kernels.tiling import (
     GEMMShape,
     TileShape,
-    build_tiles,
     k_slice_precisions,
     precision_runs,
+    tile_grid,
 )
 from repro.kernels.w4ax import W4AxKernel
 
@@ -70,40 +70,62 @@ class TestPrecisionAssignment:
 
 class TestBuildTiles:
     def test_uniform_gemm_tile_count(self):
-        tiles = build_tiles(GEMMShape(256, 256, 256), TileShape(128, 128, 128),
-                            int8_fraction=0.0)
-        assert len(tiles) == 4  # 2x2 outputs, one k-run
-        assert all(t.depth == 256 for t in tiles)
-        assert not any(t.needs_reduction for t in tiles)
+        grid = tile_grid(GEMMShape(256, 256, 256), TileShape(128, 128, 128),
+                         int8_fraction=0.0)
+        assert grid.num_tiles == 4  # 2x2 outputs, one k-run
+        assert all(c.depth == 256 for c in grid.classes)
+        assert len(grid.runs) == 1
 
     def test_mixed_gemm_has_two_runs(self):
-        tiles = build_tiles(GEMMShape(256, 256, 512), TileShape(128, 128, 128),
-                            int8_fraction=0.25)
-        assert len(tiles) == 8  # 2x2 outputs x 2 runs
-        precs = {t.precision for t in tiles}
+        grid = tile_grid(GEMMShape(256, 256, 512), TileShape(128, 128, 128),
+                         int8_fraction=0.25)
+        assert grid.num_tiles == 8  # 2x2 outputs x 2 runs
+        precs = {c.precision for c in grid.classes}
         assert precs == {"int4", "int8"}
-        assert all(t.needs_reduction for t in tiles)
+        assert len(grid.runs) > 1
 
     def test_split_k_reaches_target(self):
-        tiles = build_tiles(GEMMShape(8, 128, 8192), TileShape(128, 128, 128),
-                            int8_fraction=0.0, target_tiles=16)
-        assert len(tiles) >= 16
-        assert sum(t.depth for t in tiles) == 8192
+        grid = tile_grid(GEMMShape(8, 128, 8192), TileShape(128, 128, 128),
+                         int8_fraction=0.0, target_tiles=16)
+        assert grid.num_tiles >= 16
+        assert sum(c.depth * c.count for c in grid.classes) == 8192
 
     def test_split_k_preserves_precision_depths(self):
-        tiles = build_tiles(GEMMShape(8, 128, 1024), TileShape(128, 128, 128),
-                            int8_fraction=0.25, target_tiles=8)
+        grid = tile_grid(GEMMShape(8, 128, 1024), TileShape(128, 128, 128),
+                         int8_fraction=0.25, target_tiles=8)
         by_prec = {"int4": 0, "int8": 0}
-        for t in tiles:
-            by_prec[t.precision] += t.depth
+        for c in grid.classes:
+            by_prec[c.precision] += c.depth * c.count
         assert by_prec["int8"] == 256
         assert by_prec["int4"] == 768
 
     def test_ragged_edges(self):
-        tiles = build_tiles(GEMMShape(100, 200, 128), TileShape(128, 128, 128),
-                            int8_fraction=0.0)
-        assert {t.rows for t in tiles} == {100}
-        assert {t.cols for t in tiles} == {128, 72}
+        grid = tile_grid(GEMMShape(100, 200, 128), TileShape(128, 128, 128),
+                         int8_fraction=0.0)
+        assert {c.rows for c in grid.classes} == {100}
+        assert {c.cols for c in grid.classes} == {128, 72}
+
+    @pytest.mark.parametrize("shape", [
+        GEMMShape(300, 200, 1000), GEMMShape(256, 384, 512),
+        GEMMShape(1, 8, 4096), GEMMShape(77, 131, 259),
+    ])
+    def test_class_ids_follow_block_order(self, shape):
+        """Expanding the classes reproduces block (mi, ni, run) order."""
+        tile = TileShape(128, 128, 128)
+        grid = tile_grid(shape, tile, int8_fraction=0.25, target_tiles=216)
+        blocks = [
+            (min(tile.tm, shape.m - mi * tile.tm),
+             min(tile.tn, shape.n - ni * tile.tn), depth, prec)
+            for mi in range(grid.m_tiles)
+            for ni in range(grid.n_tiles)
+            for prec, depth in grid.runs
+        ]
+        expanded = [
+            (c.rows, c.cols, c.depth, c.precision)
+            for c in (grid.classes[i] for i in grid.class_ids)
+        ]
+        assert expanded == blocks
+        assert sum(c.count for c in grid.classes) == grid.num_tiles == len(blocks)
 
 
 ALL_KERNELS = [CuBLASW16A16, TRTLLMW4A16, TRTLLMW8A8, QServeW4A8, OracleW4A4, W4AxKernel]

@@ -10,6 +10,7 @@ import pytest
 
 import repro.obs as obs
 from repro.core.fmpq import calibrate_linear
+from repro.kernels.base import clear_latency_memo
 from repro.kernels.w4ax import W4AxKernel
 from repro.kernels.tiling import GEMMShape
 from repro.model.config import get_model_config
@@ -142,10 +143,18 @@ class TestDisabledMode:
         engine, _ = run_engine()
         assert obs.metrics().collect() == []
         assert obs.tracer() is None
-        # Kernel extras stay at their zero defaults off the guarded path.
+        # Kernel extras are closed-form counts, filled whether or not
+        # telemetry is on, and identical either way.
         lat = W4AxKernel().latency(GEMMShape(8, 1024, 1024))
-        assert lat.tiles_by_precision == ()
-        assert lat.convert_instructions == 0.0
+        assert obs.metrics().collect() == []
+        clear_latency_memo()
+        obs.enable()
+        try:
+            assert W4AxKernel().latency(GEMMShape(8, 1024, 1024)) == lat
+        finally:
+            obs.disable()
+        assert lat.tiles_by_precision == (("int4", 48), ("int8", 16))
+        assert lat.convert_instructions > 0.0
 
     def test_engine_tracer_still_works_when_disabled(self):
         tracer = EngineTracer()

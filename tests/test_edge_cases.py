@@ -11,7 +11,7 @@ from repro.core.blockwise import (
 from repro.core.intquant import pack_int4, unpack_int4
 from repro.data.corpus import SyntheticCorpus
 from repro.kernels.baselines import CuBLASW16A16
-from repro.kernels.tiling import GEMMShape, TileShape, build_tiles
+from repro.kernels.tiling import GEMMShape, TileShape, tile_grid
 from repro.kernels.w4ax import W4AxKernel
 from repro.model.config import get_model_config
 from repro.serving.engine import EngineConfig, ServingEngine
@@ -63,17 +63,18 @@ class TestKernelEdges:
 
     def test_ragged_everything(self):
         # All three dims non-multiples of the tile.
-        tiles = build_tiles(
+        grid = tile_grid(
             GEMMShape(77, 131, 259), TileShape(128, 128, 128), int8_fraction=0.5
         )
-        assert sum(t.depth for t in tiles if t.mi == 0 and t.ni == 0) == 259
-        assert {t.rows for t in tiles} == {77}
+        # The blocks of output tile (0, 0) are one per k-run.
+        assert sum(depth for _, depth in grid.runs) == 259
+        assert {c.rows for c in grid.classes} == {77}
 
     def test_k_smaller_than_tile(self):
-        tiles = build_tiles(
+        grid = tile_grid(
             GEMMShape(8, 256, 64), TileShape(128, 128, 128), int8_fraction=0.0
         )
-        assert all(t.depth == 64 for t in tiles)
+        assert all(c.depth == 64 for c in grid.classes)
 
     def test_latency_monotone_in_int8_fraction(self):
         shape = GEMMShape(64, 8192, 8192)
