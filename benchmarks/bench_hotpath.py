@@ -388,6 +388,34 @@ def _scale_trace(num_requests: int, seed: int = 9):
     ]
 
 
+def _scale_run(model, n: int, max_batch: int, attached: bool):
+    """One profiled overload run: (report, per-phase us/step)."""
+    from repro.obs import live as live_obs
+    from repro.serving.engine import EngineConfig, ServingEngine
+    from repro.serving.stepprof import StepPhaseProfiler
+    from repro.serving.systems import build_system
+
+    engine = ServingEngine(
+        model, build_system("comet"),
+        config=EngineConfig(max_batch=max_batch),
+    )
+    prof = StepPhaseProfiler()
+    trace = _scale_trace(n)
+    if attached:
+        live_obs.attach(window_seconds=1.0, attrib_capacity=n)
+    # GC pauses land on whichever phase is active and can dwarf the
+    # bookkeeping being measured; collect up front, then disable for
+    # the timed run.
+    gc.collect()
+    gc.disable()
+    try:
+        report = engine.run(trace, profiler=prof)
+    finally:
+        gc.enable()
+        live_obs.detach()
+    return report, prof.per_step_us()
+
+
 def run_scale_bench(tiers=(1000, 4000, 10000), max_batch=512):
     """Engine bookkeeping cost at high concurrency.
 
@@ -395,31 +423,15 @@ def run_scale_bench(tiers=(1000, 4000, 10000), max_batch=512):
     :class:`StepPhaseProfiler` attached and reports the wall-clock
     step-loop overhead (admit + schedule + decode + heartbeat phases) next
     to the simulated-kernel ``model`` phase, which is reported but not
-    counted as overhead.
+    counted as overhead.  A second run with live observability and the
+    cost ledger attached gives ``obs_overhead_us_per_step``: attached
+    minus detached step-loop overhead.
     """
-    from repro.serving.engine import EngineConfig, ServingEngine
-    from repro.serving.stepprof import StepPhaseProfiler
-    from repro.serving.systems import build_system
-
     model = tiny_config(name="scale-bench")
     rows = []
     for n in tiers:
-        engine = ServingEngine(
-            model, build_system("comet"),
-            config=EngineConfig(max_batch=max_batch),
-        )
-        prof = StepPhaseProfiler()
-        trace = _scale_trace(n)
-        # GC pauses land on whichever phase is active and can dwarf the
-        # bookkeeping being measured; collect up front, then disable for
-        # the timed run.
-        gc.collect()
-        gc.disable()
-        try:
-            report = engine.run(trace, profiler=prof)
-        finally:
-            gc.enable()
-        us = prof.per_step_us()
+        report, us = _scale_run(model, n, max_batch, attached=False)
+        _, attached_us = _scale_run(model, n, max_batch, attached=True)
         rows.append(
             {
                 "requests": int(n),
@@ -427,6 +439,9 @@ def run_scale_bench(tiers=(1000, 4000, 10000), max_batch=512):
                 "throughput_tok_s": report.throughput,
                 "peak_batch": int(report.peak_batch),
                 "overhead_us_per_step": us["overhead"],
+                "obs_overhead_us_per_step": (
+                    attached_us["overhead"] - us["overhead"]
+                ),
                 "phases_us_per_step": {
                     p: us[p] for p in ("admit", "schedule", "decode",
                                        "heartbeat", "model")
@@ -555,10 +570,12 @@ def run_all(smoke: bool = False, scale: bool = False) -> dict:
             "hotpath_scale",
             format_table(
                 "Scaling tier — engine step-loop overhead",
-                ["requests", "steps", "overhead us/step", "model us/step"],
+                ["requests", "steps", "overhead us/step", "model us/step",
+                 "obs us/step"],
                 [
                     [r["requests"], r["steps"], r["overhead_us_per_step"],
-                     r["phases_us_per_step"]["model"]]
+                     r["phases_us_per_step"]["model"],
+                     r["obs_overhead_us_per_step"]]
                     for r in sc
                 ],
                 notes=[
@@ -567,6 +584,8 @@ def run_all(smoke: bool = False, scale: bool = False) -> dict:
                     f"reported beside it); ceilings: {SCALE_SMOKE_CEILING_US:g}"
                     f" us/step at the 1k smoke tier, "
                     f"{SCALE_OVERHEAD_CEILING_US:g} us/step at 4k+.",
+                    "obs = the same run's overhead with live obs and the",
+                    "cost ledger attached, minus detached (not gated).",
                 ],
             ),
         )

@@ -40,7 +40,7 @@ COSTMODEL_ROW_KEYS = frozenset({
 #: Keys every ``hotpath_scale`` row must carry.
 SCALE_ROW_KEYS = frozenset({
     "requests", "steps", "peak_batch", "throughput_tok_s",
-    "overhead_us_per_step", "phases_us_per_step",
+    "overhead_us_per_step", "obs_overhead_us_per_step", "phases_us_per_step",
 })
 
 #: The attribution fraction keys (repro.obs.attrib ATTRIBUTION_KEYS —
@@ -234,6 +234,24 @@ def test_serving_rows_carry_the_model():
     del doc["benchmarks"]["hotpath_serving"]["rows"][0]["model"]
     errors = validate(doc)
     assert any("missing keys" in e and "'model'" in e for e in errors)
+
+
+def test_scale_rows_carry_obs_overhead():
+    doc = _good_doc()
+    row = {
+        "requests": 1000, "steps": 613, "peak_batch": 256,
+        "throughput_tok_s": 316248.3, "overhead_us_per_step": 80.0,
+        "obs_overhead_us_per_step": 40.0,
+        "phases_us_per_step": {"admit": 30.0, "model": 113.0},
+    }
+    doc["benchmarks"]["hotpath_scale"] = {"mode": "smoke", "rows": [row]}
+    assert validate(doc) == []
+    del row["obs_overhead_us_per_step"]
+    errors = validate(doc)
+    assert any(
+        "missing keys" in e and "obs_overhead_us_per_step" in e
+        for e in errors
+    )
 
 
 def test_committed_document_validates():

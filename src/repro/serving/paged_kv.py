@@ -17,6 +17,14 @@ count and block-capacity live in numpy arrays.  That layout is what lets
 the serving engine grow the whole running batch in one vectorized call
 (:meth:`PagedKVManager.append_token_many`) and read pool utilization in
 O(1) from running counters instead of summing over sequences.
+
+The LIFO free stack is a *watermark* plus a recycled list: ids
+``[0, _low)`` were never handed out and form its (unmaterialised) bottom;
+``_free`` holds recycled ids, all ``>= _low`` since ``_low`` only falls.
+The stack is always ``list(range(_low)) + _free`` — the ids a plain
+``list(range(num_blocks))`` free list would hand out, op for op — so
+construction is O(1) and pool gauges scan only ``_rc[_low:]``, the blocks
+ever used.  Invariant: ``_rc[b] == 0`` exactly when block ``b`` is free.
 """
 
 from __future__ import annotations
@@ -58,7 +66,8 @@ class PagedKVManager:
         self.block_tokens = block_tokens
         self.block_bytes = bytes_per_token * block_tokens
         self.num_blocks = int(total_bytes // self.block_bytes)
-        self._free = list(range(self.num_blocks))
+        self._low = self.num_blocks  # watermark free stack (module doc)
+        self._free: list[int] = []
         # Per-block reference counts, indexed by block id (0 == free).
         # An array instead of a dict so allocate/free touch the whole
         # block span of a sequence in one fancy-indexed operation.
@@ -83,7 +92,7 @@ class PagedKVManager:
 
     @property
     def free_blocks(self) -> int:
-        return len(self._free)
+        return self._low + len(self._free)
 
     @property
     def used_blocks(self) -> int:
@@ -127,20 +136,22 @@ class PagedKVManager:
         of allocate/free has interleaved live and free blocks.  Paged
         attention gathers per block so this costs nothing *here* — the
         gauge exists because the ROADMAP's prefix-caching and defrag
-        items need the decision signal."""
-        n = len(self._free)
+        items need the decision signal.  The longest run is the widest gap
+        between used ids (sentinels ``-1`` and ``num_blocks``), all of
+        which sit in ``_rc[_low:]``: O(blocks ever used), no sort."""
+        n = self.free_blocks
         if n <= 1:
             return 0.0
-        ids = np.sort(np.asarray(self._free, dtype=np.int64))
-        breaks = np.flatnonzero(np.diff(ids) != 1)
-        bounds = np.concatenate(([-1], breaks, [n - 1]))
-        longest = int(np.max(np.diff(bounds)))
-        return 1.0 - longest / n
+        used = np.flatnonzero(self._rc[self._low:] != 0)  # offsets from _low
+        gaps = np.diff(used, prepend=-1 - self._low,
+                       append=self.num_blocks - self._low)
+        return 1.0 - (int(gaps.max()) - 1) / n
 
     def refcount_distribution(self) -> dict[int, int]:
         """Histogram of live block refcounts ``{refcount: blocks}`` — the
         pool-level sharing profile (rc > 1 = prefix-shared blocks)."""
-        live = self._rc[self._rc > 0]
+        rc = self._rc[self._low:]
+        live = rc[rc > 0]
         counts, freq = np.unique(live, return_counts=True)
         return {int(c): int(f) for c, f in zip(counts, freq)}
 
@@ -204,7 +215,7 @@ class PagedKVManager:
             )
         full = shared // self.block_tokens
         tail_tokens = shared - full * self.block_tokens
-        if tail_tokens and not self._free:
+        if tail_tokens and not self.free_blocks:
             return False
         parent_blocks = self._blocks_at[parent_row]
         assert parent_blocks is not None
@@ -231,14 +242,14 @@ class PagedKVManager:
         blocks = self._blocks_at[row]
         assert blocks is not None
         if self._tokens[row] + 1 > self._block_capacity[row] * self.block_tokens:
-            if not self._free:
+            if not self.free_blocks:
                 return False
             blocks.append(self._take_block())
             self._block_capacity[row] += 1
             self._block_refs += 1
         elif blocks and self._rc[blocks[-1]] > 1:
             # Copy-on-write: the tail block is shared and about to change.
-            if not self._free:
+            if not self.free_blocks:
                 return False
             old = blocks[-1]
             blocks[-1] = self._take_block()
@@ -273,7 +284,7 @@ class PagedKVManager:
         need = self._tokens[rows] >= self._block_capacity[rows] * self.block_tokens
         crossing = rows[need]
         if crossing.size:
-            if crossing.size > len(self._free):
+            if crossing.size > self.free_blocks:
                 return False
             for row in crossing:
                 blocks = self._blocks_at[row]
@@ -308,11 +319,7 @@ class PagedKVManager:
                 self._rc[idx] -= 1
                 after = self._rc[idx]
                 self._shared_blocks -= int(np.count_nonzero(after == 1))
-                dead = after == 0
-                if dead.all():
-                    self._free.extend(blocks)
-                elif dead.any():
-                    self._free.extend(int(b) for b in idx[dead])
+                self._free.extend(idx[after == 0].tolist())
         self._block_refs -= len(blocks)
         self._total_tokens -= int(self._tokens[row])
         self._blocks_at[row] = None
@@ -346,7 +353,11 @@ class PagedKVManager:
         self._block_refs += len(blocks)
 
     def _take_block(self) -> int:
-        b = self._free.pop()
+        if self._free:
+            b = self._free.pop()
+        else:
+            self._low -= 1
+            b = self._low
         self._rc[b] = 1
         if obs.enabled():
             obs.metrics().counter(
@@ -363,6 +374,10 @@ class PagedKVManager:
             return []
         blocks = self._free[: -n - 1 : -1]
         del self._free[-n:]
+        if len(blocks) < n:
+            low = self._low - (n - len(blocks))
+            blocks.extend(range(self._low - 1, low - 1, -1))
+            self._low = low
         self._rc[blocks] = 1
         if obs.enabled():
             obs.metrics().counter(
@@ -404,7 +419,7 @@ class PagedKVManager:
     def _refcount(self) -> dict[int, int]:
         """Live per-block refcounts as a dict (introspection/leak checks;
         the authoritative store is the ``_rc`` array)."""
-        live = np.flatnonzero(self._rc)
+        live = self._low + np.flatnonzero(self._rc[self._low:])
         return {int(b): int(self._rc[b]) for b in live}
 
     def block_refcount(self, seq_id: int) -> list[int]:

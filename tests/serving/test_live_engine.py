@@ -6,15 +6,18 @@ monitor goes non-ok under injected overload, and the report is bit-equal
 with the live layer attached or detached (zero perturbation).
 """
 
+import gc
 import json
+import time
 
 import pytest
 
 import repro.obs as obs
 from repro.obs import live as live_obs
-from repro.model.config import get_model_config
+from repro.model.config import get_model_config, tiny_config
 from repro.serving.engine import EngineConfig, ServingEngine
 from repro.serving.faults import FaultPlan
+from repro.serving.stepprof import StepPhaseProfiler
 from repro.serving.systems import build_system
 from repro.serving.workload import make_overload_trace, make_poisson_trace
 
@@ -214,3 +217,48 @@ class TestHeartbeatBatch:
         bundle = live_obs.LiveObs()
         bundle.heartbeat_batch(np.zeros(0), {})
         assert bundle.steps == 0 and bundle.clock == 0.0
+
+
+class TestAttachedCostFlatInPoolSize:
+    """The attached engine's per-step host cost does not grow with the KV
+    pool: the same tiny-model trace on an 82k-block pool and on the
+    default-HBM 31.3M-block pool (the one the hot-path bench serves on)."""
+
+    SMALL_HBM = 200e6  # 82k blocks for the tiny model
+
+    @staticmethod
+    def _attached_run(hbm_bytes):
+        """(num_blocks, construction s, attached overhead us/step)."""
+        kwargs = {} if hbm_bytes is None else {"hbm_bytes": hbm_bytes}
+        start = time.perf_counter()
+        engine = ServingEngine(
+            tiny_config(), build_system("comet"),
+            config=EngineConfig(max_batch=32, **kwargs),
+        )
+        construct_s = time.perf_counter() - start
+        trace = make_poisson_trace(
+            60, 200.0, mean_prompt_len=64, mean_new_tokens=32, seed=3
+        )
+        prof = StepPhaseProfiler()
+        live_obs.attach(window_seconds=1.0, attrib_capacity=len(trace))
+        gc.collect()
+        gc.disable()
+        try:
+            engine.run(trace, profiler=prof)
+        finally:
+            gc.enable()
+            live_obs.detach()
+        return engine.kv.num_blocks, construct_s, prof.per_step_us()["overhead"]
+
+    def test_attached_step_cost_flat_across_pool_sizes(self):
+        self._attached_run(self.SMALL_HBM)  # warm the cost-model memo
+        small, large = [], []
+        for _ in range(2):  # interleaved, best of two: robust to noise
+            small.append(self._attached_run(self.SMALL_HBM))
+            large.append(self._attached_run(None))
+        assert small[0][0] == 82_445
+        assert large[0][0] == 31_336_785
+        assert min(r[1] for r in large) < 0.1
+        small_us = min(r[2] for r in small)
+        large_us = min(r[2] for r in large)
+        assert large_us < 3.0 * small_us, (small_us, large_us)

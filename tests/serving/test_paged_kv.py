@@ -1,5 +1,6 @@
 """Tests for the paged KV cache manager."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,3 +117,227 @@ class TestUtilization:
         used = sum(lengths)
         assert allocated_slots - used < len(lengths) * m.block_tokens
         assert 0.25 <= m.utilization() <= 1.0
+
+
+class _ReferencePool:
+    """The pool as a plain model: a list free stack (``list(range(n))``,
+    LIFO), per-block refcounts, per-sequence tables, and the sort-based
+    free-list fragmentation.  :class:`PagedKVManager` must match it op
+    for op, whatever its internal representation."""
+
+    def __init__(self, num_blocks, block_tokens):
+        self.free = list(range(num_blocks))
+        self.rc = [0] * num_blocks
+        self.tables = {}
+        self.tokens = {}
+        self.block_tokens = block_tokens
+
+    def _take(self):
+        b = self.free.pop()
+        self.rc[b] = 1
+        return b
+
+    def _release(self, b):
+        self.rc[b] -= 1
+        if self.rc[b] == 0:
+            self.free.append(b)
+
+    def shared_blocks(self):
+        return sum(1 for r in self.rc if r > 1)
+
+    def allocate(self, sid, tokens):
+        need = -(-max(tokens, 1) // self.block_tokens)
+        if need > len(self.free):
+            return False
+        self.tables[sid] = [self._take() for _ in range(need)]
+        self.tokens[sid] = tokens
+        return True
+
+    def fork(self, parent, child, shared):
+        full, tail = divmod(shared, self.block_tokens)
+        if tail and not self.free:
+            return False
+        blocks = self.tables[parent][:full]
+        for b in blocks:
+            self.rc[b] += 1
+        if tail:
+            blocks.append(self._take())
+        self.tables[child] = blocks
+        self.tokens[child] = shared
+        return True
+
+    def append_token(self, sid):
+        table = self.tables[sid]
+        if self.tokens[sid] + 1 > len(table) * self.block_tokens:
+            if not self.free:
+                return False
+            table.append(self._take())
+        elif table and self.rc[table[-1]] > 1:
+            if not self.free:
+                return False
+            old = table[-1]
+            table[-1] = self._take()
+            self._release(old)
+        self.tokens[sid] += 1
+        return True
+
+    def append_token_many(self, sids):
+        if self.shared_blocks():
+            return False
+        crossing = [
+            s for s in sids
+            if self.tokens[s] >= len(self.tables[s]) * self.block_tokens
+        ]
+        if len(crossing) > len(self.free):
+            return False
+        for s in crossing:
+            self.tables[s].append(self._take())
+        for s in sids:
+            self.tokens[s] += 1
+        return True
+
+    def free_seq(self, sid):
+        for b in self.tables.pop(sid):
+            self._release(b)
+        del self.tokens[sid]
+
+    def rewind(self, sid):
+        self.tokens[sid] -= 1
+
+    def freelist_fragmentation(self):
+        n = len(self.free)
+        if n <= 1:
+            return 0.0
+        ids = np.sort(np.asarray(self.free, dtype=np.int64))
+        breaks = np.flatnonzero(np.diff(ids) != 1)
+        bounds = np.concatenate(([-1], breaks, [n - 1]))
+        return 1.0 - int(np.max(np.diff(bounds))) / n
+
+
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["allocate", "fork", "append", "append_many", "free", "rewind"]
+        ),
+        st.integers(0, 1_000),
+        st.integers(0, 1_000),
+    ),
+    max_size=60,
+)
+
+
+def _rewind(m, sid):
+    """Drop a sequence's last token (a rollback, e.g. a rejected draft
+    token).  The public API shares only full blocks, so this is the one
+    way to give a sequence a shared tail with room left in it — the state
+    in which :meth:`PagedKVManager.append_token` copies on write."""
+    m._tokens[m.sequence_row(sid)] -= 1
+    m._total_tokens -= 1
+
+
+def _assert_matches(m, ref):
+    assert m.free_blocks == len(ref.free)
+    assert m.used_blocks == m.num_blocks - len(ref.free)
+    assert m.shared_blocks == ref.shared_blocks()
+    assert m.freelist_fragmentation() == ref.freelist_fragmentation()
+    assert m.live_sequences() == sorted(ref.tables)
+    for sid, table in ref.tables.items():
+        assert m.block_table(sid) == table
+        assert m.sequence_tokens(sid) == ref.tokens[sid]
+    # `_rc == 0` holds exactly for the free blocks.
+    np.testing.assert_array_equal(
+        np.flatnonzero(m._rc == 0), sorted(ref.free)
+    )
+    live = {b: r for b, r in enumerate(ref.rc) if r}
+    assert m._refcount == live
+    hist = {}
+    for r in live.values():
+        hist[r] = hist.get(r, 0) + 1
+    assert m.refcount_distribution() == hist
+
+
+class TestAgainstReference:
+    """Random op sequences against :class:`_ReferencePool`: identical
+    block ids, tables, counts and (bit-equal) free-list fragmentation
+    after every op, and an identical free-stack order at the end."""
+
+    def test_rewind_reaches_copy_on_write(self):
+        m = manager(blocks=4, block_tokens=4)
+        m.allocate(1, 4)
+        m.fork(1, 2)
+        _rewind(m, 2)
+        assert m.block_refcount(2) == [2]
+        assert m.append_token(2)  # the shared tail is copied, not grown
+        assert m.block_refcount(2) == [1]
+        assert m.block_refcount(1) == [1]
+        assert m.used_blocks == 2
+
+    @given(
+        blocks=st.integers(1, 40),
+        block_tokens=st.integers(1, 4),
+        ops=_OPS,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_pool(self, blocks, block_tokens, ops):
+        m = manager(blocks=blocks, block_tokens=block_tokens)
+        ref = _ReferencePool(blocks, block_tokens)
+        next_id = 0
+        for kind, a, b in ops:
+            live = sorted(ref.tables)
+            if kind == "allocate" or not live:
+                tokens = a % (3 * block_tokens + 1)
+                assert m.allocate(next_id, tokens) == ref.allocate(next_id, tokens)
+                next_id += 1
+            elif kind == "fork":
+                parent = live[a % len(live)]
+                shared = 1 + b % ref.tokens[parent] if ref.tokens[parent] else 0
+                if not shared:
+                    continue
+                assert m.fork(parent, next_id, shared) == ref.fork(
+                    parent, next_id, shared
+                )
+                next_id += 1
+            elif kind == "append":
+                sid = live[a % len(live)]
+                assert m.append_token(sid) == ref.append_token(sid)
+            elif kind == "append_many":
+                sids = live[a % len(live):][: 1 + b % len(live)]
+                rows = np.array([m.sequence_row(s) for s in sids], dtype=np.int64)
+                assert m.append_token_many(rows) == ref.append_token_many(sids)
+            elif kind == "rewind":
+                sid = live[a % len(live)]
+                if ref.tokens[sid]:
+                    _rewind(m, sid)
+                    ref.rewind(sid)
+            else:
+                sid = live[a % len(live)]
+                m.free(sid)
+                ref.free_seq(sid)
+            _assert_matches(m, ref)
+        # The whole free stack, in pop order: drain it into one sequence.
+        if ref.free:
+            assert m.allocate(-1, len(ref.free) * block_tokens)
+            assert m.block_table(-1) == ref.free[::-1]
+        assert m.free_blocks == 0
+
+
+class TestFreelistFragmentation:
+    def test_fresh_pool_is_contiguous(self):
+        assert manager(blocks=10).freelist_fragmentation() == 0.0
+
+    def test_hole_in_the_middle(self):
+        m = manager(blocks=8, block_tokens=4)
+        for i in range(4):
+            m.allocate(i, 8)  # ids 7,6 / 5,4 / 3,2 / 1,0
+        m.free(1)  # frees 5,4: free run {4,5}
+        m.free(3)  # frees 1,0: free run {0,1}
+        assert m.free_blocks == 4
+        assert m.freelist_fragmentation() == 0.5
+
+    def test_drained_pool_is_contiguous(self):
+        m = manager(blocks=8, block_tokens=4)
+        for i in range(4):
+            m.allocate(i, 8)
+        for i in (2, 0, 3, 1):
+            m.free(i)
+        assert m.freelist_fragmentation() == 0.0
