@@ -31,7 +31,7 @@ from repro.model.config import get_model_config
 from repro.serving.batchstate import BatchState, DeadlineHeap, RetryHeap
 from repro.serving.engine import EngineConfig, ServingEngine
 from repro.serving.faults import FaultPlan
-from repro.serving.request import Phase, Request
+from repro.serving.request import Phase, Request, make_batch_requests
 from repro.serving.stepprof import StepPhaseProfiler
 from repro.serving.systems import build_system
 from repro.serving.workload import make_overload_trace, make_poisson_trace
@@ -41,6 +41,15 @@ GOLDENS_PATH = Path(__file__).with_name("engine_goldens.json")
 # A small device keeps the overload scenarios short (the KV pool, not the
 # scenario shape, sets the step count).
 _SMALL_HBM = 20e9
+
+_TWO_WAVE_HBM = 17e9
+_TWO_WAVE_PROMPT, _TWO_WAVE_OUTPUT = 512, 64
+
+#: The Poisson scenario queues above its batch cap while arrivals land
+#: mid-decode.  The smallest ``max_steps`` that lets it finish (recorded
+#: before decode stepping advanced several steps per loop iteration).
+_POISSON_QUEUED = dict(hbm_bytes=_SMALL_HBM, max_batch=8)
+_POISSON_QUEUED_MAX_STEPS = 625
 
 _CHAOS = dict(
     step_fault_rate=0.1, kv_loss_rate=0.02, straggler_rate=0.05,
@@ -59,6 +68,26 @@ def _kv_capacity(llama8b):
         config=EngineConfig(hbm_bytes=_SMALL_HBM),
     )
     return eng.kv.token_capacity
+
+
+def _two_wave_batch(llama8b):
+    # Fig. 10's shape: a uniform batch of the planner's max size, all at
+    # t=0.  The KV commit slack keeps the queue head out, so the tail of
+    # the batch runs as a second wave once the first one drains.
+    eng = ServingEngine(
+        llama8b, build_system("comet"),
+        config=EngineConfig(hbm_bytes=_TWO_WAVE_HBM),
+    )
+    n = eng.plan.max_batch(_TWO_WAVE_PROMPT + _TWO_WAVE_OUTPUT)
+    return lambda: make_batch_requests(n, _TWO_WAVE_PROMPT, _TWO_WAVE_OUTPUT)
+
+
+def _staggered_lengths():
+    # Every row crosses block boundaries and finishes on its own step.
+    return [
+        Request(i, prompt_len=37 + 29 * i, max_new_tokens=40 + 17 * i)
+        for i in range(12)
+    ]
 
 
 def _same_length_burst():
@@ -141,6 +170,26 @@ def _scenarios(llama8b):
                 12, cap, overload=2.0, ttft_slo=0.5, e2e_slo=None, seed=0
             ),
             FaultPlan(seed=0, **_CHAOS),
+        ),
+        "two_wave_uniform_batch": (
+            {"hbm_bytes": _TWO_WAVE_HBM, "max_batch": 1024},
+            _two_wave_batch(llama8b),
+            None,
+        ),
+        "staggered_lengths": (
+            {**small, "max_batch": 16}, _staggered_lengths, None,
+        ),
+        "poisson_above_max_batch": (
+            _POISSON_QUEUED,
+            lambda: make_poisson_trace(
+                40, arrival_rate=48.0, mean_new_tokens=96, seed=8
+            ),
+            None,
+        ),
+        "tensor_parallel_2": (
+            {**small, "max_batch": 16, "tensor_parallel": 2},
+            lambda: make_poisson_trace(30, arrival_rate=32.0, seed=2),
+            None,
         ),
         "deep_queued_expired_request_is_shed": (
             {"max_batch": 1}, _deep_queue, None,
@@ -229,6 +278,39 @@ class TestVectorizedParity:
             r.retries > 0 and r.phase is Phase.TIMED_OUT for r in reqs
         )
         assert report.requests_timed_out > 0
+
+    def test_two_wave_uniform_batch(self, llama8b):
+        report, reqs = _assert_golden(llama8b, "two_wave_uniform_batch")
+        # The commit slack held the queue head back for a second wave.
+        assert report.peak_batch < len(reqs) == report.requests_completed
+        assert len({r.first_token_time for r in reqs}) == 2
+
+    def test_staggered_lengths(self, llama8b):
+        _, reqs = _assert_golden(llama8b, "staggered_lengths")
+        assert len({r.finish_time for r in reqs}) == len(reqs)
+
+    def test_poisson_above_max_batch(self, llama8b):
+        report, _ = _assert_golden(llama8b, "poisson_above_max_batch")
+        assert report.peak_batch == _POISSON_QUEUED["max_batch"]
+
+    def test_tensor_parallel_2(self, llama8b):
+        _assert_golden(llama8b, "tensor_parallel_2")
+
+    def test_max_steps_raise_point(self, llama8b):
+        # max_steps budgets simulated steps, not loop iterations: the run
+        # needs the same budget however many steps one iteration covers.
+        _, trace_fn, _ = _scenarios(llama8b)["poisson_above_max_batch"]
+
+        def run(max_steps):
+            engine = ServingEngine(
+                llama8b, build_system("comet"),
+                config=EngineConfig(max_steps=max_steps, **_POISSON_QUEUED),
+            )
+            return engine.run(trace_fn())
+
+        assert run(_POISSON_QUEUED_MAX_STEPS).requests_completed == 40
+        with pytest.raises(RuntimeError, match="max_steps"):
+            run(_POISSON_QUEUED_MAX_STEPS - 1)
 
     def test_profiler_phases_cover_every_step(self, llama8b):
         engine = ServingEngine(
