@@ -51,6 +51,14 @@ __all__ = [
 ]
 
 
+def _maximum(a, b):
+    """``max`` on scalars, ``np.maximum`` when either side is an array:
+    the same value per element, without numpy's call cost on scalars."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.maximum(a, b)
+    return max(a, b)
+
+
 class DecodeAttentionKernel(ABC):
     """Latency model for one decode step's attention over cached KV."""
 
@@ -71,12 +79,23 @@ class DecodeAttentionKernel(ABC):
     ) -> float:
         """Seconds for one decode step across all layers.
 
+        ``context_tokens`` may be an integer array (one entry per step of a
+        fixed batch); the result is then elementwise, each entry bit-equal
+        to the scalar call on that context.
+
         Args:
             batch: sequences decoding this step.
             context_tokens: total cached tokens across the batch.
             kv_bytes_per_token: cache bytes per token across all layers.
             d_model / n_layers / n_kv_heads: model dimensions.
         """
+
+    @staticmethod
+    def _check(batch: int, context_tokens) -> None:
+        if isinstance(context_tokens, np.ndarray):
+            context_tokens = context_tokens.min()
+        if batch < 1 or context_tokens < 0:
+            raise ValueError("batch must be >=1, context_tokens >= 0")
 
     def _score_compute(self, context_tokens: int, d_model: int, n_layers: int) -> float:
         # q.K and p.V: ~4 ops per cached value per layer-equivalent channel.
@@ -96,8 +115,7 @@ class NaiveDecodeAttention(DecodeAttentionKernel):
 
     def latency(self, batch, context_tokens, kv_bytes_per_token, d_model,
                 n_layers, n_kv_heads) -> float:
-        if batch < 1 or context_tokens < 0:
-            raise ValueError("batch must be >=1, context_tokens >= 0")
+        self._check(batch, context_tokens)
         kv_bytes = context_tokens * kv_bytes_per_token
         active_blocks = batch * n_kv_heads
         bw_fraction = min(1.0, active_blocks / self.spec.num_sms)
@@ -105,7 +123,8 @@ class NaiveDecodeAttention(DecodeAttentionKernel):
         # Score matrix spills: one FP16 probability per cached token per
         # query head group, written and re-read.
         spill = 2.0 * 2.0 * context_tokens * n_layers / self.spec.hbm_bandwidth
-        return max(mem, self._score_compute(context_tokens, d_model, n_layers)) + spill
+        compute = self._score_compute(context_tokens, d_model, n_layers)
+        return _maximum(mem, compute) + spill
 
 
 class FlashDecodeAttention(DecodeAttentionKernel):
@@ -121,16 +140,16 @@ class FlashDecodeAttention(DecodeAttentionKernel):
 
     def latency(self, batch, context_tokens, kv_bytes_per_token, d_model,
                 n_layers, n_kv_heads) -> float:
-        if batch < 1 or context_tokens < 0:
-            raise ValueError("batch must be >=1, context_tokens >= 0")
+        self._check(batch, context_tokens)
         kv_bytes = context_tokens * kv_bytes_per_token
         mem = kv_bytes / self.spec.hbm_bandwidth  # full-bandwidth streaming
-        splits = max(1, -(-context_tokens // (batch * self.split_tokens)))
+        splits = _maximum(1, -(-context_tokens // (batch * self.split_tokens)))
         # Tree reduction of per-split partial results (m, l, acc per head).
         head_dim = d_model // max(n_kv_heads, 1)
         reduce_bytes = 2.0 * splits * batch * n_kv_heads * (head_dim + 2) * n_layers
         reduction = reduce_bytes / self.spec.hbm_bandwidth
-        return max(mem, self._score_compute(context_tokens, d_model, n_layers)) + reduction
+        compute = self._score_compute(context_tokens, d_model, n_layers)
+        return _maximum(mem, compute) + reduction
 
 
 def kv_stream_seconds(

@@ -139,10 +139,23 @@ class BatchState:
     def set_prefill_progress(self, i: int, progress: int) -> None:
         self._ctx[i] = progress
 
-    def advance(self, idx: np.ndarray | int) -> None:
-        """Record one decoded token for every row in ``idx``."""
-        self._ctx[idx] += 1
-        self._gen[idx] += 1
+    def advance(self, idx: np.ndarray | int, k: int = 1) -> None:
+        """Record ``k`` decoded tokens for every row in ``idx``."""
+        self._ctx[idx] += k
+        self._gen[idx] += k
+
+    def horizon(self) -> int:
+        """Decode steps the batch can take, every row decoding, up to and
+        including its first lifecycle event: a first token (1 while any
+        row has none), the earliest finish, or a scheduled abort."""
+        n = len(self.reqs)
+        gen = self._gen[:n]
+        if np.count_nonzero(gen) < n:
+            return 1
+        ends, abort = self._max_new[:n], self._abort_at[:n]
+        if abort.max() >= 0:  # -1: no abort scheduled
+            ends = np.where(abort > gen, np.minimum(abort, ends), ends)
+        return int((ends - gen).min())
 
     def sync(self, i: int) -> Request:
         """Write the array-side ``generated`` back to the object."""

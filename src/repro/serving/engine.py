@@ -27,8 +27,11 @@ the loop is arithmetically identical to the clean engine.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import sub
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -69,7 +72,9 @@ class EngineConfig:
         block_tokens: paged-KV block granularity.
         hbm_bytes: usable device memory.
         step_overhead: per-iteration framework overhead.
-        max_steps: safety cap on engine iterations.
+        max_steps: safety cap on simulated steps: every decode or prefill
+            step counts one, as does every loop pass that steps nothing
+            (an idle fast-forward, a refused admission).
         decode_attention: 'flash' (Flash-Decoding) or 'naive' — the paper's
             Section 7 attention-kernel axis.
         prefill_attention: 'flash' (FlashAttention) or 'naive'.
@@ -114,30 +119,28 @@ class EngineConfig:
     degrade_window: int = 4
 
     def __post_init__(self) -> None:
-        if self.decode_attention not in DECODE_ATTENTION:
-            raise ValueError(
-                f"unknown decode_attention {self.decode_attention!r}; "
-                f"known: {sorted(DECODE_ATTENTION)}"
-            )
-        if self.prefill_attention not in PREFILL_ATTENTION:
-            raise ValueError(
-                f"unknown prefill_attention {self.prefill_attention!r}; "
-                f"known: {sorted(PREFILL_ATTENTION)}"
-            )
-        if self.prefill_chunk_tokens is not None and self.prefill_chunk_tokens <= 0:
-            raise ValueError("prefill_chunk_tokens must be positive or None")
-        if self.tensor_parallel < 1:
-            raise ValueError("tensor_parallel must be >= 1")
-        if not 0.0 < self.kv_capacity_slack <= 1.0:
-            raise ValueError("kv_capacity_slack must be in (0, 1]")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.retry_backoff < 0:
-            raise ValueError("retry_backoff must be >= 0")
-        if not 0.0 < self.degrade_pressure <= 1.0:
-            raise ValueError("degrade_pressure must be in (0, 1]")
-        if self.degrade_window < 1:
-            raise ValueError("degrade_window must be >= 1")
+        for knob, kernels in (("decode_attention", DECODE_ATTENTION),
+                              ("prefill_attention", PREFILL_ATTENTION)):
+            if getattr(self, knob) not in kernels:
+                raise ValueError(
+                    f"unknown {knob} {getattr(self, knob)!r}; "
+                    f"known: {sorted(kernels)}"
+                )
+        chunk = self.prefill_chunk_tokens
+        for bad, message in (
+            (chunk is not None and chunk <= 0,
+             "prefill_chunk_tokens must be positive or None"),
+            (self.tensor_parallel < 1, "tensor_parallel must be >= 1"),
+            (not 0.0 < self.kv_capacity_slack <= 1.0,
+             "kv_capacity_slack must be in (0, 1]"),
+            (self.max_retries < 0, "max_retries must be >= 0"),
+            (self.retry_backoff < 0, "retry_backoff must be >= 0"),
+            (not 0.0 < self.degrade_pressure <= 1.0,
+             "degrade_pressure must be in (0, 1]"),
+            (self.degrade_window < 1, "degrade_window must be >= 1"),
+        ):
+            if bad:
+                raise ValueError(message)
 
 
 @dataclass
@@ -170,7 +173,8 @@ class ThroughputReport:
     degraded_steps: int = 0
     #: Output tokens of requests that finished within every configured SLO.
     good_output_tokens: int = 0
-    #: Compute iterations the loop executed (batch steps, not admissions).
+    #: Simulated batch steps (not admissions; one loop iteration may
+    #: advance several).
     engine_steps: int = 0
 
     @property
@@ -236,8 +240,11 @@ class _EngineTelemetry:
         self._kv = kv
         m = obs.metrics()
 
-        def counter(name):
-            return m.counter(name, obs.metric_help(name))
+        def counter(name, **labels):
+            return m.counter(name, obs.metric_help(name), **labels)
+
+        def histogram(name, **buckets):
+            return m.histogram(name, obs.metric_help(name), **buckets)
 
         def gauge(name):
             return m.gauge(name, obs.metric_help(name))
@@ -252,32 +259,16 @@ class _EngineTelemetry:
         self.timed_out = counter("serving.requests_timed_out_total")
         self.deadline_misses = counter("serving.deadline_misses_total")
         self.degraded_steps = counter("serving.degraded_steps_total")
-        self.faults = m.counter(
-            "serving.faults_injected_total",
-            obs.metric_help("serving.faults_injected_total"),
-            labelnames=("kind",),
-        )
-        self.steps = m.counter(
-            "serving.engine_steps_total",
-            obs.metric_help("serving.engine_steps_total"),
-            labelnames=("kind",),
-        )
-        self.step_seconds = m.histogram(
-            "serving.step_seconds", obs.metric_help("serving.step_seconds")
-        )
-        self.batch_size = m.histogram(
-            "serving.batch_size", obs.metric_help("serving.batch_size"),
+        self.faults = counter("serving.faults_injected_total", labelnames=("kind",))
+        self.steps = counter("serving.engine_steps_total", labelnames=("kind",))
+        self.step_seconds = histogram("serving.step_seconds")
+        self.batch_size = histogram(
+            "serving.batch_size",
             buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024),
         )
-        self.ttft = m.histogram(
-            "serving.ttft_seconds", obs.metric_help("serving.ttft_seconds")
-        )
-        self.tpot = m.histogram(
-            "serving.tpot_seconds", obs.metric_help("serving.tpot_seconds")
-        )
-        self.e2e = m.histogram(
-            "serving.e2e_seconds", obs.metric_help("serving.e2e_seconds")
-        )
+        self.ttft = histogram("serving.ttft_seconds")
+        self.tpot = histogram("serving.tpot_seconds")
+        self.e2e = histogram("serving.e2e_seconds")
         self.kv_utilization = gauge("serving.kv_utilization")
         self.kv_fragmentation = gauge("serving.kv_fragmentation")
         self.kv_free_blocks = gauge("serving.kv_free_blocks")
@@ -460,15 +451,22 @@ class _LiveHooks:
         self._live.flights.preempted(req.request_id, clock)
         self._attrib.requeued(req.request_id, clock)
 
-    def on_reject(self, req: Request, clock: float) -> None:
+    def _close_unserved(
+        self, req: Request, clock: float, outcome: str, **details
+    ) -> None:
+        """Close the flight record and ledger row of a request that ends
+        without finishing (rejected, failed, timed out)."""
         self.flush()
         self._record_queued(req)
         self._live.flights.close(
-            req.request_id, clock, outcome="rejected",
-            reason=req.failure_reason,
+            req.request_id, clock, outcome=outcome,
+            reason=req.failure_reason, **details,
         )
         self._attrib.queued(req.request_id, req.arrival_time)
-        self._attrib.close(req.request_id, clock, "rejected")
+        self._attrib.close(req.request_id, clock, outcome)
+
+    def on_reject(self, req: Request, clock: float) -> None:
+        self._close_unserved(req, clock, "rejected")
 
     def on_retry(self, req: Request, clock: float, reason: str) -> None:
         self.flush()
@@ -478,27 +476,14 @@ class _LiveHooks:
         self._attrib.requeued(req.request_id, clock)
 
     def on_fail(self, req: Request, clock: float) -> None:
-        self.flush()
-        self._record_queued(req)
-        self._live.flights.close(
-            req.request_id, clock, outcome="failed",
-            reason=req.failure_reason, generated=req.generated,
-        )
-        self._attrib.queued(req.request_id, req.arrival_time)
-        self._attrib.close(req.request_id, clock, "failed")
+        self._close_unserved(req, clock, "failed", generated=req.generated)
         if self._has_slo(req):
             self._live.slo.record(clock, met=False, request_id=req.request_id)
 
     def on_timeout(self, req: Request, clock: float) -> None:
-        self.flush()
-        self._record_queued(req)
-        self._live.flights.close(
-            req.request_id, clock, outcome="timed_out",
-            reason=req.failure_reason, generated=req.generated,
-            slo_met=False,
+        self._close_unserved(
+            req, clock, "timed_out", generated=req.generated, slo_met=False
         )
-        self._attrib.queued(req.request_id, req.arrival_time)
-        self._attrib.close(req.request_id, clock, "timed_out")
         # Timeouts only happen to requests with deadlines configured.
         self._live.slo.record(clock, met=False, request_id=req.request_id)
 
@@ -512,18 +497,11 @@ class _LiveHooks:
     ) -> None:
         """Buffer one engine iteration's worth of sliding-window samples
         (KV gauges are snapshotted now, at the step's own clock)."""
-        row = self._hb[self._hb_n]
-        row[0] = clock
-        row[1] = dt
-        row[2] = float(batch)
-        row[3] = float(tokens)
-        row[4] = self._kv.utilization()
-        row[5] = float(self._kv.free_blocks)
-        row[6] = float(self._kv.shared_blocks)
-        row[7] = self._kv.freelist_fragmentation()
-        row[8] = gemm
-        row[9] = attn
-        row[10] = kv_dq
+        kv = self._kv
+        self._hb[self._hb_n] = (
+            clock, dt, batch, tokens, kv.utilization(), kv.free_blocks,
+            kv.shared_blocks, kv.freelist_fragmentation(), gemm, attn, kv_dq,
+        )
         self._hb_n += 1
         if self._hb_n == self.FLUSH_EVERY:
             self.flush()
@@ -719,9 +697,16 @@ class ServingEngine:
         unaffected).
 
         The running batch lives in numpy arrays (:class:`BatchState`), so
-        each step's bookkeeping is a few array operations; faults, aborts,
-        finishes and expiries are row operations, and only a step whose
-        KV growth needs preemption walks the decoding rows one by one.
+        each iteration's bookkeeping is a few array operations; faults,
+        aborts, finishes and expiries are row operations, and only a step
+        whose KV growth needs preemption walks the decoding rows one by one.
+        One iteration advances a pure-decode batch ``k`` steps, to its next
+        event: a first token, finish or abort, the step before a second KV
+        block crossing, the step whose clock reaches the next arrival or
+        retry wake-up, or the end of the ``max_steps`` budget.  Every float
+        is the one a step-at-a-time loop computes.  Faults, SLOs,
+        degradation, a prefill chunk in flight and attached observers
+        (tracer, telemetry, live obs) hold ``k`` at 1.
 
         Requests with nonzero ``arrival_time`` form a trace: the clock fast-
         forwards over idle gaps and admission only considers arrived
@@ -769,23 +754,11 @@ class ServingEngine:
         prof = profiler
         committed_tokens = 0
         capacity = int(self.kv.token_capacity * self.config.kv_capacity_slack)
-        clock = 0.0
-        prefill_s = 0.0
-        decode_s = 0.0
-        gemm_s = 0.0
-        attn_s = 0.0
-        overhead_s = 0.0
-        peak_batch = 0
-        completed = 0
-        output_tokens = 0
-        preemptions = 0
-        rejected = 0
-        failed = 0
-        timed_out = 0
-        retries_total = 0
-        deadline_misses = 0
-        faults_injected = 0
-        degraded_steps = 0
+        # Simulated seconds: the clock and its breakdown (see charge()).
+        clock = prefill_s = decode_s = gemm_s = attn_s = overhead_s = 0.0
+        peak_batch = completed = output_tokens = preemptions = 0
+        rejected = failed = timed_out = retries_total = deadline_misses = 0
+        faults_injected = degraded_steps = 0
         chunking = self.config.prefill_chunk_tokens
         eff_max_batch = self.config.max_batch
         eff_chunk = chunking
@@ -797,16 +770,49 @@ class ServingEngine:
         tel = _EngineTelemetry(self.kv) if obs.enabled() else None
         live = live_obs.active()
         rec = _LiveHooks(live, self.kv) if live is not None else None
+        # Faults, SLOs, degradation and observers act on every step; only
+        # without them may an iteration advance several steps.
+        step_overhead = self.config.step_overhead
+        multi_step = not (
+            fault_active or has_slos or self.config.degrade_under_pressure
+        ) and tracer is None and tel is None and rec is None
         run_span = obs.span(
             "serving.engine_run", cat="serving", model=self.model.name,
             system=self.system.name, requests=len(requests),
         )
+
+        def charge(
+            dts: list[float], gemm: float, attns: list[float], decode: bool
+        ) -> list[float]:
+            """Advance the clock and the totals over ``len(dts)`` steps of
+            one fixed batch, adding step by step (the float sums of a
+            per-step loop).  Returns the clock series: the start, then the
+            end of each step."""
+            nonlocal clock, prefill_s, decode_s, gemm_s, attn_s, overhead_s
+            clocks = [clock]
+            for dt, attn in zip(dts, attns):
+                clock += dt
+                if decode:
+                    decode_s += dt
+                else:
+                    prefill_s += dt
+                gemm_s += gemm
+                attn_s += attn
+                overhead_s += step_overhead
+                clocks.append(clock)
+            return clocks
 
         def release_kv(req: Request) -> None:
             """Return an admitted request's KV blocks and commitment."""
             nonlocal committed_tokens
             self.kv.free(req.request_id)
             committed_tokens -= req.total_len
+
+        def trace_event(kind: str, req: Request, **attrs) -> None:
+            if tracer is not None:
+                tracer.record_event(
+                    kind, ts=clock, request_id=req.request_id, **attrs
+                )
 
         def reject(req: Request, reason: str) -> None:
             nonlocal rejected
@@ -816,11 +822,7 @@ class ServingEngine:
                 tel.on_reject(req, clock)
             if rec is not None:
                 rec.on_reject(req, clock)
-            if tracer is not None:
-                tracer.record_event(
-                    "rejected", ts=clock, request_id=req.request_id,
-                    reason=reason,
-                )
+            trace_event("rejected", req, reason=reason)
 
         def expire(req: Request, reason: str) -> None:
             """Terminally time a request out (deadline miss)."""
@@ -833,11 +835,7 @@ class ServingEngine:
                 tel.deadline_misses.inc()
             if rec is not None:
                 rec.on_timeout(req, clock)
-            if tracer is not None:
-                tracer.record_event(
-                    "timed_out", ts=clock, request_id=req.request_id,
-                    reason=reason,
-                )
+            trace_event("timed_out", req, reason=reason)
 
         def fail(req: Request, reason: str) -> None:
             """Terminally fail a request that holds no KV allocation."""
@@ -848,11 +846,7 @@ class ServingEngine:
                 tel.on_fail(req, clock)
             if rec is not None:
                 rec.on_fail(req, clock)
-            if tracer is not None:
-                tracer.record_event(
-                    "failed", ts=clock, request_id=req.request_id,
-                    reason=reason,
-                )
+            trace_event("failed", req, reason=reason)
 
         def record_fault(kind: FaultKind, req: Request | None = None) -> None:
             """Count one injected fault: a step fault, or (``req`` given) a
@@ -886,11 +880,7 @@ class ServingEngine:
                 tel.on_retry(req, clock)
             if rec is not None:
                 rec.on_retry(req, clock, reason)
-            if tracer is not None:
-                tracer.record_event(
-                    "retry", ts=clock, request_id=req.request_id,
-                    reason=reason, attempt=req.retries,
-                )
+            trace_event("retry", req, reason=reason, attempt=req.retries)
 
         def infeasible_reason(req: Request) -> str | None:
             """Why this request can never be served, or None if it can."""
@@ -919,11 +909,16 @@ class ServingEngine:
             while waiting and waiting[0].is_terminal:
                 waiting.popleft()
 
+        def next_wake() -> float:
+            """When the queue head arrives or the first retry is due."""
+            clean_waiting()
+            head = waiting[0].arrival_time if waiting else float("inf")
+            return min(head, retry_queue.next_ready_time())
+
         def start_request(req: Request) -> None:
             """Post-admission bookkeeping shared by the arrival and retry
             paths: whole-prompt prefill (when not chunking) and batch entry."""
-            nonlocal committed_tokens, clock, prefill_s, gemm_s, attn_s
-            nonlocal overhead_s
+            nonlocal committed_tokens
             committed_tokens += req.total_len
             req.phase = Phase.PREFILL
             if tel is not None:
@@ -936,7 +931,9 @@ class ServingEngine:
                     "engine.step", cat="serving", kind="prefill",
                     batch=1, prefill_tokens=req.prompt_len,
                 ):
-                    dt = self.prefill_time(req.prompt_len)
+                    pf_gemm = self.linear_stack_latency(req.prompt_len)
+                    pf_attn = self.prefill_attention_time(req.prompt_len)
+                    dt = pf_gemm + pf_attn + self.config.step_overhead
                 if tracer is not None:
                     tracer.record(
                         start=clock, duration=dt, kind="prefill",
@@ -944,13 +941,7 @@ class ServingEngine:
                         prefill_tokens=req.prompt_len,
                         context_tokens=req.prompt_len,
                     )
-                clock += dt
-                prefill_s += dt
-                pf_gemm = self.linear_stack_latency(req.prompt_len)
-                pf_attn = self.prefill_attention_time(req.prompt_len)
-                gemm_s += pf_gemm
-                attn_s += pf_attn
-                overhead_s += self.config.step_overhead
+                charge([dt], pf_gemm, [pf_attn], decode=False)
                 if rec is not None:
                     # Charge before the phase flip below is observable:
                     # running decoders stalled for this whole prefill.
@@ -1006,16 +997,13 @@ class ServingEngine:
                 rec.on_finish(req, clock)
 
         with run_span:
-            for _ in range(self.config.max_steps):
+            spent = 0  # of max_steps: one per simulated step or idle pass
+            while spent < self.config.max_steps:
+                spent += 1
                 if prof is not None:
                     prof.begin()
                 if not state:
-                    clean_waiting()
-                    next_arrival = (
-                        waiting[0].arrival_time if waiting else float("inf")
-                    )
-                    next_retry = retry_queue.next_ready_time()
-                    wake = min(next_arrival, next_retry)
+                    wake = next_wake()
                     if wake != float("inf") and wake > clock:
                         clock = wake  # idle until next arrival / backoff expiry
 
@@ -1079,19 +1067,15 @@ class ServingEngine:
                     start_request(req)
 
                 if not state:
-                    clean_waiting()
+                    wake = next_wake()
                     if not waiting and not retry_queue:
                         break
-                    pending_arrival = (
-                        waiting[0].arrival_time if waiting else float("inf")
-                    )
-                    pending_retry = retry_queue.next_ready_time()
-                    if min(pending_arrival, pending_retry) > clock:
+                    if wake > clock:
                         continue  # fast-forward next iteration
                     # An arrived request could not enter an empty pool even
                     # though the feasibility check passed; refuse it rather
                     # than stalling the scheduler forever.
-                    if waiting and pending_arrival <= clock:
+                    if waiting and waiting[0].arrival_time <= clock:
                         req = waiting.popleft()
                         reject(req, "admission failed with an empty KV pool")
                     else:
@@ -1116,28 +1100,32 @@ class ServingEngine:
                         eff_chunk, prefill_req.prompt_len - prefill_req.prefill_progress
                     )
                 dec_context = int(state.ctx[dec_idx].sum()) if n_dec else 0
+                kv_rows = state.kv_row[dec_idx]
+                # Event horizon (see run's docstring); arrivals bound k once
+                # the step costs are known.
+                k = state.horizon() if multi_step and n_dec == n_run else 1
+                if k > 1:
+                    k = min(k, self.kv.append_horizon(kv_rows),
+                            self.config.max_steps - spent + 1)
 
                 # One continuous-batching iteration: decode tokens plus (when
                 # chunking) one prompt chunk share the same GEMM pass.
-                if n_dec and chunk:
-                    kind = "mixed"
-                elif n_dec:
-                    kind = "decode"
-                else:
-                    kind = "prefill"
-                fault = None
-                if fault_active:
-                    fault = faults.step_fault(compute_steps)
-                compute_steps += 1
+                kind = ("mixed" if chunk else "decode") if n_dec else "prefill"
+                fault = faults.step_fault(compute_steps) if fault_active else None
                 if prof is not None:
-                    prof.step()
                     prof.lap("schedule")
                 m = n_dec + chunk
                 with obs.span("engine.step", cat="serving", kind=kind) as step_span:
                     gemm = self.linear_stack_latency(m)
+                    # attn and dt are arrays over the k steps, whose decode
+                    # context grows by n_dec a step (one kernel call; a
+                    # plain int at k == 1 keeps that step on Python floats).
                     attn = 0.0
                     if n_dec:
-                        attn += self.decode_attention_time(dec_context, n_dec)
+                        attn += self.decode_attention_time(
+                            dec_context + n_dec * np.arange(k) if k > 1
+                            else dec_context, n_dec,
+                        )
                     attn_dec = attn
                     if chunk:
                         attn += self._chunk_attention_time(
@@ -1151,7 +1139,21 @@ class ServingEngine:
                         dt += stall
                         overhead_s += stall
                     step_span.set(batch=n_run, sim_seconds=dt)
+                dts, attns = (dt.tolist(), attn.tolist()) if k > 1 else ([dt], [attn])
+                if k > 1 and (waiting or retry_queue):
+                    # Stop at the step whose clock reaches the next arrival
+                    # or retry wake-up.  A due queue head is blocked and
+                    # stays so while the batch is fixed.
+                    wake = min(t for t in (
+                        waiting[0].arrival_time if waiting else clock,
+                        retry_queue.next_ready_time(), float("inf"),
+                    ) if t > clock)
+                    k = min(k, bisect_left(list(accumulate(dts, initial=clock)), wake))
+                    del dts[k:], attns[k:]
+                compute_steps += k
+                spent += k - 1
                 if prof is not None:
+                    prof.step(k)
                     prof.lap("model")
                 if tracer is not None:
                     tracer.record(
@@ -1160,17 +1162,14 @@ class ServingEngine:
                         prefill_tokens=chunk,
                         context_tokens=int(state.ctx.sum()),
                     )
-                clock += dt
-                gemm_s += gemm
-                attn_s += attn
-                overhead_s += self.config.step_overhead
+                clocks = charge(dts, gemm, attns, decode=n_dec > 0)
                 if n_dec:
-                    decode_s += dt
-                    if last_decode_clock is not None:
-                        max_decode_gap = max(max_decode_gap, clock - last_decode_clock)
+                    # The run's first decode step has no gap before it.
+                    clocks[0] = (
+                        clocks[1] if last_decode_clock is None else last_decode_clock
+                    )
+                    max_decode_gap = max(max_decode_gap, *map(sub, clocks[1:], clocks))
                     last_decode_clock = clock
-                else:
-                    prefill_s += dt
 
                 kv_dq = 0.0
                 if rec is not None:
@@ -1215,9 +1214,9 @@ class ServingEngine:
                             state.mark_decode(pf_i)
                             if rec is not None:
                                 rec.on_prefill_done(prefill_req)
-                    if n_dec and self.kv.append_token_many(state.kv_row[dec_idx]):
-                        state.advance(dec_idx)
-                        tokens_this_step = n_dec
+                    if n_dec and self.kv.append_token_many(kv_rows, k):
+                        state.advance(dec_idx, k)
+                        tokens_this_step = n_dec * k
                         gen = state.gen[dec_idx]
                         events = dec_idx[
                             (gen == 1)
@@ -1305,8 +1304,8 @@ class ServingEngine:
                         keep[i] = False
 
                 if self.config.degrade_under_pressure:
-                    used = self.kv.num_blocks - self.kv.free_blocks
-                    pressure = used / self.kv.num_blocks if self.kv.num_blocks else 0.0
+                    kv = self.kv
+                    pressure = kv.used_blocks / kv.num_blocks if kv.num_blocks else 0.0
                     if pressure >= self.config.degrade_pressure or step_preemptions:
                         pressure_hot += 1
                         pressure_cool = 0

@@ -263,21 +263,41 @@ class PagedKVManager:
         self._total_tokens += 1
         return True
 
-    def append_token_many(self, rows: np.ndarray) -> bool:
-        """Grow every sequence in ``rows`` by one token, all-or-nothing.
+    def append_horizon(self, rows: np.ndarray) -> int:
+        """How many steps :meth:`append_token_many` may grow ``rows`` in
+        one call: up to the step before any row's next block-boundary
+        crossing *after* the first step, so only step 1 takes blocks.  It
+        is 1 when the fast path cannot apply (a shared block, or more
+        step-1 crossings than free blocks), leaving the caller's
+        one-step fallback in charge."""
+        if self._shared_blocks:
+            return 1
+        room = self._block_capacity[rows] * self.block_tokens - self._tokens[rows]
+        if rows.size > self.free_blocks and (
+            np.count_nonzero(room <= 0) > self.free_blocks
+        ):
+            return 1
+        # A full tail block (room 0) is crossed at step 1, leaving a whole
+        # block of room: room 0 counts as block_tokens.
+        return int((room + (room <= 0) * self.block_tokens).min())
+
+    def append_token_many(self, rows: np.ndarray, k: int = 1) -> bool:
+        """Grow every sequence in ``rows`` by ``k`` tokens, all-or-nothing.
 
         The vectorized batch-decode fast path: ``rows`` is an array of
         *stable rows* (from :meth:`sequence_row`, one per running decode
         sequence — no duplicates).  Per-token python work is replaced by
         two array compares and one fancy-indexed increment; python remains
-        only for the (rare) sequences crossing a block boundary this step.
+        only for the (rare) sequences crossing a block boundary.  ``k``
+        must not exceed :meth:`append_horizon`, so every crossing falls on
+        the first of the ``k`` steps.
 
         Returns False **without mutating anything** when the fast path
         cannot apply — some block is prefix-shared (copy-on-write might
         trigger) or the free pool cannot cover every boundary crossing —
         in which case the caller must fall back to per-sequence
         :meth:`append_token` calls and its preemption logic.  On success
-        the pool state is bit-identical to that fallback loop.
+        the pool state is bit-identical to ``k`` rounds of that loop.
         """
         if self._shared_blocks:
             return False
@@ -286,14 +306,17 @@ class PagedKVManager:
         if crossing.size:
             if crossing.size > self.free_blocks:
                 return False
-            for row in crossing:
+            # One bulk take hands out the ids per-row takes would, in row
+            # order.
+            taken = self._take_blocks(int(crossing.size))
+            for row, block in zip(crossing.tolist(), taken):
                 blocks = self._blocks_at[row]
                 assert blocks is not None
-                blocks.append(self._take_block())
+                blocks.append(block)
             self._block_capacity[crossing] += 1
             self._block_refs += int(crossing.size)
-        self._tokens[rows] += 1
-        self._total_tokens += int(rows.size)
+        self._tokens[rows] += k
+        self._total_tokens += int(rows.size) * k
         return True
 
     def free(self, seq_id: int) -> None:

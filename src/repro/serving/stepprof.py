@@ -40,8 +40,9 @@ class StepPhaseProfiler:
 
     Usage (the engine drives this): ``begin()`` at the top of each loop
     iteration, then ``lap(phase)`` after each section — the elapsed time
-    since the previous mark is charged to that phase.  ``step()`` counts
-    one compute iteration for per-step normalization.
+    since the previous mark is charged to that phase.  ``step(k)`` counts
+    the simulated steps an iteration covered, so per-step figures divide
+    by simulated steps, not by loop iterations.
     """
 
     def __init__(self) -> None:
@@ -59,9 +60,10 @@ class StepPhaseProfiler:
         self.seconds[phase] += now - self._mark
         self._mark = now
 
-    def step(self) -> None:
-        """Count one compute iteration (a batch actually stepped)."""
-        self.steps += 1
+    def step(self, k: int = 1) -> None:
+        """Count ``k`` simulated steps (one iteration may advance a
+        pure-decode batch several steps at once)."""
+        self.steps += k
 
     def reset(self) -> None:
         """Zero every accumulator so the profiler can be reused across
@@ -76,7 +78,7 @@ class StepPhaseProfiler:
         return sum(self.seconds[p] for p in OVERHEAD_PHASES)
 
     def per_step_us(self) -> dict[str, float]:
-        """Mean microseconds per compute step, by phase (plus ``total``
+        """Mean microseconds per simulated step, by phase (plus ``total``
         and ``overhead`` rollups)."""
         steps = max(self.steps, 1)
         out = {p: self.seconds[p] * 1e6 / steps for p in PHASES}

@@ -1,6 +1,9 @@
 """Tests for the attention kernel timing models (paper Section 7)."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gpu.spec import A100_80G_SXM4
 from repro.kernels.attention import (
@@ -64,6 +67,32 @@ class TestDecodeAttention:
         flash = FlashDecodeAttention()
         assert flash.latency(batch=1, context_tokens=0,
                              kv_bytes_per_token=KV_BYTES, **MODEL) >= 0
+
+
+class TestArrayContexts:
+    """The engine evaluates a fixed batch's k steps in one call: an array of
+    contexts must give, entry by entry, the scalar call's exact float."""
+
+    @pytest.mark.parametrize("kernel", sorted(DECODE_ATTENTION))
+    @given(
+        batch=st.integers(1, 1024),
+        contexts=st.lists(st.integers(0, 2**22), min_size=1, max_size=20),
+        kv_bytes=st.sampled_from([KV_BYTES, KV_BYTES / 4, 2321.5]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_array_equals_scalar_calls(self, kernel, batch, contexts, kv_bytes):
+        k = DECODE_ATTENTION[kernel](A100_80G_SXM4)
+        args = dict(batch=batch, kv_bytes_per_token=kv_bytes, **MODEL)
+        many = k.latency(context_tokens=np.array(contexts, dtype=np.int64), **args)
+        one = [k.latency(context_tokens=c, **args) for c in contexts]
+        assert many.tolist() == one
+        assert [float(x).hex() for x in many] == [float(x).hex() for x in one]
+
+    def test_array_validation(self):
+        flash = FlashDecodeAttention()
+        with pytest.raises(ValueError):
+            flash.latency(batch=1, context_tokens=np.array([4, -1]),
+                          kv_bytes_per_token=KV_BYTES, **MODEL)
 
 
 class TestPrefillAttention:

@@ -20,6 +20,8 @@ test at the bottom), so the fuzzer caps the step count and checks the
 invariants of every run that terminates.
 """
 
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -155,6 +157,33 @@ def test_engine_invariants(cfg, reqs, faults):
     assert kinds.count("retry") == report.retries
     assert kinds.count("rejected") == report.requests_rejected
     assert kinds.count("timed_out") == report.requests_timed_out
+
+
+def _outcome(engine, reqs, tracer=None):
+    try:
+        report = engine.run(reqs, tracer=tracer)
+    except RuntimeError as err:  # max_steps: the same budget on both sides
+        return str(err)
+    return dataclasses.asdict(report), [
+        (r.phase, r.generated, r.retries, r.first_token_time, r.finish_time)
+        for r in reqs
+    ]
+
+
+@given(cfg=_configs, reqs=_workloads())
+@settings(max_examples=40, deadline=None)
+def test_multi_step_iterations_match_single_steps(cfg, reqs):
+    # Detached, the engine advances a pure-decode batch to its next event
+    # in one iteration; an attached tracer holds it to one step per
+    # iteration.  Both must produce the same run, float for float.
+    twin = copy.deepcopy(reqs)
+    engine = ServingEngine(
+        MODEL, SYSTEM, config=EngineConfig(max_steps=_MAX_STEPS, **cfg)
+    )
+    stepped = ServingEngine(
+        MODEL, SYSTEM, config=EngineConfig(max_steps=_MAX_STEPS, **cfg)
+    )
+    assert _outcome(engine, reqs) == _outcome(stepped, twin, EngineTracer())
 
 
 @pytest.mark.xfail(

@@ -341,3 +341,93 @@ class TestFreelistFragmentation:
         for i in (2, 0, 3, 1):
             m.free(i)
         assert m.freelist_fragmentation() == 0.0
+
+
+class TestMultiStepAppend:
+    """``append_token_many(rows, k)`` with ``k <= append_horizon(rows)`` is
+    ``k`` single-step calls: same tables, block ids, free-stack order and
+    fragmentation gauge, and only the first step takes blocks."""
+
+    @staticmethod
+    def _pool(block_tokens, prompts, freed):
+        m = manager(blocks=48, block_tokens=block_tokens)
+        for sid, tokens in enumerate(prompts):
+            m.allocate(sid, tokens)
+        # Free some sequences (never sequence 0) so the free stack holds
+        # recycled ids above its watermark.
+        for sid in range(1, len(prompts)):
+            if freed[sid % len(freed)] and m.has_sequence(sid):
+                m.free(sid)
+        return m
+
+    @staticmethod
+    def _state(m, block_tokens):
+        seqs = m.live_sequences()
+        state = (
+            [m.block_table(s) for s in seqs],
+            [m.sequence_tokens(s) for s in seqs],
+            m.free_blocks, m.utilization(), m.freelist_fragmentation(),
+        )
+        # The whole free stack, in pop order.
+        if m.free_blocks:
+            assert m.allocate(-1, m.free_blocks * block_tokens)
+            state += (m.block_table(-1),)
+        return state
+
+    @given(
+        block_tokens=st.integers(1, 6),
+        prompts=st.lists(st.integers(0, 20), min_size=1, max_size=8),
+        freed=st.lists(st.booleans(), min_size=1, max_size=8),
+        k_draw=st.integers(0, 64),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_k_single_steps(self, block_tokens, prompts, freed, k_draw):
+        many = self._pool(block_tokens, prompts, freed)
+        single = self._pool(block_tokens, prompts, freed)
+        rows = np.array(
+            [many.sequence_row(s) for s in many.live_sequences()], dtype=np.int64
+        )
+        horizon = many.append_horizon(rows)
+        assert 1 <= horizon <= block_tokens
+        k = 1 + k_draw % horizon
+        held = single.blocks_of_rows(rows).copy()
+        ok = many.append_token_many(rows, k)
+        for step in range(k):
+            assert single.append_token_many(rows) == ok
+            if step == 0:
+                held = single.blocks_of_rows(rows).copy()
+            else:  # only the first step may cross a block boundary
+                assert (single.blocks_of_rows(rows) == held).all()
+        assert self._state(many, block_tokens) == self._state(single, block_tokens)
+
+    @given(
+        block_tokens=st.integers(1, 6),
+        prompts=st.lists(st.integers(0, 20), min_size=1, max_size=8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_horizon_is_tight(self, block_tokens, prompts):
+        # One step past the horizon, some row crosses a second boundary.
+        m = self._pool(block_tokens, prompts, [False])
+        rows = np.array(
+            [m.sequence_row(s) for s in m.live_sequences()], dtype=np.int64
+        )
+        horizon = m.append_horizon(rows)
+        if not m.append_token_many(rows):
+            assert horizon == 1  # no fast path: the caller steps once
+            return
+        blocks = m.blocks_of_rows(rows).copy()
+        for _ in range(horizon - 1):  # steps 2 .. horizon take no block
+            assert m.append_token_many(rows)
+        assert (m.blocks_of_rows(rows) == blocks).all()
+        # Step horizon + 1 needs a block: it takes one or finds none free.
+        if m.append_token_many(rows):
+            assert (m.blocks_of_rows(rows) > blocks).any()
+
+    def test_fallback_when_first_step_cannot_fit(self):
+        m = manager(blocks=3, block_tokens=4)
+        m.allocate(0, 4)
+        m.allocate(1, 4)
+        m.allocate(2, 3)  # the pool is full; rows 0 and 1 must cross now
+        rows = np.array([m.sequence_row(s) for s in (0, 1, 2)])
+        assert m.append_horizon(rows) == 1
+        assert not m.append_token_many(rows, 1)

@@ -380,6 +380,34 @@ class TestBatchState:
             state.sync(i)
         assert [r.generated for r in reqs] == [1, 0, 1]
 
+    def test_advance_by_k_equals_k_single_steps(self):
+        many, single = BatchState(), BatchState()
+        for state in (many, single):
+            for i in range(4):
+                state.add(self._req(i, gen=i), kv_row=i, abort_at=-1)
+        idx = np.array([0, 2, 3])
+        many.advance(idx, 5)
+        for _ in range(5):
+            single.advance(idx)
+        assert many.gen.tolist() == single.gen.tolist() == [5, 1, 7, 8]
+        assert many.ctx.tolist() == single.ctx.tolist()
+        assert many.ctx.tolist() == [8 + 0 + 5, 8 + 1, 8 + 2 + 5, 8 + 3 + 5]
+
+    def test_horizon_stops_at_first_event(self):
+        state = BatchState()
+        for i, (gen, abort_at) in enumerate(((3, -1), (9, -1), (5, 12))):
+            state.add(self._req(i, gen=gen), kv_row=i, abort_at=abort_at)
+        # max_new_tokens 16: row 1 finishes after 7 more steps, first.
+        assert state.horizon() == 7
+        state.rebuild(np.array([True, False, True]))
+        # Row 2's abort at 12 (7 steps away) beats row 0's finish (13).
+        assert state.horizon() == 7
+        state.advance(np.arange(2), 2)
+        assert state.horizon() == 5
+        # A row still waiting for its first token holds the horizon at 1.
+        state.add(self._req(3), kv_row=3, abort_at=-1)
+        assert state.horizon() == 1
+
     def test_remove_keeps_alias_and_arrays_consistent(self):
         state = BatchState()
         reqs = [self._req(i) for i in range(4)]
