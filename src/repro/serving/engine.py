@@ -1128,7 +1128,7 @@ class ServingEngine:
                         )
                     attn_dec = attn
                     if chunk:
-                        attn += self._chunk_attention_time(
+                        attn = attn + self._chunk_attention_time(
                             chunk, prefill_req.prefill_progress
                         )
                     dt = gemm + attn + self.config.step_overhead
@@ -1136,7 +1136,7 @@ class ServingEngine:
                         # The whole iteration straggles; the extra time is
                         # framework-side stall, not GEMM/attention work.
                         stall = dt * (fault.slowdown - 1.0)
-                        dt += stall
+                        dt = dt + stall
                         overhead_s += stall
                     step_span.set(batch=n_run, sim_seconds=dt)
                 dts, attns = (dt.tolist(), attn.tolist()) if k > 1 else ([dt], [attn])
