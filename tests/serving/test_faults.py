@@ -1,10 +1,13 @@
 """Tests for the fault-injection harness and chaos-mode engine runs."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.model.config import get_model_config, tiny_config
 from repro.serving.engine import EngineConfig, ServingEngine
-from repro.serving.faults import FaultKind, FaultPlan
+from repro.serving.faults import FaultKind, FaultPlan, StepFault
 from repro.serving.request import (
     TERMINAL_PHASES,
     Phase,
@@ -88,6 +91,42 @@ class TestFaultPlan:
         fault = plan.step_fault(0)
         assert fault.kind is FaultKind.STRAGGLER
         assert fault.slowdown == 3.0
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+#: Ids below and above 2**32 (one and two 32-bit entropy words).
+IDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1))
+#: Output budgets; at n >= 2**31 about half the Lemire draws are rejected.
+BUDGETS = st.one_of(st.integers(1, 5_000), st.integers(2**31, 2**32 - 1))
+
+
+class TestNumpyStream:
+    """Every draw is numpy's ``default_rng([seed, stream, index])`` stream,
+    bit for bit.  A rate equal to the reference double ``u`` must not fire
+    (``u < u`` is false) and the next double up must, which pins ``u``
+    exactly."""
+
+    @given(seed=SEEDS, step=IDS)
+    @settings(max_examples=150, deadline=None)
+    def test_step_fault_matches_numpy(self, seed, step):
+        ref = np.random.default_rng([seed, 1, step])
+        u, victim = ref.random(), ref.random()
+        assert FaultPlan(seed=seed, kv_loss_rate=u).step_fault(step) is None
+        above = FaultPlan(seed=seed, kv_loss_rate=np.nextafter(u, 1.0))
+        assert above.step_fault(step) == StepFault(
+            FaultKind.KV_LOSS, victim_draw=victim
+        )
+
+    @given(seed=SEEDS, request_id=IDS, n=BUDGETS)
+    @settings(max_examples=150, deadline=None)
+    def test_request_abort_point_matches_numpy(self, seed, request_id, n):
+        ref = np.random.default_rng([seed, 2, request_id])
+        u = ref.random()
+        point = int(ref.integers(1, n + 1))
+        at = FaultPlan(seed=seed, request_abort_rate=u)
+        assert at.request_abort_point(request_id, n) is None
+        above = FaultPlan(seed=seed, request_abort_rate=np.nextafter(u, 1.0))
+        assert above.request_abort_point(request_id, n) == point
 
 
 class TestChaosRuns:
