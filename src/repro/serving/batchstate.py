@@ -26,6 +26,7 @@ loop these structures replaced (``tests/serving/engine_goldens.json``).
 from __future__ import annotations
 
 import heapq
+import itertools
 
 import numpy as np
 
@@ -172,7 +173,7 @@ class BatchState:
         for name in self._COLUMNS:
             arr = getattr(self, name)
             arr[:kept] = arr[:n][keep]
-        self.reqs[:] = [r for r, k in zip(self.reqs, keep.tolist()) if k]
+        self.reqs[:] = list(itertools.compress(self.reqs, keep.tolist()))
 
 
 class DeadlineHeap:

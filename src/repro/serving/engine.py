@@ -61,6 +61,8 @@ __all__ = ["EngineConfig", "ThroughputReport", "ServingEngine"]
 
 #: Per-step framework overhead: scheduler, sampling, python/driver time.
 DEFAULT_STEP_OVERHEAD = 100e-6
+#: Step faults drawn per FaultPlan.step_faults call.
+_FAULT_WINDOW = 256
 
 
 @dataclass(frozen=True)
@@ -735,10 +737,10 @@ class ServingEngine:
         fault_active = faults is not None and not faults.empty
         abort_points: dict[int, int] = {}
         if fault_active and faults.request_abort_rate > 0.0:
-            for r in requests:
-                point = faults.request_abort_point(r.request_id, r.max_new_tokens)
-                if point is not None:
-                    abort_points[r.request_id] = point
+            ids = [r.request_id for r in requests]
+            budgets = [r.max_new_tokens for r in requests]
+            points = faults.request_abort_points(ids, budgets).tolist()
+            abort_points = {i: p for i, p in zip(ids, points) if p >= 0}
         has_slos = any(
             r.ttft_slo is not None or r.e2e_slo is not None for r in requests
         )
@@ -765,6 +767,7 @@ class ServingEngine:
         pressure_hot = 0
         pressure_cool = 0
         compute_steps = 0
+        fault_base, step_faults = 0, []  # step faults from fault_base on
         last_decode_clock: float | None = None
         max_decode_gap = 0.0
         tel = _EngineTelemetry(self.kv) if obs.enabled() else None
@@ -1111,7 +1114,11 @@ class ServingEngine:
                 # One continuous-batching iteration: decode tokens plus (when
                 # chunking) one prompt chunk share the same GEMM pass.
                 kind = ("mixed" if chunk else "decode") if n_dec else "prefill"
-                fault = faults.step_fault(compute_steps) if fault_active else None
+                if fault_active and compute_steps - fault_base >= len(step_faults):
+                    fault_base = compute_steps
+                    step_faults = faults.step_faults(fault_base, _FAULT_WINDOW)
+                fault = (step_faults[compute_steps - fault_base]
+                         if fault_active else None)
                 if prof is not None:
                     prof.lap("schedule")
                 m = n_dec + chunk

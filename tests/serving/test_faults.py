@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.model.config import get_model_config, tiny_config
 from repro.serving.engine import EngineConfig, ServingEngine
-from repro.serving.faults import FaultKind, FaultPlan, StepFault
+from repro.serving.faults import FaultKind, FaultPlan, StepFault, _raw_outputs
 from repro.serving.request import (
     TERMINAL_PHASES,
     Phase,
@@ -43,6 +43,26 @@ class TestFaultPlan:
             FaultPlan(kv_loss_rate=-0.1)
         with pytest.raises(ValueError):
             FaultPlan(straggler_slowdown=0.5)
+        # Seeds outside [0, 2**32) fail here, not at the first draw in the
+        # middle of an engine run.
+        for seed in (-1, 2**32):
+            with pytest.raises(ValueError, match="seed"):
+                FaultPlan(seed=seed)
+        FaultPlan(seed=2**32 - 1)
+
+    def test_draw_domain_validation(self):
+        plan = FaultPlan(seed=1, request_abort_rate=0.5)
+        for ids, budgets in (
+            ([-1], [10]), ([2**64], [10]), ([1.5], [10]),
+            ([1], [0]), ([1], [2**32]), ([1, 2], [10]),
+        ):
+            with pytest.raises(ValueError):
+                plan.request_abort_points(ids, budgets)
+        with pytest.raises(ValueError):
+            plan.step_faults(-1, 4)
+        with pytest.raises(ValueError):
+            plan.step_faults(2**64 - 2, 4)
+        assert plan.request_abort_points([], []).size == 0
 
     def test_empty(self):
         assert FaultPlan().empty
@@ -127,6 +147,59 @@ class TestNumpyStream:
         assert at.request_abort_point(request_id, n) is None
         above = FaultPlan(seed=seed, request_abort_rate=np.nextafter(u, 1.0))
         assert above.request_abort_point(request_id, n) == point
+
+    @given(seed=SEEDS, stream=SEEDS, index=IDS)
+    @settings(max_examples=100, deadline=None)
+    def test_raw_outputs_match_numpy(self, seed, stream, index):
+        ref = np.random.default_rng([seed, stream, index])
+        got = _raw_outputs(seed, stream, np.array([index], np.uint64), 4)
+        assert got[:, 0].tolist() == ref.bit_generator.random_raw(4).tolist()
+
+    @given(
+        seed=SEEDS,
+        start=st.one_of(st.integers(0, 10_000), st.integers(2**32 - 8, 2**64 - 65)),
+        count=st.integers(0, 64),
+        rates=st.lists(st.floats(0.0, 0.4), min_size=3, max_size=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_step_faults_equal_scalar_calls(self, seed, start, count, rates):
+        plan = FaultPlan(
+            seed=seed, step_fault_rate=rates[0], kv_loss_rate=rates[1],
+            straggler_rate=rates[2],
+        )
+        assert plan.step_faults(start, count) == [
+            plan.step_fault(start + j) for j in range(count)
+        ]
+
+    @given(
+        seed=SEEDS,
+        rows=st.lists(st.tuples(IDS, BUDGETS), max_size=40),
+        rate=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_request_abort_points_equal_scalar_calls(self, seed, rows, rate):
+        plan = FaultPlan(seed=seed, request_abort_rate=rate)
+        ids, budgets = [i for i, _ in rows], [n for _, n in rows]
+        points = plan.request_abort_points(
+            np.array(ids, np.uint64), np.array(budgets, np.int64)
+        )
+        scalar = [plan.request_abort_point(i, n) for i, n in rows]
+        assert points.tolist() == [-1 if p is None else p for p in scalar]
+
+    def test_lemire_rejections_in_array_form(self):
+        """At n = 2**31 + 1 about half of each round's words are rejected,
+        so rows need several rounds; every row still matches numpy."""
+        n = 2**31 + 1
+        ids = list(range(2**40, 2**40 + 400))
+        points = FaultPlan(seed=11, request_abort_rate=1.0).request_abort_points(
+            ids, [n] * len(ids)
+        )
+        ref = []
+        for i in ids:
+            rng = np.random.default_rng([11, 2, i])
+            rng.random()
+            ref.append(int(rng.integers(1, n + 1)))
+        assert points.tolist() == ref
 
 
 class TestChaosRuns:
