@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.gpu.simulator import (
     SchedulePolicy,
+    ScheduleResult,
     _lpt_busy,
     simulate_schedule,
 )
@@ -198,3 +199,167 @@ class TestInvariants:
         assert queue.makespan <= wave.makespan + 1e-12
         assert bal.makespan <= queue.makespan + 1e-12
         assert steal.makespan <= bal.makespan + 1e-9
+
+
+# ----------------------------------------------------------------------
+# Per-SM reference schedule: the one-SM-at-a-time LPT and work stealing
+# the grouped implementation must reproduce bit for bit.
+# ----------------------------------------------------------------------
+
+
+def reference_lpt_busy(durations, num_sms):
+    """Per-SM LPT loads, handed out one ``(duration, count)`` class at a
+    time from a slot table (ties at the cut to the lowest SM indices)."""
+    loads = np.zeros(num_sms, dtype=np.float64)
+    values, counts = np.unique(durations, return_counts=True)
+    for duration, count in zip(values[::-1].tolist(), counts[::-1].tolist()):
+        depth = -(-count // num_sms) + 1
+        while True:
+            slots = np.empty((depth + 1, num_sms), dtype=np.float64)
+            slots[0] = loads
+            slots[1:] = duration
+            np.add.accumulate(slots, axis=0, out=slots)
+            offered = slots[:depth]
+            cut = np.partition(offered, count - 1, axis=None)[count - 1]
+            taken = np.count_nonzero(offered < cut, axis=0)
+            ties = np.count_nonzero(offered == cut, axis=0)
+            short = count - taken.sum()
+            taken += np.minimum(ties, np.maximum(short - (np.cumsum(ties) - ties), 0))
+            if taken.max() < depth:
+                break
+            depth = min(2 * depth, count + 1)
+        loads = slots[taken, np.arange(num_sms)]
+    return loads
+
+
+def reference_steal(busy, min_piece, steal_overhead):
+    """One steal per iteration: the lowest-index most-loaded SM hands half
+    its gap to the lowest-index least-loaded SM."""
+    for _ in range(16 * len(busy)):
+        hi = int(busy.argmax())
+        lo = int(busy.argmin())
+        gap = busy[hi] - busy[lo]
+        if gap <= min_piece:
+            break
+        moved = min(gap / 2.0, busy[hi] / 2.0)
+        if moved < min_piece / 2:
+            break
+        busy[hi] -= moved
+        busy[lo] += moved * (1.0 + steal_overhead)
+
+
+def reference_schedule(
+    durations, num_sms, policy, sync_overhead, steal_overhead, max_split, divisible
+):
+    durations = np.asarray(durations, dtype=np.float64)
+    num_waves = -(-len(durations) // num_sms)
+    waves = np.zeros(num_waves * num_sms, dtype=np.float64)
+    waves[: len(durations)] = durations
+    waves = waves.reshape(num_waves, num_sms)
+    busy = np.add.accumulate(waves, axis=0)[-1].copy()
+    sync_time = sync_overhead
+    if policy is SchedulePolicy.WAVE_BARRIER:
+        makespan = float(np.add.accumulate(waves.max(axis=1) + sync_overhead)[-1])
+        sync_time = sync_overhead * num_waves
+    else:
+        if policy is not SchedulePolicy.STATIC_QUEUE:
+            lpt = reference_lpt_busy(durations, num_sms)
+            busy = lpt if lpt.max() <= busy.max() else busy
+        if policy is SchedulePolicy.WORK_STEALING and divisible:
+            reference_steal(busy, float(durations.max()) / max_split, steal_overhead)
+        makespan = float(busy.max()) + sync_overhead
+    return ScheduleResult(policy, makespan, busy, num_waves, sync_time)
+
+
+def assert_same_schedule(durations, num_sms, policy, steal_overhead=0.05,
+                         max_split=8, divisible=True, sync_overhead=1e-6):
+    args = (durations, num_sms, policy, sync_overhead, steal_overhead,
+            max_split, divisible)
+    want = reference_schedule(*args)
+    got = simulate_schedule(*args)
+    assert got.makespan.hex() == want.makespan.hex()
+    assert got.utilization.hex() == want.utilization.hex()
+    assert np.array_equal(got.per_sm_busy, want.per_sm_busy)
+    assert got.num_waves == want.num_waves
+    assert got.sync_time == want.sync_time
+    return want
+
+
+#: Dyadic durations: ``L + j*d`` sums are exact, so loads of different SM
+#: groups collide and LPT hands out split tie sets.
+DYADIC = [k * 2.0**-20 for k in (1, 2, 3, 4)]
+#: 2**-60 vanishes against a load near 1 (the load stops growing), and
+#: 0.0 never grows it at all.
+DEGENERATE = [0.0, 2.0**-60, 1.0]
+
+schedule_kwargs = st.fixed_dictionaries({
+    "policy": st.sampled_from(list(SchedulePolicy)),
+    "steal_overhead": st.sampled_from([0.0, 0.05, 0.5, 1.5]),
+    "max_split": st.integers(1, 8),
+    "divisible": st.booleans(),
+})
+
+
+class TestMatchesPerSMReference:
+    @given(
+        st.lists(st.sampled_from(DYADIC), min_size=1, max_size=600),
+        st.integers(1, 140),
+        schedule_kwargs,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_tying_dyadic_durations(self, durations, num_sms, kwargs):
+        assert_same_schedule(durations, num_sms, **kwargs)
+
+    @given(
+        st.lists(
+            st.tuples(st.floats(1e-9, 1e-3), st.integers(1, 300)),
+            min_size=1, max_size=5,
+        ),
+        st.integers(1, 140),
+        st.randoms(use_true_random=False),
+        schedule_kwargs,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_repeated_float_durations(self, classes, num_sms, rnd, kwargs):
+        durations = [d for d, count in classes for _ in range(count)]
+        rnd.shuffle(durations)
+        assert_same_schedule(durations, num_sms, **kwargs)
+
+    @given(
+        st.lists(st.sampled_from(DEGENERATE + DYADIC), min_size=1, max_size=200),
+        st.integers(1, 140),
+        schedule_kwargs,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_vanishing_and_zero_durations(self, durations, num_sms, kwargs):
+        assert_same_schedule(durations, num_sms, **kwargs)
+
+    @given(
+        st.integers(1, 70),
+        st.data(),
+        st.sampled_from([0.0, 0.05, 0.5, 1.5]),
+        st.integers(1, 8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stealing_on_round_robin_loads(
+        self, half, data, steal_overhead, max_split
+    ):
+        """Round robin gives SMs ``[0, half)`` three 2-unit tiles and SMs
+        ``[half, 2*half)`` two 3-unit tiles, then ``extra`` half-unit
+        tiles: at most 6.5 units each.  LPT leaves 7 units
+        on some SM, so the static binding wins and stealing starts from
+        the uneven round-robin loads."""
+        num_sms = 2 * half
+        extra = data.draw(st.integers(0, num_sms - 1))
+        unit = 2.0**-20
+        wave = [2 * unit] * half + [3 * unit] * half
+        durations = wave + wave + [2 * unit] * half + [unit / 2] * extra
+        static = reference_schedule(
+            durations, num_sms, SchedulePolicy.STATIC_QUEUE, 0.0, 0.0, 8, True
+        )
+        lpt = reference_lpt_busy(np.asarray(durations), num_sms)
+        assert static.per_sm_busy.max() < lpt.max()
+        assert_same_schedule(
+            durations, num_sms, SchedulePolicy.WORK_STEALING,
+            steal_overhead=steal_overhead, max_split=max_split,
+        )
