@@ -17,8 +17,11 @@ This is the execution model behind the paper's Section 4.4 (Figure 8):
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -57,56 +60,85 @@ class ScheduleResult:
         return float(self.per_sm_busy.mean() / span)
 
 
-def _lpt_busy(durations: np.ndarray, num_sms: int) -> np.ndarray:
-    """Per-SM load of the longest-processing-time greedy: tiles in
-    descending duration each go to the least-loaded SM (lowest index on
-    ties), handed out one ``(duration, count)`` class at a time.
+#: Load groups: a load value -> the ascending indices of the SMs holding it.
+Groups = dict[float, list[int]]
 
-    SM ``s`` takes its ``j``-th tile of a class at load ``loads[s] + j x
-    duration`` (added one tile at a time), which rises with ``j``, so the
-    greedy gives the class exactly the ``count`` lowest ``(load, s, j)``
-    slots.  The slot table holds ``depth`` tiles per SM; an SM that fills
-    it may be owed more, so it doubles (up to ``count + 1``) until none
-    does.
+
+def _lpt_groups(durations: np.ndarray, num_sms: int) -> Groups:
+    """Load groups of the longest-processing-time greedy: tiles in
+    descending duration each go to the least-loaded SM (lowest index on
+    ties), one ``(duration, count)`` class at a time.
+
+    The SMs of a group offer the same loads ``load + j x duration``
+    (summed one tile at a time), so a heap walks the offered loads group
+    by group in rising order and the class takes the ``count`` lowest.
+    At the cut value the lowest SM indices of the tied groups take the rest.
     """
-    loads = np.zeros(num_sms, dtype=np.float64)
+    groups = {0.0: list(range(num_sms))}
     values, counts = np.unique(durations, return_counts=True)
     for duration, count in zip(values[::-1].tolist(), counts[::-1].tolist()):
-        depth = -(-count // num_sms) + 1
-        while True:
-            slots = np.empty((depth + 1, num_sms), dtype=np.float64)
-            slots[0] = loads
-            slots[1:] = duration
-            np.add.accumulate(slots, axis=0, out=slots)
-            offered = slots[:depth]
-            cut = np.partition(offered, count - 1, axis=None)[count - 1]
-            taken = np.count_nonzero(offered < cut, axis=0)
-            # Slots at the cut value go to the lowest SM indices first.
-            ties = np.count_nonzero(offered == cut, axis=0)
-            short = count - taken.sum()
-            taken += np.minimum(ties, np.maximum(short - (np.cumsum(ties) - ties), 0))
-            if taken.max() < depth:
-                break
-            depth = min(2 * depth, count + 1)  # no SM takes more than count
-        loads = slots[taken, np.arange(num_sms)]
-    return loads
+        heap = [(load, load) for load in groups]  # (offered load, group)
+        heapq.heapify(heap)
+        cut: Groups = {}
+        while count:
+            offered = heap[0][0]
+            tied = []
+            while heap and heap[0][0] == offered:
+                tied.append(heapq.heappop(heap)[1])
+            size = sum(len(groups[g]) for g in tied)
+            after = offered + duration
+            if size <= count:
+                count -= size
+                for g in tied:
+                    heapq.heappush(heap, (after, g))
+                continue
+            sms = sorted(chain.from_iterable(groups[g] for g in tied))
+            _join(cut, after, sms[:count])
+            _join(cut, offered, sms[count:])
+            break
+        for offered, g in heap:
+            _join(cut, offered, groups[g])
+        groups = cut
+    return groups
 
 
-def _steal(busy: np.ndarray, min_piece: float, steal_overhead: float) -> None:
+def _steal(groups: Groups, num_sms: int, min_piece: float, overhead: float) -> None:
     """Idle SMs steal halves of the largest remaining piece; every stolen
     piece pays a shared-memory re-load overhead.  Pieces stop splitting
-    below ``min_piece``."""
-    for _ in range(16 * len(busy)):
-        hi = int(busy.argmax())
-        lo = int(busy.argmin())
-        gap = busy[hi] - busy[lo]
+    below ``min_piece``.
+
+    A steal pairs the lowest-index SMs of the most- and least-loaded
+    groups.  While both new loads stay strictly between the two, the next
+    steal sees the same two loads, so ``k`` steals pair the ``k``
+    lowest-index SMs of each group at once.  The budget counts steals.
+    """
+    budget = 16 * num_sms
+    while budget:
+        high, low = max(groups), min(groups)
+        gap = high - low
         if gap <= min_piece:
             break
-        moved = min(gap / 2.0, busy[hi] / 2.0)
+        moved = min(gap / 2.0, high / 2.0)
         if moved < min_piece / 2:
             break
-        busy[hi] -= moved
-        busy[lo] += moved * (1.0 + steal_overhead)
+        drained, filled = high - moved, low + moved * (1.0 + overhead)
+        k = 1
+        if low < drained < high and low < filled < high:
+            k = min(len(groups[high]), len(groups[low]), budget)
+        budget -= k
+        donors, takers = groups[high][:k], groups[low][:k]
+        for load in (high, low):
+            groups[load] = groups[load][k:]
+            if not groups[load]:
+                del groups[load]
+        _join(groups, drained, donors)
+        _join(groups, filled, takers)
+
+
+def _join(groups: Groups, load: float, sms: list[int]) -> None:
+    """Add ascending SM indices ``sms`` to the group at ``load``."""
+    if sms:
+        groups[load] = sorted(groups[load] + sms) if load in groups else sms
 
 
 def simulate_schedule(
@@ -133,12 +165,17 @@ def simulate_schedule(
     """
     if num_sms <= 0:
         raise ValueError("num_sms must be positive")
+    if max_split < 1:
+        raise ValueError("max_split must be at least 1")
+    if not 0.0 <= steal_overhead < math.inf:
+        raise ValueError("steal_overhead must be finite and non-negative")
     # Simulated seconds are float64 end to end (bit-exact sums).
     durations = np.asarray(durations, dtype=np.float64)  # staticcheck: ignore[NUM003]
     if len(durations) == 0:
         return ScheduleResult(policy, 0.0, np.zeros(num_sms, dtype=np.float64), 0, 0.0)
-    if durations.min() < 0:
-        raise ValueError("durations must be non-negative")
+    # NaN fails every comparison, so it is rejected here too.
+    if not 0.0 <= durations.min() <= durations.max() < math.inf:
+        raise ValueError("durations must be finite and non-negative")
     with obs.span(
         "gpu.simulate_schedule", cat="gpu",
         policy=policy.value, tiles=len(durations), sms=num_sms,
@@ -161,10 +198,16 @@ def simulate_schedule(
                 # Remapping may always keep the static binding, so take the
                 # better of the LPT remap and round-robin (LPT is a
                 # heuristic and can lose on adversarial inputs).
-                lpt = _lpt_busy(durations, num_sms)
-                busy = lpt if lpt.max() <= busy.max() else busy
-            if policy is SchedulePolicy.WORK_STEALING and divisible:
-                _steal(busy, float(durations.max()) / max_split, steal_overhead)
+                groups = _lpt_groups(durations, num_sms)
+                if max(groups) > busy.max():
+                    groups = {}
+                    for sm, load in enumerate(busy.tolist()):
+                        groups.setdefault(load, []).append(sm)
+                if policy is SchedulePolicy.WORK_STEALING and divisible:
+                    min_piece = float(durations.max()) / max_split
+                    _steal(groups, num_sms, min_piece, steal_overhead)
+                for load, sms in groups.items():
+                    busy[sms] = load
             makespan = float(busy.max()) + sync_overhead
     result = ScheduleResult(
         policy=policy,

@@ -119,6 +119,7 @@ class GEMMKernel(ABC):
         #: Everything the latency estimate depends on besides the shape;
         #: subclasses append their own settings.
         self._config_key = (type(self), spec, policy, pipelined, act_quant_instr)
+        self._profiles: dict[str, PrecisionProfile] = {}
 
     # ------------------------------------------------------------------
     # Kernel-specific configuration
@@ -127,6 +128,14 @@ class GEMMKernel(ABC):
     @abstractmethod
     def profile(self, precision: str) -> PrecisionProfile:
         """Cost profile for tiles of a given activation precision."""
+
+    def _profile(self, precision: str) -> PrecisionProfile:
+        """:meth:`profile`, built once per precision: like the latency memo,
+        this treats the configuration as fixed after ``__init__``."""
+        p = self._profiles.get(precision)
+        if p is None:
+            p = self._profiles[precision] = self.profile(precision)
+        return p
 
     def precision_source(self, shape: GEMMShape) -> dict:
         """kwargs for :func:`tile_grid` selecting tile precisions.
@@ -148,7 +157,7 @@ class GEMMKernel(ABC):
         # Residency = loaded operands plus the mma-format copies (for
         # kernels that convert in shared memory); smem *traffic* includes
         # replays and does not count against capacity.
-        probe = self.profile(self._worst_precision())
+        probe = self._profile(self._worst_precision())
         operand_bytes = {"fp16": 2.0, "int8": 1.0, "int4": 0.5}[probe.mma_precision]
         stage_bytes = (
             tile.tm * tile.tk * max(probe.act_load_bytes, operand_bytes)
@@ -164,7 +173,7 @@ class GEMMKernel(ABC):
 
     def tile_onchip_time(self, wt: TileClass) -> float:
         """Shared-memory + conversion + tensor-core time for one tile."""
-        p = self.profile(wt.precision)
+        p = self._profile(wt.precision)
         smem_bytes = (
             wt.rows * wt.depth * p.act_smem_bytes
             + wt.cols * wt.depth * p.weight_smem_bytes
@@ -175,7 +184,7 @@ class GEMMKernel(ABC):
         return smem + conv + mma
 
     def tile_load_time(self, wt: TileClass, active_sms: int) -> float:
-        p = self.profile(wt.precision)
+        p = self._profile(wt.precision)
         nbytes = (
             wt.rows * wt.depth * p.act_load_bytes
             + wt.cols * wt.depth * p.weight_load_bytes
@@ -187,7 +196,7 @@ class GEMMKernel(ABC):
         m_tiles, n_tiles = grid.m_tiles, grid.n_tiles
         act, weight = [], []
         for c in grid.classes:
-            p = self.profile(c.precision)
+            p = self._profile(c.precision)
             # Summing over all tiles counts each activation region n_tiles
             # times and each weight region m_tiles times; divide back out.
             act.append(c.rows * c.depth * p.act_load_bytes / max(n_tiles, 1))
@@ -279,7 +288,7 @@ class GEMMKernel(ABC):
             **self.precision_source(shape),
         )
         classes = grid.classes
-        profiles = {c.precision: self.profile(c.precision) for c in classes}
+        profiles = {c.precision: self._profile(c.precision) for c in classes}
         active = min(grid.num_tiles, spec.num_sms)
         cost: dict[TileClass, float] = {}  # split-k repeats equal classes
         for c in classes:

@@ -10,13 +10,22 @@ from hypothesis import strategies as st
 from repro.gpu.simulator import (
     SchedulePolicy,
     ScheduleResult,
-    _lpt_busy,
+    _lpt_groups,
     simulate_schedule,
 )
 
 
 def tasks_of(durations):
     return np.asarray(durations, dtype=np.float64)
+
+
+def lpt_loads(durations, num_sms):
+    """Per-SM loads of the grouped LPT remap, SM by SM."""
+    loads = [0.0] * num_sms
+    for load, sms in _lpt_groups(tasks_of(durations), num_sms).items():
+        for sm in sms:
+            loads[sm] = load
+    return loads
 
 
 class TestValidation:
@@ -27,6 +36,24 @@ class TestValidation:
     def test_bad_sm_count(self):
         with pytest.raises(ValueError):
             simulate_schedule(tasks_of([1.0]), 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_duration_rejected(self, bad):
+        # Such durations used to come back as a NaN or infinite makespan.
+        with pytest.raises(ValueError, match="durations"):
+            simulate_schedule(tasks_of([1.0, bad]), 4)
+
+    @pytest.mark.parametrize("max_split", [0, -1])
+    def test_bad_max_split_rejected(self, max_split):
+        with pytest.raises(ValueError, match="max_split"):
+            simulate_schedule(tasks_of([1.0]), 4, max_split=max_split)
+
+    @pytest.mark.parametrize("overhead", [-0.9, np.nan, np.inf])
+    def test_bad_steal_overhead_rejected(self, overhead):
+        # At -0.9, two 2.0 s tiles on 4 SMs used to finish in 0.3475 s,
+        # below the 1.0 s of a perfect split.
+        with pytest.raises(ValueError, match="steal_overhead"):
+            simulate_schedule(tasks_of([2.0, 2.0]), 4, steal_overhead=overhead)
 
     def test_empty_tasks(self):
         r = simulate_schedule([], 4)
@@ -116,14 +143,14 @@ class TestClassLPT:
         """Filling SMs a whole (duration, count) class at a time gives the
         task-at-a-time greedy's per-SM loads bit for bit."""
         durations = [d for d, count in classes for _ in range(count)]
-        got = _lpt_busy(tasks_of(durations), num_sms)
-        assert got.tolist() == greedy_lpt_loads(durations, num_sms)
+        got = lpt_loads(durations, num_sms)
+        assert got == greedy_lpt_loads(durations, num_sms)
 
     def test_uneven_loads_take_several_tasks_per_sm(self):
         # One long tile pins SM0; the short ones all go to SM1 and SM2.
         durations = [10.0] + [1.0] * 6
-        got = _lpt_busy(tasks_of(durations), 3)
-        assert got.tolist() == greedy_lpt_loads(durations, 3) == [10.0, 3.0, 3.0]
+        got = lpt_loads(durations, 3)
+        assert got == greedy_lpt_loads(durations, 3) == [10.0, 3.0, 3.0]
 
 
 class TestWorkStealing:
@@ -333,6 +360,20 @@ class TestMatchesPerSMReference:
     @settings(max_examples=80, deadline=None)
     def test_vanishing_and_zero_durations(self, durations, num_sms, kwargs):
         assert_same_schedule(durations, num_sms, **kwargs)
+
+    @given(
+        st.lists(st.sampled_from(DYADIC), min_size=1, max_size=60),
+        st.integers(2, 12),
+        st.sampled_from([2.0, 3.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_steal_budget_binds(self, durations, num_sms, steal_overhead):
+        """From an overhead of 2.0 up, a steal no longer narrows the gap,
+        so stealing stops only at the ``16 x num_sms`` budget (few SMs
+        keep the growing loads finite)."""
+        assert_same_schedule(
+            durations, num_sms, SchedulePolicy.WORK_STEALING, steal_overhead
+        )
 
     @given(
         st.integers(1, 70),
