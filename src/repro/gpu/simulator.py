@@ -116,7 +116,7 @@ def _steal(groups: Groups, num_sms: int, min_piece: float, overhead: float) -> N
     while budget:
         high, low = max(groups), min(groups)
         gap = high - low
-        if gap <= min_piece:
+        if not min_piece < gap < math.inf:  # stop once a load overflows
             break
         moved = min(gap / 2.0, high / 2.0)
         if moved < min_piece / 2:

@@ -179,6 +179,16 @@ class TestWorkStealing:
         )
         assert r.makespan == pytest.approx(2.0)
 
+    def test_overflowing_loads_stop_stealing(self):
+        # A huge overhead overflows the stolen load to inf after two
+        # steals; stealing stops there instead of turning loads into NaN.
+        r = simulate_schedule(
+            tasks_of([1.0]), 108, SchedulePolicy.WORK_STEALING, 0.0,
+            steal_overhead=1e308,
+        )
+        assert r.makespan == np.inf
+        assert not np.isnan(r.per_sm_busy).any()
+
     def test_never_slower_than_balanced(self):
         rng = np.random.default_rng(2)
         for trial in range(10):
