@@ -16,6 +16,12 @@ Every kernel (COMET-W4Ax and all baselines) shares the execution model:
 5. launch, dynamic activation quantization, and split-k reduction overheads
    are added.
 
+A kernel with several candidate tile shapes reports the fastest one.  Each
+candidate is first costed per class (a :class:`_TilePlan`) with a cheap
+lower bound on its latency; candidates are then scheduled in ascending
+bound order, and one whose bound exceeds the best latency found so far is
+never scheduled (branch and bound).
+
 A kernel's behaviour is specified by a :class:`PrecisionProfile` per tile
 precision: the byte widths of its operands, conversion instruction counts,
 and the mma format.
@@ -39,6 +45,11 @@ __all__ = ["PrecisionProfile", "KernelLatency", "GEMMKernel", "clear_latency_mem
 
 #: Split-k occupancy target: aim for two waves' worth of thread blocks.
 _OCCUPANCY_FACTOR = 2
+
+#: Relative slack taken off a candidate's latency lower bound, so float
+#: sums reassociated at class level can never lift it above the exact
+#: block-by-block value (their relative error is ~1e-11 at 10^5 blocks).
+_BOUND_SLACK = 1e-9
 
 #: Process-wide ``(kernel config key, shape) -> KernelLatency`` memo.
 _LATENCY_MEMO: dict[tuple, KernelLatency] = {}
@@ -98,6 +109,17 @@ class KernelLatency:
     @property
     def dram_bound(self) -> bool:
         return self.dram_seconds > self.onchip_makespan
+
+
+@dataclass(frozen=True, eq=False)
+class _TilePlan:
+    """One candidate tile costed per class: everything but the schedule."""
+
+    tile: TileShape
+    grid: TileGrid
+    #: On-chip seconds (plus the load, unpipelined) per ``grid.classes``.
+    class_cost: list[float]
+    overhead_seconds: float
 
 
 class GEMMKernel(ABC):
@@ -193,6 +215,19 @@ class GEMMKernel(ABC):
 
     def dram_traffic_bytes(self, shape: GEMMShape, grid: TileGrid) -> float:
         """Unique-or-streamed DRAM traffic, with L2 capturing small operands."""
+        act, weight = self._unique_bytes(grid)
+        # Summed block by block in block order, as the blocks stream.
+        return self._traffic_bytes(
+            shape,
+            grid,
+            float(np.add.accumulate(grid.expand(act))[-1]),
+            float(np.add.accumulate(grid.expand(weight))[-1]),
+            self.spec.l2_capacity,
+        )
+
+    def _unique_bytes(self, grid: TileGrid) -> tuple[list[float], list[float]]:
+        """Per class, the activation and weight bytes one block adds to
+        its operand's unique footprint."""
         m_tiles, n_tiles = grid.m_tiles, grid.n_tiles
         act, weight = [], []
         for c in grid.classes:
@@ -201,13 +236,20 @@ class GEMMKernel(ABC):
             # times and each weight region m_tiles times; divide back out.
             act.append(c.rows * c.depth * p.act_load_bytes / max(n_tiles, 1))
             weight.append(c.cols * c.depth * p.weight_load_bytes / max(m_tiles, 1))
-        # Summed block by block in block order, as the blocks stream.
-        act_unique = float(np.add.accumulate(grid.expand(act))[-1])
-        weight_unique = float(np.add.accumulate(grid.expand(weight))[-1])
+        return act, weight
+
+    def _traffic_bytes(
+        self,
+        shape: GEMMShape,
+        grid: TileGrid,
+        act_unique: float,
+        weight_unique: float,
+        l2_capacity: float,
+    ) -> float:
         # Operands that fit in L2 hit DRAM once; larger ones stream per pass.
-        act_traffic = act_unique * (1 if act_unique <= self.spec.l2_capacity else n_tiles)
+        act_traffic = act_unique * (1 if act_unique <= l2_capacity else grid.n_tiles)
         weight_traffic = weight_unique * (
-            1 if weight_unique <= self.spec.l2_capacity else m_tiles
+            1 if weight_unique <= l2_capacity else grid.m_tiles
         )
         out_bytes = 2.0 * shape.m * shape.n  # FP16 output writes
         return act_traffic + weight_traffic + out_bytes
@@ -236,18 +278,7 @@ class GEMMKernel(ABC):
             key = (self._config_key, shape)
             best = _LATENCY_MEMO.get(key)
             if best is None:
-                for tile in self.candidate_tiles(shape):
-                    if not self._fits_shared_memory(tile):
-                        continue
-                    cand = self._latency_for_tile(shape, tile)
-                    if best is None or cand.seconds < best.seconds:
-                        best = cand
-                if best is None:
-                    raise ValueError(
-                        f"{self.name}: no candidate tile fits shared memory "
-                        f"({self.spec.shared_mem_per_sm} B)"
-                    )
-                _LATENCY_MEMO[key] = best
+                best = _LATENCY_MEMO[key] = self._select_tile(shape)
         if obs.enabled():
             self._record_latency_metrics(best)
         return best
@@ -279,7 +310,44 @@ class GEMMKernel(ABC):
             obs.metric_help("kernel.smem_conflict_tiles_total"),
         ).inc(lat.smem_conflict_tiles)
 
-    def _latency_for_tile(self, shape: GEMMShape, tile: TileShape) -> KernelLatency:
+    def _select_tile(self, shape: GEMMShape) -> KernelLatency:
+        """The fastest fitting candidate; among equal ``seconds`` the
+        first in :meth:`candidate_tiles` order.
+
+        Candidates are scheduled in ascending ``(lower bound, index)``
+        order.  Once a bound exceeds the best ``seconds`` so far, that
+        candidate and every later one are slower than the best, so they
+        are never scheduled.
+        """
+        plans = [
+            self._plan_tile(shape, tile)
+            for tile in self.candidate_tiles(shape)
+            if self._fits_shared_memory(tile)
+        ]
+        if not plans:
+            raise ValueError(
+                f"{self.name}: no candidate tile fits shared memory "
+                f"({self.spec.shared_mem_per_sm} B)"
+            )
+        if len(plans) == 1:
+            return self._evaluate_plan(shape, plans[0])
+        bounds = [self._lower_bound(shape, plan) for plan in plans]
+        best, best_index = None, -1
+        for i in sorted(range(len(plans)), key=lambda i: (bounds[i], i)):
+            if best is not None and bounds[i] > best.seconds:
+                break
+            cand = self._evaluate_plan(shape, plans[i])
+            if (
+                best is None
+                or cand.seconds < best.seconds
+                or (cand.seconds == best.seconds and i < best_index)
+            ):
+                best, best_index = cand, i
+        assert best is not None
+        return best
+
+    def _plan_tile(self, shape: GEMMShape, tile: TileShape) -> _TilePlan:
+        """Cut the GEMM into tile classes and cost each class once."""
         spec = self.spec
         grid = tile_grid(
             shape,
@@ -287,23 +355,13 @@ class GEMMKernel(ABC):
             target_tiles=_OCCUPANCY_FACTOR * spec.num_sms,
             **self.precision_source(shape),
         )
-        classes = grid.classes
-        profiles = {c.precision: self._profile(c.precision) for c in classes}
         active = min(grid.num_tiles, spec.num_sms)
         cost: dict[TileClass, float] = {}  # split-k repeats equal classes
-        for c in classes:
+        for c in grid.classes:
             if c not in cost:
                 cost[c] = self.tile_onchip_time(c)
                 if not self.pipelined:
                     cost[c] += self.tile_load_time(c, active)
-        durations = grid.expand([cost[c] for c in classes])
-        sched = simulate_schedule(
-            durations, spec.num_sms, self.policy, sync_overhead=spec.tile_sync_overhead
-        )
-        dram_seconds = self.dram_traffic_bytes(shape, grid) / spec.hbm_bandwidth
-        span = (
-            max(sched.makespan, dram_seconds) if self.pipelined else sched.makespan
-        )
         # Dynamic activation quantization runs once over the input across
         # all SMs, so divide the per-SM conversion time by the SM count.
         act_quant = (
@@ -315,6 +373,63 @@ class GEMMKernel(ABC):
             + act_quant
             + self._reduction_overhead(shape, grid)
         )
+        return _TilePlan(tile, grid, [cost[c] for c in grid.classes], overhead)
+
+    def _lower_bound(self, shape: GEMMShape, plan: _TilePlan) -> float:
+        """A lower bound on the plan's ``seconds``, from class-level sums.
+
+        On chip, every policy but work stealing keeps tiles whole, so the
+        ``C`` tiles at least ``d`` long put ``ceil(C / num_sms)`` of them
+        on one SM (or in as many barrier waves): the floor is the largest
+        such ``ceil(C / num_sms) * d``.  Work stealing splits tiles but
+        only adds work, so its floor is the mean SM load.  With the
+        software pipeline the DRAM roofline is a floor too.
+        """
+        spec = self.spec
+        counts = [c.count for c in plan.grid.classes]
+        if self.policy is SchedulePolicy.WORK_STEALING:
+            onchip = sum(d * n for d, n in zip(plan.class_cost, counts)) / spec.num_sms
+        else:
+            tiles_of: dict[float, int] = {}
+            for d, n in zip(plan.class_cost, counts):
+                tiles_of[d] = tiles_of.get(d, 0) + n
+            onchip, at_least = 0.0, 0
+            for d in sorted(tiles_of, reverse=True):
+                at_least += tiles_of[d]
+                onchip = max(onchip, -(-at_least // spec.num_sms) * d)
+        bound = onchip + spec.tile_sync_overhead
+        if self.pipelined:
+            act, weight = self._unique_bytes(plan.grid)
+            # Near the L2 capacity the class-level sum may fall on the
+            # other side of it than the exact sum; the slack keeps the
+            # smaller (one-pass) multiplier there.
+            dram = self._traffic_bytes(
+                shape,
+                plan.grid,
+                sum(a * n for a, n in zip(act, counts)),
+                sum(w * n for w, n in zip(weight, counts)),
+                spec.l2_capacity * (1.0 + _BOUND_SLACK),
+            )
+            bound = max(bound, dram / spec.hbm_bandwidth)
+        return (bound + plan.overhead_seconds) * (1.0 - _BOUND_SLACK)
+
+    def _evaluate_plan(self, shape: GEMMShape, plan: _TilePlan) -> KernelLatency:
+        """Schedule the plan's blocks and total its exact latency."""
+        spec = self.spec
+        grid = plan.grid
+        classes = grid.classes
+        profiles = {c.precision: self._profile(c.precision) for c in classes}
+        sched = simulate_schedule(
+            grid.expand(plan.class_cost),
+            spec.num_sms,
+            self.policy,
+            sync_overhead=spec.tile_sync_overhead,
+        )
+        dram_seconds = self.dram_traffic_bytes(shape, grid) / spec.hbm_bandwidth
+        span = (
+            max(sched.makespan, dram_seconds) if self.pipelined else sched.makespan
+        )
+        overhead = plan.overhead_seconds
         by_precision: dict[str, int] = {}
         for c in classes:
             by_precision[c.precision] = by_precision.get(c.precision, 0) + c.count
@@ -323,7 +438,7 @@ class GEMMKernel(ABC):
             onchip_makespan=sched.makespan,
             dram_seconds=dram_seconds,
             overhead_seconds=overhead,
-            tile=tile,
+            tile=plan.tile,
             num_tiles=grid.num_tiles,
             utilization=sched.utilization,
             tiles_by_precision=tuple(sorted(by_precision.items())),

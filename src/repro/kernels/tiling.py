@@ -16,7 +16,9 @@ split further (split-k) to raise occupancy, as vendor kernels do.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby
 
 import numpy as np
@@ -133,17 +135,30 @@ class TileGrid:
     ``runs[run]``.  Blocks with the same row extent, column extent and run
     do identical work, so there are at most ``4 * len(runs)`` classes;
     ``class_ids`` holds every block's class in ``(mi, ni, run)`` order.
+    It is built on first use: costing a grid per class never needs it.
     """
 
     m_tiles: int
     n_tiles: int
     runs: tuple[tuple[str, int], ...]
     classes: tuple[TileClass, ...]
-    class_ids: np.ndarray
+    #: Tiles per row extent and per column extent (full, then ragged).
+    row_counts: tuple[int, ...]
+    col_counts: tuple[int, ...]
 
     @property
     def num_tiles(self) -> int:
-        return len(self.class_ids)
+        return self.m_tiles * self.n_tiles * len(self.runs)
+
+    @cached_property
+    def class_ids(self) -> np.ndarray:
+        # Class (r * len(col_counts) + c) * len(runs) + k has row extent
+        # r, column extent c and run k.
+        r = np.repeat(np.arange(len(self.row_counts)), self.row_counts)
+        c = np.repeat(np.arange(len(self.col_counts)), self.col_counts)
+        tiles = r[:, None] * len(self.col_counts) + c[None, :]
+        runs = len(self.runs)
+        return (tiles[:, :, None] * runs + np.arange(runs)).ravel()
 
     def expand(self, per_class: list[float]) -> np.ndarray:
         """One float64 value per block, in block order."""
@@ -177,21 +192,20 @@ def tile_grid(
     runs = precision_runs(shape.k, tile.tk, precisions)
 
     if target_tiles is not None and target_tiles > 0:
-        # Split every run into `split` equal-depth pieces (at tile.tk
-        # granularity) until the tile count reaches the target.
-        while True:
-            count = m_tiles * n_tiles * len(runs)
-            if count >= target_tiles:
-                break
-            splittable = [i for i, (_, d) in enumerate(runs) if d > tile.tk]
-            if not splittable:
-                break
-            # Split the deepest run in half (rounded to slice granularity).
-            i = max(splittable, key=lambda j: runs[j][1])
-            prec, depth = runs[i]
-            slices = depth // tile.tk
-            left = (slices // 2) * tile.tk
-            runs[i : i + 1] = [(prec, left), (prec, depth - left)]
+        # Split the deepest run (the first of equal depth) in half, at
+        # tile.tk granularity, until the tile count reaches the target or
+        # no run is deeper than one slice.  A heap of (-depth, key) finds
+        # that run; splitting the run keyed ``p`` makes ``p + (0,)`` and
+        # ``p + (1,)``, so keys sort in run order.
+        outputs = m_tiles * n_tiles
+        heap = [(-depth, (i,), prec) for i, (prec, depth) in enumerate(runs)]
+        heapq.heapify(heap)
+        while outputs * len(heap) < target_tiles and -heap[0][0] > tile.tk:
+            neg, key, prec = heapq.heappop(heap)
+            left = (-neg // tile.tk // 2) * tile.tk
+            heapq.heappush(heap, (-left, key + (0,), prec))
+            heapq.heappush(heap, (neg + left, key + (1,), prec))
+        runs = [(prec, -neg) for neg, _, prec in sorted(heap, key=lambda e: e[1])]
     row_ext = _edge_extents(shape.m, tile.tm)
     col_ext = _edge_extents(shape.n, tile.tn)
     classes = tuple(
@@ -200,10 +214,7 @@ def tile_grid(
         for cols, col_count in col_ext
         for prec, depth in runs
     )
-    # Class (r * len(col_ext) + c) * len(runs) + k has row extent r,
-    # column extent c and run k.
-    r = np.repeat(np.arange(len(row_ext)), [n for _, n in row_ext])
-    c = np.repeat(np.arange(len(col_ext)), [n for _, n in col_ext])
-    tiles = r[:, None] * len(col_ext) + c[None, :]
-    class_ids = (tiles[:, :, None] * len(runs) + np.arange(len(runs))).ravel()
-    return TileGrid(m_tiles, n_tiles, tuple(runs), classes, class_ids)
+    return TileGrid(
+        m_tiles, n_tiles, tuple(runs), classes,
+        tuple(n for _, n in row_ext), tuple(n for _, n in col_ext),
+    )

@@ -62,7 +62,9 @@ METRIC_CATALOG: dict[str, tuple[str, str]] = {
         "Sealed KV groups dequantized for the first time and memoized."),
     # ----------------------------------------------------------------- gpu
     "gpu.schedules_total": (
-        "counter", "Tile schedules simulated (latency-memo misses), by policy."),
+        "counter",
+        "Tile schedules simulated, by policy: on a latency-memo miss, one "
+        "per candidate tile that tile selection does not prune."),
     "gpu.waves_total": (
         "counter", "Tile waves issued across simulated schedules."),
     "gpu.sm_busy_seconds_total": (

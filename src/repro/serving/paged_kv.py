@@ -18,17 +18,24 @@ the serving engine grow the whole running batch in one vectorized call
 (:meth:`PagedKVManager.append_token_many`) and read pool utilization in
 O(1) from running counters instead of summing over sequences.
 
-The LIFO free stack is a *watermark* plus a recycled list: ids
+Block tables live in one 2D array: row ``r``'s blocks, in token order,
+are ``_table[r, :_block_capacity[r]]`` (the array grows by doubling).  So
+allocating, freeing or growing a sequence costs a fixed number of numpy
+calls whatever its table length.
+
+The LIFO free stack is a *watermark* plus a recycled stack: ids
 ``[0, _low)`` were never handed out and form its (unmaterialised) bottom;
-``_free`` holds recycled ids, all ``>= _low`` since ``_low`` only falls.
-The stack is always ``list(range(_low)) + _free`` — the ids a plain
-``list(range(num_blocks))`` free list would hand out, op for op — so
-construction is O(1) and pool gauges scan only ``_rc[_low:]``, the blocks
-ever used.  Invariant: ``_rc[b] == 0`` exactly when block ``b`` is free.
+``_free[:_free_top]`` holds recycled ids (top last), all ``>= _low`` since
+``_low`` only falls.  The stack is always ``list(range(_low)) +
+list(_free[:_free_top])`` — the ids a plain ``list(range(num_blocks))``
+free list would hand out, op for op — so construction is O(1) and pool
+gauges scan only ``_rc[_low:]``, the blocks ever used.  Invariant:
+``_rc[b] == 0`` exactly when block ``b`` is free.
 """
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -58,16 +65,27 @@ class PagedKVManager:
     def __init__(
         self, total_bytes: float, bytes_per_token: float, block_tokens: int = 16
     ):
-        if total_bytes <= 0 or bytes_per_token <= 0:
-            raise ValueError("sizes must be positive")
+        if isinstance(block_tokens, bool) or not isinstance(
+            block_tokens, (int, np.integer)
+        ):
+            raise ValueError(f"block_tokens must be an int, got {block_tokens!r}")
         if block_tokens <= 0:
             raise ValueError("block_tokens must be positive")
+        block_bytes = bytes_per_token * block_tokens
+        # NaN fails every comparison, so it is rejected here too.
+        if not (
+            0 < total_bytes < math.inf
+            and 0 < bytes_per_token < math.inf
+            and block_bytes < math.inf
+        ):
+            raise ValueError("sizes must be finite and positive")
         self.bytes_per_token = bytes_per_token
         self.block_tokens = block_tokens
-        self.block_bytes = bytes_per_token * block_tokens
+        self.block_bytes = block_bytes
         self.num_blocks = int(total_bytes // self.block_bytes)
         self._low = self.num_blocks  # watermark free stack (module doc)
-        self._free: list[int] = []
+        self._free = np.zeros(0, dtype=np.int64)
+        self._free_top = 0
         # Per-block reference counts, indexed by block id (0 == free).
         # An array instead of a dict so allocate/free touch the whole
         # block span of a sequence in one fancy-indexed operation.
@@ -76,8 +94,8 @@ class PagedKVManager:
         # for its lifetime (freelist recycling, no compaction), so callers
         # may cache `sequence_row` and batch-index into the arrays.
         self._row_of: dict[int, int] = {}
-        self._seq_at: list[int] = []
-        self._blocks_at: list[list[int] | None] = []
+        self._rows = 0  # rows ever used
+        self._table = np.zeros((0, 0), dtype=np.int64)
         self._tokens = np.zeros(0, dtype=np.int64)
         self._block_capacity = np.zeros(0, dtype=np.int64)
         self._free_rows: list[int] = []
@@ -92,7 +110,7 @@ class PagedKVManager:
 
     @property
     def free_blocks(self) -> int:
-        return self._low + len(self._free)
+        return self._low + self._free_top
 
     @property
     def used_blocks(self) -> int:
@@ -163,11 +181,8 @@ class PagedKVManager:
     def sequence_shared_blocks(self, seq_id: int) -> int:
         """How many of the sequence's blocks are shared (rc > 1) with
         another sequence — its prefix-cache footprint discount."""
-        blocks = self._blocks_at[self.sequence_row(seq_id)]
-        assert blocks is not None
-        if not blocks:
-            return 0
-        return int(np.count_nonzero(self._rc[np.asarray(blocks)] > 1))
+        blocks = self._blocks(self.sequence_row(seq_id))
+        return int(np.count_nonzero(self._rc[blocks] > 1))
 
     # ------------------------------------------------------------------
     # Allocation
@@ -217,16 +232,13 @@ class PagedKVManager:
         tail_tokens = shared - full * self.block_tokens
         if tail_tokens and not self.free_blocks:
             return False
-        parent_blocks = self._blocks_at[parent_row]
-        assert parent_blocks is not None
-        blocks = parent_blocks[:full]
-        if blocks:
-            idx = np.asarray(blocks, dtype=np.int64)
-            self._rc[idx] += 1
-            self._shared_blocks += int(np.count_nonzero(self._rc[idx] == 2))
+        blocks = self._table[parent_row, :full]
+        self._rc[blocks] += 1
+        self._shared_blocks += int(np.count_nonzero(self._rc[blocks] == 2))
         if tail_tokens:
-            blocks = blocks + [self._take_block()]  # copy of the tail block
-        self._install(child_id, list(blocks), shared)
+            # A copy of the tail block.
+            blocks = np.append(blocks, self._take_block())
+        self._install(child_id, blocks, shared)
         return True
 
     def append_token(self, seq_id: int) -> bool:
@@ -239,20 +251,20 @@ class PagedKVManager:
         row = self._row_of.get(seq_id)
         if row is None:
             raise KVAllocationError(f"sequence {seq_id} not allocated")
-        blocks = self._blocks_at[row]
-        assert blocks is not None
-        if self._tokens[row] + 1 > self._block_capacity[row] * self.block_tokens:
+        cap = int(self._block_capacity[row])
+        if self._tokens[row] + 1 > cap * self.block_tokens:
             if not self.free_blocks:
                 return False
-            blocks.append(self._take_block())
+            self._reserve(self._rows, cap + 1)
+            self._table[row, cap] = self._take_block()
             self._block_capacity[row] += 1
             self._block_refs += 1
-        elif blocks and self._rc[blocks[-1]] > 1:
+        elif cap and self._rc[self._table[row, cap - 1]] > 1:
             # Copy-on-write: the tail block is shared and about to change.
             if not self.free_blocks:
                 return False
-            old = blocks[-1]
-            blocks[-1] = self._take_block()
+            old = int(self._table[row, cap - 1])
+            self._table[row, cap - 1] = self._take_block()
             self._release_block(old)
             if obs.enabled():
                 obs.metrics().counter(
@@ -307,12 +319,11 @@ class PagedKVManager:
             if crossing.size > self.free_blocks:
                 return False
             # One bulk take hands out the ids per-row takes would, in row
-            # order.
+            # order; each lands in its row's next table slot.
             taken = self._take_blocks(int(crossing.size))
-            for row, block in zip(crossing.tolist(), taken):
-                blocks = self._blocks_at[row]
-                assert blocks is not None
-                blocks.append(block)
+            cols = self._block_capacity[crossing]
+            self._reserve(self._rows, int(cols.max()) + 1)
+            self._table[crossing, cols] = taken
             self._block_capacity[crossing] += 1
             self._block_refs += int(crossing.size)
         self._tokens[rows] += k
@@ -325,59 +336,69 @@ class PagedKVManager:
         row = self._row_of.pop(seq_id, None)
         if row is None:
             raise KVAllocationError(f"sequence {seq_id} not allocated")
-        blocks = self._blocks_at[row]
-        assert blocks is not None
-        if blocks:
-            if self._shared_blocks == 0:
-                # No block anywhere is shared, so every refcount here is
-                # exactly 1: the whole table returns to the pool.
-                self._rc[blocks] = 0
-                self._free.extend(blocks)
-            else:
-                # Bulk release: one fancy-indexed decrement over the block
-                # table (no duplicates within one sequence), then return
-                # the zero-refcount blocks to the pool *in table order* —
-                # the exact free-list state the per-block loop would leave.
-                idx = np.asarray(blocks, dtype=np.int64)
-                self._rc[idx] -= 1
-                after = self._rc[idx]
-                self._shared_blocks -= int(np.count_nonzero(after == 1))
-                self._free.extend(idx[after == 0].tolist())
-        self._block_refs -= len(blocks)
+        blocks = self._blocks(row)
+        if self._shared_blocks == 0:
+            # No block anywhere is shared, so every refcount here is
+            # exactly 1: the whole table returns to the pool.
+            self._rc[blocks] = 0
+            self._push_free(blocks)
+        else:
+            # Bulk release: one fancy-indexed decrement over the block
+            # table (no duplicates within one sequence), then return the
+            # zero-refcount blocks to the pool *in table order* — the
+            # exact free-list state the per-block loop would leave.
+            self._rc[blocks] -= 1
+            after = self._rc[blocks]
+            self._shared_blocks -= int(np.count_nonzero(after == 1))
+            self._push_free(blocks[after == 0])
+        self._block_refs -= blocks.size
         self._total_tokens -= int(self._tokens[row])
-        self._blocks_at[row] = None
-        self._seq_at[row] = -1
         self._tokens[row] = 0
         self._block_capacity[row] = 0
         self._free_rows.append(row)
 
-    def _install(self, seq_id: int, blocks: list[int], tokens: int) -> None:
+    def _blocks(self, row: int) -> np.ndarray:
+        """A view of the row's block table, in token order."""
+        return self._table[row, : self._block_capacity[row]]
+
+    def _reserve(self, rows: int, cols: int) -> None:
+        """Grow the sequence arrays (by doubling) to hold ``rows`` rows
+        and ``cols`` blocks per row."""
+        have_rows, have_cols = self._table.shape
+        if rows <= have_rows and cols <= have_cols:
+            return
+        new_rows = max(rows, 2 * have_rows, 16) if rows > have_rows else have_rows
+        new_cols = max(cols, 2 * have_cols, 16) if cols > have_cols else have_cols
+        table = np.zeros((new_rows, new_cols), dtype=np.int64)
+        table[:have_rows, :have_cols] = self._table
+        self._table = table
+        if new_rows > have_rows:
+            grow = new_rows - have_rows
+            self._tokens = np.concatenate([self._tokens, np.zeros(grow, np.int64)])
+            self._block_capacity = np.concatenate(
+                [self._block_capacity, np.zeros(grow, np.int64)]
+            )
+
+    def _install(self, seq_id: int, blocks: np.ndarray, tokens: int) -> None:
         """Bind a fresh sequence to a (recycled or new) stable row."""
         if self._free_rows:
             row = self._free_rows.pop()
         else:
-            row = len(self._seq_at)
-            self._seq_at.append(-1)
-            self._blocks_at.append(None)
-            if row >= self._tokens.shape[0]:
-                grow = max(16, 2 * self._tokens.shape[0])
-                self._tokens = np.concatenate(
-                    [self._tokens, np.zeros(grow, dtype=np.int64)]
-                )
-                self._block_capacity = np.concatenate(
-                    [self._block_capacity, np.zeros(grow, dtype=np.int64)]
-                )
+            row = self._rows
+            self._rows += 1
+        self._reserve(self._rows, blocks.size)
+        self._table[row, : blocks.size] = blocks
         self._row_of[seq_id] = row
-        self._seq_at[row] = seq_id
-        self._blocks_at[row] = blocks
         self._tokens[row] = tokens
-        self._block_capacity[row] = len(blocks)
+        self._block_capacity[row] = blocks.size
         self._total_tokens += tokens
-        self._block_refs += len(blocks)
+        self._block_refs += blocks.size
 
     def _take_block(self) -> int:
-        if self._free:
-            b = self._free.pop()
+        """:meth:`_take_blocks` for one block, in scalar steps."""
+        if self._free_top:
+            self._free_top -= 1
+            b = int(self._free[self._free_top])
         else:
             self._low -= 1
             b = self._low
@@ -389,17 +410,18 @@ class PagedKVManager:
             ).inc()
         return b
 
-    def _take_blocks(self, n: int) -> list[int]:
-        """Pop ``n`` blocks from the free list in one slice — same block
-        ids, same order, same end state as ``n`` :meth:`_take_block`
-        calls (the free list is LIFO, so the slice is reversed)."""
-        if n <= 0:
-            return []
-        blocks = self._free[: -n - 1 : -1]
-        del self._free[-n:]
-        if len(blocks) < n:
-            low = self._low - (n - len(blocks))
-            blocks.extend(range(self._low - 1, low - 1, -1))
+    def _take_blocks(self, n: int) -> np.ndarray:
+        """Pop ``n`` blocks off the free stack: the recycled top first
+        (LIFO, so the slice is reversed), then down from the watermark."""
+        top = self._free_top
+        k = min(n, top)
+        blocks = self._free[top - k : top][::-1]
+        self._free_top = top - k
+        if k < n:
+            low = self._low - (n - k)
+            blocks = np.concatenate(
+                [blocks, np.arange(self._low - 1, low - 1, -1, dtype=np.int64)]
+            )
             self._low = low
         self._rc[blocks] = 1
         if obs.enabled():
@@ -409,12 +431,22 @@ class PagedKVManager:
             ).inc(n)
         return blocks
 
+    def _push_free(self, blocks: np.ndarray) -> None:
+        """Push ``blocks`` onto the free stack in order (the last on top)."""
+        top, n = self._free_top, blocks.size
+        if top + n > self._free.size:
+            grown = np.zeros(max(top + n, 2 * self._free.size, 16), np.int64)
+            grown[:top] = self._free[:top]
+            self._free = grown
+        self._free[top : top + n] = blocks
+        self._free_top = top + n
+
     def _release_block(self, block: int) -> None:
         rc = self._rc[block] = self._rc[block] - 1
         if rc == 1:
             self._shared_blocks -= 1
         elif rc == 0:
-            self._free.append(block)
+            self._push_free(np.array([block], dtype=np.int64))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -447,15 +479,11 @@ class PagedKVManager:
 
     def block_refcount(self, seq_id: int) -> list[int]:
         """Reference counts of a sequence's blocks (introspection)."""
-        blocks = self._blocks_at[self.sequence_row(seq_id)]
-        assert blocks is not None
-        return [int(self._rc[b]) for b in blocks]
+        return self._rc[self._blocks(self.sequence_row(seq_id))].tolist()
 
     def block_table(self, seq_id: int) -> list[int]:
         """The sequence's physical block ids, in token order (a copy)."""
-        blocks = self._blocks_at[self.sequence_row(seq_id)]
-        assert blocks is not None
-        return list(blocks)
+        return self._blocks(self.sequence_row(seq_id)).tolist()
 
     def batch_block_tables(
         self, seq_ids: Sequence[int]
@@ -468,14 +496,11 @@ class PagedKVManager:
         counts.  This is the gather metadata a batched paged-attention
         kernel consumes (vLLM's ``block_tables`` tensor).
         """
-        rows = [self.sequence_row(s) for s in seq_ids]
-        counts = self._block_capacity[rows] if rows else np.zeros(0, np.int64)
-        width = int(counts.max()) if rows else 0
-        tables = np.full((len(rows), width), -1, dtype=np.int32)
-        for i, row in enumerate(rows):
-            blocks = self._blocks_at[row]
-            assert blocks is not None
-            tables[i, : len(blocks)] = blocks
+        rows = np.array([self.sequence_row(s) for s in seq_ids], dtype=np.int64)
+        counts = self._block_capacity[rows]
+        width = int(counts.max()) if rows.size else 0
+        tables = self._table[rows, :width].astype(np.int32)
+        tables[np.arange(width) >= counts[:, None]] = -1
         return tables, self._tokens[rows].copy()
 
     def sequence_tokens(self, seq_id: int) -> int:

@@ -5,15 +5,18 @@ that fits shared memory; among candidates with equal ``seconds`` the first
 in ``candidate_tiles`` order wins.  :func:`exhaustive_latency` costs every
 fitting candidate in order and keeps the first strict improvement.  The
 properties below check that ``latency()`` returns exactly that candidate,
-every :class:`KernelLatency` field equal (floats compared as hex), for:
+every :class:`KernelLatency` field equal (floats compared as hex), and
+that each candidate's latency lower bound stays at or below its exact
+``seconds``, for:
 
 * the vendor kernels at their own settings, on the A100 and the H100;
 * a multi-candidate COMET-W4Ax variant (the vendor tile menu over mixed
   INT4/INT8 k-runs) under all four scheduling policies, with the software
   pipeline on and off;
-* random ``(m, n, k)``, plus shapes whose activation or weight bytes sit
+* random ``(m, n, k)``; shapes whose activation or weight bytes sit
   within a few percent of ``spec.l2_capacity``, where the DRAM model
-  switches from one pass to one pass per tile row or column.
+  switches from one pass to one pass per tile row or column; and the
+  Fig. 10 linear layers at random ``m``.
 """
 
 import dataclasses
@@ -29,6 +32,7 @@ from repro.kernels.base import clear_latency_memo
 from repro.kernels.baselines import VENDOR_TILE_CANDIDATES
 from repro.kernels.tiling import GEMMShape
 from repro.kernels.w4ax import W4AxKernel
+from repro.model.config import get_model_config
 
 SPECS = (A100_80G_SXM4, H100_SXM5)
 
@@ -44,12 +48,16 @@ class _MultiTileW4Ax(W4AxKernel):
 
 def exhaustive_latency(kernel, shape):
     """Cost every fitting candidate in order; the first strictly faster
-    one replaces the incumbent."""
+    one replaces the incumbent.  Also checks that every candidate's lower
+    bound (which decides what tile selection may skip) holds."""
     best = None
     for tile in kernel.candidate_tiles(shape):
         if not kernel._fits_shared_memory(tile):
             continue
-        cand = kernel._latency_for_tile(shape, tile)
+        plan = kernel._plan_tile(shape, tile)
+        cand = kernel._evaluate_plan(shape, plan)
+        bound = kernel._lower_bound(shape, plan)
+        assert bound <= cand.seconds, (tile, bound.hex(), cand.seconds.hex())
         if best is None or cand.seconds < best.seconds:
             best = cand
     return best
@@ -80,12 +88,28 @@ def vendor_kernels() -> dict:
 VENDOR = vendor_kernels()
 
 
+#: The (n, k) of every linear layer of the Fig. 10 models.
+FIG10_NK = sorted({
+    nk
+    for model in (
+        "mistral-7b", "llama-3-8b", "llama-2-13b",
+        "llama-1-30b", "llama-3-70b", "qwen2-72b",
+    )
+    for nk in get_model_config(model).linear_shapes().values()
+})
+
+
 @st.composite
 def shapes(draw, spec=A100_80G_SXM4):
-    """Random GEMM shapes, half of them with one operand's bytes within
-    5% of the L2 capacity (at 0.5, 1 or 2 bytes per element)."""
+    """GEMM shapes of three kinds: random; one operand's bytes within 5%
+    of the L2 capacity (at 0.5, 1 or 2 bytes per element); and Fig. 10
+    linear layers, where DRAM-bound candidates often tie in ``seconds``."""
+    kind = draw(st.sampled_from(["random", "near_l2", "fig10"]))
+    if kind == "fig10":
+        n, k = draw(st.sampled_from(FIG10_NK))
+        return GEMMShape(draw(st.integers(1, 4096)), n, k)
     k = draw(st.integers(1, 16384))
-    if not draw(st.booleans()):
+    if kind == "random":
         return GEMMShape(draw(st.integers(1, 4096)), draw(st.integers(1, 16384)), k)
     k = max(k, 2048)
     width = draw(st.sampled_from([0.5, 1.0, 2.0]))
@@ -125,3 +149,13 @@ def test_multi_candidate_matches_exhaustive(spec, policy, pipelined, data):
     )
     _check(kernel, data.draw(shapes(spec)))
 
+
+
+@pytest.mark.parametrize("config, shape", [
+    ("A100-80G-SXM4/qserve-w4a8", GEMMShape(16, 8192, 29568)),
+    ("A100-80G-SXM4/trtllm-w8a8", GEMMShape(100, 8192, 29568)),
+])
+def test_equal_seconds_go_to_the_lower_candidate_index(config, shape):
+    """DRAM-bound shapes where several candidates tie in ``seconds`` and a
+    later candidate has the lower bound, so it is scheduled first."""
+    _check(VENDOR[config], shape)

@@ -90,6 +90,34 @@ class TestBuildTiles:
         assert grid.num_tiles >= 16
         assert sum(c.depth * c.count for c in grid.classes) == 8192
 
+    @given(
+        m=st.integers(1, 600), n=st.integers(1, 20000), k=st.integers(1, 20000),
+        tile=st.tuples(st.integers(1, 300), st.integers(1, 300), st.integers(1, 300)),
+        int8_fraction=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+        target=st.integers(0, 2000),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_split_k_matches_deepest_first_loop(
+        self, m, n, k, tile, int8_fraction, target
+    ):
+        """Split-k runs equal the plain loop: split the first of the
+        deepest runs while the count is short of the target."""
+        tile = TileShape(*tile)
+        grid = tile_grid(GEMMShape(m, n, k), tile, int8_fraction=int8_fraction,
+                         target_tiles=target)
+        runs = precision_runs(
+            k, tile.tk, k_slice_precisions(-(-k // tile.tk), int8_fraction)
+        )
+        while grid.m_tiles * grid.n_tiles * len(runs) < target:
+            splittable = [i for i, (_, d) in enumerate(runs) if d > tile.tk]
+            if not splittable:
+                break
+            i = max(splittable, key=lambda j: runs[j][1])
+            prec, depth = runs[i]
+            left = (depth // tile.tk // 2) * tile.tk
+            runs[i : i + 1] = [(prec, left), (prec, depth - left)]
+        assert grid.runs == tuple(runs)
+
     def test_split_k_preserves_precision_depths(self):
         grid = tile_grid(GEMMShape(8, 128, 1024), TileShape(128, 128, 128),
                          int8_fraction=0.25, target_tiles=8)

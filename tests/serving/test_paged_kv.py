@@ -29,6 +29,22 @@ class TestConstruction:
             PagedKVManager(10, -1.0)
         with pytest.raises(ValueError):
             PagedKVManager(10, 1.0, block_tokens=0)
+        inf, nan = float("inf"), float("nan")
+        # Non-finite sizes, including a block size that overflows to inf.
+        for total_bytes, bytes_per_token in [
+            (inf, 1.0), (nan, 1.0), (10, inf), (10, nan), (10, -inf), (10, 1e308),
+        ]:
+            with pytest.raises(ValueError, match="finite"):
+                PagedKVManager(total_bytes, bytes_per_token)
+        for block_tokens in (16.0, True, "16"):
+            with pytest.raises(ValueError, match="block_tokens"):
+                PagedKVManager(10, 1.0, block_tokens=block_tokens)
+
+    def test_numpy_int_block_tokens_accepted(self):
+        m = PagedKVManager(64, 1.0, block_tokens=np.int64(16))
+        assert m.num_blocks == 4
+        assert m.allocate(1, 20)
+        assert m.block_table(1) == [3, 2]
 
 
 class TestAllocation:
