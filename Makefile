@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test staticcheck staticcheck-json staticcheck-baseline lint bench-smoke bench-scale bench-scale-smoke live-obs-smoke validate-bench analyze-smoke
+.PHONY: test staticcheck staticcheck-json staticcheck-baseline lint bench-smoke bench-scale bench-scale-smoke live-obs-smoke validate-bench analyze-smoke perfbench-check
 
 test:
 	$(PYTHON) -m pytest -x -q --durations=10
@@ -26,6 +26,15 @@ staticcheck-baseline:
 lint:
 	ruff check src tests
 	mypy
+
+## Benchmark fidelity and output checks (CI step of the same name): the
+## Fig. 10 workload must reproduce the committed Fig. 10 means, and one
+## untraced run of each workload must pass perfbench's output checks.
+perfbench-check:
+	$(PYTHON) -m pytest -q perfbench/test_fidelity.py
+	$(PYTHON) perfbench/run.py --workload fig10_batch --seed 0 --seconds 1 --trace 0
+	$(PYTHON) perfbench/run.py --workload burst_chaos --seed 0 --seconds 1 --trace 0
+	$(PYTHON) perfbench/run.py --workload poisson_live --seed 0 --seconds 1 --trace 0
 
 bench-smoke:
 	$(PYTHON) benchmarks/bench_hotpath.py --smoke
