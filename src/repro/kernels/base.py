@@ -333,7 +333,7 @@ class GEMMKernel(ABC):
             return self._evaluate_plan(shape, plans[0])
         bounds = [self._lower_bound(shape, plan) for plan in plans]
         best, best_index = None, -1
-        for i in sorted(range(len(plans)), key=lambda i: (bounds[i], i)):
+        for i in sorted(range(len(plans)), key=lambda j: (bounds[j], j)):
             if best is not None and bounds[i] > best.seconds:
                 break
             cand = self._evaluate_plan(shape, plans[i])

@@ -415,7 +415,8 @@ class PagedKVManager:
         (LIFO, so the slice is reversed), then down from the watermark."""
         top = self._free_top
         k = min(n, top)
-        blocks = self._free[top - k : top][::-1]
+        # A copy: the next push reuses the popped slots.
+        blocks = self._free[top - k : top][::-1].copy()
         self._free_top = top - k
         if k < n:
             low = self._low - (n - k)
