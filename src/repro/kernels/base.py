@@ -378,22 +378,21 @@ class GEMMKernel(ABC):
     def _lower_bound(self, shape: GEMMShape, plan: _TilePlan) -> float:
         """A lower bound on the plan's ``seconds``, from class-level sums.
 
-        On chip, every policy but work stealing keeps tiles whole, so the
-        ``C`` tiles at least ``d`` long put ``ceil(C / num_sms)`` of them
-        on one SM (or in as many barrier waves): the floor is the largest
-        such ``ceil(C / num_sms) * d``.  Work stealing splits tiles but
-        only adds work, so its floor is the mean SM load.  With the
-        software pipeline the DRAM roofline is a floor too.
+        On chip, no policy loses work (work stealing only adds some), so
+        the mean SM load is a floor.  Every policy but work stealing also
+        keeps tiles whole, so the ``C`` tiles at least ``d`` long put
+        ``ceil(C / num_sms)`` of them on one SM (or in as many barrier
+        waves): ``ceil(C / num_sms) * d`` is a floor for each ``d``.  With
+        the software pipeline the DRAM roofline is a floor too.
         """
         spec = self.spec
         counts = [c.count for c in plan.grid.classes]
-        if self.policy is SchedulePolicy.WORK_STEALING:
-            onchip = sum(d * n for d, n in zip(plan.class_cost, counts)) / spec.num_sms
-        else:
+        onchip = sum(d * n for d, n in zip(plan.class_cost, counts)) / spec.num_sms
+        if self.policy is not SchedulePolicy.WORK_STEALING:
             tiles_of: dict[float, int] = {}
             for d, n in zip(plan.class_cost, counts):
                 tiles_of[d] = tiles_of.get(d, 0) + n
-            onchip, at_least = 0.0, 0
+            at_least = 0
             for d in sorted(tiles_of, reverse=True):
                 at_least += tiles_of[d]
                 onchip = max(onchip, -(-at_least // spec.num_sms) * d)
