@@ -150,12 +150,22 @@ def test_multi_candidate_matches_exhaustive(spec, policy, pipelined, data):
     _check(kernel, data.draw(shapes(spec)))
 
 
-
 @pytest.mark.parametrize("config, shape", [
     ("A100-80G-SXM4/qserve-w4a8", GEMMShape(16, 8192, 29568)),
     ("A100-80G-SXM4/trtllm-w8a8", GEMMShape(100, 8192, 29568)),
 ])
 def test_equal_seconds_go_to_the_lower_candidate_index(config, shape):
     """DRAM-bound shapes where several candidates tie in ``seconds`` and a
-    later candidate has the lower bound, so it is scheduled first."""
-    _check(VENDOR[config], shape)
+    later tied candidate has the lower bound, so it is scheduled first."""
+    kernel = VENDOR[config]
+    plans = [
+        kernel._plan_tile(shape, tile)
+        for tile in kernel.candidate_tiles(shape)
+        if kernel._fits_shared_memory(tile)
+    ]
+    seconds = [kernel._evaluate_plan(shape, plan).seconds for plan in plans]
+    bounds = [kernel._lower_bound(shape, plan) for plan in plans]
+    tied = [i for i, s in enumerate(seconds) if s == min(seconds)]
+    assert len(tied) > 1
+    assert min(tied, key=lambda i: (bounds[i], i)) != tied[0]
+    _check(kernel, shape)
