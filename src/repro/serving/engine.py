@@ -52,10 +52,10 @@ from repro.serving.memory_planner import DEFAULT_HBM_BYTES, plan_memory
 from repro.serving.paged_kv import PagedKVManager
 from repro.serving.request import Phase, Request
 from repro.serving.systems import ServingSystem
+from repro.serving.trace import EngineEvents, EngineTracer, Step
 
-if TYPE_CHECKING:  # deferred: trace imports obs eagerly, engine lazily
+if TYPE_CHECKING:
     from repro.serving.stepprof import StepPhaseProfiler
-    from repro.serving.trace import EngineTracer
 
 __all__ = ["EngineConfig", "ThroughputReport", "ServingEngine"]
 
@@ -230,9 +230,10 @@ class ThroughputReport:
         }
 
 
-class _EngineTelemetry:
-    """Per-run ``repro.obs`` recording: request lifecycle events on the
-    simulated timeline, TTFT/TPOT histograms, step counters, KV gauges.
+class _EngineTelemetry(EngineEvents):
+    """Event sink for per-run ``repro.obs`` recording: request lifecycle
+    events on the simulated timeline, TTFT/TPOT histograms, step counters,
+    KV gauges.
 
     Instantiated only while telemetry is enabled, so the disabled engine
     pays a single ``obs.enabled()`` check per run.
@@ -281,62 +282,79 @@ class _EngineTelemetry:
             request_id=req.request_id, prompt_len=req.prompt_len, **attrs,
         )
 
-    def on_admit(self, req: Request, clock: float) -> None:
+    def admit(self, req: Request, clock: float) -> None:
         self.admitted.inc()
         self.request_event("queued", req, req.arrival_time)
         self.request_event("prefill", req, clock)
 
-    def on_first_token(self, req: Request, clock: float) -> None:
+    def first_token(self, req: Request, clock: float) -> None:
         self.ttft.observe(clock - req.arrival_time)
         self.request_event("decode", req, clock)
 
-    def on_finish(self, req: Request, clock: float) -> None:
+    def finish(self, req: Request, clock: float) -> None:
         self.finished.inc()
+        if not req.slo_met:  # always met without SLOs
+            self.deadline_misses.inc()
         self.tpot.observe(
             (req.finish_time - req.first_token_time) / max(req.generated - 1, 1)
         )
         self.e2e.observe(clock - req.arrival_time)
         self.request_event("finished", req, clock)
 
-    def on_preempt(self, req: Request, clock: float) -> None:
+    def preempt(self, req: Request, clock: float) -> None:
         self.preempted.inc()
         self.request_event("preempted", req, clock)
 
-    def on_reject(self, req: Request, clock: float) -> None:
+    def reject(self, req: Request, clock: float) -> None:
         self.rejected.inc()
         self.request_event("rejected", req, clock, reason=req.failure_reason)
 
-    def on_retry(self, req: Request, clock: float) -> None:
+    def retry(self, req: Request, clock: float, reason: str) -> None:
         self.retries.inc()
         self.request_event("retry", req, clock, attempt=req.retries)
 
-    def on_fail(self, req: Request, clock: float) -> None:
+    def fail(self, req: Request, clock: float) -> None:
         self.failed.inc()
         self.request_event("failed", req, clock, reason=req.failure_reason)
 
-    def on_timeout(self, req: Request, clock: float) -> None:
+    def timeout(self, req: Request, clock: float) -> None:
         self.timed_out.inc()
+        self.deadline_misses.inc()
         self.request_event("timed_out", req, clock, reason=req.failure_reason)
 
-    def on_fault(self, kind: str, clock: float) -> None:
+    def fault(self, kind: str, clock: float, req: Request | None = None) -> None:
         self.faults.labels(kind=kind).inc()
-        obs.event(
-            "serving.fault", ts=clock, cat="fault", domain="sim", kind=kind
-        )
+        obs.event("serving.fault", ts=clock, cat="fault", domain="sim", kind=kind)
 
-    def on_step(self, kind: str, dt: float, batch: int) -> None:
-        self.steps.labels(kind=kind).inc()
-        self.step_seconds.observe(dt)
-        self.batch_size.observe(batch)
+    def step_end(self, step: Step, tokens: int) -> None:
+        if tokens:
+            self.output_tokens.inc(tokens)
+        self.steps.labels(kind=step.kind).inc()
+        self.step_seconds.observe(step.dt)
+        self.batch_size.observe(step.batch)
         self.kv_utilization.set(self._kv.utilization())
         self.kv_fragmentation.set(self._kv.fragmentation())
         self.kv_free_blocks.set(self._kv.free_blocks)
 
+    def end_run(self, report: ThroughputReport) -> None:
+        if report.degraded_steps:
+            self.degraded_steps.inc(report.degraded_steps)
 
-class _LiveHooks:
-    """Feeds the attached live-observability bundle (:mod:`repro.obs.live`)
-    from the serving loop: a per-step heartbeat with sliding-window samples,
-    flight-recorder lifecycle events, and streaming SLO outcomes.
+
+#: The window metrics of a heartbeat row, in column order after its clock.
+_HEARTBEAT_METRICS = (
+    "serving.step_seconds", "serving.batch_size", "serving.output_tokens_total",
+    "serving.kv_utilization", "serving.kv_free_blocks", "serving.kv_shared_blocks",
+    "serving.kv_freelist_frag", "serving.step_gemm_seconds",
+    "serving.step_attention_seconds", "serving.step_kv_dequant_seconds",
+)
+
+
+class _LiveHooks(EngineEvents):
+    """Event sink feeding the attached live-observability bundle
+    (:mod:`repro.obs.live`): a per-step heartbeat with sliding-window
+    samples, flight-recorder lifecycle events, streaming SLO outcomes, and
+    the cost ledger (:class:`repro.obs.attrib.CostLedger`).
 
     Instantiated only when a bundle is attached, so the detached engine
     pays one ``live_obs.active()`` read per run (the same zero-cost
@@ -344,18 +362,14 @@ class _LiveHooks:
     is the engine's *simulated* clock — the live layer never sees wall
     time, keeping chaos runs bit-reproducible.
 
-    Heartbeats are buffered in a small ring and handed to the live layer
-    in batches (:meth:`LiveObs.heartbeat_batch`), amortizing the per-step
-    lock/sample cost at high concurrency.  The buffer flushes before every
-    lifecycle event so sample/record ordering inside the live layer is
-    identical to unbuffered per-step feeding, and :meth:`flush` drains the
-    tail at the end of a run.
-
-    The bundle's cost ledger (:class:`repro.obs.attrib.CostLedger`) is fed
-    alongside: lifecycle hooks mirror the request transitions, and the
-    engine charges each iteration's kernel components *before* advancing
-    request state, so every transition settles at the current clock and
-    the per-request components sum to e2e.
+    Heartbeats (:meth:`step_end`) are buffered in a small ring and handed
+    to the live layer in batches (:meth:`LiveObs.heartbeat_batch`),
+    amortizing the per-step lock/sample cost at high concurrency.  The
+    buffer flushes before every lifecycle event so sample/record ordering
+    inside the live layer is identical to unbuffered per-step feeding.
+    The ledger is charged at :meth:`step_cost`, before request state
+    advances, so every transition settles at the current clock and the
+    per-request components sum to e2e.
     """
 
     #: Heartbeats buffered before a bulk hand-off to the live layer.
@@ -365,7 +379,9 @@ class _LiveHooks:
         self._live = live
         self._kv = kv
         self._attrib = live.attrib
-        self._hb = np.zeros((self.FLUSH_EVERY, 11), dtype=np.float64)
+        self._hb = np.zeros(
+            (self.FLUSH_EVERY, 1 + len(_HEARTBEAT_METRICS)), dtype=np.float64
+        )
         self._hb_n = 0
 
     def flush(self) -> None:
@@ -374,19 +390,10 @@ class _LiveHooks:
         if n == 0:
             return
         self._hb_n = 0
-        buf = self._hb
-        self._live.heartbeat_batch(buf[:n, 0], {
-            "serving.step_seconds": buf[:n, 1],
-            "serving.batch_size": buf[:n, 2],
-            "serving.output_tokens_total": buf[:n, 3],
-            "serving.kv_utilization": buf[:n, 4],
-            "serving.kv_free_blocks": buf[:n, 5],
-            "serving.kv_shared_blocks": buf[:n, 6],
-            "serving.kv_freelist_frag": buf[:n, 7],
-            "serving.step_gemm_seconds": buf[:n, 8],
-            "serving.step_attention_seconds": buf[:n, 9],
-            "serving.step_kv_dequant_seconds": buf[:n, 10],
-        })
+        rows = self._hb[:n]
+        self._live.heartbeat_batch(
+            rows[:, 0], dict(zip(_HEARTBEAT_METRICS, rows[:, 1:].T))
+        )
 
     def _record_queued(self, req: Request) -> None:
         self._live.flights.queued(
@@ -396,26 +403,19 @@ class _LiveHooks:
             arrival_time=req.arrival_time,
         )
 
-    @staticmethod
-    def _has_slo(req: Request) -> bool:
-        return req.ttft_slo is not None or req.e2e_slo is not None
-
-    def on_admit(self, req: Request, clock: float) -> None:
+    def admit(self, req: Request, clock: float) -> None:
         self.flush()
         self._record_queued(req)
-        self._live.flights.admitted(
-            req.request_id, clock,
-            kv_blocks=self._kv.blocks_needed(req.prompt_len),
-        )
+        blocks = self._kv.blocks_needed(req.prompt_len)
+        self._live.flights.admitted(req.request_id, clock, kv_blocks=blocks)
         self._attrib.queued(req.request_id, req.arrival_time)
         self._attrib.admitted(
-            req.request_id, clock,
-            kv_row=self._kv.sequence_row(req.request_id),
-            kv_blocks=self._kv.blocks_needed(req.prompt_len),
+            req.request_id, clock, kv_row=self._kv.sequence_row(req.request_id),
+            kv_blocks=blocks,
             shared_blocks=self._kv.sequence_shared_blocks(req.request_id),
         )
 
-    def on_first_token(self, req: Request, clock: float) -> None:
+    def first_token(self, req: Request, clock: float) -> None:
         self.flush()
         self._live.flights.first_token(req.request_id, clock)
         self._attrib.first_token(req.request_id)
@@ -423,11 +423,11 @@ class _LiveHooks:
             "serving.ttft_seconds", clock - req.arrival_time, clock
         )
 
-    def on_finish(self, req: Request, clock: float) -> None:
+    def finish(self, req: Request, clock: float) -> None:
         self.flush()
         fl = self._live.flights
         fl.kv_blocks(req.request_id, self._kv.blocks_needed(req.total_len))
-        has_slo = self._has_slo(req)
+        has_slo = req.ttft_slo is not None or req.e2e_slo is not None
         fl.close(
             req.request_id, clock, outcome="finished",
             generated=req.generated,
@@ -448,7 +448,7 @@ class _LiveHooks:
                 clock, met=req.slo_met, request_id=req.request_id
             )
 
-    def on_preempt(self, req: Request, clock: float) -> None:
+    def preempt(self, req: Request, clock: float) -> None:
         self.flush()
         self._live.flights.preempted(req.request_id, clock)
         self._attrib.requeued(req.request_id, clock)
@@ -467,79 +467,70 @@ class _LiveHooks:
         self._attrib.queued(req.request_id, req.arrival_time)
         self._attrib.close(req.request_id, clock, outcome)
 
-    def on_reject(self, req: Request, clock: float) -> None:
+    def reject(self, req: Request, clock: float) -> None:
         self._close_unserved(req, clock, "rejected")
 
-    def on_retry(self, req: Request, clock: float, reason: str) -> None:
+    def retry(self, req: Request, clock: float, reason: str) -> None:
         self.flush()
         self._live.flights.retry(
             req.request_id, clock, reason=reason, attempt=req.retries
         )
         self._attrib.requeued(req.request_id, clock)
 
-    def on_fail(self, req: Request, clock: float) -> None:
+    def fail(self, req: Request, clock: float) -> None:
         self._close_unserved(req, clock, "failed", generated=req.generated)
-        if self._has_slo(req):
+        if req.ttft_slo is not None or req.e2e_slo is not None:
             self._live.slo.record(clock, met=False, request_id=req.request_id)
 
-    def on_timeout(self, req: Request, clock: float) -> None:
+    def timeout(self, req: Request, clock: float) -> None:
         self._close_unserved(
             req, clock, "timed_out", generated=req.generated, slo_met=False
         )
         # Timeouts only happen to requests with deadlines configured.
         self._live.slo.record(clock, met=False, request_id=req.request_id)
 
-    def on_request_fault(self, req: Request, kind: str, clock: float) -> None:
+    def fault(self, kind: str, clock: float, req: Request | None = None) -> None:
+        if req is not None:
+            self.fault_hit(kind, req, clock)
+
+    def fault_hit(self, kind: str, req: Request, clock: float) -> None:
         self.flush()
         self._live.flights.fault(req.request_id, clock, kind=kind)
 
-    def heartbeat(
-        self, kind: str, dt: float, batch: int, tokens: int, clock: float,
-        gemm: float = 0.0, attn: float = 0.0, kv_dq: float = 0.0,
-    ) -> None:
-        """Buffer one engine iteration's worth of sliding-window samples
-        (KV gauges are snapshotted now, at the step's own clock)."""
+    def prefill_done(self, req: Request, clock: float) -> None:
+        self._attrib.prefill_done(req.request_id)  # a decoder from now on
+
+    def step_cost(self, step: Step) -> None:
+        """Charge the step to the ledger.  A serialized prefill stalls
+        every other admitted request for its duration (the decode gap)."""
+        if step.serialized:
+            self._attrib.prefill_cost(
+                step.prefill_id, step.dt, step.gemm, step.attention,
+                step.overhead, blocks_of_rows=self._kv.blocks_of_rows,
+            )
+        else:
+            self._attrib.step_cost(
+                step.dt, step.gemm, step.attention - step.kv_dequant,
+                step.kv_dequant, step.overhead, prefill_id=step.prefill_id,
+                blocks_of_rows=self._kv.blocks_of_rows,
+            )
+
+    def step_end(self, step: Step, tokens: int) -> None:
+        """Buffer one step's worth of sliding-window samples (KV gauges
+        are snapshotted now, at the step's own clock)."""
         kv = self._kv
         self._hb[self._hb_n] = (
-            clock, dt, batch, tokens, kv.utilization(), kv.free_blocks,
-            kv.shared_blocks, kv.freelist_fragmentation(), gemm, attn, kv_dq,
+            step.end, step.dt, step.batch, tokens, kv.utilization(),
+            kv.free_blocks, kv.shared_blocks, kv.freelist_fragmentation(),
+            step.gemm, step.attention, step.kv_dequant,
         )
         self._hb_n += 1
         if self._hb_n == self.FLUSH_EVERY:
             self.flush()
 
-    def on_prefill_done(self, req: Request) -> None:
-        """The request's prompt completed this step: from the next charge
-        it computes as a decoder (bucket flips at first token)."""
-        self._attrib.prefill_done(req.request_id)
-
-    def on_step_cost(
-        self, dt: float, gemm: float, attn: float, kv_dq: float,
-        overhead: float, prefill_id: int,
-    ) -> None:
-        """Charge one continuous-batching iteration to the cost ledger
-        (called pre-advancement, at the step's end clock)."""
-        self._attrib.step_cost(
-            dt, gemm, attn, kv_dq, overhead,
-            prefill_id=prefill_id,
-            blocks_of_rows=self._kv.blocks_of_rows,
-        )
-
-    def on_prefill_cost(
-        self, req: Request, dt: float, gemm: float, attn: float,
-        overhead: float,
-    ) -> None:
-        """Charge a serialized whole-prompt prefill: every other admitted
-        request stalls for the full duration (the decode gap)."""
-        self._attrib.prefill_cost(
-            req.request_id, dt, gemm, attn, overhead,
-            blocks_of_rows=self._kv.blocks_of_rows,
-        )
-        self._attrib.prefill_done(req.request_id)
-
-    def finalize(self) -> None:
-        """End of run: drain the heartbeat tail and deposit the KV pool's
-        economics summary (computed once — not per step) in the ledger."""
+    def end_run(self, report: ThroughputReport) -> None:
+        """Drain the heartbeat tail and deposit the KV pool's economics
+        summary (computed once — not per step) in the ledger."""
         self.flush()
         self._attrib.set_pool_summary({
             "free_blocks": self._kv.free_blocks,
@@ -683,14 +674,18 @@ class ServingEngine:
     def run(
         self,
         requests: list[Request],
-        tracer: "EngineTracer | None" = None,
+        tracer: EngineTracer | None = None,
         faults: FaultPlan | None = None,
         profiler: "StepPhaseProfiler | None" = None,
     ) -> ThroughputReport:
         """Serve a request list to completion and report throughput.
 
-        Pass an :class:`repro.serving.trace.EngineTracer` as ``tracer`` to
-        record a per-iteration timeline, and a
+        The loop reports every request transition and every step as an
+        engine event (:class:`repro.serving.trace.EngineEvents`) to its
+        sinks: obs telemetry while ``repro.obs`` is enabled, the attached
+        live-observability bundle, and the
+        :class:`repro.serving.trace.EngineTracer` passed as ``tracer``
+        (a per-iteration timeline).  Pass a
         :class:`repro.serving.faults.FaultPlan` as ``faults`` to run under
         injected transient failures (chaos mode).  A
         :class:`repro.serving.stepprof.StepPhaseProfiler` as ``profiler``
@@ -707,8 +702,8 @@ class ServingEngine:
         block crossing, the step whose clock reaches the next arrival or
         retry wake-up, or the end of the ``max_steps`` budget.  Every float
         is the one a step-at-a-time loop computes.  Faults, SLOs,
-        degradation, a prefill chunk in flight and attached observers
-        (tracer, telemetry, live obs) hold ``k`` at 1.
+        degradation, a prefill chunk in flight and any event sink hold
+        ``k`` at 1.
 
         Requests with nonzero ``arrival_time`` form a trace: the clock fast-
         forwards over idle gaps and admission only considers arrived
@@ -770,15 +765,18 @@ class ServingEngine:
         fault_base, step_faults = 0, []  # step faults from fault_base on
         last_decode_clock: float | None = None
         max_decode_gap = 0.0
-        tel = _EngineTelemetry(self.kv) if obs.enabled() else None
         live = live_obs.active()
-        rec = _LiveHooks(live, self.kv) if live is not None else None
-        # Faults, SLOs, degradation and observers act on every step; only
+        sinks: list[EngineEvents] = [s for s in (
+            _EngineTelemetry(self.kv) if obs.enabled() else None,
+            _LiveHooks(live, self.kv) if live is not None else None,
+            tracer,
+        ) if s is not None]
+        # Faults, SLOs, degradation and event sinks act on every step; only
         # without them may an iteration advance several steps.
         step_overhead = self.config.step_overhead
         multi_step = not (
             fault_active or has_slos or self.config.degrade_under_pressure
-        ) and tracer is None and tel is None and rec is None
+        ) and not sinks
         run_span = obs.span(
             "serving.engine_run", cat="serving", model=self.model.name,
             system=self.system.name, requests=len(requests),
@@ -811,21 +809,12 @@ class ServingEngine:
             self.kv.free(req.request_id)
             committed_tokens -= req.total_len
 
-        def trace_event(kind: str, req: Request, **attrs) -> None:
-            if tracer is not None:
-                tracer.record_event(
-                    kind, ts=clock, request_id=req.request_id, **attrs
-                )
-
         def reject(req: Request, reason: str) -> None:
             nonlocal rejected
             req.reject(reason, clock)
             rejected += 1
-            if tel is not None:
-                tel.on_reject(req, clock)
-            if rec is not None:
-                rec.on_reject(req, clock)
-            trace_event("rejected", req, reason=reason)
+            for sink in sinks:
+                sink.reject(req, clock)
 
         def expire(req: Request, reason: str) -> None:
             """Terminally time a request out (deadline miss)."""
@@ -833,36 +822,24 @@ class ServingEngine:
             req.time_out(reason, clock)
             timed_out += 1
             deadline_misses += 1
-            if tel is not None:
-                tel.on_timeout(req, clock)
-                tel.deadline_misses.inc()
-            if rec is not None:
-                rec.on_timeout(req, clock)
-            trace_event("timed_out", req, reason=reason)
+            for sink in sinks:
+                sink.timeout(req, clock)
 
         def fail(req: Request, reason: str) -> None:
             """Terminally fail a request that holds no KV allocation."""
             nonlocal failed
             req.fail(reason, clock)
             failed += 1
-            if tel is not None:
-                tel.on_fail(req, clock)
-            if rec is not None:
-                rec.on_fail(req, clock)
-            trace_event("failed", req, reason=reason)
+            for sink in sinks:
+                sink.fail(req, clock)
 
         def record_fault(kind: FaultKind, req: Request | None = None) -> None:
             """Count one injected fault: a step fault, or (``req`` given) a
             request abort."""
             nonlocal faults_injected
             faults_injected += 1
-            if tel is not None:
-                tel.on_fault(kind.value, clock)
-            attrs = {} if req is None else {"request_id": req.request_id}
-            if tracer is not None:
-                tracer.record_event("fault", ts=clock, kind=kind.value, **attrs)
-            if rec is not None and req is not None:
-                rec.on_request_fault(req, kind.value, clock)
+            for sink in sinks:
+                sink.fault(kind.value, clock, req)
 
         def retry_or_fail(req: Request, reason: str) -> None:
             """Reset a faulted in-flight request: back off and re-queue it,
@@ -879,11 +856,8 @@ class ServingEngine:
                 2 ** (req.retries - 1)
             )
             retry_queue.push(req)
-            if tel is not None:
-                tel.on_retry(req, clock)
-            if rec is not None:
-                rec.on_retry(req, clock, reason)
-            trace_event("retry", req, reason=reason, attempt=req.retries)
+            for sink in sinks:
+                sink.retry(req, clock, reason)
 
         def infeasible_reason(req: Request) -> str | None:
             """Why this request can never be served, or None if it can."""
@@ -924,10 +898,8 @@ class ServingEngine:
             nonlocal committed_tokens
             committed_tokens += req.total_len
             req.phase = Phase.PREFILL
-            if tel is not None:
-                tel.on_admit(req, clock)
-            if rec is not None:
-                rec.on_admit(req, clock)
+            for sink in sinks:
+                sink.admit(req, clock)
             if chunking is None:
                 # Whole-prompt prefill, serialized before decoding.
                 with obs.span(
@@ -936,28 +908,20 @@ class ServingEngine:
                 ):
                     pf_gemm = self.linear_stack_latency(req.prompt_len)
                     pf_attn = self.prefill_attention_time(req.prompt_len)
-                    dt = pf_gemm + pf_attn + self.config.step_overhead
-                if tracer is not None:
-                    tracer.record(
-                        start=clock, duration=dt, kind="prefill",
-                        batch=1, decode_tokens=0,
-                        prefill_tokens=req.prompt_len,
-                        context_tokens=req.prompt_len,
-                    )
-                charge([dt], pf_gemm, [pf_attn], decode=False)
-                if rec is not None:
-                    # Charge before the phase flip below is observable:
-                    # running decoders stalled for this whole prefill.
-                    rec.on_prefill_cost(
-                        req, dt, pf_gemm, pf_attn,
-                        self.config.step_overhead,
-                    )
+                    dt = pf_gemm + pf_attn + step_overhead
+                clocks = charge([dt], pf_gemm, [pf_attn], decode=False)
                 req.prefill_progress = req.prompt_len
                 req.phase = Phase.DECODE
-                if tel is not None:
-                    tel.on_step("prefill", dt, 1)
-                if rec is not None:
-                    rec.heartbeat("prefill", dt, 1, 0, clock, pf_gemm, pf_attn)
+                if sinks:
+                    step = Step(
+                        "prefill", clocks[0], clock, dt, 1, 0, req.prompt_len,
+                        req.prompt_len, pf_gemm, pf_attn, 0.0, step_overhead,
+                        req.request_id, serialized=True,
+                    )
+                    for sink in sinks:
+                        sink.step_cost(step)
+                        sink.prefill_done(req, clock)
+                        sink.step_end(step, 0)
             # Request aborts only hit a request's first attempt.
             abort_at = abort_points.get(req.request_id, -1) if req.retries == 0 else -1
             state.add(req, self.kv.sequence_row(req.request_id), abort_at)
@@ -972,10 +936,8 @@ class ServingEngine:
             gen = req.generated
             if gen == 1:
                 req.first_token_time = clock
-                if tel is not None:
-                    tel.on_first_token(req, clock)
-                if rec is not None:
-                    rec.on_first_token(req, clock)
+                for sink in sinks:
+                    sink.first_token(req, clock)
             if gen == state.abort_at[i]:
                 # Per-request transient fault: the first attempt aborts
                 # here; retries run clean.
@@ -992,12 +954,8 @@ class ServingEngine:
             completed += 1
             if has_slos and not req.slo_met:
                 deadline_misses += 1
-                if tel is not None:
-                    tel.deadline_misses.inc()
-            if tel is not None:
-                tel.on_finish(req, clock)
-            if rec is not None:
-                rec.on_finish(req, clock)
+            for sink in sinks:
+                sink.finish(req, clock)
 
         with run_span:
             spent = 0  # of max_steps: one per simulated step or idle pass
@@ -1162,14 +1120,23 @@ class ServingEngine:
                 if prof is not None:
                     prof.step(k)
                     prof.lap("model")
-                if tracer is not None:
-                    tracer.record(
-                        start=clock, duration=dt, kind=kind,
-                        batch=n_run, decode_tokens=n_dec,
-                        prefill_tokens=chunk,
-                        context_tokens=int(state.ctx.sum()),
-                    )
                 clocks = charge(dts, gemm, attns, decode=n_dec > 0)
+                if sinks:
+                    # KV dequant: decode attention's history-streaming floor,
+                    # capped by the attention time the kernel took.
+                    kv_dq = min(attn_dec, kv_stream_seconds(
+                        dec_context, self._kv_bytes_per_token_per_gpu,
+                        self.spec.hbm_bandwidth,
+                    )) if n_dec else 0.0
+                    step = Step(
+                        kind, clocks[0], clock, dt, n_run, n_dec, chunk,
+                        int(state.ctx.sum()), gemm, attn, kv_dq,
+                        dt - gemm - attn,
+                        prefill_req.request_id if chunk else -1,
+                        serialized=False,
+                    )
+                    for sink in sinks:
+                        sink.step_cost(step)
                 if n_dec:
                     # The run's first decode step has no gap before it.
                     clocks[0] = (
@@ -1177,26 +1144,6 @@ class ServingEngine:
                     )
                     max_decode_gap = max(max_decode_gap, *map(sub, clocks[1:], clocks))
                     last_decode_clock = clock
-
-                kv_dq = 0.0
-                if rec is not None:
-                    # Cost ledger: charge the step before any request state
-                    # advances, so every transition below settles at this
-                    # clock.  The KV-dequant carve-out is the history-
-                    # streaming floor of decode attention (kernels/attention
-                    # kv_stream_seconds), capped by the attention time the
-                    # kernel actually took.
-                    if n_dec:
-                        kv_dq = min(attn_dec, kv_stream_seconds(
-                            dec_context,
-                            self._kv_bytes_per_token_per_gpu,
-                            self.spec.hbm_bandwidth,
-                        ))
-                    rec.on_step_cost(
-                        dt, gemm, attn - kv_dq, kv_dq, dt - gemm - attn,
-                        prefill_req.request_id
-                        if (prefill_req is not None and chunk) else -1,
-                    )
 
                 if fault is not None:
                     record_fault(fault.kind)
@@ -1219,8 +1166,8 @@ class ServingEngine:
                             # First decode happens next iteration.
                             prefill_req.phase = Phase.DECODE
                             state.mark_decode(pf_i)
-                            if rec is not None:
-                                rec.on_prefill_done(prefill_req)
+                            for sink in sinks:
+                                sink.prefill_done(prefill_req, clock)
                     if n_dec and self.kv.append_token_many(kv_rows, k):
                         state.advance(dec_idx, k)
                         tokens_this_step = n_dec * k
@@ -1259,26 +1206,17 @@ class ServingEngine:
                                 waiting.appendleft(victim)
                                 if has_slos:
                                     expiry.push(victim)
-                                if tel is not None:
-                                    tel.on_preempt(victim, clock)
-                                if rec is not None:
-                                    rec.on_preempt(victim, clock)
+                                for sink in sinks:
+                                    sink.preempt(victim, clock)
                             if appended:
                                 state.advance(i)
                                 tokens_this_step += 1
                                 settle(i)
                 output_tokens += tokens_this_step
-                if tel is not None and tokens_this_step:
-                    tel.output_tokens.inc(tokens_this_step)
                 if prof is not None:
                     prof.lap("decode")
-                if tel is not None:
-                    tel.on_step(kind, dt, n_run)
-                if rec is not None:
-                    rec.heartbeat(
-                        kind, dt, n_run, tokens_this_step, clock,
-                        gemm, attn, kv_dq,
-                    )
+                for sink in sinks:
+                    sink.step_end(step, tokens_this_step)
                 if prof is not None:
                     prof.lap("heartbeat")
 
@@ -1289,10 +1227,8 @@ class ServingEngine:
                     if alive.size:
                         i = int(alive[int(fault.victim_draw * alive.size) % alive.size])
                         victim = state.sync(i)
-                        if rec is not None:
-                            rec.on_request_fault(
-                                victim, FaultKind.KV_LOSS.value, clock
-                            )
+                        for sink in sinks:
+                            sink.fault_hit(fault.kind.value, victim, clock)
                         retry_or_fail(victim, "KV blocks lost")
                         keep[i] = False
 
@@ -1338,8 +1274,6 @@ class ServingEngine:
                         chunking is not None and eff_chunk < chunking
                     ):
                         degraded_steps += 1
-                        if tel is not None:
-                            tel.degraded_steps.inc()
 
                 if not keep.all():
                     state.rebuild(keep)
@@ -1347,15 +1281,13 @@ class ServingEngine:
                     prof.lap("schedule")
             else:
                 raise RuntimeError("max_steps exceeded; raise EngineConfig.max_steps")
-            if rec is not None:
-                rec.finalize()
 
         good_output_tokens = sum(
             r.generated
             for r in requests
             if r.phase is Phase.FINISHED and r.slo_met
         )
-        return ThroughputReport(
+        report = ThroughputReport(
             system=self.system.name,
             model=self.model.name,
             requests_completed=completed,
@@ -1380,6 +1312,9 @@ class ServingEngine:
             good_output_tokens=good_output_tokens,
             engine_steps=compute_steps,
         )
+        for sink in sinks:
+            sink.end_run(report)
+        return report
 
     def _admit(self, req: Request, committed_tokens: int, capacity: int) -> bool:
         """Try to allocate a request's KV under the configured discipline."""

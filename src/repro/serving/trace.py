@@ -13,6 +13,9 @@ When the global telemetry registry is enabled, recorded steps are forwarded
 to ``repro.obs.tracer()`` as well, so the merged chrome export shows the
 simulated engine timeline next to the wall-clock span tree.  The legacy
 :meth:`EngineTracer.write_chrome_trace` output format is unchanged.
+
+The tracer is a sink of the engine's event vocabulary,
+:class:`EngineEvents`, which this module defines.
 """
 
 from __future__ import annotations
@@ -20,16 +23,67 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple
 
 import repro.obs as obs
 from repro.obs.spans import SpanRecord
 
-__all__ = ["StepTrace", "EngineTracer"]
+if TYPE_CHECKING:
+    from repro.serving.engine import ThroughputReport
+    from repro.serving.request import Request
+
+__all__ = ["Step", "EngineEvents", "StepTrace", "EngineTracer"]
 
 #: Span category used for engine-step spans on the simulated timeline.
 STEP_SPAN_CAT = "engine.step"
 
 _STEP_KINDS = ("prefill", "decode", "mixed")
+
+
+class Step(NamedTuple):
+    """One engine iteration, as the event stream reports it."""
+
+    kind: str  # 'prefill' | 'decode' | 'mixed'
+    start: float  # simulated clock when the step began
+    end: float  # ... and when it ended: the clock of its events
+    dt: float  # the step time charged (``end - start`` before rounding)
+    batch: int
+    decode_tokens: int
+    prefill_tokens: int
+    context_tokens: int
+    gemm: float
+    attention: float  # all attention time, ``kv_dequant`` included
+    kv_dequant: float
+    overhead: float
+    prefill_id: int  # the request whose prompt computes this step, or -1
+    serialized: bool  # a whole-prompt prefill: every other request waits
+
+
+class EngineEvents:
+    """The engine's event vocabulary, as no-ops: a sink overrides the events
+    it consumes (docs/observability.md, "Engine events").
+
+    ``ServingEngine.run`` reports each event to every attached sink, on the
+    simulated clock.  ``fault`` marks an injection (``req`` given when it
+    is aimed at one request); ``fault_hit`` names the victim a step fault
+    struck.  Per step, ``step_cost`` comes before any request state
+    advances and ``step_end`` after, once the step's tokens have landed.
+    """
+
+    def admit(self, req: Request, clock: float) -> None: ...
+    def first_token(self, req: Request, clock: float) -> None: ...
+    def finish(self, req: Request, clock: float) -> None: ...
+    def preempt(self, req: Request, clock: float) -> None: ...
+    def reject(self, req: Request, clock: float) -> None: ...
+    def retry(self, req: Request, clock: float, reason: str) -> None: ...
+    def fail(self, req: Request, clock: float) -> None: ...
+    def timeout(self, req: Request, clock: float) -> None: ...
+    def fault(self, kind: str, clock: float, req: Request | None = None) -> None: ...
+    def fault_hit(self, kind: str, req: Request, clock: float) -> None: ...
+    def prefill_done(self, req: Request, clock: float) -> None: ...
+    def step_cost(self, step: Step) -> None: ...
+    def step_end(self, step: Step, tokens: int) -> None: ...
+    def end_run(self, report: ThroughputReport) -> None: ...
 
 
 @dataclass(frozen=True)
@@ -103,12 +157,8 @@ def _step_chrome_event(span: SpanRecord) -> dict:
     }
 
 
-#: Lifecycle event kinds the tracer accepts (failure/retry instants).
-_EVENT_KINDS = ("rejected", "timed_out", "failed", "retry", "fault")
-
-
-class EngineTracer:
-    """Collects step traces during an engine run.
+class EngineTracer(EngineEvents):
+    """Collects step traces during an engine run (an event sink).
 
     Steps are stored as simulated-domain span records; when the global
     telemetry subsystem is enabled they are also appended to
@@ -142,58 +192,65 @@ class EngineTracer:
     ) -> None:
         if kind not in _STEP_KINDS:
             raise ValueError(f"unknown step kind {kind!r}")
-        step = StepTrace(
-            index=len(self._spans),
-            start=start,
-            duration=duration,
-            kind=kind,
-            batch=batch,
-            decode_tokens=decode_tokens,
-            prefill_tokens=prefill_tokens,
-            context_tokens=context_tokens,
-        )
+        span = StepTrace(
+            len(self._spans), start, duration, kind, batch, decode_tokens,
+            prefill_tokens, context_tokens,
+        ).to_span(span_id=len(self._spans))
         if obs.enabled():
             # Forward into the global tracer: it assigns the span id and
             # keeps the record, so the merged export sees it too.
             span = obs.tracer().add_span(
-                step.to_span().name,
-                start=start,
-                duration=duration,
-                cat=STEP_SPAN_CAT,
-                domain="sim",
-                **step.to_span().attrs,
+                span.name, start, duration, cat=STEP_SPAN_CAT, domain="sim",
+                **span.attrs,
             )
-        else:
-            span = step.to_span(span_id=len(self._spans))
         self._spans.append(span)
-
-    def record_event(self, event: str, ts: float, **attrs: object) -> None:
-        """Record a lifecycle instant (rejection, timeout, fault, retry)
-        at simulated time ``ts``; ``attrs`` annotate it (request_id,
-        reason, fault kind, ...)."""
-        if event not in _EVENT_KINDS:
-            raise ValueError(f"unknown event kind {event!r}")
-        if obs.enabled():
-            record = obs.tracer().event(
-                f"engine.{event}", ts=ts, cat=event, domain="sim", **attrs
-            )
-        else:
-            record = SpanRecord(
-                span_id=len(self._events),
-                parent_id=None,
-                name=f"engine.{event}",
-                cat=event,
-                start=ts,
-                duration=0.0,
-                domain="sim",
-                instant=True,
-                attrs=dict(attrs),
-            )
-        self._events.append(record)
 
     def events(self) -> list[SpanRecord]:
         """The recorded lifecycle instants, in record order."""
         return list(self._events)
+
+    def _instant(self, event: str, ts: float, **attrs: object) -> None:
+        """Record a lifecycle instant at simulated time ``ts``."""
+        name = f"engine.{event}"
+        if obs.enabled():
+            record = obs.tracer().event(
+                name, ts=ts, cat=event, domain="sim", **attrs
+            )
+        else:
+            record = SpanRecord(
+                len(self._events), None, name, event, ts, 0.0, "sim", True, attrs
+            )
+        self._events.append(record)
+
+    # ------------------------------------------------------------------
+    # Engine events
+    # ------------------------------------------------------------------
+
+    def step_cost(self, step: Step) -> None:
+        self.record(
+            step.start, step.dt, step.kind, step.batch, step.decode_tokens,
+            step.prefill_tokens, step.context_tokens,
+        )
+
+    def reject(self, req: Request, clock: float) -> None:
+        self._instant("rejected", clock, request_id=req.request_id,
+                      reason=req.failure_reason)
+
+    def timeout(self, req: Request, clock: float) -> None:
+        self._instant("timed_out", clock, request_id=req.request_id,
+                      reason=req.failure_reason)
+
+    def fail(self, req: Request, clock: float) -> None:
+        self._instant("failed", clock, request_id=req.request_id,
+                      reason=req.failure_reason)
+
+    def retry(self, req: Request, clock: float, reason: str) -> None:
+        self._instant("retry", clock, request_id=req.request_id,
+                      reason=reason, attempt=req.retries)
+
+    def fault(self, kind: str, clock: float, req: Request | None = None) -> None:
+        ids = {} if req is None else {"request_id": req.request_id}
+        self._instant("fault", clock, kind=kind, **ids)
 
     # ------------------------------------------------------------------
     # Queries
@@ -235,7 +292,8 @@ class EngineTracer:
     def write_chrome_trace(self, path: str | Path) -> Path:
         """Write chrome://tracing 'trace event' JSON (microsecond units).
 
-        Lifecycle instants recorded via :meth:`record_event` appear as
+        Lifecycle instants (rejections, timeouts, failures, retries,
+        faults) appear as
         ``ph: "i"`` markers after the step events; runs with no such
         events produce the legacy byte-identical step-only trace.
         """
