@@ -301,7 +301,7 @@ class _EngineTelemetry(EngineEvents):
         self.e2e.observe(clock - req.arrival_time)
         self.request_event("finished", req, clock)
 
-    def preempt(self, req: Request, clock: float) -> None:
+    def preempt(self, req: Request, clock: float, lost: int) -> None:
         self.preempted.inc()
         self.request_event("preempted", req, clock)
 
@@ -448,9 +448,9 @@ class _LiveHooks(EngineEvents):
                 clock, met=req.slo_met, request_id=req.request_id
             )
 
-    def preempt(self, req: Request, clock: float) -> None:
+    def preempt(self, req: Request, clock: float, lost: int) -> None:
         self.flush()
-        self._live.flights.preempted(req.request_id, clock)
+        self._live.flights.preempted(req.request_id, clock, lost_tokens=lost)
         self._attrib.requeued(req.request_id, clock)
 
     def _close_unserved(
@@ -1198,7 +1198,8 @@ class ServingEngine:
                                     appended = False
                                     break
                                 victim = state.sync(v)
-                                output_tokens -= victim.preempt()
+                                lost = victim.preempt()
+                                output_tokens -= lost
                                 preemptions += 1
                                 step_preemptions += 1
                                 release_kv(victim)
@@ -1207,7 +1208,7 @@ class ServingEngine:
                                 if has_slos:
                                     expiry.push(victim)
                                 for sink in sinks:
-                                    sink.preempt(victim, clock)
+                                    sink.preempt(victim, clock, lost)
                             if appended:
                                 state.advance(i)
                                 tokens_this_step += 1

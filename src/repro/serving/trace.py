@@ -73,7 +73,7 @@ class EngineEvents:
     def admit(self, req: Request, clock: float) -> None: ...
     def first_token(self, req: Request, clock: float) -> None: ...
     def finish(self, req: Request, clock: float) -> None: ...
-    def preempt(self, req: Request, clock: float) -> None: ...
+    def preempt(self, req: Request, clock: float, lost: int) -> None: ...
     def reject(self, req: Request, clock: float) -> None: ...
     def retry(self, req: Request, clock: float, reason: str) -> None: ...
     def fail(self, req: Request, clock: float) -> None: ...

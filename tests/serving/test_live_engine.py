@@ -14,9 +14,12 @@ import pytest
 
 import repro.obs as obs
 from repro.obs import live as live_obs
+from repro.obs.registry import MetricsRegistry
+from repro.obs.spans import SpanTracer
 from repro.model.config import get_model_config, tiny_config
 from repro.serving.engine import EngineConfig, ServingEngine
 from repro.serving.faults import FaultPlan
+from repro.serving.request import Request
 from repro.serving.stepprof import StepPhaseProfiler
 from repro.serving.systems import build_system
 from repro.serving.workload import make_overload_trace, make_poisson_trace
@@ -110,6 +113,33 @@ class TestFlightRecorder:
             assert rec.first_token_time <= rec.end_time
             assert rec.kv_blocks_peak > 0
             assert rec.generated > 0
+
+    def test_preemptions_record_the_tokens_they_discard(self):
+        # Optimistic admission on a pool just above the weights preempts.
+        engine = ServingEngine(
+            get_model_config("llama-3-8b"), build_system("comet"),
+            config=EngineConfig(
+                hbm_bytes=4.8e9, max_batch=16, reserve_full_sequence=False
+            ),
+        )
+        reqs = [Request(i, prompt_len=900, max_new_tokens=900) for i in range(10)]
+        registry, _ = obs.enable(MetricsRegistry(), SpanTracer())
+        live = live_obs.attach(flight_capacity=len(reqs))
+        try:
+            report = engine.run(reqs)
+        finally:
+            live_obs.detach()
+            obs.disable()
+        lost = [
+            detail["lost_tokens"]
+            for rec in live.flights.completed()
+            for _, event, detail in rec.timeline if event == "preempted"
+        ]
+        assert len(lost) == report.preemptions > 0
+        assert report.retries == 0
+        # Every decoded token is either kept or discarded by a preemption.
+        decoded = registry.get("serving.output_tokens_total").value
+        assert sum(lost) == decoded - report.output_tokens > 0
 
 
 class TestSLO:
