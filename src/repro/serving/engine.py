@@ -324,7 +324,9 @@ class _EngineTelemetry(EngineEvents):
 
     def fault(self, kind: str, clock: float, req: Request | None = None) -> None:
         self.faults.labels(kind=kind).inc()
-        obs.event("serving.fault", ts=clock, cat="fault", domain="sim", kind=kind)
+        obs.event(
+            "serving.fault", ts=clock, cat="fault", domain="sim", kind=kind
+        )
 
     def step_end(self, step: Step, tokens: int) -> None:
         if tokens:
@@ -379,9 +381,7 @@ class _LiveHooks(EngineEvents):
         self._live = live
         self._kv = kv
         self._attrib = live.attrib
-        self._hb = np.zeros(
-            (self.FLUSH_EVERY, 1 + len(_HEARTBEAT_METRICS)), dtype=np.float64
-        )
+        self._hb = np.zeros((self.FLUSH_EVERY, 1 + len(_HEARTBEAT_METRICS)))
         self._hb_n = 0
 
     def flush(self) -> None:
@@ -395,20 +395,25 @@ class _LiveHooks(EngineEvents):
             rows[:, 0], dict(zip(_HEARTBEAT_METRICS, rows[:, 1:].T))
         )
 
-    def _record_queued(self, req: Request) -> None:
+    def _queued(self, req: Request) -> None:
+        """Open the request's flight record and ledger row (idempotent)."""
         self._live.flights.queued(
             req.request_id,
             prompt_len=req.prompt_len,
             max_new_tokens=req.max_new_tokens,
             arrival_time=req.arrival_time,
         )
+        self._attrib.queued(req.request_id, req.arrival_time)
+
+    @staticmethod
+    def _has_slo(req: Request) -> bool:
+        return req.ttft_slo is not None or req.e2e_slo is not None
 
     def admit(self, req: Request, clock: float) -> None:
         self.flush()
-        self._record_queued(req)
+        self._queued(req)
         blocks = self._kv.blocks_needed(req.prompt_len)
         self._live.flights.admitted(req.request_id, clock, kv_blocks=blocks)
-        self._attrib.queued(req.request_id, req.arrival_time)
         self._attrib.admitted(
             req.request_id, clock, kv_row=self._kv.sequence_row(req.request_id),
             kv_blocks=blocks,
@@ -427,7 +432,7 @@ class _LiveHooks(EngineEvents):
         self.flush()
         fl = self._live.flights
         fl.kv_blocks(req.request_id, self._kv.blocks_needed(req.total_len))
-        has_slo = req.ttft_slo is not None or req.e2e_slo is not None
+        has_slo = self._has_slo(req)
         fl.close(
             req.request_id, clock, outcome="finished",
             generated=req.generated,
@@ -459,12 +464,11 @@ class _LiveHooks(EngineEvents):
         """Close the flight record and ledger row of a request that ends
         without finishing (rejected, failed, timed out)."""
         self.flush()
-        self._record_queued(req)
+        self._queued(req)
         self._live.flights.close(
             req.request_id, clock, outcome=outcome,
             reason=req.failure_reason, **details,
         )
-        self._attrib.queued(req.request_id, req.arrival_time)
         self._attrib.close(req.request_id, clock, outcome)
 
     def reject(self, req: Request, clock: float) -> None:
@@ -479,7 +483,7 @@ class _LiveHooks(EngineEvents):
 
     def fail(self, req: Request, clock: float) -> None:
         self._close_unserved(req, clock, "failed", generated=req.generated)
-        if req.ttft_slo is not None or req.e2e_slo is not None:
+        if self._has_slo(req):
             self._live.slo.record(clock, met=False, request_id=req.request_id)
 
     def timeout(self, req: Request, clock: float) -> None:
@@ -488,10 +492,6 @@ class _LiveHooks(EngineEvents):
         )
         # Timeouts only happen to requests with deadlines configured.
         self._live.slo.record(clock, met=False, request_id=req.request_id)
-
-    def fault(self, kind: str, clock: float, req: Request | None = None) -> None:
-        if req is not None:
-            self.fault_hit(kind, req, clock)
 
     def fault_hit(self, kind: str, req: Request, clock: float) -> None:
         self.flush()
@@ -840,6 +840,8 @@ class ServingEngine:
             faults_injected += 1
             for sink in sinks:
                 sink.fault(kind.value, clock, req)
+                if req is not None:
+                    sink.fault_hit(kind.value, req, clock)
 
         def retry_or_fail(req: Request, reason: str) -> None:
             """Reset a faulted in-flight request: back off and re-queue it,

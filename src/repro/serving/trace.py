@@ -65,7 +65,7 @@ class EngineEvents:
 
     ``ServingEngine.run`` reports each event to every attached sink, on the
     simulated clock.  ``fault`` marks an injection (``req`` given when it
-    is aimed at one request); ``fault_hit`` names the victim a step fault
+    is aimed at one request); ``fault_hit`` names the request a fault
     struck.  Per step, ``step_cost`` comes before any request state
     advances and ``step_end`` after, once the step's tokens have landed.
     """
@@ -193,8 +193,9 @@ class EngineTracer(EngineEvents):
         if kind not in _STEP_KINDS:
             raise ValueError(f"unknown step kind {kind!r}")
         span = StepTrace(
-            len(self._spans), start, duration, kind, batch, decode_tokens,
-            prefill_tokens, context_tokens,
+            index=len(self._spans), start=start, duration=duration, kind=kind,
+            batch=batch, decode_tokens=decode_tokens,
+            prefill_tokens=prefill_tokens, context_tokens=context_tokens,
         ).to_span(span_id=len(self._spans))
         if obs.enabled():
             # Forward into the global tracer: it assigns the span id and
@@ -218,7 +219,8 @@ class EngineTracer(EngineEvents):
             )
         else:
             record = SpanRecord(
-                len(self._events), None, name, event, ts, 0.0, "sim", True, attrs
+                span_id=len(self._events), parent_id=None, name=name, cat=event,
+                start=ts, duration=0.0, domain="sim", instant=True, attrs=attrs,
             )
         self._events.append(record)
 

@@ -37,8 +37,7 @@ from repro.serving.systems import build_system
 from repro.serving.trace import STEP_SPAN_CAT, EngineTracer
 from repro.serving.workload import make_overload_trace
 
-sys.path.insert(0, str(Path(__file__).parent))
-from test_vectorized_engine import _same_length_burst, _scenarios  # noqa: E402
+from test_vectorized_engine import _same_length_burst, _scenarios
 
 GOLDENS_PATH = Path(__file__).with_name("observer_goldens.json")
 
