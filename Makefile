@@ -4,10 +4,18 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test staticcheck staticcheck-json staticcheck-baseline lint bench-smoke bench-scale bench-scale-smoke live-obs-smoke validate-bench analyze-smoke perfbench-check
+.PHONY: test pins staticcheck staticcheck-json staticcheck-baseline lint bench-smoke bench-scale bench-scale-smoke live-obs-smoke validate-bench analyze-smoke perfbench-check
 
 test:
 	$(PYTHON) -m pytest -x -q --durations=10
+
+## The pins every host-only change must keep green and byte-identical: the
+## goldens, the detached-parity and invariant fuzzers, and the live-engine
+## tests.  A tier-1 subset for quick iteration; CI runs it inside `make test`.
+pins:
+	$(PYTHON) -m pytest -x -q tests/serving/test_vectorized_engine.py \
+		tests/serving/test_observer_goldens.py tests/kernels/test_costmodel_goldens.py \
+		tests/serving/test_engine_invariants.py tests/serving/test_live_engine.py
 
 ## Blocking invariant gate (numerics / determinism / obs / API / layering).
 staticcheck:

@@ -83,9 +83,11 @@ METRIC_CATALOG: dict[str, tuple[str, str]] = {
     "serving.preemptions_total": (
         "counter", "Requests preempted when the KV pool ran dry."),
     "serving.engine_steps_total": (
-        "counter", "Engine iterations, by step kind (prefill/decode/mixed)."),
+        "counter", "Engine steps by kind (prefill/decode/mixed); unlike "
+        "report.engine_steps, counts serialized whole-prompt prefills."),
     "serving.output_tokens_total": (
-        "counter", "Tokens decoded across all requests."),
+        "counter", "Tokens decoded, incl. ones a preemption or retry later "
+        "discards (report.output_tokens counts only tokens requests hold)."),
     "serving.step_seconds": (
         "histogram", "Simulated duration of one engine iteration."),
     "serving.batch_size": (

@@ -30,7 +30,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, count, repeat
 from operator import sub
 from typing import TYPE_CHECKING
 
@@ -44,13 +44,14 @@ from repro.kernels.attention import (
     PREFILL_ATTENTION,
     kv_stream_seconds,
 )
-from repro.kernels.tiling import GEMMShape
 from repro.model.config import ModelConfig
 from repro.serving.batchstate import BatchState, DeadlineHeap, RetryHeap
 from repro.serving.faults import FaultKind, FaultPlan
 from repro.serving.memory_planner import DEFAULT_HBM_BYTES, plan_memory
 from repro.serving.paged_kv import PagedKVManager
-from repro.serving.request import Phase, Request
+from repro.serving.parallel import TPConfig, TPStackModel
+from repro.serving.request import TERMINAL_PHASES, Phase, Request
+from repro.serving.stepprof import _NullProfiler
 from repro.serving.systems import ServingSystem
 from repro.serving.trace import EngineEvents, EngineTracer, Step
 
@@ -147,7 +148,8 @@ class EngineConfig:
 
 @dataclass
 class ThroughputReport:
-    """Outcome of a simulated serving run."""
+    """Outcome of a simulated serving run.  Its request counters (outcomes,
+    tokens, preemptions, retries, misses) are folded from the requests."""
 
     system: str
     model: str
@@ -169,6 +171,7 @@ class ThroughputReport:
     requests_failed: int = 0
     requests_rejected: int = 0
     requests_timed_out: int = 0
+    #: Re-queues after a transient fault (not the fault that fails a request).
     retries: int = 0
     deadline_misses: int = 0
     faults_injected: int = 0
@@ -338,9 +341,8 @@ class _EngineTelemetry(EngineEvents):
         self.kv_fragmentation.set(self._kv.fragmentation())
         self.kv_free_blocks.set(self._kv.free_blocks)
 
-    def end_run(self, report: ThroughputReport) -> None:
-        if report.degraded_steps:
-            self.degraded_steps.inc(report.degraded_steps)
+    def degraded(self, clock: float) -> None:
+        self.degraded_steps.inc()
 
 
 #: The window metrics of a heartbeat row, in column order after its clock.
@@ -555,14 +557,9 @@ class ServingEngine:
         self.system = system
         self.spec = spec
         self.config = config or EngineConfig()
-        self._tp_stack = None
-        if self.config.tensor_parallel > 1:
-            from repro.serving.parallel import TPConfig, TPStackModel
-
-            self._tp_stack = TPStackModel(
-                model, system.kernel,
-                TPConfig(degree=self.config.tensor_parallel),
-            )
+        self._stack = TPStackModel(
+            model, system.kernel, TPConfig(degree=self.config.tensor_parallel)
+        )
         self.plan = plan_memory(
             model, system, self.config.hbm_bytes, self.config.tensor_parallel
         )
@@ -578,7 +575,6 @@ class ServingEngine:
         )
         self.decode_attention = DECODE_ATTENTION[self.config.decode_attention](spec)
         self.prefill_attention = PREFILL_ATTENTION[self.config.prefill_attention](spec)
-        self._stack_latency_cache: dict[int, float] = {}
         self._prefill_attn_cache: dict[int, float] = {}
 
     # ------------------------------------------------------------------
@@ -588,17 +584,7 @@ class ServingEngine:
     def linear_stack_latency(self, m: int) -> float:
         """GEMM time of all linear layers for one forward pass at ``m``
         tokens (cached per m); includes TP collectives when sharded."""
-        if self._tp_stack is not None:
-            return self._tp_stack.stack_latency(m)
-        cached = self._stack_latency_cache.get(m)
-        if cached is not None:
-            return cached
-        per_block = 0.0
-        for n, k in self.model.linear_shapes().values():
-            per_block += self.system.kernel.latency(GEMMShape(m, n, k)).seconds
-        total = per_block * self.model.n_layers
-        self._stack_latency_cache[m] = total
-        return total
+        return self._stack.stack_latency(m)
 
     @property
     def _kv_bytes_per_token_per_gpu(self) -> float:
@@ -729,260 +715,289 @@ class ServingEngine:
                 f"requests {stale} were already served; engine runs require "
                 "fresh Request objects"
             )
-        fault_active = faults is not None and not faults.empty
-        abort_points: dict[int, int] = {}
-        if fault_active and faults.request_abort_rate > 0.0:
+        return _Run(self, requests, tracer, faults, profiler).serve()
+
+
+class _Run:
+    """One :meth:`ServingEngine.run`: the queues, the running batch, the
+    clock and the counters no request carries, with the transitions as
+    methods.  :meth:`report` folds the request counters from the requests."""
+
+    def __init__(
+        self,
+        engine: ServingEngine,
+        requests: list[Request],
+        tracer: EngineTracer | None,
+        faults: FaultPlan | None,
+        profiler: "StepPhaseProfiler | None",
+    ):
+        cfg = self.config = engine.config
+        self.engine = engine
+        self.kv = engine.kv
+        self.requests = requests
+        self.faults = faults if faults is not None and not faults.empty else None
+        self.abort_points: dict[int, int] = {}
+        if self.faults is not None and faults.request_abort_rate > 0.0:
             ids = [r.request_id for r in requests]
             budgets = [r.max_new_tokens for r in requests]
             points = faults.request_abort_points(ids, budgets).tolist()
-            abort_points = {i: p for i, p in zip(ids, points) if p >= 0}
-        has_slos = any(
+            self.abort_points = {i: p for i, p in zip(ids, points) if p >= 0}
+        self.has_slos = any(
             r.ttft_slo is not None or r.e2e_slo is not None for r in requests
         )
-        waiting = deque(
+        self.waiting = deque(
             sorted(requests, key=lambda r: (r.arrival_time, r.request_id))
         )
-        expiry = DeadlineHeap()
-        if has_slos:
-            for r in waiting:
-                expiry.push(r)
-        retry_queue = RetryHeap()
-        state = BatchState()
-        prof = profiler
-        committed_tokens = 0
-        capacity = int(self.kv.token_capacity * self.config.kv_capacity_slack)
+        self.expiry = DeadlineHeap()
+        if self.has_slos:
+            for r in self.waiting:
+                self.expiry.push(r)
+        self.retry_queue = RetryHeap()
+        self.state = BatchState()
+        self.prof = profiler if profiler is not None else _NullProfiler()
+        self.committed_tokens = 0
+        self.capacity = int(self.kv.token_capacity * cfg.kv_capacity_slack)
         # Simulated seconds: the clock and its breakdown (see charge()).
-        clock = prefill_s = decode_s = gemm_s = attn_s = overhead_s = 0.0
-        peak_batch = completed = output_tokens = preemptions = 0
-        rejected = failed = timed_out = retries_total = deadline_misses = 0
-        faults_injected = degraded_steps = 0
-        chunking = self.config.prefill_chunk_tokens
-        eff_max_batch = self.config.max_batch
-        eff_chunk = chunking
-        pressure_hot = 0
-        pressure_cool = 0
-        compute_steps = 0
-        fault_base, step_faults = 0, []  # step faults from fault_base on
-        last_decode_clock: float | None = None
-        max_decode_gap = 0.0
+        self.clock = self.prefill_s = self.decode_s = 0.0
+        self.gemm_s = self.attn_s = self.overhead_s = 0.0
+        self.peak_batch = self.compute_steps = 0
+        self.faults_injected = self.degraded_steps = 0
+        self.max_decode_gap = 0.0
+        self.last_decode_clock: float | None = None
+        self.step_faults = repeat(None)  # each compute step's fault, in turn
+        if self.faults is not None:
+            # Drawn a window at a time (faults hold k at 1).
+            self.step_faults = chain.from_iterable(
+                faults.step_faults(b, _FAULT_WINDOW) for b in count(0, _FAULT_WINDOW)
+            )
         live = live_obs.active()
-        sinks: list[EngineEvents] = [s for s in (
+        self.sinks: list[EngineEvents] = [s for s in (
             _EngineTelemetry(self.kv) if obs.enabled() else None,
             _LiveHooks(live, self.kv) if live is not None else None,
             tracer,
         ) if s is not None]
         # Faults, SLOs, degradation and event sinks act on every step; only
         # without them may an iteration advance several steps.
-        step_overhead = self.config.step_overhead
-        multi_step = not (
-            fault_active or has_slos or self.config.degrade_under_pressure
-        ) and not sinks
-        run_span = obs.span(
-            "serving.engine_run", cat="serving", model=self.model.name,
-            system=self.system.name, requests=len(requests),
+        self.multi_step = not (
+            self.faults or self.has_slos or cfg.degrade_under_pressure or self.sinks
         )
 
-        def charge(
-            dts: list[float], gemm: float, attns: list[float], decode: bool
-        ) -> list[float]:
-            """Advance the clock and the totals over ``len(dts)`` steps of
-            one fixed batch, adding step by step (the float sums of a
-            per-step loop).  Returns the clock series: the start, then the
-            end of each step."""
-            nonlocal clock, prefill_s, decode_s, gemm_s, attn_s, overhead_s
-            clocks = [clock]
-            for dt, attn in zip(dts, attns):
-                clock += dt
-                if decode:
-                    decode_s += dt
-                else:
-                    prefill_s += dt
-                gemm_s += gemm
-                attn_s += attn
-                overhead_s += step_overhead
-                clocks.append(clock)
-            return clocks
+    def charge(
+        self, dts: list[float], gemm: float, attns: list[float], decode: bool
+    ) -> list[float]:
+        """Advance the clock and the totals over ``len(dts)`` steps of one
+        fixed batch, adding step by step (the float sums of a per-step
+        loop).  Returns the clock series: the start, then the end of each
+        step."""
+        step_overhead = self.config.step_overhead
+        clocks = [self.clock]
+        for dt, attn in zip(dts, attns):
+            self.clock += dt
+            if decode:
+                self.decode_s += dt
+            else:
+                self.prefill_s += dt
+            self.gemm_s += gemm
+            self.attn_s += attn
+            self.overhead_s += step_overhead
+            clocks.append(self.clock)
+        return clocks
 
-        def release_kv(req: Request) -> None:
-            """Return an admitted request's KV blocks and commitment."""
-            nonlocal committed_tokens
-            self.kv.free(req.request_id)
-            committed_tokens -= req.total_len
+    def release_kv(self, req: Request) -> None:
+        """Return an admitted request's KV blocks and commitment."""
+        self.kv.free(req.request_id)
+        self.committed_tokens -= req.total_len
 
-        def reject(req: Request, reason: str) -> None:
-            nonlocal rejected
-            req.reject(reason, clock)
-            rejected += 1
-            for sink in sinks:
-                sink.reject(req, clock)
+    def reject(self, req: Request, reason: str) -> None:
+        req.reject(reason, self.clock)
+        for sink in self.sinks:
+            sink.reject(req, self.clock)
 
-        def expire(req: Request, reason: str) -> None:
-            """Terminally time a request out (deadline miss)."""
-            nonlocal timed_out, deadline_misses
-            req.time_out(reason, clock)
-            timed_out += 1
-            deadline_misses += 1
-            for sink in sinks:
-                sink.timeout(req, clock)
+    def expire(self, req: Request, reason: str) -> None:
+        """Terminally time a request out (deadline miss)."""
+        req.time_out(reason, self.clock)
+        for sink in self.sinks:
+            sink.timeout(req, self.clock)
 
-        def fail(req: Request, reason: str) -> None:
-            """Terminally fail a request that holds no KV allocation."""
-            nonlocal failed
-            req.fail(reason, clock)
-            failed += 1
-            for sink in sinks:
-                sink.fail(req, clock)
+    def fail(self, req: Request, reason: str) -> None:
+        """Terminally fail a request that holds no KV allocation."""
+        req.fail(reason, self.clock)
+        for sink in self.sinks:
+            sink.fail(req, self.clock)
 
-        def record_fault(kind: FaultKind, req: Request | None = None) -> None:
-            """Count one injected fault: a step fault, or (``req`` given) a
-            request abort."""
-            nonlocal faults_injected
-            faults_injected += 1
-            for sink in sinks:
-                sink.fault(kind.value, clock, req)
-                if req is not None:
-                    sink.fault_hit(kind.value, req, clock)
+    def record_fault(self, kind: FaultKind, req: Request | None = None) -> None:
+        """Count one injected fault: a step fault, or (``req`` given) a
+        request abort."""
+        self.faults_injected += 1
+        for sink in self.sinks:
+            sink.fault(kind.value, self.clock, req)
+            if req is not None:
+                sink.fault_hit(kind.value, req, self.clock)
 
-        def retry_or_fail(req: Request, reason: str) -> None:
-            """Reset a faulted in-flight request: back off and re-queue it,
-            or fail it once the retry budget is spent.  The request must
-            currently hold a KV allocation (and be synced from its row)."""
-            nonlocal output_tokens, retries_total
-            output_tokens -= req.reset_for_retry()
-            release_kv(req)
-            if req.retries > self.config.max_retries:
-                fail(req, reason)
-                return
-            retries_total += 1
-            req.not_before = clock + self.config.retry_backoff * (
-                2 ** (req.retries - 1)
-            )
-            retry_queue.push(req)
-            for sink in sinks:
-                sink.retry(req, clock, reason)
+    def retry_or_fail(self, req: Request, reason: str) -> None:
+        """Reset a faulted in-flight request: back off and re-queue it, or
+        fail it once the retry budget is spent.  The request must currently
+        hold a KV allocation (and be synced from its row)."""
+        req.reset_for_retry()
+        self.release_kv(req)
+        if req.retries > self.config.max_retries:
+            self.fail(req, reason)
+            return
+        req.not_before = self.clock + self.config.retry_backoff * (
+            2 ** (req.retries - 1)
+        )
+        self.retry_queue.push(req)
+        for sink in self.sinks:
+            sink.retry(req, self.clock, reason)
 
-        def infeasible_reason(req: Request) -> str | None:
-            """Why this request can never be served, or None if it can."""
-            if self.config.reserve_full_sequence:
-                if req.total_len > capacity:
-                    return (
-                        f"total_len {req.total_len} exceeds KV commit "
-                        f"capacity {capacity}"
-                    )
-                return None
-            headroom = self.kv.block_tokens
-            if self.kv.blocks_needed(req.prompt_len + headroom) > self.kv.num_blocks:
+    def infeasible_reason(self, req: Request) -> str | None:
+        """Why this request can never be served, or None if it can."""
+        kv = self.kv
+        if self.config.reserve_full_sequence:
+            if req.total_len > self.capacity:
                 return (
-                    f"prompt_len {req.prompt_len} exceeds the KV pool "
-                    f"({self.kv.token_capacity} tokens)"
-                )
-            if self.kv.blocks_needed(req.total_len) > self.kv.num_blocks:
-                return (
-                    f"total_len {req.total_len} exceeds the KV pool "
-                    f"({self.kv.token_capacity} tokens)"
+                    f"total_len {req.total_len} exceeds KV commit "
+                    f"capacity {self.capacity}"
                 )
             return None
+        if kv.blocks_needed(req.prompt_len + kv.block_tokens) > kv.num_blocks:
+            return (
+                f"prompt_len {req.prompt_len} exceeds the KV pool "
+                f"({kv.token_capacity} tokens)"
+            )
+        if kv.blocks_needed(req.total_len) > kv.num_blocks:
+            return (
+                f"total_len {req.total_len} exceeds the KV pool "
+                f"({kv.token_capacity} tokens)"
+            )
+        return None
 
-        def clean_waiting() -> None:
-            """Drop terminal (heap-swept) entries from the deque head."""
-            while waiting and waiting[0].is_terminal:
-                waiting.popleft()
+    def try_admit(self, req: Request) -> bool:
+        """Try to allocate a request's KV under the configured discipline."""
+        kv = self.kv
+        if self.config.reserve_full_sequence:
+            fits = self.committed_tokens + req.total_len <= self.capacity
+        else:  # optimistic: prompt plus one growth block of headroom
+            fits = kv.can_allocate(req.prompt_len + kv.block_tokens)
+        return fits and kv.allocate(req.request_id, req.prompt_len)
 
-        def next_wake() -> float:
-            """When the queue head arrives or the first retry is due."""
-            clean_waiting()
-            head = waiting[0].arrival_time if waiting else float("inf")
-            return min(head, retry_queue.next_ready_time())
+    def clean_waiting(self) -> None:
+        """Drop terminal (heap-swept) entries from the deque head."""
+        while self.waiting and self.waiting[0].is_terminal:
+            self.waiting.popleft()
 
-        def start_request(req: Request) -> None:
-            """Post-admission bookkeeping shared by the arrival and retry
-            paths: whole-prompt prefill (when not chunking) and batch entry."""
-            nonlocal committed_tokens
-            committed_tokens += req.total_len
-            req.phase = Phase.PREFILL
-            for sink in sinks:
-                sink.admit(req, clock)
-            if chunking is None:
-                # Whole-prompt prefill, serialized before decoding.
-                with obs.span(
-                    "engine.step", cat="serving", kind="prefill",
-                    batch=1, prefill_tokens=req.prompt_len,
-                ):
-                    pf_gemm = self.linear_stack_latency(req.prompt_len)
-                    pf_attn = self.prefill_attention_time(req.prompt_len)
-                    dt = pf_gemm + pf_attn + step_overhead
-                clocks = charge([dt], pf_gemm, [pf_attn], decode=False)
-                req.prefill_progress = req.prompt_len
-                req.phase = Phase.DECODE
-                if sinks:
-                    step = Step(
-                        "prefill", clocks[0], clock, dt, 1, 0, req.prompt_len,
-                        req.prompt_len, pf_gemm, pf_attn, 0.0, step_overhead,
-                        req.request_id, serialized=True,
-                    )
-                    for sink in sinks:
-                        sink.step_cost(step)
-                        sink.prefill_done(req, clock)
-                        sink.step_end(step, 0)
-            # Request aborts only hit a request's first attempt.
-            abort_at = abort_points.get(req.request_id, -1) if req.retries == 0 else -1
-            state.add(req, self.kv.sequence_row(req.request_id), abort_at)
+    def next_wake(self) -> float:
+        """When the queue head arrives or the first retry is due."""
+        self.clean_waiting()
+        head = self.waiting[0].arrival_time if self.waiting else float("inf")
+        return min(head, self.retry_queue.next_ready_time())
 
-        def settle(i: int) -> None:
-            """Lifecycle of row ``i`` right after it decoded a token: the
-            first-token stamp, then its scheduled abort (a fault beats the
-            finish it may coincide with) or its finish, either of which
-            drops the row from this step's ``keep``."""
-            nonlocal completed, deadline_misses
-            req = state.sync(i)
-            gen = req.generated
-            if gen == 1:
-                req.first_token_time = clock
+    def start_request(self, req: Request) -> None:
+        """Post-admission bookkeeping shared by the arrival and retry
+        paths: whole-prompt prefill (when not chunking) and batch entry."""
+        engine, sinks = self.engine, self.sinks
+        self.committed_tokens += req.total_len
+        req.phase = Phase.PREFILL
+        for sink in sinks:
+            sink.admit(req, self.clock)
+        if self.config.prefill_chunk_tokens is None:
+            # Whole-prompt prefill, serialized before decoding.
+            step_overhead = self.config.step_overhead
+            with obs.span(
+                "engine.step", cat="serving", kind="prefill",
+                batch=1, prefill_tokens=req.prompt_len,
+            ):
+                pf_gemm = engine.linear_stack_latency(req.prompt_len)
+                pf_attn = engine.prefill_attention_time(req.prompt_len)
+                dt = pf_gemm + pf_attn + step_overhead
+            clocks = self.charge([dt], pf_gemm, [pf_attn], decode=False)
+            req.prefill_progress = req.prompt_len
+            req.phase = Phase.DECODE
+            if sinks:
+                step = Step(
+                    "prefill", clocks[0], self.clock, dt, 1, 0, req.prompt_len,
+                    req.prompt_len, pf_gemm, pf_attn, 0.0, step_overhead,
+                    req.request_id, serialized=True,
+                )
                 for sink in sinks:
-                    sink.first_token(req, clock)
-            if gen == state.abort_at[i]:
-                # Per-request transient fault: the first attempt aborts
-                # here; retries run clean.
-                record_fault(FaultKind.REQUEST_ABORT, req)
-                retry_or_fail(req, "request aborted")
-                keep[i] = False
-                return
-            if gen < req.max_new_tokens:
-                return
-            keep[i] = False
-            req.phase = Phase.FINISHED
-            req.finish_time = clock
-            release_kv(req)
-            completed += 1
-            if has_slos and not req.slo_met:
-                deadline_misses += 1
-            for sink in sinks:
-                sink.finish(req, clock)
+                    sink.step_cost(step)
+                    sink.prefill_done(req, self.clock)
+                    sink.step_end(step, 0)
+        # Request aborts only hit a request's first attempt.
+        abort_at = self.abort_points.get(req.request_id, -1) if req.retries == 0 else -1
+        self.state.add(req, self.kv.sequence_row(req.request_id), abort_at)
 
-        with run_span:
+    def settle(self, i: int, keep: np.ndarray) -> None:
+        """Lifecycle of row ``i`` right after it decoded a token: the
+        first-token stamp, then its scheduled abort (a fault beats the
+        finish it may coincide with) or its finish, either of which drops
+        the row from this step's ``keep``."""
+        req = self.state.sync(i)
+        gen = req.generated
+        if gen == 1:
+            req.first_token_time = self.clock
+            for sink in self.sinks:
+                sink.first_token(req, self.clock)
+        if gen == self.state.abort_at[i]:
+            # Per-request transient fault: the first attempt aborts here;
+            # retries run clean.
+            self.record_fault(FaultKind.REQUEST_ABORT, req)
+            self.retry_or_fail(req, "request aborted")
+            keep[i] = False
+            return
+        if gen < req.max_new_tokens:
+            return
+        keep[i] = False
+        req.phase = Phase.FINISHED
+        req.finish_time = self.clock
+        self.release_kv(req)
+        for sink in self.sinks:
+            sink.finish(req, self.clock)
+
+    def pick_victim(self, current: int) -> int | None:
+        """Row of the most recently admitted decodable request other than
+        row ``current``."""
+        running = self.state.reqs
+        for j in range(len(running) - 1, -1, -1):
+            if j != current and running[j].phase is Phase.DECODE:
+                return j
+        return None
+
+    def serve(self) -> ThroughputReport:
+        """Loop until every request is terminal, then report."""
+        engine, cfg, kv = self.engine, self.config, self.kv
+        state, waiting, retry_queue = self.state, self.waiting, self.retry_queue
+        sinks, prof, has_slos = self.sinks, self.prof, self.has_slos
+        chunking = cfg.prefill_chunk_tokens
+        eff_max_batch, eff_chunk = cfg.max_batch, chunking
+        pressure_hot = pressure_cool = 0
+        with obs.span(
+            "serving.engine_run", cat="serving", model=engine.model.name,
+            system=engine.system.name, requests=len(self.requests),
+        ):
             spent = 0  # of max_steps: one per simulated step or idle pass
-            while spent < self.config.max_steps:
+            while spent < cfg.max_steps:
                 spent += 1
-                if prof is not None:
-                    prof.begin()
+                prof.begin()
                 if not state:
-                    wake = next_wake()
-                    if wake != float("inf") and wake > clock:
-                        clock = wake  # idle until next arrival / backoff expiry
+                    wake = self.next_wake()
+                    if wake != float("inf") and wake > self.clock:
+                        self.clock = wake  # idle until next arrival / backoff expiry
 
                 # Shed every queued request whose deadline has already
                 # passed, wherever it sits in the FIFO (the heap sweep; the
                 # deque drops the now-terminal entries lazily).
                 if has_slos:
-                    for req in expiry.expired(clock):
-                        expire(req, "expired while waiting")
+                    for req in self.expiry.expired(self.clock):
+                        self.expire(req, "expired while waiting")
 
                 # Re-admission of backed-off retries (they were already
-                # accepted once, so they queue ahead of new arrivals).
+                # accepted once, so they queue ahead of new arrivals).  A
+                # whole-prompt prefill moves the clock: read it afresh.
                 while (
                     retry_queue
                     and len(state) < eff_max_batch
-                    and retry_queue.next_ready_time() <= clock
+                    and retry_queue.next_ready_time() <= self.clock
                 ):
                     req = retry_queue.peek()
                     if req.is_terminal:
@@ -990,67 +1005,68 @@ class ServingEngine:
                         # off (its heap entry outlives the fault/retry).
                         retry_queue.pop()
                         continue
-                    if has_slos and clock > min(
+                    if has_slos and self.clock > min(
                         req.e2e_deadline, req.ttft_deadline
                     ):
                         # The deadline lapsed during backoff; shed it.
                         retry_queue.pop()
-                        expire(req, "expired during retry backoff")
+                        self.expire(req, "expired during retry backoff")
                         continue
-                    if not self._admit(req, committed_tokens, capacity):
+                    if not self.try_admit(req):
                         break
                     retry_queue.pop()
-                    start_request(req)
+                    self.start_request(req)
 
                 # Admission.
                 while True:
-                    clean_waiting()
+                    self.clean_waiting()
                     if not (
                         waiting
                         and len(state) < eff_max_batch
-                        and waiting[0].arrival_time <= clock
+                        and waiting[0].arrival_time <= self.clock
                     ):
                         break
                     req = waiting[0]
-                    reason = infeasible_reason(req)
+                    reason = self.infeasible_reason(req)
                     if reason is not None:
                         # Admission control: this request can never fit;
                         # refuse it and keep serving the rest.
                         waiting.popleft()
-                        reject(req, reason)
+                        self.reject(req, reason)
                         continue
-                    if has_slos and clock > min(req.e2e_deadline, req.ttft_deadline):
+                    if has_slos and self.clock > min(
+                        req.e2e_deadline, req.ttft_deadline
+                    ):
                         # Load shedding: the deadline expired while queued.
                         waiting.popleft()
-                        expire(req, "expired while waiting")
+                        self.expire(req, "expired while waiting")
                         continue
-                    if not self._admit(req, committed_tokens, capacity):
+                    if not self.try_admit(req):
                         break
                     waiting.popleft()
-                    start_request(req)
+                    self.start_request(req)
 
                 if not state:
-                    wake = next_wake()
+                    wake = self.next_wake()
                     if not waiting and not retry_queue:
                         break
-                    if wake > clock:
+                    if wake > self.clock:
                         continue  # fast-forward next iteration
                     # An arrived request could not enter an empty pool even
                     # though the feasibility check passed; refuse it rather
                     # than stalling the scheduler forever.
-                    if waiting and waiting[0].arrival_time <= clock:
+                    if waiting and waiting[0].arrival_time <= self.clock:
                         req = waiting.popleft()
-                        reject(req, "admission failed with an empty KV pool")
+                        self.reject(req, "admission failed with an empty KV pool")
                     else:
                         req = retry_queue.pop()
-                        fail(req, "re-admission failed with an empty KV pool")
+                        self.fail(req, "re-admission failed with an empty KV pool")
                     continue
-                if prof is not None:
-                    prof.lap("admit")
+                prof.lap("admit")
 
                 # Partition and aggregate over the batch arrays.
                 n_run = len(state)
-                peak_batch = max(peak_batch, n_run)
+                self.peak_batch = max(self.peak_batch, n_run)
                 dec_idx = np.flatnonzero(state.decoding)
                 n_dec = int(dec_idx.size)
                 pf_i = -1
@@ -1066,72 +1082,66 @@ class ServingEngine:
                 kv_rows = state.kv_row[dec_idx]
                 # Event horizon (see run's docstring); arrivals bound k once
                 # the step costs are known.
-                k = state.horizon() if multi_step and n_dec == n_run else 1
+                k = state.horizon() if self.multi_step and n_dec == n_run else 1
                 if k > 1:
-                    k = min(k, self.kv.append_horizon(kv_rows),
-                            self.config.max_steps - spent + 1)
+                    k = min(k, kv.append_horizon(kv_rows), cfg.max_steps - spent + 1)
 
                 # One continuous-batching iteration: decode tokens plus (when
                 # chunking) one prompt chunk share the same GEMM pass.
                 kind = ("mixed" if chunk else "decode") if n_dec else "prefill"
-                if fault_active and compute_steps - fault_base >= len(step_faults):
-                    fault_base = compute_steps
-                    step_faults = faults.step_faults(fault_base, _FAULT_WINDOW)
-                fault = (step_faults[compute_steps - fault_base]
-                         if fault_active else None)
-                if prof is not None:
-                    prof.lap("schedule")
+                fault = next(self.step_faults)
+                prof.lap("schedule")
                 m = n_dec + chunk
                 with obs.span("engine.step", cat="serving", kind=kind) as step_span:
-                    gemm = self.linear_stack_latency(m)
+                    gemm = engine.linear_stack_latency(m)
                     # attn and dt are arrays over the k steps, whose decode
                     # context grows by n_dec a step (one kernel call; a
                     # plain int at k == 1 keeps that step on Python floats).
                     attn = 0.0
                     if n_dec:
-                        attn += self.decode_attention_time(
+                        attn += engine.decode_attention_time(
                             dec_context + n_dec * np.arange(k) if k > 1
                             else dec_context, n_dec,
                         )
                     attn_dec = attn
                     if chunk:
-                        attn = attn + self._chunk_attention_time(
+                        attn = attn + engine._chunk_attention_time(
                             chunk, prefill_req.prefill_progress
                         )
-                    dt = gemm + attn + self.config.step_overhead
+                    dt = gemm + attn + cfg.step_overhead
                     if fault is not None and fault.kind is FaultKind.STRAGGLER:
                         # The whole iteration straggles; the extra time is
                         # framework-side stall, not GEMM/attention work.
                         stall = dt * (fault.slowdown - 1.0)
                         dt = dt + stall
-                        overhead_s += stall
+                        self.overhead_s += stall
                     step_span.set(batch=n_run, sim_seconds=dt)
                 dts, attns = (dt.tolist(), attn.tolist()) if k > 1 else ([dt], [attn])
                 if k > 1 and (waiting or retry_queue):
                     # Stop at the step whose clock reaches the next arrival
                     # or retry wake-up.  A due queue head is blocked and
                     # stays so while the batch is fixed.
+                    clock = self.clock
                     wake = min(t for t in (
                         waiting[0].arrival_time if waiting else clock,
                         retry_queue.next_ready_time(), float("inf"),
                     ) if t > clock)
                     k = min(k, bisect_left(list(accumulate(dts, initial=clock)), wake))
                     del dts[k:], attns[k:]
-                compute_steps += k
+                self.compute_steps += k
                 spent += k - 1
-                if prof is not None:
-                    prof.step(k)
-                    prof.lap("model")
-                clocks = charge(dts, gemm, attns, decode=n_dec > 0)
+                prof.step(k)
+                prof.lap("model")
+                clocks = self.charge(dts, gemm, attns, decode=n_dec > 0)
                 if sinks:
                     # KV dequant: decode attention's history-streaming floor,
                     # capped by the attention time the kernel took.
                     kv_dq = min(attn_dec, kv_stream_seconds(
-                        dec_context, self._kv_bytes_per_token_per_gpu,
-                        self.spec.hbm_bandwidth,
+                        dec_context, engine._kv_bytes_per_token_per_gpu,
+                        engine.spec.hbm_bandwidth,
                     )) if n_dec else 0.0
                     step = Step(
-                        kind, clocks[0], clock, dt, n_run, n_dec, chunk,
+                        kind, clocks[0], self.clock, dt, n_run, n_dec, chunk,
                         int(state.ctx.sum()), gemm, attn, kv_dq,
                         dt - gemm - attn,
                         prefill_req.request_id if chunk else -1,
@@ -1141,38 +1151,35 @@ class ServingEngine:
                         sink.step_cost(step)
                 if n_dec:
                     # The run's first decode step has no gap before it.
-                    clocks[0] = (
-                        clocks[1] if last_decode_clock is None else last_decode_clock
-                    )
-                    max_decode_gap = max(max_decode_gap, *map(sub, clocks[1:], clocks))
-                    last_decode_clock = clock
+                    last = self.last_decode_clock
+                    clocks[0] = clocks[1] if last is None else last
+                    gaps = map(sub, clocks[1:], clocks)
+                    self.max_decode_gap = max(self.max_decode_gap, *gaps)
+                    self.last_decode_clock = self.clock
 
                 if fault is not None:
-                    record_fault(fault.kind)
+                    self.record_fault(fault.kind)
 
                 # Rows still in the batch once this step settles; the
                 # batch is compacted to them at the end of the step.
                 keep = np.ones(n_run, dtype=bool)
-                step_preemptions = 0
-                tokens_this_step = 0
+                step_preemptions = tokens = 0
                 # A kernel fault discards the step's results: the time is
                 # spent but no tokens land and no prefill progress is made;
                 # the engine retries the same work next iteration.
                 if fault is None or fault.kind is not FaultKind.KERNEL_FAULT:
                     if chunk:
                         prefill_req.prefill_progress += chunk
-                        state.set_prefill_progress(
-                            pf_i, prefill_req.prefill_progress
-                        )
+                        state.set_prefill_progress(pf_i, prefill_req.prefill_progress)
                         if prefill_req.prefill_progress >= prefill_req.prompt_len:
                             # First decode happens next iteration.
                             prefill_req.phase = Phase.DECODE
                             state.mark_decode(pf_i)
                             for sink in sinks:
-                                sink.prefill_done(prefill_req, clock)
-                    if n_dec and self.kv.append_token_many(kv_rows, k):
+                                sink.prefill_done(prefill_req, self.clock)
+                    if n_dec and kv.append_token_many(kv_rows, k):
                         state.advance(dec_idx, k)
-                        tokens_this_step = n_dec * k
+                        tokens = n_dec * k
                         gen = state.gen[dec_idx]
                         events = dec_idx[
                             (gen == 1)
@@ -1180,7 +1187,7 @@ class ServingEngine:
                             | (gen == state.abort_at[dec_idx])
                         ]
                         for i in events.tolist():
-                            settle(i)
+                            self.settle(i, keep)
                     elif n_dec:
                         # The pool cannot grow every sequence at once: grow
                         # them one by one in admission order, preempting the
@@ -1189,39 +1196,33 @@ class ServingEngine:
                             req = state.reqs[i]
                             if req.phase is not Phase.DECODE:
                                 continue  # preempted earlier in this step
-                            appended = True
-                            while not self.kv.append_token(req.request_id):
-                                v = self._pick_victim(state.reqs, i)
+                            while not kv.append_token(req.request_id):
+                                v = self.pick_victim(i)
                                 if v is None:
                                     # Nothing decodable to evict: retry this
                                     # request after other work drains.
-                                    retry_or_fail(state.sync(i), "KV pool exhausted")
+                                    req = state.sync(i)
+                                    self.retry_or_fail(req, "KV pool exhausted")
                                     keep[i] = False
-                                    appended = False
                                     break
                                 victim = state.sync(v)
                                 lost = victim.preempt()
-                                output_tokens -= lost
-                                preemptions += 1
                                 step_preemptions += 1
-                                release_kv(victim)
+                                self.release_kv(victim)
                                 keep[v] = False
                                 waiting.appendleft(victim)
                                 if has_slos:
-                                    expiry.push(victim)
+                                    self.expiry.push(victim)
                                 for sink in sinks:
-                                    sink.preempt(victim, clock, lost)
-                            if appended:
+                                    sink.preempt(victim, self.clock, lost)
+                            else:
                                 state.advance(i)
-                                tokens_this_step += 1
-                                settle(i)
-                output_tokens += tokens_this_step
-                if prof is not None:
-                    prof.lap("decode")
+                                tokens += 1
+                                self.settle(i, keep)
+                prof.lap("decode")
                 for sink in sinks:
-                    sink.step_end(step, tokens_this_step)
-                if prof is not None:
-                    prof.lap("heartbeat")
+                    sink.step_end(step, tokens)
+                prof.lap("heartbeat")
 
                 if fault is not None and fault.kind is FaultKind.KV_LOSS:
                     # One running sequence's cache blocks are lost; the
@@ -1231,111 +1232,98 @@ class ServingEngine:
                         i = int(alive[int(fault.victim_draw * alive.size) % alive.size])
                         victim = state.sync(i)
                         for sink in sinks:
-                            sink.fault_hit(fault.kind.value, victim, clock)
-                        retry_or_fail(victim, "KV blocks lost")
+                            sink.fault_hit(fault.kind.value, victim, self.clock)
+                        self.retry_or_fail(victim, "KV blocks lost")
                         keep[i] = False
 
                 if has_slos:
-                    e2e_hit = clock > state.e2e_dl
+                    e2e_hit = self.clock > state.e2e_dl
                     hits = np.flatnonzero(keep & (
-                        e2e_hit | ((state.gen == 0) & (clock > state.ttft_dl))
+                        e2e_hit | ((state.gen == 0) & (self.clock > state.ttft_dl))
                     ))
                     for i in hits.tolist():
                         req = state.sync(i)
-                        release_kv(req)
+                        self.release_kv(req)
                         if e2e_hit[i]:
-                            expire(req, "e2e deadline expired mid-flight")
+                            self.expire(req, "e2e deadline expired mid-flight")
                         else:
-                            expire(req, "TTFT deadline expired")
+                            self.expire(req, "TTFT deadline expired")
                         keep[i] = False
 
-                if self.config.degrade_under_pressure:
-                    kv = self.kv
+                if cfg.degrade_under_pressure:
                     pressure = kv.used_blocks / kv.num_blocks if kv.num_blocks else 0.0
-                    if pressure >= self.config.degrade_pressure or step_preemptions:
+                    if pressure >= cfg.degrade_pressure or step_preemptions:
                         pressure_hot += 1
                         pressure_cool = 0
                     else:
                         pressure_cool += 1
                         pressure_hot = 0
-                    if pressure_hot >= self.config.degrade_window:
+                    if pressure_hot >= cfg.degrade_window:
                         pressure_hot = 0
                         eff_max_batch = max(1, eff_max_batch // 2)
                         if chunking is not None:
-                            eff_chunk = max(
-                                self.config.block_tokens, eff_chunk // 2
-                            )
-                    elif pressure_cool >= self.config.degrade_window:
+                            eff_chunk = max(cfg.block_tokens, eff_chunk // 2)
+                    elif pressure_cool >= cfg.degrade_window:
                         pressure_cool = 0
-                        if eff_max_batch < self.config.max_batch:
-                            eff_max_batch = min(
-                                self.config.max_batch, eff_max_batch * 2
-                            )
+                        eff_max_batch = min(cfg.max_batch, eff_max_batch * 2)
                         if chunking is not None and eff_chunk < chunking:
                             eff_chunk = min(chunking, eff_chunk * 2)
-                    if eff_max_batch < self.config.max_batch or (
+                    if eff_max_batch < cfg.max_batch or (
                         chunking is not None and eff_chunk < chunking
                     ):
-                        degraded_steps += 1
-
+                        self.degraded_steps += 1
+                        for sink in sinks:
+                            sink.degraded(self.clock)
                 if not keep.all():
                     state.rebuild(keep)
-                if prof is not None:
-                    prof.lap("schedule")
+                prof.lap("schedule")
             else:
                 raise RuntimeError("max_steps exceeded; raise EngineConfig.max_steps")
 
-        good_output_tokens = sum(
-            r.generated
-            for r in requests
-            if r.phase is Phase.FINISHED and r.slo_met
-        )
-        report = ThroughputReport(
-            system=self.system.name,
-            model=self.model.name,
-            requests_completed=completed,
-            output_tokens=output_tokens,
-            sim_seconds=clock,
-            prefill_seconds=prefill_s,
-            decode_seconds=decode_s,
-            peak_batch=peak_batch,
-            kv_token_capacity=self.kv.token_capacity,
-            gemm_seconds=gemm_s,
-            attention_seconds=attn_s,
-            overhead_seconds=overhead_s,
-            preemptions=preemptions,
-            max_decode_gap=max_decode_gap,
-            requests_failed=failed,
-            requests_rejected=rejected,
-            requests_timed_out=timed_out,
-            retries=retries_total,
-            deadline_misses=deadline_misses,
-            faults_injected=faults_injected,
-            degraded_steps=degraded_steps,
-            good_output_tokens=good_output_tokens,
-            engine_steps=compute_steps,
-        )
+        report = self.report()
         for sink in sinks:
             sink.end_run(report)
         return report
 
-    def _admit(self, req: Request, committed_tokens: int, capacity: int) -> bool:
-        """Try to allocate a request's KV under the configured discipline."""
-        if self.config.reserve_full_sequence:
-            if committed_tokens + req.total_len > capacity:
-                return False
-            return self.kv.allocate(req.request_id, req.prompt_len)
-        # Optimistic: prompt plus one growth block of headroom.
-        headroom = self.kv.block_tokens
-        if not self.kv.can_allocate(req.prompt_len + headroom):
-            return False
-        return self.kv.allocate(req.request_id, req.prompt_len)
-
-    @staticmethod
-    def _pick_victim(running: list[Request], current: int) -> int | None:
-        """Row of the most recently admitted decodable request other than
-        row ``current``."""
-        for j in range(len(running) - 1, -1, -1):
-            if j != current and running[j].phase is Phase.DECODE:
-                return j
-        return None
+    def report(self) -> ThroughputReport:
+        """The run's report.  Its request counters are one fold over the
+        requests' terminal state; a transition is never counted twice."""
+        engine, max_retries = self.engine, self.config.max_retries
+        outcomes = dict.fromkeys(TERMINAL_PHASES, 0)
+        output_tokens = preemptions = retries = on_time = good_output_tokens = 0
+        for r in self.requests:
+            outcomes[r.phase] += 1
+            output_tokens += r.generated
+            preemptions += r.preemptions
+            # The fault that exhausts the budget counts in ``r.retries`` but
+            # fails the request instead of re-queueing it.
+            retries += min(r.retries, max_retries)
+            if r.slo_met:  # finished, within every SLO
+                on_time += 1
+                good_output_tokens += r.generated
+        completed, timed_out = outcomes[Phase.FINISHED], outcomes[Phase.TIMED_OUT]
+        return ThroughputReport(
+            system=engine.system.name,
+            model=engine.model.name,
+            requests_completed=completed,
+            output_tokens=output_tokens,
+            sim_seconds=self.clock,
+            prefill_seconds=self.prefill_s,
+            decode_seconds=self.decode_s,
+            peak_batch=self.peak_batch,
+            kv_token_capacity=self.kv.token_capacity,
+            gemm_seconds=self.gemm_s,
+            attention_seconds=self.attn_s,
+            overhead_seconds=self.overhead_s,
+            preemptions=preemptions,
+            max_decode_gap=self.max_decode_gap,
+            requests_failed=outcomes[Phase.FAILED],
+            requests_rejected=outcomes[Phase.REJECTED],
+            requests_timed_out=timed_out,
+            retries=retries,
+            deadline_misses=timed_out + completed - on_time,
+            faults_injected=self.faults_injected,
+            degraded_steps=self.degraded_steps,
+            good_output_tokens=good_output_tokens,
+            engine_steps=self.compute_steps,
+        )

@@ -60,8 +60,6 @@ def shard_linear_shapes(
     if degree < 1:
         raise ValueError("degree must be >= 1")
     shapes = model.linear_shapes()
-    if degree == 1:
-        return shapes
     if model.n_heads % degree or model.n_kv_heads % degree:
         raise ValueError(
             f"TP degree {degree} must divide heads "
@@ -93,10 +91,10 @@ def allreduce_time(
 class TPStackModel:
     """Per-forward-pass GEMM + communication time under tensor parallelism.
 
-    Drop-in replacement for the engine's linear-stack timing: the kernel
-    runs each *sharded* GEMM on one GPU's simulator, and the two all-
-    reduces per decoder block (attention output and MLP output, FP16
-    activations of ``m x d_model``) are added.
+    The engine's linear-stack timing at every degree: the kernel runs each
+    *sharded* GEMM on one GPU's simulator, and the two all-reduces per
+    decoder block (attention output and MLP output, FP16 activations of
+    ``m x d_model``) are added; degree 1 shards nothing and adds neither.
     """
 
     def __init__(self, model: ModelConfig, kernel: GEMMKernel, tp: TPConfig):

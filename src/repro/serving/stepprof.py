@@ -85,3 +85,11 @@ class StepPhaseProfiler:
         out["total"] = sum(self.seconds.values()) * 1e6 / steps
         out["overhead"] = self.overhead_seconds() * 1e6 / steps
         return out
+
+
+class _NullProfiler:
+    """What the engine marks when no profiler is passed: no-op marks."""
+
+    def begin(self) -> None: ...
+    def lap(self, phase: str) -> None: ...
+    def step(self, k: int = 1) -> None: ...

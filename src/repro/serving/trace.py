@@ -67,7 +67,8 @@ class EngineEvents:
     simulated clock.  ``fault`` marks an injection (``req`` given when it
     is aimed at one request); ``fault_hit`` names the request a fault
     struck.  Per step, ``step_cost`` comes before any request state
-    advances and ``step_end`` after, once the step's tokens have landed.
+    advances and ``step_end`` after, once the step's tokens have landed;
+    ``degraded`` closes a step run with shrunken admission knobs.
     """
 
     def admit(self, req: Request, clock: float) -> None: ...
@@ -83,6 +84,7 @@ class EngineEvents:
     def prefill_done(self, req: Request, clock: float) -> None: ...
     def step_cost(self, step: Step) -> None: ...
     def step_end(self, step: Step, tokens: int) -> None: ...
+    def degraded(self, clock: float) -> None: ...
     def end_run(self, report: ThroughputReport) -> None: ...
 
 

@@ -152,12 +152,21 @@ class TestEngine:
             t[batch] = rep.throughput
         assert t[32] > 2.5 * t[4]
 
-    def test_latency_cache_reused(self):
+    def test_latency_cache_reused(self, monkeypatch):
         eng = self._engine(max_batch=4)
+        kernel = eng.system.kernel
+        calls = []
+
+        def counted(shape):
+            calls.append(shape)
+            return type(kernel).latency(kernel, shape)
+
+        monkeypatch.setattr(kernel, "latency", counted)
         a = eng.linear_stack_latency(4)
+        assert len(calls) == len(eng.model.linear_shapes())
         b = eng.linear_stack_latency(4)
         assert a == b
-        assert 4 in eng._stack_latency_cache
+        assert len(calls) == len(eng.model.linear_shapes())  # served cached
 
     def test_step_time_components_positive(self):
         eng = self._engine()

@@ -12,7 +12,9 @@ SLOs — every run of a small-model workload must satisfy:
 * a KV pool fully freed at exit;
 * the cost ledger's per-request components summing to each e2e;
 * one chrome-trace lifecycle instant per counted fault, failure, retry,
-  rejection and timeout.
+  rejection and timeout;
+* obs telemetry, which counts engine events, agreeing with the report,
+  which folds the requests' end state.
 
 Liveness is the exception: optimistic admission can preempt two requests
 against each other forever (a known defect, pinned by the strict xfail
@@ -29,8 +31,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import repro.obs as obs
 from repro.model.config import tiny_config
 from repro.obs import live as live_obs
+from repro.obs.registry import MetricsRegistry
 from repro.serving.engine import EngineConfig, ServingEngine
 from repro.serving.faults import FaultPlan
 from repro.serving.memory_planner import WORKSPACE_FRACTION
@@ -112,6 +116,7 @@ def test_engine_invariants(cfg, reqs, faults):
         MODEL, SYSTEM, config=EngineConfig(max_steps=_MAX_STEPS, **cfg)
     )
     tracer = EngineTracer()
+    registry, _ = obs.enable(MetricsRegistry())
     live = live_obs.attach(window_seconds=1.0)
     try:
         report = engine.run(reqs, tracer=tracer, faults=faults)
@@ -122,6 +127,7 @@ def test_engine_invariants(cfg, reqs, faults):
         assume(False)
     finally:
         live_obs.detach()
+        obs.disable()
 
     # Terminal-phase partition.
     assert all(r.phase in TERMINAL_PHASES for r in reqs)
@@ -157,6 +163,25 @@ def test_engine_invariants(cfg, reqs, faults):
     assert kinds.count("retry") == report.retries
     assert kinds.count("rejected") == report.requests_rejected
     assert kinds.count("timed_out") == report.requests_timed_out
+
+    # Telemetry agrees with the report.
+    def counted(name):
+        return sum(c.value for _, c in registry.get(f"serving.{name}").series())
+
+    for name, value in (
+        ("requests_finished_total", report.requests_completed),
+        ("requests_failed_total", report.requests_failed),
+        ("rejected_total", report.requests_rejected),
+        ("requests_timed_out_total", report.requests_timed_out),
+        ("retries_total", report.retries),
+        ("deadline_misses_total", report.deadline_misses),
+        ("preemptions_total", report.preemptions),
+        ("faults_injected_total", report.faults_injected),
+        ("degraded_steps_total", report.degraded_steps),
+    ):
+        assert counted(name) == value, name
+    # Telemetry also counts tokens a preemption or retry later discards.
+    assert counted("output_tokens_total") >= report.output_tokens
 
 
 def _outcome(engine, reqs, tracer=None):

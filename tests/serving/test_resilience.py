@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.obs as obs
 from repro.model.config import get_model_config
+from repro.obs.registry import MetricsRegistry
 from repro.serving.engine import EngineConfig, ServingEngine
 from repro.serving.faults import FaultPlan
 from repro.serving.request import (
@@ -16,6 +18,7 @@ from repro.serving.request import (
     make_batch_requests,
 )
 from repro.serving.systems import build_system
+from repro.serving.trace import EngineTracer
 from repro.serving.workload import make_overload_trace, make_poisson_trace
 
 
@@ -74,8 +77,7 @@ class TestRequestLifecycle:
         r = Request(0, 8, 4)
         r.phase = Phase.DECODE
         r.advance()
-        lost = r.reset_for_retry()
-        assert lost == 1
+        r.reset_for_retry()
         assert r.retries == 1
         assert r.generated == 0
         assert r.preemptions == 0
@@ -183,7 +185,7 @@ class TestDeadlines:
 
 
 class TestGracefulDegradation:
-    def _overloaded(self, degrade):
+    def _overloaded(self, degrade, tracer=None):
         eng = engine(
             max_batch=48, hbm_bytes=20e9, reserve_full_sequence=False,
             degrade_under_pressure=degrade,
@@ -191,7 +193,7 @@ class TestGracefulDegradation:
         reqs = make_overload_trace(
             40, eng.kv.token_capacity, overload=1.5, seed=5
         )
-        return eng, eng.run(reqs)
+        return eng, eng.run(reqs, tracer=tracer)
 
     def test_degradation_reduces_preemption_thrash(self):
         _, base = self._overloaded(degrade=False)
@@ -203,6 +205,25 @@ class TestGracefulDegradation:
     def test_degradation_off_by_default(self):
         _, base = self._overloaded(degrade=False)
         assert base.degraded_steps == 0
+
+    def test_degraded_steps_counted_as_they_run(self):
+        # A mid-run read of the telemetry counter already sees the
+        # degraded steps so far, not 0 until the run ends.
+        registry, _ = obs.enable(MetricsRegistry())
+        seen = []
+
+        class MidRunReader(EngineTracer):
+            def step_end(self, step, tokens):
+                seen.append(registry.get("serving.degraded_steps_total").value)
+
+        try:
+            _, report = self._overloaded(degrade=True, tracer=MidRunReader())
+            final = registry.get("serving.degraded_steps_total").value
+        finally:
+            obs.disable()
+        assert report.degraded_steps > 0
+        assert max(seen) > 0
+        assert final == report.degraded_steps
 
 
 class TestOptimisticAdmissionTraces:
