@@ -159,13 +159,18 @@ class Request:
         self.preemptions += 1
         return lost
 
-    def reset_for_retry(self) -> None:
+    def reset_for_retry(self) -> int:
         """Discard progress after a transient fault and count one retry
-        attempt; like :meth:`preempt` but charged to the retry budget."""
+        attempt; like :meth:`preempt` but charged to the retry budget.
+
+        Returns:
+            the number of discarded output tokens.
+        """
         if self.phase not in _PREEMPTIBLE:
             raise RuntimeError(f"cannot retry in phase {self.phase}")
-        self._reset_progress()
+        lost = self._reset_progress()
         self.retries += 1
+        return lost
 
     def _terminate(self, phase: Phase, reason: str, clock: float) -> None:
         if self.is_terminal:

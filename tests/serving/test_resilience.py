@@ -77,7 +77,8 @@ class TestRequestLifecycle:
         r = Request(0, 8, 4)
         r.phase = Phase.DECODE
         r.advance()
-        r.reset_for_retry()
+        lost = r.reset_for_retry()
+        assert lost == 1
         assert r.retries == 1
         assert r.generated == 0
         assert r.preemptions == 0
