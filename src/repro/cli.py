@@ -131,12 +131,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         feasible, args.prompt, args.out,
         ttft_slo=args.ttft_slo, e2e_slo=args.e2e_slo,
     )
-    tracer = None
-    if metrics_path:
-        from repro.serving.trace import EngineTracer
-
-        tracer = EngineTracer()  # steps land on the merged sim timeline
-    report = engine.run(requests, tracer=tracer)
+    report = engine.run(requests)
     print(f"model={cfg.name} system={args.system} "
           f"input/output={args.prompt}/{args.out}")
     print(f"weights {engine.plan.weight_bytes / 1e9:.1f} GB | "
@@ -499,7 +494,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     """Exercise every instrumented layer once and print the telemetry."""
     import repro.obs as obs
     from repro.core.fmpq import calibrate_linear
-    from repro.serving.trace import EngineTracer
 
     obs.enable()
     rng = np.random.default_rng(args.seed)
@@ -517,11 +511,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         build_system(args.system),
         config=EngineConfig(max_batch=8),
     )
-    tracer = EngineTracer()
-    engine.run(
-        make_batch_requests(args.requests, args.prompt, args.out),
-        tracer=tracer,
-    )
+    engine.run(make_batch_requests(args.requests, args.prompt, args.out))
 
     reg = obs.metrics()
     print(f"{'metric':42s} {'kind':>10s} {'value':>16s}")

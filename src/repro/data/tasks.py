@@ -12,6 +12,7 @@ which this protocol exposes identically.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +101,8 @@ def build_task(
     if name not in _TASK_PARAMS:
         raise KeyError(f"unknown task {name!r}; known: {TASK_NAMES}")
     ctx_len, cont_len, n_choices, kind = _TASK_PARAMS[name]
-    rng = np.random.default_rng((hash(name) % 2**32, seed))
+    # crc32, not hash(): str hashes vary per process (PYTHONHASHSEED).
+    rng = np.random.default_rng((zlib.crc32(name.encode()), seed))
     items: list[TaskItem] = []
     for i in range(n_items):
         base_seed = seed * 1_000_003 + i

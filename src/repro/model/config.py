@@ -13,7 +13,7 @@ Two kinds of configs live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = ["ModelConfig", "PAPER_MODELS", "get_model_config", "tiny_config"]
 
@@ -162,8 +162,3 @@ def tiny_config(
         d_ffn=d_ffn,
         max_seq_len=max_seq_len,
     )
-
-
-def scaled_config(base: ModelConfig, **overrides) -> ModelConfig:
-    """Clone a config with overridden fields."""
-    return replace(base, **overrides)

@@ -586,20 +586,17 @@ def compare_baseline(
 
 
 def analyze_trace(trace_doc: dict) -> dict:
-    """Group a chrome-trace export's ``engine.step`` spans by step kind:
-    simulated/wall seconds per kind, the step-mix view of the run."""
+    """Group a chrome-trace export's simulated engine steps (category
+    ``engine.step``) by step kind: count and simulated seconds per kind,
+    the step-mix view of the run."""
     kinds: dict[str, dict[str, float]] = {}
     for event in trace_doc.get("traceEvents", []):
-        if event.get("name") != "engine.step" or "dur" not in event:
+        if event.get("cat") != "engine.step" or "dur" not in event:
             continue
         kind = str(event.get("args", {}).get("kind", "unknown"))
         slot = kinds.setdefault(kind, {"count": 0, "seconds": 0.0})
         slot["count"] += 1
-        # chrome traces are in microseconds
-        sim = event.get("args", {}).get("sim_seconds")
-        slot["seconds"] += (
-            float(sim) if sim is not None else event["dur"] / 1e6
-        )
+        slot["seconds"] += event["dur"] / 1e6  # chrome traces are in µs
     return {"step_kinds": kinds}
 
 

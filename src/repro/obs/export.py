@@ -145,33 +145,24 @@ def _span_event(record: SpanRecord, pid: int, tid: int = 0) -> dict:
     return event
 
 
-def chrome_trace_events(
-    spans: Iterable[SpanRecord] = (),
-    sim_spans: Iterable[SpanRecord] = (),
-) -> list[dict]:
-    """Build trace events for wall-clock spans plus a simulated timeline."""
+def chrome_trace_events(spans: Iterable[SpanRecord] = ()) -> list[dict]:
+    """Build trace events for span records of both time domains."""
     events: list[dict] = [
         {"name": "process_name", "ph": "M", "pid": SIM_PID,
          "args": {"name": "simulated timeline"}},
         {"name": "process_name", "ph": "M", "pid": WALL_PID,
          "args": {"name": "wall-clock spans"}},
     ]
-    for record in sim_spans:
-        events.append(_span_event(record, pid=SIM_PID))
     for record in spans:
         pid = SIM_PID if record.domain == "sim" else WALL_PID
         events.append(_span_event(record, pid=pid))
     return events
 
 
-def write_chrome_trace(
-    path: str | Path,
-    spans: Iterable[SpanRecord] = (),
-    sim_spans: Iterable[SpanRecord] = (),
-) -> Path:
+def write_chrome_trace(path: str | Path, spans: Iterable[SpanRecord] = ()) -> Path:
     """Write a merged chrome://tracing JSON file (microsecond units)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    events = chrome_trace_events(spans=spans, sim_spans=sim_spans)
+    events = chrome_trace_events(spans=spans)
     path.write_text(json.dumps({"traceEvents": events}))
     return path

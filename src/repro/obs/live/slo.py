@@ -115,11 +115,6 @@ class SLOMonitor:
 
     # ------------------------------------------------------------- queries
 
-    def window_counts(self, now: float | None = None) -> tuple[int, int]:
-        """``(misses, total)`` inside the window ending at ``now``."""
-        with self._lock:
-            return self._window_counts(self.clock if now is None else now)
-
     def burn_rate(self, now: float | None = None) -> float:
         """Window miss fraction divided by the error budget."""
         with self._lock:

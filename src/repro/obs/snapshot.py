@@ -10,8 +10,9 @@ the ``REPRO_EMIT_METRICS`` benchmark hook call after a run:
   so the post-hoc snapshot and the live HTTP endpoints never disagree at
   shutdown (metric names always contain a dot, so the key cannot
   collide);
-* ``PATH.trace.json`` — the merged chrome trace (wall-clock span tree plus
-  any simulated-timeline records, e.g. an :class:`EngineTracer`'s steps).
+* ``PATH.trace.json`` — the merged chrome trace: the tracer's wall-clock
+  span tree plus its simulated timeline (the engine steps and request
+  lifecycle instants the serving engine's telemetry sink records).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import json
 from pathlib import Path
 
 from repro.obs import export as _export
-from repro.obs.spans import SpanRecord
 
 __all__ = ["write_snapshot"]
 
@@ -29,7 +29,6 @@ def write_snapshot(
     path: str | Path,
     registry=None,
     tracer=None,
-    sim_spans: list[SpanRecord] | None = None,
     live=None,
 ) -> dict[str, Path]:
     """Dump the active (or given) registry and tracer next to ``path``.
@@ -39,8 +38,6 @@ def write_snapshot(
             are derived from it.
         registry: metrics registry (default: the active global one).
         tracer: span tracer (default: the active global one).
-        sim_spans: extra simulated-timeline spans to merge into the trace
-            (e.g. ``EngineTracer.spans()``).
         live: a :class:`repro.obs.live.LiveObs` whose final state lands
             under the JSON export's ``"live"`` key (default: the attached
             bundle, if any).
@@ -74,8 +71,6 @@ def write_snapshot(
 
     trace_path = path.with_name(path.name + ".trace.json")
     records = tracer.records if tracer is not None else []
-    _export.write_chrome_trace(
-        trace_path, spans=records, sim_spans=sim_spans or []
-    )
+    _export.write_chrome_trace(trace_path, spans=records)
     written["trace"] = trace_path
     return written

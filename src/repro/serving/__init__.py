@@ -32,7 +32,7 @@ from repro.serving.request import (
     make_batch_requests,
 )
 from repro.serving.systems import SYSTEM_NAMES, ServingSystem, build_system
-from repro.serving.trace import EngineTracer, StepTrace
+from repro.serving.trace import EngineTracer
 from repro.serving.workload import (
     make_heterogeneous_requests,
     make_overload_trace,
@@ -49,7 +49,6 @@ __all__ = [
     "FaultPlan",
     "StepFault",
     "KVAllocationError",
-    "StepTrace",
     "LatencyReport",
     "MemoryPlan",
     "PlanCandidate",

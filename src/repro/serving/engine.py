@@ -53,7 +53,7 @@ from repro.serving.parallel import TPConfig, TPStackModel
 from repro.serving.request import TERMINAL_PHASES, Phase, Request
 from repro.serving.stepprof import _NullProfiler
 from repro.serving.systems import ServingSystem
-from repro.serving.trace import EngineEvents, EngineTracer, Step
+from repro.serving.trace import STEP_SPAN_CAT, EngineEvents, EngineTracer, Step
 
 if TYPE_CHECKING:
     from repro.serving.stepprof import StepPhaseProfiler
@@ -234,9 +234,9 @@ class ThroughputReport:
 
 
 class _EngineTelemetry(EngineEvents):
-    """Event sink for per-run ``repro.obs`` recording: request lifecycle
-    events on the simulated timeline, TTFT/TPOT histograms, step counters,
-    KV gauges.
+    """Event sink for per-run ``repro.obs`` recording: engine steps and
+    request lifecycle events on the simulated timeline (its one writer),
+    TTFT/TPOT histograms, step counters, KV gauges.
 
     Instantiated only while telemetry is enabled, so the disabled engine
     pays a single ``obs.enabled()`` check per run.
@@ -244,6 +244,8 @@ class _EngineTelemetry(EngineEvents):
 
     def __init__(self, kv: PagedKVManager):
         self._kv = kv
+        self._timeline = obs.tracer()
+        self._step_index = 0
         m = obs.metrics()
 
         def counter(name, **labels):
@@ -314,7 +316,7 @@ class _EngineTelemetry(EngineEvents):
 
     def retry(self, req: Request, clock: float, reason: str) -> None:
         self.retries.inc()
-        self.request_event("retry", req, clock, attempt=req.retries)
+        self.request_event("retry", req, clock, attempt=req.retries, reason=reason)
 
     def fail(self, req: Request, clock: float) -> None:
         self.failed.inc()
@@ -327,9 +329,22 @@ class _EngineTelemetry(EngineEvents):
 
     def fault(self, kind: str, clock: float, req: Request | None = None) -> None:
         self.faults.labels(kind=kind).inc()
+        ids = {} if req is None else {"request_id": req.request_id}
         obs.event(
-            "serving.fault", ts=clock, cat="fault", domain="sim", kind=kind
+            "serving.fault", ts=clock, cat="fault", domain="sim", kind=kind,
+            **ids,
         )
+
+    def step_cost(self, step: Step) -> None:
+        self._timeline.add_span(
+            f"{step.kind} b={step.batch}", step.start, step.dt,
+            cat=STEP_SPAN_CAT, domain="sim", index=self._step_index,
+            kind=step.kind, batch=step.batch,
+            decode_tokens=step.decode_tokens,
+            prefill_tokens=step.prefill_tokens,
+            context_tokens=step.context_tokens,
+        )
+        self._step_index += 1
 
     def step_end(self, step: Step, tokens: int) -> None:
         if tokens:
@@ -668,10 +683,11 @@ class ServingEngine:
 
         The loop reports every request transition and every step as an
         engine event (:class:`repro.serving.trace.EngineEvents`) to its
-        sinks: obs telemetry while ``repro.obs`` is enabled, the attached
-        live-observability bundle, and the
-        :class:`repro.serving.trace.EngineTracer` passed as ``tracer``
-        (a per-iteration timeline).  Pass a
+        sinks: obs telemetry while ``repro.obs`` is enabled (the one writer
+        of the obs simulated timeline: steps and lifecycle instants), the
+        attached live-observability bundle, and the
+        :class:`repro.serving.trace.EngineTracer` passed as ``tracer`` (an
+        in-memory record of the run's steps and failure instants).  Pass a
         :class:`repro.serving.faults.FaultPlan` as ``faults`` to run under
         injected transient failures (chaos mode).  A
         :class:`repro.serving.stepprof.StepPhaseProfiler` as ``profiler``
@@ -1092,7 +1108,7 @@ class _Run:
                 fault = next(self.step_faults)
                 prof.lap("schedule")
                 m = n_dec + chunk
-                with obs.span("engine.step", cat="serving", kind=kind) as step_span:
+                with obs.span("engine.step", cat="serving", kind=kind, batch=n_run):
                     gemm = engine.linear_stack_latency(m)
                     # attn and dt are arrays over the k steps, whose decode
                     # context grows by n_dec a step (one kernel call; a
@@ -1115,7 +1131,6 @@ class _Run:
                         stall = dt * (fault.slowdown - 1.0)
                         dt = dt + stall
                         self.overhead_s += stall
-                    step_span.set(batch=n_run, sim_seconds=dt)
                 dts, attns = (dt.tolist(), attn.tolist()) if k > 1 else ([dt], [attn])
                 if k > 1 and (waiting or retry_queue):
                     # Stop at the step whose clock reaches the next arrival
@@ -1262,7 +1277,9 @@ class _Run:
                         pressure_hot = 0
                         eff_max_batch = max(1, eff_max_batch // 2)
                         if chunking is not None:
-                            eff_chunk = max(cfg.block_tokens, eff_chunk // 2)
+                            # Never above the configured chunk.
+                            floor = min(cfg.block_tokens, chunking)
+                            eff_chunk = max(floor, eff_chunk // 2)
                     elif pressure_cool >= cfg.degrade_window:
                         pressure_cool = 0
                         eff_max_batch = min(cfg.max_batch, eff_max_batch * 2)

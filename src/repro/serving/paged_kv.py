@@ -486,24 +486,6 @@ class PagedKVManager:
         """The sequence's physical block ids, in token order (a copy)."""
         return self._blocks(self.sequence_row(seq_id)).tolist()
 
-    def batch_block_tables(
-        self, seq_ids: Sequence[int]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked block tables for a batch of sequences.
-
-        Returns ``(tables, tokens)``: ``tables`` is an int32 array of shape
-        ``(batch, max_blocks)`` holding each sequence's physical block ids
-        padded with ``-1``, and ``tokens`` the int64 per-sequence token
-        counts.  This is the gather metadata a batched paged-attention
-        kernel consumes (vLLM's ``block_tables`` tensor).
-        """
-        rows = np.array([self.sequence_row(s) for s in seq_ids], dtype=np.int64)
-        counts = self._block_capacity[rows]
-        width = int(counts.max()) if rows.size else 0
-        tables = self._table[rows, :width].astype(np.int32)
-        tables[np.arange(width) >= counts[:, None]] = -1
-        return tables, self._tokens[rows].copy()
-
     def sequence_tokens(self, seq_id: int) -> int:
         return int(self._tokens[self.sequence_row(seq_id)])
 

@@ -33,8 +33,9 @@ HOT_PATH_PREFIXES: tuple[str, ...] = ("core/", "kernels/", "gpu/")
 
 #: Determinism scope: seeded-``Generator`` threading is mandatory here.
 #: ``obs/live/`` is included so live-observability aggregation stays on
-#: the simulated clock (wall-clock reads would break replay determinism).
-DET_PREFIXES: tuple[str, ...] = ("core/", "kernels/", "obs/live/")
+#: the simulated clock (wall-clock reads would break replay determinism);
+#: ``data/`` so the evaluation corpus and task suites replay from a seed.
+DET_PREFIXES: tuple[str, ...] = ("core/", "kernels/", "data/", "obs/live/")
 #: Individual files under the same determinism contract: the fault plan
 #: (seeded draws drive chaos replay) and the cost ledger (attribution must
 #: be bit-reproducible across identical runs — no wall clock, no RNG).

@@ -1,9 +1,10 @@
 """DET — determinism invariants for replayable numerics and fault plans.
 
-Scope: ``core/``, ``kernels/``, and ``serving/faults.py``.  Quantization
-calibration and fault injection must be pure functions of their seeds
-(PR 3's replayability guarantee): the only sanctioned RNG is an explicitly
-seeded ``np.random.Generator`` threaded through call sites.
+Scope: ``core/``, ``kernels/``, ``data/``, ``obs/live/``,
+``serving/faults.py`` and ``obs/attrib.py``.  Quantization calibration,
+the evaluation data and fault injection must be pure functions of their
+seeds: the only sanctioned RNG is an explicitly seeded
+``np.random.Generator`` threaded through call sites.
 
 * **DET001** — legacy global-state ``np.random.*`` API (``np.random.rand``,
   ``np.random.seed``, ...).  The seeded-``Generator`` surface
@@ -12,6 +13,9 @@ seeded ``np.random.Generator`` threaded through call sites.
   state; not seedable per-call-site).
 * **DET003** — wall-clock reads (``time.time()``, ``time.perf_counter()``,
   ...) — simulated components must take time as data, not sample it.
+* **DET004** — builtin ``hash()``: ``str``/``bytes`` hashes are salted per
+  process (``PYTHONHASHSEED``), so a seed derived from one differs run to
+  run.  Use a stable digest such as ``zlib.crc32``.
 """
 
 from __future__ import annotations
@@ -43,7 +47,12 @@ DET003 = Rule(
     "no wall-clock reads in deterministic scopes",
 )
 
-RULES = (DET001, DET002, DET003)
+DET004 = Rule(
+    "DET004", "DET", Severity.ERROR,
+    "no builtin hash() in deterministic scopes; it is salted per process",
+)
+
+RULES = (DET001, DET002, DET003, DET004)
 
 #: The seeded, replayable subset of np.random that stays allowed.
 _ALLOWED_NP_RANDOM = {
@@ -103,10 +112,16 @@ def check_file(ctx: FileContext) -> Iterator[Violation]:
                     "an explicitly seeded np.random.default_rng instead",
                 )
 
-        # DET003: time.time() and friends.
+        # DET003: time.time() and friends; DET004: builtin hash().
         elif isinstance(node, ast.Call):
             fn = node.func
-            if (
+            if isinstance(fn, ast.Name) and fn.id == "hash":
+                yield ctx.violation(
+                    DET004, node,
+                    "hash() of a str/bytes changes with PYTHONHASHSEED; "
+                    "derive seeds from a stable digest (zlib.crc32)",
+                )
+            elif (
                 isinstance(fn, ast.Attribute)
                 and isinstance(fn.value, ast.Name)
                 and fn.value.id == "time"

@@ -1,8 +1,14 @@
 """Tests for the synthetic corpus, perplexity, and zero-shot tasks."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.data.corpus import SyntheticCorpus
 from repro.data.perplexity import evaluate_perplexity, sequence_logprobs
 from repro.data.tasks import (
@@ -179,6 +185,28 @@ class TestTasks:
         assert res["avg"] == pytest.approx(
             np.mean([res[n] for n in TASK_NAMES]), abs=1e-9
         )
+
+    def test_suite_independent_of_hash_seed(self):
+        """Task items are the same in every process, whatever the
+        interpreter's string-hash seed."""
+        script = (
+            "from repro.data.corpus import SyntheticCorpus\n"
+            "from repro.data.tasks import build_task_suite\n"
+            "suite = build_task_suite(SyntheticCorpus(vocab_size=32, seed=7),"
+            " n_items=3, seed=0)\n"
+            "print([(n, it.answer, [c.tolist() for c in it.choices])"
+            " for n, items in sorted(suite.items()) for it in items])\n"
+        )
+        src = str(Path(repro.__file__).parents[1])
+        outs = [
+            subprocess.run(
+                [sys.executable, "-c", script], check=True, capture_output=True,
+                text=True, env={**os.environ, "PYTHONPATH": src,
+                                "PYTHONHASHSEED": seed},
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert outs[0] and outs[0] == outs[1]
 
     def test_empty_task_rejected(self, model):
         with pytest.raises(ValueError):

@@ -98,15 +98,6 @@ class TestChromeTrace:
         assert by_name["sim-step"]["ts"] == 1.0e6
         assert by_name["sim-step"]["dur"] == 0.5e6
 
-    def test_explicit_sim_spans_param(self):
-        t = SpanTracer()
-        with t.span("wall"):
-            pass
-        extra = SpanTracer().add_span("step", start=0.0, duration=1.0)
-        events = chrome_trace_events(spans=t.records, sim_spans=[extra])
-        pids = {e["name"]: e["pid"] for e in events if e["ph"] != "M"}
-        assert pids == {"wall": WALL_PID, "step": SIM_PID}
-
 
 class TestSnapshot:
     def test_writes_all_three_files(self, tmp_path):

@@ -5,6 +5,8 @@ run, an FMPQ calibration, a kernel latency query — and assert the metric
 names and span hierarchy the observability docs promise.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.kernels.base import clear_latency_memo
 from repro.kernels.w4ax import W4AxKernel
 from repro.kernels.tiling import GEMMShape
 from repro.model.config import get_model_config
+from repro.obs.attrib import analyze_trace
 from repro.serving.engine import EngineConfig, ServingEngine
 from repro.serving.request import make_batch_requests
 from repro.serving.systems import build_system
@@ -94,6 +97,21 @@ class TestServingTelemetry:
                 <= times["decode"]
                 <= times["finished"]
             )
+
+    def test_analyzer_step_mix_is_simulated_seconds(self, tmp_path):
+        # Whole-prompt prefills included: the analyzer sums the sim steps.
+        obs.enable()
+        _, report = run_engine()
+        paths = obs.write_snapshot(tmp_path / "run.prom")
+        trace = json.loads(paths["trace"].read_text())
+        kinds = analyze_trace(trace)["step_kinds"]
+        assert kinds["prefill"]["count"] == 4
+        assert kinds["prefill"]["seconds"] == pytest.approx(
+            report.prefill_seconds, rel=1e-12
+        )
+        assert kinds["decode"]["seconds"] == pytest.approx(
+            report.decode_seconds, rel=1e-12
+        )
 
 
 class TestLayerTelemetry:

@@ -142,13 +142,13 @@ def _observe(name):
     assert not flights.active_ids()
     return _jsonable({
         "tracer_steps": [
-            [s.index, s.start, s.duration, s.kind, s.batch,
+            [i, s.start, s.dt, s.kind, s.batch,
              s.decode_tokens, s.prefill_tokens, s.context_tokens]
-            for s in tracer.steps
+            for i, s in enumerate(tracer.steps)
         ],
         "tracer_events": [_span(e) for e in tracer.events()],
-        # Step spans are the tracer's own step records (pinned above);
-        # only their place in the order is kept here.
+        # Step spans carry the tracer's steps (pinned above); only their
+        # place in the order is kept here.
         "obs_sim_records": [
             ["step", r.attrs["index"]] if r.cat == STEP_SPAN_CAT else _span(r)
             for r in spans.records if r.domain == "sim"

@@ -186,10 +186,10 @@ class TestDeadlines:
 
 
 class TestGracefulDegradation:
-    def _overloaded(self, degrade, tracer=None):
+    def _overloaded(self, degrade, tracer=None, **cfg):
         eng = engine(
             max_batch=48, hbm_bytes=20e9, reserve_full_sequence=False,
-            degrade_under_pressure=degrade,
+            degrade_under_pressure=degrade, **cfg,
         )
         reqs = make_overload_trace(
             40, eng.kv.token_capacity, overload=1.5, seed=5
@@ -206,6 +206,15 @@ class TestGracefulDegradation:
     def test_degradation_off_by_default(self):
         _, base = self._overloaded(degrade=False)
         assert base.degraded_steps == 0
+
+    def test_degradation_never_raises_a_small_prefill_chunk(self):
+        # A configured chunk below block_tokens is the shrink floor too.
+        tracer = EngineTracer()
+        _, report = self._overloaded(
+            degrade=True, tracer=tracer, prefill_chunk_tokens=8
+        )
+        assert report.degraded_steps > 0
+        assert max(s.prefill_tokens for s in tracer.steps) == 8
 
     def test_degraded_steps_counted_as_they_run(self):
         # A mid-run read of the telemetry counter already sees the

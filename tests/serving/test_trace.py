@@ -1,14 +1,26 @@
-"""Tests for engine execution tracing."""
+"""Tests for engine execution tracing: the in-memory :class:`EngineTracer`
+and the engine steps the telemetry sink puts on the obs timeline."""
 
 import json
 
 import pytest
 
-from repro.model.config import get_model_config
+import repro.obs as obs
+from repro.model.config import get_model_config, tiny_config
+from repro.obs import write_snapshot
 from repro.serving.engine import EngineConfig, ServingEngine
+from repro.serving.faults import FaultPlan
 from repro.serving.request import make_batch_requests
 from repro.serving.systems import build_system
-from repro.serving.trace import EngineTracer, StepTrace
+from repro.serving.trace import STEP_SPAN_CAT, EngineTracer, Step
+from repro.serving.workload import make_overload_trace
+
+
+@pytest.fixture(autouse=True)
+def _obs_off():
+    obs.disable()
+    yield
+    obs.disable()
 
 
 def traced_run(**cfg):
@@ -21,17 +33,16 @@ def traced_run(**cfg):
     return report, tracer
 
 
-class TestEngineTracer:
-    def test_record_validation(self):
-        t = EngineTracer()
-        with pytest.raises(ValueError):
-            t.record(0.0, 1.0, "warmup", 1, 0, 0, 0)
+def sim_step_spans(records):
+    return [r for r in records if r.cat == STEP_SPAN_CAT and r.domain == "sim"]
 
+
+class TestEngineTracer:
     def test_steps_cover_run(self):
         report, tracer = traced_run(max_batch=4)
         assert len(tracer.steps) > 0
         # Traced time equals simulated time.
-        assert tracer.total_time() == pytest.approx(report.sim_seconds)
+        assert sum(s.dt for s in tracer.steps) == pytest.approx(report.sim_seconds)
         # 4 prefills + 8 decode steps.
         kinds = [s.kind for s in tracer.steps]
         assert kinds.count("prefill") == 4
@@ -39,14 +50,15 @@ class TestEngineTracer:
 
     def test_steps_contiguous(self):
         _, tracer = traced_run(max_batch=4)
+        assert all(isinstance(s, Step) for s in tracer.steps)
         for a, b in zip(tracer.steps, tracer.steps[1:]):
             assert b.start == pytest.approx(a.end)
-        assert tracer.steps[0].index == 0
-        assert tracer.steps[-1].index == len(tracer.steps) - 1
 
     def test_time_by_kind(self):
         report, tracer = traced_run(max_batch=4)
-        by_kind = tracer.time_by_kind()
+        by_kind = {"prefill": 0.0, "decode": 0.0}
+        for s in tracer.steps:
+            by_kind[s.kind] += s.dt
         assert by_kind["prefill"] == pytest.approx(report.prefill_seconds)
         assert by_kind["decode"] == pytest.approx(report.decode_seconds)
 
@@ -65,103 +77,118 @@ class TestEngineTracer:
         mixed = [s for s in tracer.steps if s.kind == "mixed"]
         assert all(s.prefill_tokens > 0 and s.decode_tokens > 0 for s in mixed)
 
-    def test_longest_step_and_curve(self):
-        _, tracer = traced_run(max_batch=4)
-        longest = tracer.longest_step()
-        assert longest is not None
-        assert longest.duration == max(s.duration for s in tracer.steps)
-        curve = tracer.tokens_per_second_curve(window=4)
-        assert len(curve) == len(tracer.steps)
-        assert all(v >= 0 for v in curve)
-        with pytest.raises(ValueError):
-            tracer.tokens_per_second_curve(window=0)
-
     def test_empty_tracer(self):
         t = EngineTracer()
-        assert t.longest_step() is None
-        assert t.total_time() == 0.0
+        assert t.steps == []
+        assert t.events() == []
 
     def test_chrome_trace_export(self, tmp_path):
+        # The merged obs export carries one pid-0 step event per traced step.
+        obs.enable()
         _, tracer = traced_run(max_batch=4)
-        path = tracer.write_chrome_trace(tmp_path / "trace.json")
-        blob = json.loads(path.read_text())
-        events = blob["traceEvents"]
+        paths = write_snapshot(tmp_path / "run.prom")
+        blob = json.loads(paths["trace"].read_text())
+        events = [e for e in blob["traceEvents"] if e.get("cat") == STEP_SPAN_CAT]
         assert len(events) == len(tracer.steps)
-        assert all(e["ph"] == "X" for e in events)
+        assert all(e["ph"] == "X" and e["pid"] == 0 for e in events)
         assert events[0]["dur"] > 0
 
     def test_records_export(self):
+        # Instants are the tracer's own sim records; a clean run has none.
         _, tracer = traced_run(max_batch=4)
-        records = tracer.to_records()
-        assert len(records) == len(tracer.steps)
-        assert {"index", "start", "duration", "kind"} <= set(records[0])
+        assert tracer.events() == []
+        t = EngineTracer()
+        req = make_batch_requests(1, 8, 2)[0]
+        t.retry(req, 1.5, "kv loss")
+        t.fault("straggler", 2.0)
+        first, second = t.events()
+        assert (first.span_id, second.span_id) == (0, 1)
+        assert first.name == "engine.retry" and first.cat == "retry"
+        assert first.instant and first.domain == "sim" and first.start == 1.5
+        assert first.attrs == {"request_id": 0, "reason": "kv loss", "attempt": 0}
+        assert second.attrs == {"kind": "straggler"}
 
     def test_step_trace_end(self):
-        s = StepTrace(0, 1.0, 0.5, "decode", 2, 2, 0, 100)
-        assert s.end == 1.5
-
-
-#: The legacy chrome-trace structure ``write_chrome_trace`` produced before
-#: the span-backed rewrite.  The export must stay byte-for-byte compatible.
-def legacy_chrome_events(steps):
-    return [
-        {
-            "name": f"{s.kind} b={s.batch}",
-            "cat": s.kind,
-            "ph": "X",
-            "ts": s.start * 1e6,
-            "dur": s.duration * 1e6,
-            "pid": 0,
-            "tid": 0,
-            "args": {
-                "decode_tokens": s.decode_tokens,
-                "prefill_tokens": s.prefill_tokens,
-                "context_tokens": s.context_tokens,
-            },
-        }
-        for s in steps
-    ]
+        _, tracer = traced_run(max_batch=4)
+        for s in tracer.steps:
+            assert s.end == pytest.approx(s.start + s.dt)
 
 
 class TestSpanMigration:
-    """serving/trace.py now stores steps as obs span records."""
-
-    def test_chrome_trace_matches_legacy_format(self, tmp_path):
-        _, tracer = traced_run(max_batch=4)
-        path = tracer.write_chrome_trace(tmp_path / "trace.json")
-        blob = json.loads(path.read_text())
-        expected = {"traceEvents": legacy_chrome_events(tracer.steps)}
-        assert blob == json.loads(json.dumps(expected))
+    """The obs timeline's engine steps come from the telemetry sink."""
 
     def test_steps_are_sim_domain_spans(self):
+        _, spans = obs.enable()
         _, tracer = traced_run(max_batch=4)
-        spans = tracer.spans()
-        assert len(spans) == len(tracer.steps)
-        for span, step in zip(spans, tracer.steps):
-            assert span.domain == "sim"
-            assert span.cat == "engine.step"
+        records = sim_step_spans(spans.records)
+        assert len(records) == len(tracer.steps)
+        for span, step in zip(records, tracer.steps):
+            assert span.name == f"{step.kind} b={step.batch}"
             assert span.start == step.start
-            assert span.duration == step.duration
+            assert span.duration == step.dt
             assert span.attrs["kind"] == step.kind
 
     def test_step_span_roundtrip(self):
-        s = StepTrace(3, 1.0, 0.5, "mixed", 4, 3, 16, 200)
-        assert StepTrace.from_span(s.to_span()) == s
+        # A step span's attrs carry the Step's counts, indexed per run.
+        _, spans = obs.enable()
+        _, tracer = traced_run(max_batch=4)
+        traced_run(max_batch=4)
+        records = sim_step_spans(spans.records)
+        n = len(tracer.steps)
+        assert len(records) == 2 * n
+        assert [r.attrs["index"] for r in records] == [*range(n), *range(n)]
+        for span, step in zip(records, tracer.steps):
+            a = span.attrs
+            assert (a["kind"], a["batch"], a["decode_tokens"],
+                    a["prefill_tokens"], a["context_tokens"]) == (
+                step.kind, step.batch, step.decode_tokens,
+                step.prefill_tokens, step.context_tokens,
+            )
 
     def test_steps_forwarded_to_global_tracer_when_enabled(self):
-        import repro.obs as obs
+        # With a tracer attached to a chaos run, obs holds each step and
+        # each tracer instant once, written by telemetry.
+        eng = ServingEngine(
+            tiny_config(), build_system("comet"),
+            config=EngineConfig(max_batch=8, hbm_bytes=1e6, max_retries=1),
+        )
+        reqs = make_overload_trace(
+            60, eng.kv.token_capacity, overload=2.0, burst_seconds=0.01,
+            e2e_slo=0.08, seed=1,
+        )
+        faults = FaultPlan(seed=3, step_fault_rate=0.05, kv_loss_rate=0.4,
+                           request_abort_rate=0.5)
+        _, spans = obs.enable()
+        tracer = EngineTracer()
+        eng.run(reqs, tracer=tracer, faults=faults)
+        records = [r for r in spans.records if r.domain == "sim"]
+        assert len(sim_step_spans(records)) == len(tracer.steps)
+        assert not [r for r in records if r.name.startswith("engine.")]
+        names = {"rejected": "serving.request.rejected",
+                 "timed_out": "serving.request.timed_out",
+                 "failed": "serving.request.failed",
+                 "retry": "serving.request.retry", "fault": "serving.fault"}
+        mirrored = [
+            (names[e.cat], e.start, e.attrs) for e in tracer.events()
+        ]
+        written = [
+            (r.name, r.start, {k: v for k, v in r.attrs.items()
+                               if k != "prompt_len"})
+            for r in records if r.name in names.values()
+        ]
+        assert mirrored and written == mirrored
 
-        obs.disable()
-        try:
-            _, tr = obs.enable()
-            _, tracer = traced_run(max_batch=4)
-            forwarded = [
-                r for r in tr.records
-                if r.cat == "engine.step" and r.domain == "sim"
-            ]
-            assert len(forwarded) == len(tracer.steps)
-            # Shared record objects: the EngineTracer keeps what the global
-            # tracer stored, not a copy.
-            assert set(map(id, tracer.spans())) <= set(map(id, tr.records))
-        finally:
-            obs.disable()
+    def test_steps_reach_obs_without_a_tracer(self):
+        # A twin run's tracer steps, then an obs-enabled run with none.
+        _, tracer = traced_run(max_batch=4)
+        _, spans = obs.enable()
+        eng = ServingEngine(
+            get_model_config("llama-3-8b"), build_system("comet"),
+            config=EngineConfig(max_batch=4),
+        )
+        eng.run(make_batch_requests(4, 64, 8))
+        records = sim_step_spans(spans.records)
+        assert len(records) == len(tracer.steps) > 0
+        assert [(r.start, r.duration) for r in records] == [
+            (s.start, s.dt) for s in tracer.steps
+        ]

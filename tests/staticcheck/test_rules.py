@@ -72,6 +72,12 @@ class TestDET:
     def test_serving_faults_in_scope(self, dirty):
         assert len(_hits(dirty, "DET001", "serving/faults.py")) == 1
 
+    def test_builtin_hash_in_data_scope(self, dirty):
+        hits = _hits(dirty, "DET004", "data/seeds.py")
+        assert [v.line_text.strip() for v in hits] == [
+            "return np.random.default_rng(hash(name) % 2**32)  # DET004"
+        ]
+
 
 class TestOBS:
     def test_undeclared_emission(self, dirty):

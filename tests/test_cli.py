@@ -333,7 +333,7 @@ class TestEmitMetrics:
         text = snap.read_text()
         assert "serving.ttft_seconds" in text
         assert "kernel.latency_calls_total" in text
-        # The EngineTracer's simulated steps reach the merged trace.
+        # The telemetry sink's simulated steps reach the merged trace.
         import json
 
         trace = json.loads((tmp_path / "serve.prom.trace.json").read_text())
