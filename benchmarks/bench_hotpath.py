@@ -291,12 +291,12 @@ def _serving_row(model_name, system_name, engine, requests) -> dict:
     from repro.obs import live as live_obs
     from repro.serving.metrics import LatencyReport
 
-    live = live_obs.attach(window_seconds=1.0, attrib_capacity=len(requests))
+    live = live_obs.attach(window_seconds=1.0, capacity=len(requests))
     try:
         report = engine.run(requests)
     finally:
         live_obs.detach()
-    attribution = live.attrib.aggregate()
+    attribution = live.flights.attribution()["aggregate"]
     lat = LatencyReport.from_requests(requests)
     return {
         "model": model_name,
@@ -402,7 +402,7 @@ def _scale_run(model, n: int, max_batch: int, attached: bool):
     prof = StepPhaseProfiler()
     trace = _scale_trace(n)
     if attached:
-        live_obs.attach(window_seconds=1.0, attrib_capacity=n)
+        live_obs.attach(window_seconds=1.0, capacity=n)
     # GC pauses land on whichever phase is active and can dwarf the
     # bookkeeping being measured; collect up front, then disable for
     # the timed run.

@@ -31,9 +31,9 @@ Accounting discipline (how the sum-to-e2e invariant holds):
   request ``queue + sum(components) == e2e`` up to float accumulation.
 
 The ledger also tracks per-request **KV economics** (blocks held over time,
-peak, shared-vs-exclusive blocks under prefix forking) and carries the
-pool-level summary (refcount distribution, free-list fragmentation) the
-engine deposits at end of run.
+peak, shared-vs-exclusive blocks under prefix forking).  Its rows belong to
+the records of :class:`repro.obs.live.FlightRecorder`, the one per-request
+store: a record's queue/prefill/decode seconds *are* its ledger buckets.
 
 Everything here is duck-typed over plain floats/ints and numpy — no
 serving imports (layering) and no wall clock or RNG (determinism: this
@@ -42,7 +42,6 @@ file is in the staticcheck DET scope).
 
 from __future__ import annotations
 
-from threading import Lock
 from typing import Callable, Iterable
 
 import numpy as np
@@ -50,6 +49,7 @@ import numpy as np
 __all__ = [
     "COMPONENTS",
     "CostLedger",
+    "aggregate",
     "critical_path",
     "tail_explainer",
     "compare_baseline",
@@ -79,28 +79,23 @@ _ACTIVE = 2   # admitted: holds KV, participates in step charges
 
 
 class CostLedger:
-    """Growable SoA ledger of per-request latency + KV-economics accounts.
+    """Growable SoA latency + KV-economics accounts, one row per request in
+    flight.
 
-    Lifecycle methods mirror the engine's request transitions; charge
-    methods distribute one step's simulated time over the admitted rows.
-    Completed requests move to a bounded FIFO ring of plain-dict records
-    (the analyzer's input).  Thread-safe: the HTTP exporter snapshots
-    while the engine writes.
+    The record store (:class:`repro.obs.live.FlightRecorder`) owns the
+    rows: it opens one when it first sees a request, addresses every
+    lifecycle call by that row and settles it at close.  :meth:`charge`
+    distributes one step's simulated time over the admitted rows.  The
+    ledger holds no lock; the store serializes every call under its own.
     """
 
-    def __init__(self, capacity: int = 512):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._lock = Lock()
+    def __init__(self) -> None:
         n = 64
         self._comp = np.zeros((n, _N_COLS), dtype=np.float64)
         self._state = np.zeros(n, dtype=np.int8)
         self._decoding = np.zeros(n, dtype=bool)
         self._first_tokened = np.zeros(n, dtype=bool)
-        self._req_id = np.full(n, -1, dtype=np.int64)
         self._kv_row = np.full(n, -1, dtype=np.int64)
-        self._arrival = np.zeros(n, dtype=np.float64)
         self._inactive_since = np.zeros(n, dtype=np.float64)
         self._kv_admit = np.zeros(n, dtype=np.int64)
         self._kv_peak = np.zeros(n, dtype=np.int64)
@@ -108,13 +103,6 @@ class CostLedger:
         self._kv_shared = np.zeros(n, dtype=np.int64)
         self._block_sec = np.zeros(n, dtype=np.float64)
         self._free: list[int] = list(range(n - 1, -1, -1))
-        self._by_id: dict[int, int] = {}
-        self._completed: list[dict] = []
-        self._evicted = 0
-        self._pool: dict = {}
-
-    def __len__(self) -> int:
-        return len(self._by_id) + len(self._completed)
 
     # ------------------------------------------------------------------
     # row management
@@ -127,16 +115,21 @@ class CostLedger:
         )
         for name, fill in (
             ("_state", 0), ("_decoding", False), ("_first_tokened", False),
-            ("_req_id", -1), ("_kv_row", -1), ("_arrival", 0.0),
-            ("_inactive_since", 0.0), ("_kv_admit", 0), ("_kv_peak", 0),
-            ("_kv_last", 0), ("_kv_shared", 0), ("_block_sec", 0.0),
+            ("_kv_row", -1), ("_inactive_since", 0.0), ("_kv_admit", 0),
+            ("_kv_peak", 0), ("_kv_last", 0), ("_kv_shared", 0),
+            ("_block_sec", 0.0),
         ):
             arr = getattr(self, name)
             ext = np.full(old, fill, dtype=arr.dtype)
             setattr(self, name, np.concatenate([arr, ext]))
         self._free.extend(range(new - 1, old - 1, -1))
 
-    def _alloc(self, request_id: int) -> int:
+    # ------------------------------------------------------------------
+    # lifecycle (engine transitions)
+
+    def open(self, arrival_time: float) -> int:
+        """A fresh row for a request that arrived at ``arrival_time``: it
+        accrues queue time until admitted."""
         if not self._free:
             self._grow()
         row = self._free.pop()
@@ -144,145 +137,117 @@ class CostLedger:
         self._state[row] = _WAITING
         self._decoding[row] = False
         self._first_tokened[row] = False
-        self._req_id[row] = request_id
         self._kv_row[row] = -1
+        self._inactive_since[row] = arrival_time
         self._kv_admit[row] = 0
         self._kv_peak[row] = 0
         self._kv_last[row] = 0
         self._kv_shared[row] = 0
         self._block_sec[row] = 0.0
-        self._by_id[request_id] = row
         return row
-
-    # ------------------------------------------------------------------
-    # lifecycle (engine transitions)
-
-    def queued(self, request_id: int, arrival_time: float) -> None:
-        """Start tracking a request (idempotent: re-queues are no-ops)."""
-        with self._lock:
-            if request_id in self._by_id:
-                return
-            row = self._alloc(request_id)
-            self._arrival[row] = arrival_time
-            self._inactive_since[row] = arrival_time
 
     def admitted(
         self,
-        request_id: int,
+        row: int,
         ts: float,
         kv_row: int = -1,
         kv_blocks: int = 0,
         shared_blocks: int = 0,
     ) -> None:
         """Settle queue time and activate the row (holds KV from now)."""
-        with self._lock:
-            row = self._by_id.get(request_id)
-            if row is None:
-                return
-            if self._state[row] == _WAITING:
-                self._comp[row, _QUEUE] += ts - self._inactive_since[row]
-            self._state[row] = _ACTIVE
-            self._kv_row[row] = kv_row
-            if self._kv_admit[row] == 0:
-                self._kv_admit[row] = kv_blocks
-            self._kv_last[row] = kv_blocks
-            self._kv_peak[row] = max(int(self._kv_peak[row]), kv_blocks)
-            self._kv_shared[row] = max(
-                int(self._kv_shared[row]), shared_blocks
-            )
+        if self._state[row] == _WAITING:
+            self._comp[row, _QUEUE] += ts - self._inactive_since[row]
+        self._state[row] = _ACTIVE
+        self._kv_row[row] = kv_row
+        if self._kv_admit[row] == 0:
+            self._kv_admit[row] = kv_blocks
+        self._kv_last[row] = kv_blocks
+        self._kv_peak[row] = max(int(self._kv_peak[row]), kv_blocks)
+        self._kv_shared[row] = max(int(self._kv_shared[row]), shared_blocks)
 
-    def prefill_done(self, request_id: int) -> None:
+    def prefill_done(self, row: int) -> None:
         """The request finished its prompt: it decodes from the next step."""
-        with self._lock:
-            row = self._by_id.get(request_id)
-            if row is not None:
-                self._decoding[row] = True
+        self._decoding[row] = True
 
-    def first_token(self, request_id: int) -> None:
+    def first_token(self, row: int) -> None:
         """First output token landed: later charges go to the decode
         bucket.  Sticky across retries (recompute re-runs prefill, but the
-        user already saw a token — mirrors the flight recorder)."""
-        with self._lock:
-            row = self._by_id.get(request_id)
-            if row is not None:
-                self._first_tokened[row] = True
+        user already saw a token)."""
+        self._first_tokened[row] = True
 
-    def requeued(self, request_id: int, ts: float) -> None:
+    def requeued(self, row: int, ts: float) -> None:
         """Back to the queue (retry backoff / preemption): KV released,
         prefill restarts; time until re-admission accrues as queue."""
-        with self._lock:
-            row = self._by_id.get(request_id)
-            if row is None:
-                return
-            self._state[row] = _WAITING
-            self._decoding[row] = False
-            self._kv_row[row] = -1
-            self._inactive_since[row] = ts
+        self._state[row] = _WAITING
+        self._decoding[row] = False
+        self._kv_row[row] = -1
+        self._inactive_since[row] = ts
 
-    def close(self, request_id: int, ts: float, outcome: str) -> dict | None:
-        """Settle and retire a request; returns its completed record."""
-        with self._lock:
-            row = self._by_id.pop(request_id, None)
-            if row is None:
-                return None
-            if self._state[row] == _WAITING:
-                self._comp[row, _QUEUE] += ts - self._inactive_since[row]
-            comp = self._comp[row]
-            prefill = {
+    def account(self, row: int) -> dict:
+        """The row's running totals: queue seconds, the per-bucket
+        components and the KV economics."""
+        comp = self._comp[row]
+        return {
+            "queue_seconds": float(comp[_QUEUE]),
+            "prefill": {
                 name: float(comp[_PF_BASE + k])
                 for k, name in enumerate(COMPONENTS)
-            }
-            decode = {
+            },
+            "decode": {
                 name: float(comp[_DEC_BASE + k])
                 for k, name in enumerate(COMPONENTS)
-            }
-            queue = float(comp[_QUEUE])
-            record = {
-                "request_id": int(request_id),
-                "outcome": outcome,
-                "arrival_time": float(self._arrival[row]),
-                "end_time": float(ts),
-                "e2e_seconds": float(ts - self._arrival[row]),
-                "queue_seconds": queue,
-                "prefill": prefill,
-                "decode": decode,
-                "attributed_seconds": queue
-                + sum(prefill.values())
-                + sum(decode.values()),
-                "kv": {
-                    "blocks_admitted": int(self._kv_admit[row]),
-                    "blocks_peak": int(self._kv_peak[row]),
-                    "blocks_final": int(self._kv_last[row]),
-                    "shared_blocks": int(self._kv_shared[row]),
-                    "block_seconds": float(self._block_sec[row]),
-                },
-            }
-            self._state[row] = _FREE
-            self._req_id[row] = -1
-            self._free.append(row)
-            self._completed.append(record)
-            if len(self._completed) > self.capacity:
-                drop = len(self._completed) - self.capacity
-                del self._completed[:drop]
-                self._evicted += drop
-            return record
+            },
+            "kv": {
+                "blocks_admitted": int(self._kv_admit[row]),
+                "blocks_peak": int(self._kv_peak[row]),
+                "blocks_final": int(self._kv_last[row]),
+                "shared_blocks": int(self._kv_shared[row]),
+                "block_seconds": float(self._block_sec[row]),
+            },
+        }
+
+    def close(self, row: int, ts: float, kv_blocks: int | None = None) -> dict:
+        """Settle the row at ``ts``, free it and return its final account.
+        ``kv_blocks`` is a last KV sample (the blocks a finished request
+        held), taken into the peak and the final count."""
+        if self._state[row] == _WAITING:
+            self._comp[row, _QUEUE] += ts - self._inactive_since[row]
+        if kv_blocks is not None:
+            self._kv_peak[row] = max(int(self._kv_peak[row]), kv_blocks)
+            self._kv_last[row] = kv_blocks
+        account = self.account(row)
+        self._state[row] = _FREE
+        self._free.append(row)
+        return account
 
     # ------------------------------------------------------------------
     # step charges (called once per engine iteration, pre-advancement)
 
-    def _charge(
+    def charge(
         self,
-        participants: np.ndarray,
-        idle: np.ndarray,
         dt: float,
         gemm: float,
         attention: float,
         kv_dequant: float,
         overhead: float,
-        blocks_of_rows: Callable[[np.ndarray], np.ndarray] | None,
-        active: np.ndarray,
+        prefill_row: int = -1,
+        serialized: bool = False,
+        blocks_of_rows: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> None:
+        """Charge one engine iteration.  Its participants share the step's
+        kernel components in full (they ride the same fused pass); every
+        other admitted row stalls for ``dt``.  The participants are the
+        prefill owner ``prefill_row`` plus, unless the step is a
+        ``serialized`` whole-prompt prefill (the decode gap chunked
+        prefill exists to close), every decoding row."""
+        active = np.flatnonzero(self._state == _ACTIVE)
+        if active.size == 0:
+            return
+        part = active == prefill_row
+        if not serialized:
+            part |= self._decoding[active]
         comp = self._comp
+        participants, idle = active[part], active[~part]
         if participants.size:
             base = np.where(
                 self._first_tokened[participants], _DEC_BASE, _PF_BASE
@@ -294,7 +259,7 @@ class CostLedger:
         if idle.size:
             base = np.where(self._first_tokened[idle], _DEC_BASE, _PF_BASE)
             comp[idle, base + _STALL_OFF] += dt
-        if blocks_of_rows is not None and active.size:
+        if blocks_of_rows is not None:
             blocks = np.asarray(
                 blocks_of_rows(self._kv_row[active]), dtype=np.int64
             )
@@ -302,169 +267,47 @@ class CostLedger:
             self._kv_peak[active] = np.maximum(self._kv_peak[active], blocks)
             self._kv_last[active] = blocks
 
-    def step_cost(
-        self,
-        dt: float,
-        gemm: float,
-        attention: float,
-        kv_dequant: float,
-        overhead: float,
-        prefill_id: int = -1,
-        blocks_of_rows: Callable[[np.ndarray], np.ndarray] | None = None,
-    ) -> None:
-        """Charge one continuous-batching iteration: every decoding row
-        plus the active prefill chunk's owner shares the step's kernel
-        components in full (they ride the same fused pass); admitted rows
-        waiting for their chunk turn stall."""
-        with self._lock:
-            active = np.flatnonzero(self._state == _ACTIVE)
-            if active.size == 0:
-                return
-            part = self._decoding[active].copy()
-            if prefill_id >= 0:
-                row = self._by_id.get(prefill_id)
-                if row is not None:
-                    part |= active == row
-            self._charge(
-                active[part], active[~part], dt, gemm, attention,
-                kv_dequant, overhead, blocks_of_rows, active,
-            )
 
-    def prefill_cost(
-        self,
-        request_id: int,
-        dt: float,
-        gemm: float,
-        attention: float,
-        overhead: float,
-        blocks_of_rows: Callable[[np.ndarray], np.ndarray] | None = None,
-    ) -> None:
-        """Charge a serialized whole-prompt prefill: only the prefilling
-        request computes; every other admitted row stalls for the full
-        duration (the decode gap chunked prefill exists to close)."""
-        with self._lock:
-            active = np.flatnonzero(self._state == _ACTIVE)
-            if active.size == 0:
-                return
-            row = self._by_id.get(request_id)
-            part = active == row if row is not None else np.zeros(
-                active.size, dtype=bool
-            )
-            self._charge(
-                active[part], active[~part], dt, gemm, attention,
-                0.0, overhead, blocks_of_rows, active,
-            )
-
-    # ------------------------------------------------------------------
-    # queries
-
-    def set_pool_summary(self, pool: dict) -> None:
-        """Deposit the end-of-run KV pool summary (refcount distribution,
-        fragmentation, ...) the engine computes once at finalize."""
-        with self._lock:
-            self._pool = dict(pool)
-
-    def request(self, request_id: int) -> dict | None:
-        """Attribution for one request: in-flight running totals for a
-        live row, the full record for a completed one (newest wins)."""
-        with self._lock:
-            row = self._by_id.get(request_id)
-            if row is not None:
-                comp = self._comp[row]
-                return {
-                    "request_id": int(request_id),
-                    "outcome": "in_flight",
-                    "queue_seconds": float(comp[_QUEUE]),
-                    "prefill": {
-                        name: float(comp[_PF_BASE + k])
-                        for k, name in enumerate(COMPONENTS)
-                    },
-                    "decode": {
-                        name: float(comp[_DEC_BASE + k])
-                        for k, name in enumerate(COMPONENTS)
-                    },
-                    "kv": {
-                        "blocks_admitted": int(self._kv_admit[row]),
-                        "blocks_peak": int(self._kv_peak[row]),
-                        "blocks_final": int(self._kv_last[row]),
-                        "shared_blocks": int(self._kv_shared[row]),
-                        "block_seconds": float(self._block_sec[row]),
-                    },
-                }
-            for record in reversed(self._completed):
-                if record["request_id"] == request_id:
-                    return record
-            return None
-
-    def completed(self) -> list[dict]:
-        """Completed-request records, oldest first (bounded ring)."""
-        with self._lock:
-            return list(self._completed)
-
-    def active_ids(self) -> list[int]:
-        with self._lock:
-            return sorted(self._by_id)
-
-    def aggregate(self) -> dict:
-        """Fleet-level attribution over the retained completed records:
-        the fraction of total attributed time spent in each component
-        (the ``attribution`` column of ``BENCH_serving.json`` rows)."""
-        records = self.completed()
-        fractions = {name: 0.0 for name in ATTRIBUTION_KEYS}
-        if not records:
-            return {
-                "requests": 0,
-                "e2e_mean_s": 0.0,
-                "fractions": fractions,
-                "phase_fractions": {
-                    "queue": 0.0, "prefill": 0.0, "decode": 0.0
-                },
-                "dominant": "",
-            }
-        totals = dict(fractions)
-        phase_totals = {"queue": 0.0, "prefill": 0.0, "decode": 0.0}
-        e2e = 0.0
-        for record in records:
-            e2e += record["e2e_seconds"]
-            totals["queue"] += record["queue_seconds"]
-            phase_totals["queue"] += record["queue_seconds"]
-            for bucket in ("prefill", "decode"):
-                for name, value in record[bucket].items():
-                    totals[name] += value
-                    phase_totals[bucket] += value
-        grand = sum(totals.values())
-        if grand > 0.0:
-            fractions = {k: v / grand for k, v in totals.items()}
-            phase_fractions = {k: v / grand for k, v in phase_totals.items()}
-        else:
-            phase_fractions = dict(phase_totals)
-        dominant = max(fractions, key=lambda k: fractions[k])
+def aggregate(records: list[dict]) -> dict:
+    """Fleet-level attribution over completed-request records: the
+    fraction of total attributed time spent in each component (the
+    ``attribution`` column of ``BENCH_serving.json`` rows)."""
+    fractions = {name: 0.0 for name in ATTRIBUTION_KEYS}
+    if not records:
         return {
-            "requests": len(records),
-            "e2e_mean_s": e2e / len(records),
+            "requests": 0,
+            "e2e_mean_s": 0.0,
             "fractions": fractions,
-            "phase_fractions": phase_fractions,
-            "dominant": dominant,
+            "phase_fractions": {
+                "queue": 0.0, "prefill": 0.0, "decode": 0.0
+            },
+            "dominant": "",
         }
-
-    def snapshot(self) -> dict:
-        """JSON-ready state: served at ``/attribution`` and embedded in
-        ``obs.write_snapshot``'s ``live.attrib`` key (the analyzer input)."""
-        with self._lock:
-            active = len(self._by_id)
-            completed = len(self._completed)
-            evicted = self._evicted
-            pool = dict(self._pool)
-            records = list(self._completed)
-        return {
-            "capacity": self.capacity,
-            "active": active,
-            "completed": completed,
-            "evicted": evicted,
-            "aggregate": self.aggregate(),
-            "pool": pool,
-            "records": records,
-        }
+    totals = dict(fractions)
+    phase_totals = {"queue": 0.0, "prefill": 0.0, "decode": 0.0}
+    e2e = 0.0
+    for record in records:
+        e2e += record["e2e_seconds"]
+        totals["queue"] += record["queue_seconds"]
+        phase_totals["queue"] += record["queue_seconds"]
+        for bucket in ("prefill", "decode"):
+            for name, value in record[bucket].items():
+                totals[name] += value
+                phase_totals[bucket] += value
+    grand = sum(totals.values())
+    if grand > 0.0:
+        fractions = {k: v / grand for k, v in totals.items()}
+        phase_fractions = {k: v / grand for k, v in phase_totals.items()}
+    else:
+        phase_fractions = dict(phase_totals)
+    dominant = max(fractions, key=lambda k: fractions[k])
+    return {
+        "requests": len(records),
+        "e2e_mean_s": e2e / len(records),
+        "fractions": fractions,
+        "phase_fractions": phase_fractions,
+        "dominant": dominant,
+    }
 
 
 # ----------------------------------------------------------------------

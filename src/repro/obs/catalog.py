@@ -135,8 +135,9 @@ METRIC_CATALOG: dict[str, tuple[str, str]] = {
     "serving.slo_state": (
         "gauge", "SLO monitor state: 0 = ok, 1 = warn, 2 = critical."),
     "serving.flightrecorder_evictions_total": (
-        "counter", "Completed flight records evicted from the bounded "
-        "ring (FIFO, oldest first)."),
+        "counter", "Closed request records evicted from the record "
+        "store's one bounded ring (FIFO, oldest first); the flight and "
+        "attribution views drop the same requests."),
     # --------------------------------------------- latency attribution /
     # KV economics (repro.obs.attrib feeds; see docs/observability.md,
     # "Latency attribution")

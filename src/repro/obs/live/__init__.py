@@ -6,12 +6,15 @@ observability"):
 
 * :mod:`~repro.obs.live.windows`        — bounded per-metric reservoirs
   with sliding-window rate / mean / p50 / p95 / p99 aggregation;
-* :mod:`~repro.obs.live.flightrecorder` — a FIFO ring of per-request
-  timelines (phase transitions, retries, faults, KV blocks held);
+* :mod:`~repro.obs.live.flightrecorder` — the one per-request record
+  store: a FIFO ring of request timelines (phase transitions, retries,
+  faults) whose queue/prefill/decode seconds and KV blocks are the cost
+  ledger's (:mod:`repro.obs.attrib`) accounts;
 * :mod:`~repro.obs.live.slo`            — streaming burn-rate evaluation
   of the PR-3 TTFT/e2e deadlines with an ok/warn/critical ladder;
 * :mod:`~repro.obs.live.httpd`          — a stdlib HTTP thread serving
-  ``/metrics``, ``/healthz``, ``/slo``, ``/windows``, ``/requests/<id>``.
+  ``/metrics``, ``/healthz``, ``/slo``, ``/windows``, ``/requests/<id>``,
+  ``/attribution``.
 
 One :class:`LiveObs` bundles the three collectors; the serving engine
 feeds it through a per-step heartbeat plus request lifecycle hooks, but
@@ -36,8 +39,11 @@ from threading import Lock
 from typing import Callable
 
 import repro.obs as obs
-from repro.obs.attrib import CostLedger
-from repro.obs.live.flightrecorder import FlightRecord, FlightRecorder
+from repro.obs.live.flightrecorder import (
+    DEFAULT_CAPACITY,
+    FlightRecord,
+    FlightRecorder,
+)
 from repro.obs.live.httpd import LiveHTTPServer
 from repro.obs.live.slo import (
     STATE_LEVELS,
@@ -48,7 +54,6 @@ from repro.obs.live.windows import Reservoir, WindowSet, WindowStats
 
 __all__ = [
     "LiveObs",
-    "CostLedger",
     "attach",
     "detach",
     "active",
@@ -69,10 +74,10 @@ class LiveObs:
 
     Attributes:
         windows: sliding-window reservoirs keyed by catalog metric name.
-        flights: the per-request flight recorder.
+        flights: the per-request record store: timelines, latency
+            attribution and KV economics, retaining the last ``capacity``
+            closed requests.
         slo: the streaming SLO burn-rate monitor.
-        attrib: the per-request cost ledger (latency attribution + KV
-            economics, :mod:`repro.obs.attrib`).
         steps: heartbeats seen so far.
         clock: simulated time of the latest heartbeat.
     """
@@ -81,8 +86,7 @@ class LiveObs:
         self,
         window_seconds: float = 1.0,
         window_samples: int = 1024,
-        flight_capacity: int = 256,
-        attrib_capacity: int = 512,
+        capacity: int = DEFAULT_CAPACITY,
         slo_policy: SLOPolicy | None = None,
         heartbeat_hook: Callable[["LiveObs"], None] | None = None,
         hook_every: int = 1,
@@ -92,9 +96,8 @@ class LiveObs:
         self.windows = WindowSet(
             capacity=window_samples, window_seconds=window_seconds
         )
-        self.flights = FlightRecorder(capacity=flight_capacity)
+        self.flights = FlightRecorder(capacity=capacity)
         self.slo = SLOMonitor(policy=slo_policy)
-        self.attrib = CostLedger(capacity=attrib_capacity)
         self.steps = 0
         self.clock = 0.0
         self._hook = heartbeat_hook
@@ -186,8 +189,9 @@ class LiveObs:
     # ------------------------------------------------------------- queries
 
     def snapshot(self) -> dict:
-        """JSON-able state: windows + SLO + flight summary (the payload
-        ``obs.write_snapshot`` embeds so post-hoc and live views agree)."""
+        """JSON-able state: windows + SLO + the record store's summary and
+        attribution (the payload ``obs.write_snapshot`` embeds so post-hoc
+        and live views agree)."""
         return {
             "steps": self.steps,
             "clock": self.clock,
@@ -196,7 +200,7 @@ class LiveObs:
             "slo": self.slo.snapshot(now=self.clock),
             "flights": self.flights.summary(),
             "failures": [r.request_id for r in self.flights.failures()],
-            "attrib": self.attrib.snapshot(),
+            "attrib": self.flights.attribution(),
         }
 
     def render(self) -> str:

@@ -1,9 +1,15 @@
-"""Per-request flight recorder: bounded ring of request timelines.
+"""The per-request record store: one bounded ring of request records.
 
-Aggregate metrics say *that* goodput dropped; the flight recorder says
-*why request 17 failed*: every phase transition, retry, fault hit, and
-preemption a request experienced, with simulated timestamps, plus the
-derived queue/prefill/decode timings and the KV blocks it held.
+Aggregate metrics say *that* goodput dropped; a record says *why request
+17 failed*: every phase transition, retry, fault hit, and preemption a
+request experienced, with simulated timestamps, plus where its e2e went
+(queue, then the prefill and decode components of
+:mod:`repro.obs.attrib`) and the KV blocks it held.
+
+Each in-flight record owns one row of a :class:`~repro.obs.attrib.
+CostLedger`; at close the row's settled account moves into the record, so
+the flight view and the cost-ledger view of a request are one set of
+numbers.
 
 Records are duck-typed against :class:`repro.serving.request.Request`
 attributes fed through the engine's live hooks — this module deliberately
@@ -17,19 +23,34 @@ itself capped so a pathological request cannot grow without bound.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from threading import Lock
+from typing import Callable, Protocol
+
+import numpy as np
+
+from repro.obs.attrib import CostLedger, aggregate
 
 __all__ = ["FlightRecord", "FlightRecorder"]
 
 #: Default completed-record ring capacity.
-DEFAULT_CAPACITY = 256
+DEFAULT_CAPACITY = 512
 
 #: Per-record timeline entry cap (phase churn under heavy preemption).
 MAX_TIMELINE_EVENTS = 512
 
-#: Terminal outcomes that count as failures for ``failures()`` / dumps.
+#: Terminal outcomes that count as failures for ``failures()``.
 _FAILURE_OUTCOMES = frozenset({"failed", "rejected", "timed_out"})
+
+
+class _Request(Protocol):
+    """What a record opens with (:class:`repro.serving.request.Request`)."""
+
+    request_id: int
+    prompt_len: int
+    max_new_tokens: int
+    arrival_time: float
 
 
 @dataclass
@@ -37,8 +58,9 @@ class FlightRecord:
     """The recorded life of one request.
 
     ``timeline`` is a list of ``(ts, event, detail)`` tuples on the
-    simulated clock; the scalar fields below are derived views the HTTP
-    endpoint and dashboards read directly.
+    simulated clock.  ``account`` is the request's cost-ledger account
+    (:meth:`CostLedger.account`): settled at close, refreshed by
+    :meth:`FlightRecorder.get` while the request is in flight.
     """
 
     request_id: int
@@ -55,9 +77,10 @@ class FlightRecord:
     preemptions: int = 0
     faults: int = 0
     generated: int = 0
-    kv_blocks_peak: int = 0
     slo_met: bool | None = None
     timeline_truncated: bool = False
+    row: int = -1  # cost-ledger row while in flight
+    account: dict = field(default_factory=dict)
 
     def note(self, ts: float, event: str, **detail: object) -> None:
         if len(self.timeline) >= MAX_TIMELINE_EVENTS:
@@ -73,23 +96,19 @@ class FlightRecord:
 
     @property
     def queue_seconds(self) -> float:
-        """Arrival to (first) admission; 0 while never admitted."""
-        if self.admitted_time is None:
-            return 0.0
-        return self.admitted_time - self.arrival_time
+        """Time spent waiting for (re-)admission, retry backoff included:
+        the whole e2e of a request never admitted."""
+        return self.account["queue_seconds"]
 
     @property
     def prefill_seconds(self) -> float:
-        """Admission to first token (prefill plus any decode queueing)."""
-        if self.admitted_time is None or self.first_token_time is None:
-            return 0.0
-        return self.first_token_time - self.admitted_time
+        """Admitted time before the first token: compute plus stall."""
+        return sum(self.account["prefill"].values())
 
     @property
     def decode_seconds(self) -> float:
-        if self.first_token_time is None or self.end_time is None:
-            return 0.0
-        return self.end_time - self.first_token_time
+        """Admitted time after the first token: compute plus stall."""
+        return sum(self.account["decode"].values())
 
     @property
     def e2e_seconds(self) -> float:
@@ -97,7 +116,27 @@ class FlightRecord:
             return 0.0
         return self.end_time - self.arrival_time
 
+    @property
+    def kv_blocks_peak(self) -> int:
+        return self.account["kv"]["blocks_peak"]
+
+    def attribution(self) -> dict:
+        """The cost-ledger view: one ``live.attrib`` record."""
+        return {
+            "request_id": self.request_id,
+            "outcome": self.outcome or "in_flight",
+            "arrival_time": self.arrival_time,
+            "end_time": self.end_time,
+            "e2e_seconds": self.e2e_seconds,
+            "attributed_seconds": self.queue_seconds + self.prefill_seconds
+            + self.decode_seconds,
+            **self.account,
+        }
+
     def to_dict(self) -> dict:
+        queue = self.queue_seconds
+        prefill = self.prefill_seconds
+        decode = self.decode_seconds
         return {
             "request_id": self.request_id,
             "prompt_len": self.prompt_len,
@@ -108,15 +147,11 @@ class FlightRecord:
             "admitted_time": self.admitted_time,
             "first_token_time": self.first_token_time,
             "end_time": self.end_time,
-            "queue_seconds": self.queue_seconds,
-            "prefill_seconds": self.prefill_seconds,
-            "decode_seconds": self.decode_seconds,
+            "queue_seconds": queue,
+            "prefill_seconds": prefill,
+            "decode_seconds": decode,
             "e2e_seconds": self.e2e_seconds,
-            "phases": {
-                "queue": self.queue_seconds,
-                "prefill": self.prefill_seconds,
-                "decode": self.decode_seconds,
-            },
+            "phases": {"queue": queue, "prefill": prefill, "decode": decode},
             "retries": self.retries,
             "preemptions": self.preemptions,
             "faults": self.faults,
@@ -132,103 +167,138 @@ class FlightRecord:
 
 
 class FlightRecorder:
-    """Bounded collection of request flight records.
+    """The one store of per-request records.
 
-    In-flight records live in a dict (one per active request); terminal
-    records move to a FIFO ring of at most ``capacity`` entries.  Both
-    populations are queryable by request id; eviction is strictly oldest-
-    completed-first and counted in :attr:`evictions`.
+    In-flight records live in a dict (one per active request, each holding
+    its cost-ledger row); closed records move to a FIFO ring of at most
+    ``capacity`` entries.  Both populations are queryable by request id;
+    eviction is strictly oldest-closed-first and counted in
+    :attr:`evictions`.  One lock serializes the engine's writes against
+    the HTTP exporter's reads.
+
+    :meth:`queued`, :meth:`admitted` and :meth:`close` may be a request's
+    first sight, so they take the request itself (duck-typed); the other
+    events address an open record by id.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
+        self._ledger = CostLedger()
         self._active: dict[int, FlightRecord] = {}
-        self._completed: list[FlightRecord] = []  # FIFO, oldest first
+        self._completed: deque[FlightRecord] = deque(maxlen=capacity)
         self._by_id: dict[int, FlightRecord] = {}  # completed index
+        self._pool: dict = {}
         self._lock = Lock()
         self.evictions = 0
 
     # ----------------------------------------------------------- recording
 
-    def _ensure(self, request_id: int) -> FlightRecord:
-        rec = self._active.get(request_id)
+    def _open(self, req: _Request) -> FlightRecord:
+        """The request's in-flight record, opened on first sight."""
+        rec = self._active.get(req.request_id)
         if rec is None:
-            rec = FlightRecord(request_id=request_id)
-            self._active[request_id] = rec
+            rec = FlightRecord(
+                req.request_id, req.prompt_len, req.max_new_tokens,
+                req.arrival_time, row=self._ledger.open(req.arrival_time),
+            )
+            rec.note(req.arrival_time, "queued")
+            self._active[req.request_id] = rec
         return rec
 
-    def queued(
-        self,
-        request_id: int,
-        prompt_len: int,
-        max_new_tokens: int,
-        arrival_time: float,
-    ) -> FlightRecord:
+    def queued(self, req: _Request) -> None:
         """First sight of a request (idempotent; retries re-queue)."""
         with self._lock:
-            rec = self._ensure(request_id)
-            if not rec.timeline:
-                rec.prompt_len = prompt_len
-                rec.max_new_tokens = max_new_tokens
-                rec.arrival_time = arrival_time
-                rec.note(arrival_time, "queued")
-            return rec
+            self._open(req)
 
-    def admitted(self, request_id: int, ts: float, kv_blocks: int = 0) -> None:
+    def admitted(
+        self,
+        req: _Request,
+        ts: float,
+        kv_blocks: int = 0,
+        kv_row: int = -1,
+        shared_blocks: int = 0,
+    ) -> None:
+        """(Re-)admission: queue time settles and the request holds
+        ``kv_blocks`` (``shared_blocks`` of them forked) at pool row
+        ``kv_row``, whose later holdings the step charges sample."""
         with self._lock:
-            rec = self._ensure(request_id)
+            rec = self._open(req)
             if rec.admitted_time is None:
                 rec.admitted_time = ts
-            rec.kv_blocks_peak = max(rec.kv_blocks_peak, kv_blocks)
             rec.note(ts, "admitted", kv_blocks=kv_blocks)
+            self._ledger.admitted(rec.row, ts, kv_row, kv_blocks, shared_blocks)
+
+    def prefill_done(self, request_id: int) -> None:
+        """The prompt is in: the request decodes from the next step."""
+        with self._lock:
+            self._ledger.prefill_done(self._active[request_id].row)
 
     def first_token(self, request_id: int, ts: float) -> None:
         with self._lock:
-            rec = self._ensure(request_id)
+            rec = self._active[request_id]
             if rec.first_token_time is None:
                 rec.first_token_time = ts
             rec.note(ts, "first_token", ttft=ts - rec.arrival_time)
+            self._ledger.first_token(rec.row)
 
     def preempted(self, request_id: int, ts: float, lost_tokens: int = 0) -> None:
         with self._lock:
-            rec = self._ensure(request_id)
+            rec = self._active[request_id]
             rec.preemptions += 1
             rec.note(ts, "preempted", lost_tokens=lost_tokens)
+            self._ledger.requeued(rec.row, ts)
 
     def retry(self, request_id: int, ts: float, reason: str, attempt: int) -> None:
         with self._lock:
-            rec = self._ensure(request_id)
+            rec = self._active[request_id]
             rec.retries = max(rec.retries, attempt)
             rec.note(ts, "retry", reason=reason, attempt=attempt)
+            self._ledger.requeued(rec.row, ts)
 
     def fault(self, request_id: int, ts: float, kind: str) -> None:
         with self._lock:
-            rec = self._ensure(request_id)
+            rec = self._active[request_id]
             rec.faults += 1
             rec.note(ts, "fault", kind=kind)
 
-    def kv_blocks(self, request_id: int, blocks: int) -> None:
+    def step_cost(
+        self,
+        dt: float,
+        gemm: float,
+        attention: float,
+        kv_dequant: float,
+        overhead: float,
+        prefill_id: int = -1,
+        serialized: bool = False,
+        blocks_of_rows: Callable[[np.ndarray], np.ndarray] | None = None,
+    ) -> None:
+        """Charge one engine step to the in-flight records
+        (:meth:`CostLedger.charge`); ``prefill_id`` names the request
+        whose prompt computes this step."""
         with self._lock:
-            rec = self._active.get(request_id)
-            if rec is not None:
-                rec.kv_blocks_peak = max(rec.kv_blocks_peak, blocks)
+            rec = self._active.get(prefill_id)
+            self._ledger.charge(
+                dt, gemm, attention, kv_dequant, overhead,
+                -1 if rec is None else rec.row, serialized, blocks_of_rows,
+            )
 
     def close(
         self,
-        request_id: int,
+        req: _Request,
         ts: float,
         outcome: str,
         reason: str = "",
         generated: int = 0,
         slo_met: bool | None = None,
+        kv_blocks: int | None = None,
     ) -> FlightRecord:
-        """Terminate a record and move it to the completed ring."""
+        """Settle a record's account and move it to the completed ring.
+        ``kv_blocks`` is a last KV sample (see :meth:`CostLedger.close`)."""
         with self._lock:
-            rec = self._active.pop(request_id, None)
-            if rec is None:
-                rec = FlightRecord(request_id=request_id)
+            rec = self._open(req)
+            del self._active[rec.request_id]
             rec.outcome = outcome
             rec.failure_reason = reason
             rec.end_time = ts
@@ -238,16 +308,24 @@ class FlightRecorder:
                 ts, outcome, reason=reason, generated=generated,
                 e2e=ts - rec.arrival_time,
             )
-            self._completed.append(rec)
-            self._by_id[request_id] = rec
-            while len(self._completed) > self.capacity:
-                evicted = self._completed.pop(0)
+            rec.account = self._ledger.close(rec.row, ts, kv_blocks)
+            rec.row = -1
+            if len(self._completed) == self.capacity:
+                evicted = self._completed[0]
                 self.evictions += 1
                 # Only drop the index entry if it still points at the
                 # evicted record (ids can be reused across runs).
                 if self._by_id.get(evicted.request_id) is evicted:
                     del self._by_id[evicted.request_id]
+            self._completed.append(rec)
+            self._by_id[rec.request_id] = rec
             return rec
+
+    def set_pool_summary(self, pool: dict) -> None:
+        """Deposit the end-of-run KV pool summary (refcount distribution,
+        fragmentation, ...) the engine computes once at finalize."""
+        with self._lock:
+            self._pool = dict(pool)
 
     # ------------------------------------------------------------- queries
 
@@ -255,10 +333,12 @@ class FlightRecorder:
         return len(self._active) + len(self._completed)
 
     def get(self, request_id: int) -> FlightRecord | None:
-        """Look a request up, in-flight or completed (newest wins)."""
+        """Look a request up, in-flight or completed (newest wins); an
+        in-flight record's account is refreshed first."""
         with self._lock:
             rec = self._active.get(request_id)
             if rec is not None:
+                rec.account = self._ledger.account(rec.row)
                 return rec
             return self._by_id.get(request_id)
 
@@ -291,6 +371,18 @@ class FlightRecorder:
                 "outcomes": outcomes,
             }
 
-    def dump_failures(self) -> list[dict]:
-        """Full timelines of every retained failure (crash-dump payload)."""
-        return [rec.to_dict() for rec in self.failures()]
+    def attribution(self) -> dict:
+        """The cost-ledger view of the store, JSON-ready: served at
+        ``/attribution`` and embedded as ``obs.write_snapshot``'s
+        ``live.attrib`` key (the analyzer input)."""
+        with self._lock:
+            records = [r.attribution() for r in self._completed]
+            return {
+                "capacity": self.capacity,
+                "active": len(self._active),
+                "completed": len(records),
+                "evicted": self.evictions,
+                "aggregate": aggregate(records),
+                "pool": dict(self._pool),
+                "records": records,
+            }

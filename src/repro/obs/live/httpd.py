@@ -10,12 +10,16 @@ Serves the live-observability surface the way a production LLM server
 * ``GET /slo``            — the SLO monitor's burn-rate snapshot and
   degradation-event log;
 * ``GET /windows``        — sliding-window aggregates per metric;
-* ``GET /requests``       — flight-recorder index (active/completed ids);
-* ``GET /requests/<id>``  — one request's full flight record (timeline,
-  phase timings, retries, faults, KV blocks) merged with its cost-ledger
-  attribution; a structured 404 JSON body when unknown/evicted;
-* ``GET /attribution``    — the cost-ledger snapshot: fleet attribution
-  aggregate, per-request records, KV pool economics (repro.obs.attrib).
+* ``GET /requests``       — the record store's index (active/completed
+  ids);
+* ``GET /requests/<id>``  — one request's record (timeline, phase timings,
+  retries, faults, KV blocks) with its attribution under ``attribution``;
+  a structured 404 JSON body when unknown/evicted;
+* ``GET /attribution``    — the store's cost-ledger view: fleet
+  attribution aggregate, per-request records, KV pool economics
+  (repro.obs.attrib).
+
+Every per-request route reads the one record store, ``live.flights``.
 
 The server runs on a daemon thread (`ThreadingHTTPServer`), binds an
 ephemeral port by default, and reads engine state only through the
@@ -110,7 +114,7 @@ class _Handler(BaseHTTPRequestHandler):
         elif path == "/attribution":
             live = self._need_live()
             if live is not None:
-                self._send_json(200, live.attrib.snapshot())
+                self._send_json(200, live.flights.attribution())
         elif path == "/":
             self._send_json(200, {"endpoints": ROUTES})
         else:
@@ -161,13 +165,13 @@ class _Handler(BaseHTTPRequestHandler):
                              "or never seen)",
                     "request_id": request_id,
                     "active": live.flights.active_ids(),
-                    "completed": len(live.flights),
+                    "completed": live.flights.summary()["completed"],
                     "hint": "GET /requests lists tracked ids",
                 },
             )
             return
         doc = rec.to_dict()
-        doc["attribution"] = live.attrib.request(request_id)
+        doc["attribution"] = rec.attribution()
         self._send_json(200, doc)
 
 

@@ -372,8 +372,9 @@ _HEARTBEAT_METRICS = (
 class _LiveHooks(EngineEvents):
     """Event sink feeding the attached live-observability bundle
     (:mod:`repro.obs.live`): a per-step heartbeat with sliding-window
-    samples, flight-recorder lifecycle events, streaming SLO outcomes, and
-    the cost ledger (:class:`repro.obs.attrib.CostLedger`).
+    samples, streaming SLO outcomes, and one call per lifecycle event or
+    step charge to the record store ``live.flights`` (timelines plus the
+    cost ledger's accounts, :mod:`repro.obs.attrib`).
 
     Instantiated only when a bundle is attached, so the detached engine
     pays one ``live_obs.active()`` read per run (the same zero-cost
@@ -386,9 +387,11 @@ class _LiveHooks(EngineEvents):
     amortizing the per-step lock/sample cost at high concurrency.  The
     buffer flushes before every lifecycle event so sample/record ordering
     inside the live layer is identical to unbuffered per-step feeding.
-    The ledger is charged at :meth:`step_cost`, before request state
-    advances, so every transition settles at the current clock and the
-    per-request components sum to e2e.
+    Steps are charged at :meth:`step_cost`, before request state advances,
+    so every transition settles at the current clock and each record's
+    queue, prefill and decode seconds sum to its e2e.  A record's KV peak
+    is the ledger's per-step pool measurement plus one exact sample at
+    finish, when the request holds its total length.
     """
 
     #: Heartbeats buffered before a bulk hand-off to the live layer.
@@ -397,7 +400,7 @@ class _LiveHooks(EngineEvents):
     def __init__(self, live: live_obs.LiveObs, kv: PagedKVManager):
         self._live = live
         self._kv = kv
-        self._attrib = live.attrib
+        self._flights = live.flights
         self._hb = np.zeros((self.FLUSH_EVERY, 1 + len(_HEARTBEAT_METRICS)))
         self._hb_n = 0
 
@@ -412,50 +415,34 @@ class _LiveHooks(EngineEvents):
             rows[:, 0], dict(zip(_HEARTBEAT_METRICS, rows[:, 1:].T))
         )
 
-    def _queued(self, req: Request) -> None:
-        """Open the request's flight record and ledger row (idempotent)."""
-        self._live.flights.queued(
-            req.request_id,
-            prompt_len=req.prompt_len,
-            max_new_tokens=req.max_new_tokens,
-            arrival_time=req.arrival_time,
-        )
-        self._attrib.queued(req.request_id, req.arrival_time)
-
     @staticmethod
     def _has_slo(req: Request) -> bool:
         return req.ttft_slo is not None or req.e2e_slo is not None
 
     def admit(self, req: Request, clock: float) -> None:
         self.flush()
-        self._queued(req)
-        blocks = self._kv.blocks_needed(req.prompt_len)
-        self._live.flights.admitted(req.request_id, clock, kv_blocks=blocks)
-        self._attrib.admitted(
-            req.request_id, clock, kv_row=self._kv.sequence_row(req.request_id),
-            kv_blocks=blocks,
-            shared_blocks=self._kv.sequence_shared_blocks(req.request_id),
+        kv = self._kv
+        self._flights.admitted(
+            req, clock, kv_blocks=kv.blocks_needed(req.prompt_len),
+            kv_row=kv.sequence_row(req.request_id),
+            shared_blocks=kv.sequence_shared_blocks(req.request_id),
         )
 
     def first_token(self, req: Request, clock: float) -> None:
         self.flush()
-        self._live.flights.first_token(req.request_id, clock)
-        self._attrib.first_token(req.request_id)
+        self._flights.first_token(req.request_id, clock)
         self._live.sample(
             "serving.ttft_seconds", clock - req.arrival_time, clock
         )
 
     def finish(self, req: Request, clock: float) -> None:
         self.flush()
-        fl = self._live.flights
-        fl.kv_blocks(req.request_id, self._kv.blocks_needed(req.total_len))
         has_slo = self._has_slo(req)
-        fl.close(
-            req.request_id, clock, outcome="finished",
-            generated=req.generated,
+        self._flights.close(
+            req, clock, outcome="finished", generated=req.generated,
             slo_met=req.slo_met if has_slo else None,
+            kv_blocks=self._kv.blocks_needed(req.total_len),
         )
-        self._attrib.close(req.request_id, clock, "finished")
         self._live.sample(
             "serving.tpot_seconds",
             (req.finish_time - req.first_token_time)
@@ -472,31 +459,26 @@ class _LiveHooks(EngineEvents):
 
     def preempt(self, req: Request, clock: float, lost: int) -> None:
         self.flush()
-        self._live.flights.preempted(req.request_id, clock, lost_tokens=lost)
-        self._attrib.requeued(req.request_id, clock)
+        self._flights.preempted(req.request_id, clock, lost_tokens=lost)
 
     def _close_unserved(
         self, req: Request, clock: float, outcome: str, **details
     ) -> None:
-        """Close the flight record and ledger row of a request that ends
-        without finishing (rejected, failed, timed out)."""
+        """Close the record of a request that ends without finishing
+        (rejected, failed, timed out)."""
         self.flush()
-        self._queued(req)
-        self._live.flights.close(
-            req.request_id, clock, outcome=outcome,
-            reason=req.failure_reason, **details,
+        self._flights.close(
+            req, clock, outcome=outcome, reason=req.failure_reason, **details
         )
-        self._attrib.close(req.request_id, clock, outcome)
 
     def reject(self, req: Request, clock: float) -> None:
         self._close_unserved(req, clock, "rejected")
 
     def retry(self, req: Request, clock: float, reason: str) -> None:
         self.flush()
-        self._live.flights.retry(
+        self._flights.retry(
             req.request_id, clock, reason=reason, attempt=req.retries
         )
-        self._attrib.requeued(req.request_id, clock)
 
     def fail(self, req: Request, clock: float) -> None:
         self._close_unserved(req, clock, "failed", generated=req.generated)
@@ -512,25 +494,20 @@ class _LiveHooks(EngineEvents):
 
     def fault_hit(self, kind: str, req: Request, clock: float) -> None:
         self.flush()
-        self._live.flights.fault(req.request_id, clock, kind=kind)
+        self._flights.fault(req.request_id, clock, kind=kind)
 
     def prefill_done(self, req: Request, clock: float) -> None:
-        self._attrib.prefill_done(req.request_id)  # a decoder from now on
+        self._flights.prefill_done(req.request_id)  # a decoder from now on
 
     def step_cost(self, step: Step) -> None:
-        """Charge the step to the ledger.  A serialized prefill stalls
-        every other admitted request for its duration (the decode gap)."""
-        if step.serialized:
-            self._attrib.prefill_cost(
-                step.prefill_id, step.dt, step.gemm, step.attention,
-                step.overhead, blocks_of_rows=self._kv.blocks_of_rows,
-            )
-        else:
-            self._attrib.step_cost(
-                step.dt, step.gemm, step.attention - step.kv_dequant,
-                step.kv_dequant, step.overhead, prefill_id=step.prefill_id,
-                blocks_of_rows=self._kv.blocks_of_rows,
-            )
+        """Charge the step to the records' ledger accounts.  A serialized
+        prefill stalls every other admitted request for its duration (the
+        decode gap)."""
+        self._flights.step_cost(
+            step.dt, step.gemm, step.attention - step.kv_dequant,
+            step.kv_dequant, step.overhead, prefill_id=step.prefill_id,
+            serialized=step.serialized, blocks_of_rows=self._kv.blocks_of_rows,
+        )
 
     def step_end(self, step: Step, tokens: int) -> None:
         """Buffer one step's worth of sliding-window samples (KV gauges
@@ -547,9 +524,9 @@ class _LiveHooks(EngineEvents):
 
     def end_run(self, report: ThroughputReport) -> None:
         """Drain the heartbeat tail and deposit the KV pool's economics
-        summary (computed once — not per step) in the ledger."""
+        summary (computed once — not per step) in the record store."""
         self.flush()
-        self._attrib.set_pool_summary({
+        self._flights.set_pool_summary({
             "free_blocks": self._kv.free_blocks,
             "used_blocks": self._kv.used_blocks,
             "shared_blocks": self._kv.shared_blocks,

@@ -2,7 +2,8 @@
 
 Three layers:
 
-* direct-feed unit tests of :class:`CostLedger` (charge bookkeeping, queue
+* direct-feed unit tests of the cost-ledger accounts, driven through the
+  record store :class:`FlightRecorder` (charge bookkeeping, queue
   settlement, KV economics incl. prefix sharing via a real PagedKVManager
   fork, the bounded completed ring);
 * the sum-to-e2e property, over chaos + overload traces in both
@@ -22,7 +23,6 @@ from repro.obs import live as live_obs
 from repro.obs.attrib import (
     ATTRIBUTION_KEYS,
     COMPONENTS,
-    CostLedger,
     analyze_snapshot,
     compare_baseline,
     critical_path,
@@ -30,9 +30,11 @@ from repro.obs.attrib import (
     tail_explainer,
 )
 from repro.model.config import get_model_config
+from repro.obs.live.flightrecorder import FlightRecorder
 from repro.serving.engine import EngineConfig, ServingEngine
 from repro.serving.faults import FaultPlan
 from repro.serving.paged_kv import PagedKVManager
+from repro.serving.request import Request
 from repro.serving.systems import build_system
 from repro.serving.workload import make_overload_trace
 
@@ -45,90 +47,101 @@ def _attributed(record):
     )
 
 
+def _req(rid, arrival_time=0.0):
+    return Request(rid, prompt_len=16, max_new_tokens=8,
+                   arrival_time=arrival_time)
+
+
+def _open(store, rid, ts=0.0, **kv):
+    """Admit request ``rid`` (arrived at 0) at ``ts``."""
+    store.admitted(_req(rid), ts, **kv)
+
+
+def _close(store, rid, ts, outcome="finished", **kv):
+    """Close request ``rid``; its cost-ledger record."""
+    return store.close(_req(rid), ts, outcome, **kv).attribution()
+
+
 class TestLedgerUnits:
     def test_queue_only_request(self):
-        led = CostLedger()
-        led.queued(7, arrival_time=1.0)
-        rec = led.close(7, 3.5, "rejected")
+        store = FlightRecorder()
+        store.queued(_req(7, arrival_time=1.0))
+        rec = _close(store, 7, 3.5, "rejected")
         assert rec["queue_seconds"] == pytest.approx(2.5)
         assert rec["e2e_seconds"] == pytest.approx(2.5)
         assert _attributed(rec) == pytest.approx(rec["e2e_seconds"])
         assert rec["outcome"] == "rejected"
 
     def test_step_charges_split_by_first_token(self):
-        led = CostLedger()
-        led.queued(1, arrival_time=0.0)
-        led.admitted(1, 0.0)
-        led.prefill_done(1)
+        store = FlightRecorder()
+        _open(store, 1)
+        store.prefill_done(1)
         # Pre-first-token steps land in the prefill bucket...
-        led.step_cost(1.0, gemm=0.6, attention=0.2, kv_dequant=0.1,
-                      overhead=0.1)
-        led.first_token(1)
+        store.step_cost(1.0, gemm=0.6, attention=0.2, kv_dequant=0.1,
+                        overhead=0.1)
+        store.first_token(1, 1.0)
         # ...post-first-token steps in the decode bucket.
-        led.step_cost(1.0, gemm=0.5, attention=0.3, kv_dequant=0.1,
-                      overhead=0.1)
-        rec = led.close(1, 2.0, "finished")
+        store.step_cost(1.0, gemm=0.5, attention=0.3, kv_dequant=0.1,
+                        overhead=0.1)
+        rec = _close(store, 1, 2.0)
         assert rec["prefill"]["gemm"] == pytest.approx(0.6)
         assert rec["decode"]["gemm"] == pytest.approx(0.5)
         assert rec["decode"]["kv_dequant"] == pytest.approx(0.1)
         assert _attributed(rec) == pytest.approx(2.0)
 
     def test_idle_participant_stalls(self):
-        led = CostLedger()
+        store = FlightRecorder()
         for rid in (1, 2):
-            led.queued(rid, arrival_time=0.0)
-            led.admitted(rid, 0.0)
-        led.prefill_done(1)   # request 1 decodes; request 2 still prefills
-        led.step_cost(2.0, gemm=1.0, attention=0.5, kv_dequant=0.25,
-                      overhead=0.25)
-        rec1 = led.close(1, 2.0, "finished")
-        rec2 = led.close(2, 2.0, "timed_out")
+            _open(store, rid)
+        store.prefill_done(1)   # request 1 decodes; request 2 still prefills
+        store.step_cost(2.0, gemm=1.0, attention=0.5, kv_dequant=0.25,
+                        overhead=0.25)
+        rec1 = _close(store, 1, 2.0)
+        rec2 = _close(store, 2, 2.0, "timed_out")
         assert rec1["prefill"]["gemm"] == pytest.approx(1.0)
         assert rec1["prefill"]["stall"] == 0.0
         assert rec2["prefill"]["stall"] == pytest.approx(2.0)
         assert sum(rec2["prefill"].values()) == pytest.approx(2.0)
 
     def test_chunk_owner_is_a_participant(self):
-        led = CostLedger()
+        store = FlightRecorder()
         for rid in (1, 2):
-            led.queued(rid, arrival_time=0.0)
-            led.admitted(rid, 0.0)
+            _open(store, rid)
         # Neither decodes yet; request 2 owns the prefill chunk this step.
-        led.step_cost(1.0, gemm=0.7, attention=0.2, kv_dequant=0.0,
-                      overhead=0.1, prefill_id=2)
-        rec1 = led.close(1, 1.0, "finished")
-        rec2 = led.close(2, 1.0, "finished")
+        store.step_cost(1.0, gemm=0.7, attention=0.2, kv_dequant=0.0,
+                        overhead=0.1, prefill_id=2)
+        rec1 = _close(store, 1, 1.0)
+        rec2 = _close(store, 2, 1.0)
         assert rec1["prefill"]["stall"] == pytest.approx(1.0)
         assert rec2["prefill"]["gemm"] == pytest.approx(0.7)
 
     def test_serialized_prefill_stalls_decoders(self):
-        led = CostLedger()
+        store = FlightRecorder()
         for rid in (1, 2):
-            led.queued(rid, arrival_time=0.0)
-            led.admitted(rid, 0.0)
-        led.prefill_done(1)
-        led.first_token(1)
+            _open(store, rid)
+        store.prefill_done(1)
+        store.first_token(1, 0.0)
         # Whole-prompt prefill of request 2: the running decoder stalls.
-        led.prefill_cost(2, 3.0, gemm=2.0, attention=0.8, overhead=0.2)
-        rec1 = led.close(1, 3.0, "finished")
-        rec2 = led.close(2, 3.0, "finished")
+        store.step_cost(3.0, gemm=2.0, attention=0.8, kv_dequant=0.0,
+                        overhead=0.2, prefill_id=2, serialized=True)
+        rec1 = _close(store, 1, 3.0)
+        rec2 = _close(store, 2, 3.0)
         assert rec1["decode"]["stall"] == pytest.approx(3.0)
         assert rec2["prefill"]["gemm"] == pytest.approx(2.0)
         assert _attributed(rec1) == pytest.approx(3.0)
         assert _attributed(rec2) == pytest.approx(3.0)
 
     def test_requeue_accrues_queue_time_and_resets_decoding(self):
-        led = CostLedger()
-        led.queued(4, arrival_time=0.0)
-        led.admitted(4, 1.0)          # queued 1s
-        led.prefill_done(4)
-        led.step_cost(1.0, gemm=1.0, attention=0.0, kv_dequant=0.0,
-                      overhead=0.0)
-        led.requeued(4, 2.0)          # fault: back off
-        led.admitted(4, 5.0)          # re-admitted after 3s backoff
-        led.step_cost(1.0, gemm=1.0, attention=0.0, kv_dequant=0.0,
-                      overhead=0.0)   # decoding was reset -> stall? no:
-        rec = led.close(4, 6.0, "finished")
+        store = FlightRecorder()
+        _open(store, 4, 1.0)          # queued 1s
+        store.prefill_done(4)
+        store.step_cost(1.0, gemm=1.0, attention=0.0, kv_dequant=0.0,
+                        overhead=0.0)
+        store.retry(4, 2.0, reason="fault", attempt=1)  # back off
+        _open(store, 4, 5.0)          # re-admitted after 3s backoff
+        store.step_cost(1.0, gemm=1.0, attention=0.0, kv_dequant=0.0,
+                        overhead=0.0)   # decoding was reset -> stall? no:
+        rec = _close(store, 4, 6.0)
         assert rec["queue_seconds"] == pytest.approx(4.0)
         # Second charge stalls (prefill restarted, not decoding, and no
         # prefill_id was given) while the first was compute.
@@ -137,33 +150,30 @@ class TestLedgerUnits:
         assert _attributed(rec) == pytest.approx(6.0)
 
     def test_close_while_waiting_settles_queue(self):
-        led = CostLedger()
-        led.queued(9, arrival_time=0.0)
-        led.admitted(9, 1.0)
-        led.requeued(9, 1.0)
-        rec = led.close(9, 4.0, "timed_out")
+        store = FlightRecorder()
+        _open(store, 9, 1.0)
+        store.preempted(9, 1.0)
+        rec = _close(store, 9, 4.0, "timed_out")
         assert rec["queue_seconds"] == pytest.approx(4.0)
         assert _attributed(rec) == pytest.approx(4.0)
 
     def test_completed_ring_is_bounded(self):
-        led = CostLedger(capacity=3)
+        store = FlightRecorder(capacity=3)
         for rid in range(6):
-            led.queued(rid, arrival_time=0.0)
-            led.close(rid, 1.0, "rejected")
-        snap = led.snapshot()
+            _close(store, rid, 1.0, "rejected")
+        snap = store.attribution()
         assert snap["completed"] == 3
         assert snap["evicted"] == 3
         assert [r["request_id"] for r in snap["records"]] == [3, 4, 5]
-        assert led.request(0) is None
-        assert led.request(5)["outcome"] == "rejected"
+        assert store.get(0) is None
+        assert store.get(5).attribution()["outcome"] == "rejected"
 
     def test_in_flight_request_view(self):
-        led = CostLedger()
-        led.queued(2, arrival_time=0.0)
-        led.admitted(2, 0.5, kv_blocks=4)
-        led.step_cost(1.0, gemm=0.5, attention=0.3, kv_dequant=0.1,
-                      overhead=0.1, prefill_id=2)
-        view = led.request(2)
+        store = FlightRecorder()
+        _open(store, 2, 0.5, kv_blocks=4)
+        store.step_cost(1.0, gemm=0.5, attention=0.3, kv_dequant=0.1,
+                        overhead=0.1, prefill_id=2)
+        view = store.get(2).attribution()
         assert view["outcome"] == "in_flight"
         assert view["queue_seconds"] == pytest.approx(0.5)
         assert view["prefill"]["gemm"] == pytest.approx(0.5)
@@ -175,13 +185,12 @@ class TestLedgerUnits:
         kv = PagedKVManager(total_bytes=1024.0, bytes_per_token=1.0,
                             block_tokens=16)
         assert kv.allocate(1, 64)          # 4 blocks
-        led = CostLedger()
-        led.queued(1, arrival_time=0.0)
-        led.admitted(1, 0.0, kv_row=kv.sequence_row(1), kv_blocks=4,
-                     shared_blocks=kv.sequence_shared_blocks(1))
-        led.step_cost(2.0, gemm=1.0, attention=0.5, kv_dequant=0.25,
-                      overhead=0.25, blocks_of_rows=kv.blocks_of_rows)
-        rec = led.close(1, 2.0, "finished")
+        store = FlightRecorder()
+        _open(store, 1, kv_row=kv.sequence_row(1), kv_blocks=4,
+              shared_blocks=kv.sequence_shared_blocks(1))
+        store.step_cost(2.0, gemm=1.0, attention=0.5, kv_dequant=0.25,
+                        overhead=0.25, blocks_of_rows=kv.blocks_of_rows)
+        rec = _close(store, 1, 2.0)
         assert rec["kv"]["block_seconds"] == pytest.approx(8.0)
         assert rec["kv"]["blocks_peak"] == 4
 
@@ -190,26 +199,23 @@ class TestLedgerUnits:
                             block_tokens=16)
         assert kv.allocate(1, 64)
         assert kv.fork(1, 2)               # full-prefix share
-        led = CostLedger()
-        led.queued(2, arrival_time=0.0)
-        led.admitted(2, 0.0, kv_row=kv.sequence_row(2),
-                     kv_blocks=4,
-                     shared_blocks=kv.sequence_shared_blocks(2))
-        rec = led.close(2, 1.0, "finished")
+        store = FlightRecorder()
+        _open(store, 2, kv_row=kv.sequence_row(2), kv_blocks=4,
+              shared_blocks=kv.sequence_shared_blocks(2))
+        rec = _close(store, 2, 1.0)
         assert rec["kv"]["shared_blocks"] > 0
 
     def test_empty_ledgers_snapshot_identically(self):
-        assert CostLedger().snapshot() == CostLedger().snapshot()
+        assert FlightRecorder().attribution() == FlightRecorder().attribution()
 
     def test_ledger_grows_past_initial_row_capacity(self):
-        led = CostLedger(capacity=512)
+        store = FlightRecorder(capacity=512)
         for rid in range(200):             # > the initial 64-row table
-            led.queued(rid, arrival_time=0.0)
-            led.admitted(rid, 0.0)
-        led.step_cost(1.0, gemm=1.0, attention=0.0, kv_dequant=0.0,
-                      overhead=0.0)
+            _open(store, rid)
+        store.step_cost(1.0, gemm=1.0, attention=0.0, kv_dequant=0.0,
+                        overhead=0.0)
         for rid in range(200):
-            rec = led.close(rid, 1.0, "finished")
+            rec = _close(store, rid, 1.0)
             assert _attributed(rec) == pytest.approx(1.0)
 
 
@@ -254,7 +260,7 @@ class TestSumToE2EProperty:
         finally:
             live_obs.detach()
         assert report == baseline  # attribution parity (PR 5 contract)
-        records = live.attrib.completed()
+        records = live.flights.attribution()["records"]
         assert len(records) == len(trace)  # every request accounted for
         eps = float(np.finfo(np.float32).eps)
         for rec in records:
@@ -278,7 +284,7 @@ class TestSumToE2EProperty:
             engine.run(trace, faults=CHAOS)
         finally:
             live_obs.detach()
-        agg = live.attrib.aggregate()
+        agg = live.flights.attribution()["aggregate"]
         assert agg["requests"] == len(trace)
         assert set(agg["fractions"]) == set(ATTRIBUTION_KEYS)
         assert sum(agg["fractions"].values()) == pytest.approx(1.0)
@@ -288,26 +294,25 @@ class TestSumToE2EProperty:
 
 def _records():
     """A small deterministic record set for the analyzer units."""
-    led = CostLedger()
+    store = FlightRecorder()
     for rid, (queue, work, stall) in enumerate(
         [(0.1, 1.0, 0.0), (0.2, 1.0, 0.5), (0.1, 1.0, 3.0)]
     ):
-        led.queued(rid, arrival_time=0.0)
-        led.admitted(rid, queue)
-        led.prefill_done(rid)
-        led.first_token(rid)
-        led.step_cost(work, gemm=0.6 * work, attention=0.3 * work,
-                      kv_dequant=0.05 * work, overhead=0.05 * work)
+        _open(store, rid, queue)
+        store.prefill_done(rid)
+        store.first_token(rid, queue)
+        store.step_cost(work, gemm=0.6 * work, attention=0.3 * work,
+                        kv_dequant=0.05 * work, overhead=0.05 * work)
         if stall:
-            led.requeued(rid, queue + work)
-            led.admitted(rid, queue + work + stall)
-        led.close(rid, queue + work + stall, "finished")
-    return led
+            store.preempted(rid, queue + work)
+            _open(store, rid, queue + work + stall)
+        _close(store, rid, queue + work + stall)
+    return store.attribution()
 
 
 class TestAnalyzer:
     def test_critical_path_orders_by_mean(self):
-        result = critical_path(_records().completed())
+        result = critical_path(_records()["records"])
         assert result["requests"] == 3
         names = [entry["name"] for entry in result["path"]]
         assert names[0] == result["dominant"]
@@ -316,7 +321,7 @@ class TestAnalyzer:
         assert sum(e["fraction"] for e in result["path"]) == pytest.approx(1.0)
 
     def test_tail_explainer_blames_the_right_component(self):
-        result = tail_explainer(_records().completed(), top=1)
+        result = tail_explainer(_records()["records"], top=1)
         (worst,) = result["slowest"]
         assert worst["request_id"] == 2       # the 3s-queue outlier
         assert worst["blame"] == "queue"
@@ -324,7 +329,7 @@ class TestAnalyzer:
         assert set(result["p50_profile"]) == set(worst["delta_vs_p50"])
 
     def test_compare_baseline_flags_large_shifts(self):
-        agg = _records().aggregate()
+        agg = _records()["aggregate"]
         baseline = {
             "benchmarks": {
                 "hotpath_serving": {
@@ -346,8 +351,7 @@ class TestAnalyzer:
         assert unchanged and not unchanged[0]["regressed"]
 
     def test_analyze_snapshot_end_to_end(self):
-        led = _records()
-        doc = {"live": {"attrib": led.snapshot()}}
+        doc = {"live": {"attrib": _records()}}
         result = analyze_snapshot(doc, top=2)
         assert result["requests"] == 3
         assert len(result["tail"]["slowest"]) == 2

@@ -1,30 +1,40 @@
-"""Tests for the per-request flight recorder."""
+"""Tests for the per-request record store."""
+
+import pytest
 
 from repro.obs.live.flightrecorder import (
     MAX_TIMELINE_EVENTS,
     FlightRecorder,
 )
+from repro.serving.paged_kv import PagedKVManager
+from repro.serving.request import Request
+
+
+def _req(rid: int, prompt_len: int = 16, max_new_tokens: int = 8,
+         arrival_time: float = 0.0) -> Request:
+    return Request(rid, prompt_len, max_new_tokens, arrival_time)
 
 
 def _fly(rec: FlightRecorder, rid: int, close_at: float = 1.0,
          outcome: str = "finished") -> None:
-    rec.queued(rid, prompt_len=16, max_new_tokens=8, arrival_time=0.0)
-    rec.admitted(rid, 0.1, kv_blocks=2)
+    req = _req(rid)
+    rec.admitted(req, 0.1, kv_blocks=2)
     rec.first_token(rid, 0.3)
-    rec.close(rid, close_at, outcome=outcome, generated=8)
+    rec.close(req, close_at, outcome=outcome, generated=8)
 
 
 class TestLifecycle:
     def test_full_timeline(self):
         rec = FlightRecorder()
-        rec.queued(7, prompt_len=32, max_new_tokens=16, arrival_time=0.0)
-        rec.admitted(7, 0.2, kv_blocks=4)
+        req = _req(7, prompt_len=32, max_new_tokens=16)
+        rec.queued(req)
+        rec.admitted(req, 0.2, kv_blocks=4)
         rec.first_token(7, 0.5)
         rec.fault(7, 0.6, kind="kv_loss")
         rec.retry(7, 0.6, reason="KV blocks lost", attempt=1)
-        rec.admitted(7, 0.7, kv_blocks=4)
+        rec.admitted(req, 0.7, kv_blocks=4)
         rec.preempted(7, 0.8)
-        record = rec.close(7, 1.0, outcome="failed", reason="gave up",
+        record = rec.close(req, 1.0, outcome="failed", reason="gave up",
                            generated=3, slo_met=False)
         events = [e for _, e, _ in record.timeline]
         assert events == ["queued", "admitted", "first_token", "fault",
@@ -34,32 +44,46 @@ class TestLifecycle:
         assert record.preemptions == 1
         assert record.failure_reason == "gave up"
         assert record.slo_met is False
-        assert record.queue_seconds == 0.2
+        # Queue: arrival to admission, the retry backoff and the wait
+        # after the preemption.
+        assert record.queue_seconds == pytest.approx(0.2 + 0.1 + 0.2)
         assert record.e2e_seconds == 1.0
 
     def test_queued_is_idempotent(self):
         rec = FlightRecorder()
-        rec.queued(1, prompt_len=16, max_new_tokens=8, arrival_time=0.5)
-        rec.queued(1, prompt_len=99, max_new_tokens=99, arrival_time=9.9)
+        rec.queued(_req(1, arrival_time=0.5))
+        rec.queued(_req(1, prompt_len=99, max_new_tokens=99,
+                        arrival_time=9.9))
         record = rec.get(1)
         assert record.prompt_len == 16
         assert record.arrival_time == 0.5
         assert len(record.timeline) == 1
 
     def test_kv_blocks_tracks_peak(self):
+        """The peak is the pool's per-step measurement of the request's
+        blocks, plus the last sample given at close."""
+        kv = PagedKVManager(total_bytes=1024.0, bytes_per_token=1.0,
+                            block_tokens=4)
+        assert kv.allocate(1, 12)  # 3 blocks
         rec = FlightRecorder()
-        rec.queued(1, prompt_len=16, max_new_tokens=8, arrival_time=0.0)
-        rec.kv_blocks(1, 3)
-        rec.kv_blocks(1, 7)
-        rec.kv_blocks(1, 5)
+        req = _req(1)
+        rec.admitted(req, 0.0, kv_blocks=3, kv_row=kv.sequence_row(1))
+        for _ in range(16):  # grows to 7 blocks
+            kv.append_token(1)
+        rec.step_cost(1.0, 1.0, 0.0, 0.0, 0.0,
+                      blocks_of_rows=kv.blocks_of_rows)
         assert rec.get(1).kv_blocks_peak == 7
+        record = rec.close(req, 1.0, outcome="finished", kv_blocks=5)
+        assert record.kv_blocks_peak == 7
+        assert record.account["kv"]["blocks_final"] == 5
 
     def test_get_finds_active_and_completed(self):
         rec = FlightRecorder()
-        rec.queued(1, prompt_len=4, max_new_tokens=2, arrival_time=0.0)
+        req = _req(1, prompt_len=4, max_new_tokens=2)
+        rec.queued(req)
         assert rec.get(1).in_flight
         assert rec.active_ids() == [1]
-        rec.close(1, 0.5, outcome="finished", generated=2)
+        rec.close(req, 0.5, outcome="finished", generated=2)
         assert not rec.get(1).in_flight
         assert rec.active_ids() == []
         assert rec.get(999) is None
@@ -75,6 +99,9 @@ class TestBoundedness:
         assert rec.evictions == 2
         assert rec.get(0) is None
         assert rec.get(4) is not None
+        attribution = rec.attribution()
+        assert [r["request_id"] for r in attribution["records"]] == retained
+        assert attribution["evicted"] == 2
 
     def test_id_reuse_keeps_newest_record(self):
         rec = FlightRecorder(capacity=2)
@@ -85,10 +112,11 @@ class TestBoundedness:
         # The index must still resolve id 1 to the retained (newer) record.
         assert rec.get(1) is not None
         assert rec.get(1).end_time == 2.0
+        assert rec.get(1).attribution()["end_time"] == 2.0
 
     def test_timeline_is_capped(self):
         rec = FlightRecorder()
-        rec.queued(1, prompt_len=4, max_new_tokens=2, arrival_time=0.0)
+        rec.queued(_req(1, prompt_len=4, max_new_tokens=2))
         for i in range(MAX_TIMELINE_EVENTS + 50):
             rec.preempted(1, 0.01 * i)
         record = rec.get(1)
@@ -98,22 +126,19 @@ class TestBoundedness:
 
 
 class TestQueries:
-    def test_failures_and_dump(self):
+    def test_failures(self):
         rec = FlightRecorder()
         _fly(rec, 1, outcome="finished")
         _fly(rec, 2, outcome="failed")
         _fly(rec, 3, outcome="timed_out")
         _fly(rec, 4, outcome="rejected")
         assert [r.request_id for r in rec.failures()] == [2, 3, 4]
-        dump = rec.dump_failures()
-        assert len(dump) == 3
-        assert all("timeline" in d for d in dump)
 
     def test_summary(self):
         rec = FlightRecorder(capacity=8)
         _fly(rec, 1, outcome="finished")
         _fly(rec, 2, outcome="failed")
-        rec.queued(3, prompt_len=4, max_new_tokens=2, arrival_time=0.0)
+        rec.queued(_req(3, prompt_len=4, max_new_tokens=2))
         summary = rec.summary()
         assert summary["active"] == 1
         assert summary["completed"] == 2
@@ -126,3 +151,4 @@ class TestQueries:
         rec = FlightRecorder()
         _fly(rec, 1)
         json.dumps(rec.get(1).to_dict())
+        json.dumps(rec.get(1).attribution())

@@ -12,6 +12,7 @@ import pytest
 
 from repro.obs.live import LiveObs
 from repro.obs.live.httpd import ROUTES, LiveHTTPServer
+from repro.serving.request import Request
 
 
 def _get(url: str):
@@ -33,28 +34,22 @@ def _get_json(url: str):
 def live():
     """A LiveObs with a few requests and heartbeats already fed in."""
     bundle = LiveObs(window_seconds=1.0)
-    bundle.flights.queued(1, prompt_len=16, max_new_tokens=8,
-                          arrival_time=0.0)
-    bundle.flights.admitted(1, 0.1, kv_blocks=2)
+    req1 = Request(1, prompt_len=16, max_new_tokens=8)
+    bundle.flights.admitted(req1, 0.1, kv_blocks=2)
+    bundle.flights.prefill_done(1)
     bundle.flights.first_token(1, 0.2)
-    bundle.flights.close(1, 0.5, outcome="finished", generated=8,
+    bundle.flights.step_cost(0.4, gemm=0.2, attention=0.1, kv_dequant=0.05,
+                             overhead=0.05)
+    bundle.flights.close(req1, 0.5, outcome="finished", generated=8,
                          slo_met=True)
-    bundle.flights.queued(2, prompt_len=16, max_new_tokens=8,
-                          arrival_time=0.1)
-    bundle.flights.close(2, 0.6, outcome="failed", reason="kv exhausted")
+    bundle.flights.close(
+        Request(2, prompt_len=16, max_new_tokens=8, arrival_time=0.1),
+        0.6, outcome="failed", reason="kv exhausted",
+    )
     bundle.slo.record(0.5, met=True, request_id=1)
     bundle.slo.record(0.6, met=False, request_id=2)
     bundle.heartbeat(0.7, {"serving.step_seconds": 0.01,
                            "serving.batch_size": 2.0})
-    # Mirror request 1 into the cost ledger so /attribution and the
-    # per-request attribution field have data to serve.
-    bundle.attrib.queued(1, arrival_time=0.0)
-    bundle.attrib.admitted(1, 0.1, kv_blocks=2)
-    bundle.attrib.prefill_done(1)
-    bundle.attrib.first_token(1)
-    bundle.attrib.step_cost(0.4, gemm=0.2, attention=0.1, kv_dequant=0.05,
-                            overhead=0.05)
-    bundle.attrib.close(1, 0.5, "finished")
     return bundle
 
 
@@ -115,9 +110,10 @@ class TestRoutes:
         assert doc["failure_reason"] == "kv exhausted"
         events = [e["event"] for e in doc["timeline"]]
         assert events == ["queued", "failed"]
-        # Request 2 is tracked by flights but not by the cost ledger —
-        # the attribution field is present but null.
-        assert doc["attribution"] is None
+        # Never admitted: its whole e2e was queue, in both views.
+        assert doc["queue_seconds"] == pytest.approx(0.5)
+        assert doc["attribution"]["queue_seconds"] == doc["queue_seconds"]
+        assert doc["attribution"]["e2e_seconds"] == doc["e2e_seconds"]
 
     def test_request_detail_carries_attribution(self, server):
         status, doc = _get_json(server.url + "/requests/1")
@@ -127,13 +123,32 @@ class TestRoutes:
         assert attrib["queue_seconds"] == pytest.approx(0.1)
         assert attrib["decode"]["gemm"] == pytest.approx(0.2)
         assert doc["phases"]["queue"] == pytest.approx(0.1)
+        # One value per name: the record's phases are the ledger buckets.
+        assert doc["phases"]["decode"] == sum(attrib["decode"].values())
+        assert doc["kv_blocks_peak"] == attrib["kv"]["blocks_peak"] == 2
 
     def test_attribution_snapshot(self, server):
         status, doc = _get_json(server.url + "/attribution")
         assert status == 200
-        assert doc["completed"] == 1
-        assert doc["records"][0]["request_id"] == 1
+        assert doc["completed"] == 2
+        assert [r["request_id"] for r in doc["records"]] == [1, 2]
         assert doc["aggregate"]["dominant"] in doc["aggregate"]["fractions"]
+
+    def test_routes_retain_the_same_requests(self):
+        """One capacity: /requests and /attribution keep the same ids."""
+        bundle = LiveObs(capacity=3)
+        for rid in range(5):
+            bundle.flights.close(
+                Request(rid, prompt_len=4, max_new_tokens=2), 0.1 * rid,
+                outcome="rejected",
+            )
+        with LiveHTTPServer(bundle) as srv:
+            _, index = _get_json(srv.url + "/requests")
+            _, attribution = _get_json(srv.url + "/attribution")
+        assert index["completed"] == [2, 3, 4]
+        assert [r["request_id"] for r in attribution["records"]] == [2, 3, 4]
+        assert attribution["capacity"] == 3
+        assert attribution["evicted"] == index["summary"]["evictions"] == 2
 
     def test_trailing_slash_is_tolerated(self, server):
         status, _ = _get_json(server.url + "/healthz/")
@@ -148,6 +163,15 @@ class TestErrors:
         assert doc["request_id"] == 999
         assert doc["completed"] == 2
         assert "hint" in doc
+
+    def test_unknown_request_id_404_counts_only_completed(self):
+        bundle = LiveObs()
+        bundle.flights.queued(Request(1, prompt_len=4, max_new_tokens=2))
+        with LiveHTTPServer(bundle) as srv:
+            status, doc = _get_json(srv.url + "/requests/999")
+        assert status == 404
+        assert doc["active"] == [1]
+        assert doc["completed"] == bundle.flights.summary()["completed"] == 0
 
     def test_bad_request_id_400(self, server):
         status, doc = _get_json(server.url + "/requests/abc")

@@ -148,7 +148,7 @@ def test_engine_invariants(cfg, reqs, faults):
     assert engine.kv.free_blocks == engine.kv.num_blocks
 
     # Cost-ledger components sum to each request's e2e.
-    records = live.attrib.completed()
+    records = live.flights.attribution()["records"]
     assert len(records) == len(reqs)
     eps = float(np.finfo(np.float32).eps)
     for rec in records:

@@ -124,7 +124,7 @@ class TestFlightRecorder:
         )
         reqs = [Request(i, prompt_len=900, max_new_tokens=900) for i in range(10)]
         registry, _ = obs.enable(MetricsRegistry(), SpanTracer())
-        live = live_obs.attach(flight_capacity=len(reqs))
+        live = live_obs.attach(capacity=len(reqs))
         try:
             report = engine.run(reqs)
         finally:
@@ -270,7 +270,7 @@ class TestAttachedCostFlatInPoolSize:
             60, 200.0, mean_prompt_len=64, mean_new_tokens=32, seed=3
         )
         prof = StepPhaseProfiler()
-        live_obs.attach(window_seconds=1.0, attrib_capacity=len(trace))
+        live_obs.attach(window_seconds=1.0, capacity=len(trace))
         gc.collect()
         gc.disable()
         try:

@@ -19,15 +19,19 @@ goldens only for a deliberate change to what an observer records::
 """
 
 import json
+import math
 import sys
+import urllib.request
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro.obs as obs
 from repro.kernels.base import clear_latency_memo
 from repro.model.config import get_model_config, tiny_config
 from repro.obs import live as live_obs
+from repro.obs.live.httpd import LiveHTTPServer
 from repro.obs.registry import Histogram, MetricsRegistry
 from repro.obs.spans import SpanTracer
 from repro.serving.engine import EngineConfig, ServingEngine
@@ -131,7 +135,7 @@ def _observe(name):
     engine, reqs, faults = _setup(name)
     clear_latency_memo()
     registry, spans = obs.enable(MetricsRegistry(), SpanTracer())
-    live = live_obs.attach(flight_capacity=len(reqs))
+    live = live_obs.attach(capacity=len(reqs))
     tracer = EngineTracer()
     try:
         engine.run(reqs, tracer=tracer, faults=faults)
@@ -198,6 +202,52 @@ def test_goldens_exercise_every_observer_path():
         "serving.degraded_steps_total", "serving.deadline_misses_total",
         "serving.preemptions_total", "serving.faults_injected_total",
     } <= counters
+
+
+def _served(name):
+    """Run one scenario with live obs attached; ``GET /requests/<id>`` of
+    every retained record, through the HTTP exporter."""
+    engine, reqs, faults = _setup(name)
+    live = live_obs.attach(capacity=len(reqs))
+    try:
+        engine.run(reqs, faults=faults)
+    finally:
+        live_obs.detach()
+    with LiveHTTPServer(live) as server:
+        return [
+            json.loads(urllib.request.urlopen(
+                f"{server.url}/requests/{rec.request_id}", timeout=5.0
+            ).read())
+            for rec in live.flights.completed()
+        ]
+
+
+def test_finished_kv_peak_is_the_blocks_held():
+    """A finished request's KV peak is exact: request 24 of the chunked
+    run held 73 blocks when it was freed, and both views say so."""
+    (doc,) = [d for d in _served("chunked_prefill") if d["request_id"] == 24]
+    assert doc["kv_blocks_peak"] == doc["attribution"]["kv"]["blocks_peak"]
+    assert doc["kv_blocks_peak"] == 73
+
+
+def test_phases_are_the_attribution_under_overload():
+    """Under SLO overload a record's queue, prefill and decode seconds sum
+    to its e2e and are its attribution buckets, also for requests shed
+    before admission (whose whole e2e is queue)."""
+    eps = float(np.finfo(np.float32).eps)
+    docs = _served("slo_overload_shedding")
+    assert docs
+    for doc in docs:
+        attrib = doc["attribution"]
+        assert math.isclose(
+            doc["queue_seconds"] + doc["prefill_seconds"]
+            + doc["decode_seconds"],
+            doc["e2e_seconds"], rel_tol=eps, abs_tol=eps,
+        ), doc["request_id"]
+        assert doc["queue_seconds"] == attrib["queue_seconds"]
+        assert doc["prefill_seconds"] == sum(attrib["prefill"].values())
+        assert doc["decode_seconds"] == sum(attrib["decode"].values())
+    assert sum(doc["queue_seconds"] > 0.0 for doc in docs) > len(docs) // 2
 
 
 def _regen() -> None:
