@@ -17,6 +17,11 @@ Guards the two vectorized inference hot paths against regressions:
   on a tiny model and on llama-3-8b at the Fig. 10 1024/512 shape.
 * **Cost model** — µs per cold-memo `GEMMKernel.latency` call against
   tile count, beside the replaced per-tile path's cost.
+* **Footprint** (``--footprint``, run alone) — what the serving path
+  loads and keeps: the fresh-interpreter import of
+  ``repro.serving.engine`` (seconds, modules, RSS), the bytes of the
+  ``burst_chaos`` workload's 16000 requests, and the row-table bytes a
+  drained KV pool keeps, beside the figures of the eager-import tree.
 
 Run standalone (CI ``bench-smoke`` does exactly this)::
 
@@ -33,11 +38,19 @@ files seed the perf trajectory (uploaded as a CI artifact).  Set
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
+import json
+import os
+import subprocess
+import sys
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
+import repro
 from bench_util import emit, emit_json, format_table, maybe_emit_metrics
 from repro.core.blockwise import (
     BlockConfig,
@@ -110,6 +123,33 @@ SMOKE_SCALE = dict(tiers=(1000,), max_batch=256)
 # overhead divided by the required speedup (1280/5 at 4k, 470/2.5 at 1k).
 SCALE_OVERHEAD_CEILING_US = 256.0   # full run, 4k+ tiers
 SCALE_SMOKE_CEILING_US = 188.0      # reduced 1k CI variant
+# Footprint: fresh interpreters timed per import figure, the request count
+# of perfbench's burst_chaos workload, and a Fig. 10 batch for the pool
+# (256 sequences of 1024 prompt tokens, each grown by 512).
+FULL_FOOTPRINT = dict(import_runs=7, requests=16000, sequences=256,
+                      prompt=1024, output=512)
+SMOKE_FOOTPRINT = dict(FULL_FOOTPRINT, import_runs=3)
+#: The "before" of the ``hotpath_footprint`` rows: this bench's footprint
+#: functions run against the tree before the lazy package exports, the
+#: slotted ``Request`` and the drained-pool reset (every package
+#: ``__init__`` imported all its submodules).  Import figures: the median
+#: of three medians of 7 imports; Intel Xeon VM (2 vCPU), Python 3.11.7,
+#: numpy 2.4.6, PYTHONDONTWRITEBYTECODE=1 (every import compiles).
+FOOTPRINT_BEFORE = {
+    "engine_import_s": 0.394,
+    "engine_import_modules": 334,
+    "engine_import_rss_mb": 38.5,
+    "request_bytes": 8960892,
+    "drained_pool_bytes": 266240,
+}
+#: Unit of each footprint quantity.
+FOOTPRINT_UNITS = {
+    "engine_import_s": "s",
+    "engine_import_modules": "count",
+    "engine_import_rss_mb": "MB",
+    "request_bytes": "B",
+    "drained_pool_bytes": "B",
+}
 
 
 def _timeit(fn, repeats: int) -> float:
@@ -461,6 +501,117 @@ def scale_gate(rows, smoke: bool) -> list[dict]:
     ]
 
 
+# --------------------------------------------------------------- footprint
+
+_IMPORT_PROBE = """
+import json, resource, sys, time
+t = time.perf_counter()
+import repro.serving.engine
+print(json.dumps([time.perf_counter() - t, len(sys.modules),
+                  resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))
+"""
+
+
+def _engine_import(runs: int) -> dict:
+    """Import ``repro.serving.engine`` in ``runs`` fresh interpreters:
+    median seconds and RSS (MB) after the import, and the module count."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    samples = []
+    for _ in range(runs):
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE], env=env,
+            capture_output=True, text=True, check=True,
+        )
+        samples.append(json.loads(proc.stdout))
+    seconds, modules, rss_kb = (list(col) for col in zip(*samples))
+    return {
+        "engine_import_s": float(np.median(seconds)),
+        "engine_import_modules": int(modules[0]),
+        "engine_import_rss_mb": float(np.median(rss_kb)) / 1024,
+    }
+
+
+def _request_bytes(n: int) -> int:
+    """Traced bytes of ``n`` requests (and their list) after the engine's
+    stores.  The engine's first store to each ``init=False`` field comes
+    in an order that varies per request; rotating the order reproduces
+    that."""
+    from repro.serving.request import Request
+
+    late = [f.name for f in dataclasses.fields(Request) if not f.init]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        requests = [
+            Request(request_id=i, prompt_len=16, max_new_tokens=8)
+            for i in range(n)
+        ]
+        for i, req in enumerate(requests):
+            k = i % len(late)
+            for name in late[k:] + late[:k]:
+                setattr(req, name, getattr(req, name))
+        return tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+
+
+def _drained_pool_bytes(sequences: int, prompt: int, output: int) -> int:
+    """Row-table bytes a KV pool keeps after a batch fills it, grows and
+    leaves (the pool's free stack and refcounts are not counted)."""
+    from repro.serving.paged_kv import PagedKVManager
+
+    block_tokens = 16
+    blocks = sequences * -(-(prompt + output) // block_tokens)
+    pool = PagedKVManager(blocks * block_tokens, 1.0, block_tokens)
+    for sid in range(sequences):
+        pool.allocate(sid, prompt)
+    rows = np.array([pool.sequence_row(s) for s in range(sequences)])
+    for _ in range(output):
+        pool.append_token_many(rows)
+    for sid in range(sequences):
+        pool.free(sid)
+    return sum(a.nbytes for a in (pool._table, pool._tokens,
+                                  pool._block_capacity))
+
+
+def run_footprint_bench(import_runs=7, requests=16000, sequences=256,
+                        prompt=1024, output=512):
+    """One row per footprint quantity: this tree's value beside
+    :data:`FOOTPRINT_BEFORE`."""
+    after = _engine_import(import_runs)
+    after["request_bytes"] = _request_bytes(requests)
+    after["drained_pool_bytes"] = _drained_pool_bytes(sequences, prompt, output)
+    return [
+        {"quantity": name, "unit": FOOTPRINT_UNITS[name],
+         "before": FOOTPRINT_BEFORE[name], "after": value}
+        for name, value in after.items()
+    ]
+
+
+def emit_footprint(rows, mode: str) -> None:
+    emit(
+        "hotpath_footprint",
+        format_table(
+            "Footprint — what the serving path loads and keeps",
+            ["quantity", "unit", "before", "after"],
+            [[r["quantity"], r["unit"], r["before"], r["after"]] for r in rows],
+            notes=[
+                "engine_import_*: fresh interpreter, median of imports;",
+                "request_bytes: 16000 requests after the engine's stores;",
+                "drained_pool_bytes: row tables kept after a Fig. 10 batch;",
+                "before: the eager-import tree (FOOTPRINT_BEFORE).",
+            ],
+        ),
+    )
+    emit_json(
+        "hotpath_footprint", {"mode": mode, "rows": rows},
+        trajectory="serving",
+    )
+
+
 # ------------------------------------------------------------- harnessing
 
 
@@ -639,6 +790,15 @@ def test_hotpath_emits_results():
     assert results["kvcache"] and results["gemm"] and results["decode"]
 
 
+def test_footprint_below_the_eager_tree():
+    """Fewer modules, smaller requests, an empty drained pool."""
+    rows = {r["quantity"]: r for r in run_footprint_bench(**SMOKE_FOOTPRINT)}
+    for name in ("engine_import_modules", "request_bytes",
+                 "drained_pool_bytes"):
+        assert rows[name]["after"] < rows[name]["before"], rows[name]
+    assert rows["drained_pool_bytes"]["after"] == 0
+
+
 def test_scale_overhead_within_ceiling():
     """Per-step bookkeeping stays under the smoke ceiling at the 1k tier
     (the full run gates the 4k+ tiers at SCALE_OVERHEAD_CEILING_US)."""
@@ -661,7 +821,22 @@ def main() -> None:
         "queued requests; 1k only with --smoke) and enforce the "
         "step-overhead ceiling",
     )
+    parser.add_argument(
+        "--footprint",
+        action="store_true",
+        help="run only the footprint section: engine import cost, request "
+        "and drained-pool bytes (the hotpath_footprint rows)",
+    )
     args = parser.parse_args()
+    if args.footprint:
+        mode = "smoke" if args.smoke else "full"
+        emit_footprint(
+            run_footprint_bench(
+                **(SMOKE_FOOTPRINT if args.smoke else FULL_FOOTPRINT)
+            ),
+            mode,
+        )
+        return
     results = run_all(smoke=args.smoke, scale=args.scale)
     if args.scale:
         over = scale_gate(results["scale"], smoke=args.smoke)

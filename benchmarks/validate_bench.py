@@ -43,6 +43,14 @@ SCALE_ROW_KEYS = frozenset({
     "overhead_us_per_step", "obs_overhead_us_per_step", "phases_us_per_step",
 })
 
+#: Keys every ``hotpath_footprint`` row must carry, and the quantities
+#: the section must hold (one row each).
+FOOTPRINT_ROW_KEYS = frozenset({"quantity", "unit", "before", "after"})
+FOOTPRINT_QUANTITIES = frozenset({
+    "engine_import_s", "engine_import_modules", "engine_import_rss_mb",
+    "request_bytes", "drained_pool_bytes",
+})
+
 #: The attribution fraction keys (repro.obs.attrib ATTRIBUTION_KEYS —
 #: spelled out so this gate has no src/ import and runs standalone).
 ATTRIBUTION_KEYS = frozenset({
@@ -106,6 +114,22 @@ def _check_attribution(name: str, i: int, attribution: object,
         )
 
 
+def _check_footprint(name: str, rows: list, errors: list) -> None:
+    seen = [row.get("quantity") for row in rows if isinstance(row, dict)]
+    if sorted(seen) != sorted(FOOTPRINT_QUANTITIES):
+        errors.append(f"{name}: quantities must be "
+                      f"{sorted(FOOTPRINT_QUANTITIES)} once each, got {seen}")
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            continue
+        for side in ("before", "after"):
+            value = row.get(side)
+            if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                    or not value >= 0):
+                errors.append(f"{name}: rows[{i}].{side}={value!r} is not a "
+                              "non-negative number")
+
+
 def validate(doc: object) -> list:
     """All schema problems with a ``BENCH_serving.json`` document."""
     errors: list = []
@@ -139,6 +163,9 @@ def validate(doc: object) -> list:
                     errors.append(
                         f"{name}: rows[{i}].us_per_call={us} is not positive"
                     )
+        elif name == "hotpath_footprint":
+            rows = _check_rows(name, payload, FOOTPRINT_ROW_KEYS, errors)
+            _check_footprint(name, rows, errors)
         # Unknown benchmark names are allowed (future emitters) as long as
         # they keep the {mode, rows} envelope.
         else:
@@ -252,6 +279,23 @@ def test_scale_rows_carry_obs_overhead():
         "missing keys" in e and "obs_overhead_us_per_step" in e
         for e in errors
     )
+
+
+def test_footprint_rows_are_gated():
+    doc = _good_doc()
+    rows = [
+        {"quantity": q, "unit": "B", "before": 2.0, "after": 1.0}
+        for q in sorted(FOOTPRINT_QUANTITIES)
+    ]
+    doc["benchmarks"]["hotpath_footprint"] = {"mode": "smoke", "rows": rows}
+    assert validate(doc) == []
+    rows[0]["after"] = None
+    del rows[1]["unit"]
+    rows.pop()
+    errors = validate(doc)
+    assert any("after=None is not a non-negative number" in e for e in errors)
+    assert any("missing keys" in e and "'unit'" in e for e in errors)
+    assert any("once each" in e for e in errors)
 
 
 def test_committed_document_validates():

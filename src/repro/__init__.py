@@ -12,20 +12,13 @@ Subpackages:
     analysis  — roofline and activation-distribution analysis
 """
 
-from repro.api import (
-    KERNELS,
-    QuantizedModel,
-    build_engine,
-    kernel_latency,
-    quantize_model,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "KERNELS",
-    "QuantizedModel",
-    "build_engine",
-    "kernel_latency",
-    "quantize_model",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "api": (
+        "KERNELS", "QuantizedModel", "build_engine", "kernel_latency",
+        "quantize_model",
+    ),
+})
 
 __version__ = "1.0.0"

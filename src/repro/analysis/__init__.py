@@ -1,42 +1,18 @@
 """Analysis utilities: roofline model and activation distributions."""
 
-from repro.analysis.distribution import (
-    LayerDistribution,
-    analyze_activations,
-    gemm_volume_summary,
-)
-from repro.analysis.error_budget import ErrorBudget, compute_error_budget
-from repro.analysis.roofline import (
-    OperatorPoint,
-    activation_activation_intensity,
-    attainable_tput,
-    balance_point,
-    roofline_sweep,
-    weight_activation_intensity,
-)
-from repro.analysis.sweeps import (
-    SweepRow,
-    kernel_sweep,
-    model_layer_shapes,
-    normalize_sweep,
-    sweep_to_csv,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ErrorBudget",
-    "LayerDistribution",
-    "compute_error_budget",
-    "OperatorPoint",
-    "activation_activation_intensity",
-    "analyze_activations",
-    "attainable_tput",
-    "balance_point",
-    "gemm_volume_summary",
-    "kernel_sweep",
-    "model_layer_shapes",
-    "normalize_sweep",
-    "roofline_sweep",
-    "SweepRow",
-    "sweep_to_csv",
-    "weight_activation_intensity",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "distribution": (
+        "LayerDistribution", "analyze_activations", "gemm_volume_summary",
+    ),
+    "error_budget": ("ErrorBudget", "compute_error_budget"),
+    "roofline": (
+        "OperatorPoint", "activation_activation_intensity", "attainable_tput",
+        "balance_point", "roofline_sweep", "weight_activation_intensity",
+    ),
+    "sweeps": (
+        "SweepRow", "kernel_sweep", "model_layer_shapes", "normalize_sweep",
+        "sweep_to_csv",
+    ),
+})

@@ -1,60 +1,23 @@
 """Quantization algorithm baselines compared against FMPQ in the paper."""
 
-from repro.baselines.awq import awq_quantize_weight, awq_search_scale
-from repro.baselines.gptq import gptq_quantize_weight
-from repro.baselines.omniquant import (
-    OMNIQUANT_CLIP_GRID,
-    omniquant_quantize_weight,
-    omniquant_w4a16_linear,
-    omniquant_w4a4_linear,
-)
-from repro.baselines.qoq import qoq_kv_config, qoq_linear
-from repro.baselines.quarot import (
-    RotatedW4A4Linear,
-    hadamard_matrix,
-    quarot_linear,
-    random_orthogonal,
-)
-from repro.baselines.registry import (
-    METHODS,
-    QuantReport,
-    apply_quantization,
-    collect_calibration,
-)
-from repro.baselines.rtn import rtn_quantize_weight, rtn_w4a16_linear
-from repro.baselines.smoothquant import (
-    compute_smoothing_factor,
-    smoothquant_linear,
-)
-from repro.baselines.wrappers import (
-    DynamicActLinear,
-    SmoothQuantLinear,
-    WeightOnlyLinear,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DynamicActLinear",
-    "METHODS",
-    "OMNIQUANT_CLIP_GRID",
-    "QuantReport",
-    "SmoothQuantLinear",
-    "WeightOnlyLinear",
-    "apply_quantization",
-    "awq_quantize_weight",
-    "awq_search_scale",
-    "collect_calibration",
-    "compute_smoothing_factor",
-    "gptq_quantize_weight",
-    "omniquant_quantize_weight",
-    "omniquant_w4a16_linear",
-    "omniquant_w4a4_linear",
-    "RotatedW4A4Linear",
-    "hadamard_matrix",
-    "qoq_kv_config",
-    "qoq_linear",
-    "quarot_linear",
-    "random_orthogonal",
-    "rtn_quantize_weight",
-    "rtn_w4a16_linear",
-    "smoothquant_linear",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "awq": ("awq_quantize_weight", "awq_search_scale"),
+    "gptq": ("gptq_quantize_weight",),
+    "omniquant": (
+        "OMNIQUANT_CLIP_GRID", "omniquant_quantize_weight",
+        "omniquant_w4a16_linear", "omniquant_w4a4_linear",
+    ),
+    "qoq": ("qoq_kv_config", "qoq_linear"),
+    "quarot": (
+        "RotatedW4A4Linear", "hadamard_matrix", "quarot_linear",
+        "random_orthogonal",
+    ),
+    "registry": (
+        "METHODS", "QuantReport", "apply_quantization", "collect_calibration",
+    ),
+    "rtn": ("rtn_quantize_weight", "rtn_w4a16_linear"),
+    "smoothquant": ("compute_smoothing_factor", "smoothquant_linear"),
+    "wrappers": ("DynamicActLinear", "SmoothQuantLinear", "WeightOnlyLinear"),
+})

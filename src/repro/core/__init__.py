@@ -3,95 +3,35 @@
 Public surface of the core quantization library.  See DESIGN.md Section 3.
 """
 
-from repro.core.blockwise import (
-    BlockConfig,
-    BlockPrecisionPlan,
-    QuantizedActivation,
-    assign_block_precisions,
-    dequantize_activation_blocks,
-    quantize_activation_blocks,
-)
-from repro.core.fmpq import (
-    FMPQConfig,
-    LayerQuantStats,
-    QuantizedLinear,
-    calibrate_linear,
-    mixed_precision_matmul,
-)
-from repro.core.intquant import (
-    INT4,
-    INT8,
-    QuantSpec,
-    asymmetric_scale_zero,
-    dequantize_asymmetric,
-    dequantize_symmetric,
-    pack_int4,
-    pack_int4_words,
-    quantization_error,
-    quantize_asymmetric,
-    quantize_symmetric,
-    symmetric_scale,
-    unpack_int4,
-    unpack_int4_words,
-)
-from repro.core.kvquant import KVQuantConfig, QuantizedKVCache
-from repro.core.outliers import (
-    ChannelStats,
-    collect_channel_stats,
-    outlier_channel_mask,
-    outlier_ratio,
-)
-from repro.core.permutation import (
-    ChannelPermutation,
-    identity_permutation,
-    outlier_clustering_permutation,
-)
-from repro.core.serialization import (
-    load_quantized_model,
-    save_quantized_model,
-)
-from repro.core.tuning import ThresholdCandidate, search_outlier_threshold
-from repro.core.weightquant import QuantizedWeight, quantize_weight
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BlockConfig",
-    "BlockPrecisionPlan",
-    "ChannelPermutation",
-    "ChannelStats",
-    "FMPQConfig",
-    "INT4",
-    "INT8",
-    "KVQuantConfig",
-    "LayerQuantStats",
-    "QuantSpec",
-    "QuantizedActivation",
-    "QuantizedKVCache",
-    "QuantizedLinear",
-    "QuantizedWeight",
-    "ThresholdCandidate",
-    "load_quantized_model",
-    "save_quantized_model",
-    "search_outlier_threshold",
-    "assign_block_precisions",
-    "asymmetric_scale_zero",
-    "calibrate_linear",
-    "collect_channel_stats",
-    "dequantize_activation_blocks",
-    "dequantize_asymmetric",
-    "dequantize_symmetric",
-    "identity_permutation",
-    "mixed_precision_matmul",
-    "outlier_channel_mask",
-    "outlier_clustering_permutation",
-    "outlier_ratio",
-    "pack_int4",
-    "pack_int4_words",
-    "quantization_error",
-    "quantize_activation_blocks",
-    "quantize_asymmetric",
-    "quantize_symmetric",
-    "quantize_weight",
-    "symmetric_scale",
-    "unpack_int4",
-    "unpack_int4_words",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "blockwise": (
+        "BlockConfig", "BlockPrecisionPlan", "QuantizedActivation",
+        "assign_block_precisions", "dequantize_activation_blocks",
+        "quantize_activation_blocks",
+    ),
+    "fmpq": (
+        "FMPQConfig", "LayerQuantStats", "QuantizedLinear", "calibrate_linear",
+        "mixed_precision_matmul",
+    ),
+    "intquant": (
+        "INT4", "INT8", "QuantSpec", "asymmetric_scale_zero",
+        "dequantize_asymmetric", "dequantize_symmetric", "pack_int4",
+        "pack_int4_words", "quantization_error", "quantize_asymmetric",
+        "quantize_symmetric", "symmetric_scale", "unpack_int4",
+        "unpack_int4_words",
+    ),
+    "kvquant": ("KVQuantConfig", "QuantizedKVCache"),
+    "outliers": (
+        "ChannelStats", "collect_channel_stats", "outlier_channel_mask",
+        "outlier_ratio",
+    ),
+    "permutation": (
+        "ChannelPermutation", "identity_permutation",
+        "outlier_clustering_permutation",
+    ),
+    "serialization": ("load_quantized_model", "save_quantized_model"),
+    "tuning": ("ThresholdCandidate", "search_outlier_threshold"),
+    "weightquant": ("QuantizedWeight", "quantize_weight"),
+})

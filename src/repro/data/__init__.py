@@ -1,26 +1,12 @@
 """Synthetic data, perplexity, and zero-shot evaluation harnesses."""
 
-from repro.data.corpus import SyntheticCorpus
-from repro.data.perplexity import evaluate_perplexity, sequence_logprobs
-from repro.data.tasks import (
-    TASK_NAMES,
-    TaskItem,
-    build_task,
-    build_task_suite,
-    evaluate_suite,
-    evaluate_task,
-    score_choice,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SyntheticCorpus",
-    "TASK_NAMES",
-    "TaskItem",
-    "build_task",
-    "build_task_suite",
-    "evaluate_perplexity",
-    "evaluate_suite",
-    "evaluate_task",
-    "score_choice",
-    "sequence_logprobs",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "corpus": ("SyntheticCorpus",),
+    "perplexity": ("evaluate_perplexity", "sequence_logprobs"),
+    "tasks": (
+        "TASK_NAMES", "TaskItem", "build_task", "build_task_suite",
+        "evaluate_suite", "evaluate_task", "score_choice",
+    ),
+})

@@ -39,7 +39,14 @@ from repro.gpu.isa import conversion_time, mma_time
 from repro.gpu.memory import global_load_time, smem_load_time
 from repro.gpu.simulator import SchedulePolicy, simulate_schedule
 from repro.gpu.spec import A100_80G_SXM4, GPUSpec
-from repro.kernels.tiling import GEMMShape, TileClass, TileGrid, TileShape, tile_grid
+from repro.kernels.tiling import (
+    GEMMShape,
+    TileClass,
+    TileGrid,
+    TileShape,
+    clear_grid_memo,
+    tile_grid,
+)
 
 __all__ = ["PrecisionProfile", "KernelLatency", "GEMMKernel", "clear_latency_memo"]
 
@@ -56,8 +63,10 @@ _LATENCY_MEMO: dict[tuple, KernelLatency] = {}
 
 
 def clear_latency_memo() -> None:
-    """Forget every memoized latency (the next calls cost from scratch)."""
+    """Forget every memoized latency and tile-grid piece (the next calls
+    cost from scratch)."""
     _LATENCY_MEMO.clear()
+    clear_grid_memo()
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,21 @@ __all__ = [
     "k_slice_precisions",
     "precision_runs",
     "tile_grid",
+    "clear_grid_memo",
 ]
+
+#: Process-wide memos of the two pieces of a grid that a cold cost-model
+#: call would otherwise rebuild per candidate tile: the split-k runs, keyed
+#: ``(k, tk, precision source, output tiles, target_tiles)``, and the
+#: block-order class ids, keyed ``(row_counts, col_counts, runs)``.
+_RUNS_MEMO: dict[tuple, tuple[tuple[str, int], ...]] = {}
+_CLASS_IDS_MEMO: dict[tuple, np.ndarray] = {}
+
+
+def clear_grid_memo() -> None:
+    """Forget the memoized split-k runs and class ids."""
+    _RUNS_MEMO.clear()
+    _CLASS_IDS_MEMO.clear()
 
 
 @dataclass(frozen=True)
@@ -152,13 +166,21 @@ class TileGrid:
 
     @cached_property
     def class_ids(self) -> np.ndarray:
-        # Class (r * len(col_counts) + c) * len(runs) + k has row extent
-        # r, column extent c and run k.
-        r = np.repeat(np.arange(len(self.row_counts)), self.row_counts)
-        c = np.repeat(np.arange(len(self.col_counts)), self.col_counts)
-        tiles = r[:, None] * len(self.col_counts) + c[None, :]
+        """Every block's class, in block order (read-only: grids with the
+        same extents and run count share one array)."""
         runs = len(self.runs)
-        return (tiles[:, :, None] * runs + np.arange(runs)).ravel()
+        key = (self.row_counts, self.col_counts, runs)
+        ids = _CLASS_IDS_MEMO.get(key)
+        if ids is None:
+            # Class (r * len(col_counts) + c) * len(runs) + k has row
+            # extent r, column extent c and run k.
+            r = np.repeat(np.arange(len(self.row_counts)), self.row_counts)
+            c = np.repeat(np.arange(len(self.col_counts)), self.col_counts)
+            tiles = r[:, None] * len(self.col_counts) + c[None, :]
+            ids = (tiles[:, :, None] * runs + np.arange(runs)).ravel()
+            ids.flags.writeable = False
+            _CLASS_IDS_MEMO[key] = ids
+        return ids
 
     def expand(self, per_class: list[float]) -> np.ndarray:
         """One float64 value per block, in block order."""
@@ -187,25 +209,14 @@ def tile_grid(
     """
     m_tiles = -(-shape.m // tile.tm)
     n_tiles = -(-shape.n // tile.tn)
-    k_slices = -(-shape.k // tile.tk)
-    precisions = k_slice_precisions(k_slices, int8_fraction, is_high)
-    runs = precision_runs(shape.k, tile.tk, precisions)
-
-    if target_tiles is not None and target_tiles > 0:
-        # Split the deepest run (the first of equal depth) in half, at
-        # tile.tk granularity, until the tile count reaches the target or
-        # no run is deeper than one slice.  A heap of (-depth, key) finds
-        # that run; splitting the run keyed ``p`` makes ``p + (0,)`` and
-        # ``p + (1,)``, so keys sort in run order.
-        outputs = m_tiles * n_tiles
-        heap = [(-depth, (i,), prec) for i, (prec, depth) in enumerate(runs)]
-        heapq.heapify(heap)
-        while outputs * len(heap) < target_tiles and -heap[0][0] > tile.tk:
-            neg, key, prec = heapq.heappop(heap)
-            left = (-neg // tile.tk // 2) * tile.tk
-            heapq.heappush(heap, (-left, key + (0,), prec))
-            heapq.heappush(heap, (neg + left, key + (1,), prec))
-        runs = [(prec, -neg) for neg, _, prec in sorted(heap, key=lambda e: e[1])]
+    source = None if is_high is None else np.asarray(is_high, dtype=bool).tobytes()
+    key = (shape.k, tile.tk, int8_fraction, source, m_tiles * n_tiles, target_tiles)
+    runs = _RUNS_MEMO.get(key)
+    if runs is None:
+        runs = _RUNS_MEMO[key] = _split_runs(
+            shape.k, tile.tk, m_tiles * n_tiles, int8_fraction, is_high,
+            target_tiles,
+        )
     row_ext = _edge_extents(shape.m, tile.tm)
     col_ext = _edge_extents(shape.n, tile.tn)
     classes = tuple(
@@ -215,6 +226,35 @@ def tile_grid(
         for prec, depth in runs
     )
     return TileGrid(
-        m_tiles, n_tiles, tuple(runs), classes,
+        m_tiles, n_tiles, runs, classes,
         tuple(n for _, n in row_ext), tuple(n for _, n in col_ext),
     )
+
+
+def _split_runs(
+    k: int,
+    tk: int,
+    outputs: int,
+    int8_fraction: float | None,
+    is_high: np.ndarray | None,
+    target_tiles: int | None,
+) -> tuple[tuple[str, int], ...]:
+    """The k-runs of :func:`tile_grid`, split-k applied, for ``outputs``
+    output tiles."""
+    precisions = k_slice_precisions(-(-k // tk), int8_fraction, is_high)
+    runs = precision_runs(k, tk, precisions)
+    if target_tiles is not None and target_tiles > 0:
+        # Split the deepest run (the first of equal depth) in half, at
+        # tk granularity, until the tile count reaches the target or
+        # no run is deeper than one slice.  A heap of (-depth, key) finds
+        # that run; splitting the run keyed ``p`` makes ``p + (0,)`` and
+        # ``p + (1,)``, so keys sort in run order.
+        heap = [(-depth, (i,), prec) for i, (prec, depth) in enumerate(runs)]
+        heapq.heapify(heap)
+        while outputs * len(heap) < target_tiles and -heap[0][0] > tk:
+            neg, key, prec = heapq.heappop(heap)
+            left = (-neg // tk // 2) * tk
+            heapq.heappush(heap, (-left, key + (0,), prec))
+            heapq.heappush(heap, (neg + left, key + (1,), prec))
+        runs = [(prec, -neg) for neg, _, prec in sorted(heap, key=lambda e: e[1])]
+    return tuple(runs)

@@ -21,12 +21,11 @@ through :func:`repro.core.fmpq.mixed_precision_matmul`.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 import repro.obs as obs
-from repro.core.blockwise import QuantizedActivation
-from repro.core.fmpq import mixed_precision_matmul
-from repro.core.weightquant import QuantizedWeight
 from repro.gpu.simulator import SchedulePolicy
 from repro.gpu.spec import A100_80G_SXM4, GPUSpec
 from repro.kernels.base import GEMMKernel, KernelLatency, PrecisionProfile
@@ -36,6 +35,10 @@ from repro.kernels.conversion import (
 )
 from repro.kernels.layout import ldmatrix_plan
 from repro.kernels.tiling import GEMMShape, TileShape
+
+if TYPE_CHECKING:  # the functional path's operands; costing never needs them
+    from repro.core.blockwise import QuantizedActivation
+    from repro.core.weightquant import QuantizedWeight
 
 __all__ = ["W4AxKernel", "DEFAULT_INT8_FRACTION"]
 
@@ -149,6 +152,8 @@ class W4AxKernel(GEMMKernel):
         qact: QuantizedActivation, qweight: QuantizedWeight
     ) -> np.ndarray:
         """Execute the kernel's numerics exactly (integer per-block GEMM)."""
+        from repro.core.fmpq import mixed_precision_matmul
+
         return mixed_precision_matmul(qact, qweight)
 
     def shape_of(self, qact: QuantizedActivation, qweight: QuantizedWeight) -> GEMMShape:

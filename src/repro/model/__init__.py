@@ -1,52 +1,20 @@
 """From-scratch numpy transformer substrate (LLaMA-style decoder)."""
 
-from repro.model.attention import Attention
-from repro.model.config import (
-    ModelConfig,
-    PAPER_MODELS,
-    get_model_config,
-    tiny_config,
-)
-from repro.model.generation import greedy_generate, sample_generate
-from repro.model.kvcache import LayerKVCache, ModelKVCache
-from repro.model.layers import Linear, RMSNorm
-from repro.model.outlier_injection import OutlierPlan, inject_outliers
-from repro.model.rope import RotaryEmbedding, apply_rope
-from repro.model.tensorops import (
-    causal_mask,
-    cross_entropy,
-    log_softmax,
-    rms_norm,
-    silu,
-    softmax,
-    swiglu,
-)
-from repro.model.transformer import MLP, DecoderBlock, Transformer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Attention",
-    "DecoderBlock",
-    "LayerKVCache",
-    "Linear",
-    "MLP",
-    "ModelConfig",
-    "ModelKVCache",
-    "OutlierPlan",
-    "PAPER_MODELS",
-    "RMSNorm",
-    "RotaryEmbedding",
-    "Transformer",
-    "apply_rope",
-    "causal_mask",
-    "cross_entropy",
-    "get_model_config",
-    "greedy_generate",
-    "inject_outliers",
-    "log_softmax",
-    "rms_norm",
-    "sample_generate",
-    "silu",
-    "softmax",
-    "swiglu",
-    "tiny_config",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "attention": ("Attention",),
+    "config": (
+        "ModelConfig", "PAPER_MODELS", "get_model_config", "tiny_config",
+    ),
+    "generation": ("greedy_generate", "sample_generate"),
+    "kvcache": ("LayerKVCache", "ModelKVCache"),
+    "layers": ("Linear", "RMSNorm"),
+    "outlier_injection": ("OutlierPlan", "inject_outliers"),
+    "rope": ("RotaryEmbedding", "apply_rope"),
+    "tensorops": (
+        "causal_mask", "cross_entropy", "log_softmax", "rms_norm", "silu",
+        "softmax", "swiglu",
+    ),
+    "transformer": ("MLP", "DecoderBlock", "Transformer"),
+})

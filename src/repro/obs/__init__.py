@@ -31,16 +31,26 @@ import sys
 import threading
 
 from repro import instrument as _instrument
-from repro.obs import catalog, export, snapshot  # noqa: F401 (re-export)
-from repro.obs.catalog import METRIC_CATALOG, metric_help
-from repro.obs.registry import (
+from repro._lazy import lazy_exports
+# The switchboard below builds on the registry and span tracer, so these
+# three load with the package; the exporters load on first use.
+from repro.obs.catalog import (  # staticcheck: ignore[IMP004]
+    METRIC_CATALOG,
+    metric_help,
+)
+from repro.obs.registry import (  # staticcheck: ignore[IMP004]
     MetricsRegistry,
     NullRegistry,
     DEFAULT_TIME_BUCKETS,
     FRACTION_BUCKETS,
 )
-from repro.obs.snapshot import write_snapshot
-from repro.obs.spans import NULL_SPAN_HANDLE, SpanRecord, SpanTracer
+from repro.obs.spans import (  # staticcheck: ignore[IMP004]
+    NULL_SPAN_HANDLE,
+    SpanRecord,
+    SpanTracer,
+)
+
+_, __getattr__, __dir__ = lazy_exports(__name__, {"snapshot": ("write_snapshot",)})
 
 __all__ = [
     "enable",

@@ -39,18 +39,26 @@ from threading import Lock
 from typing import Callable
 
 import repro.obs as obs
-from repro.obs.live.flightrecorder import (
+from repro._lazy import lazy_exports
+# LiveObs is built from these three; the HTTP server (and http.server with
+# it) loads only when an exporter is started.
+from repro.obs.live.flightrecorder import (  # staticcheck: ignore[IMP004]
     DEFAULT_CAPACITY,
     FlightRecord,
     FlightRecorder,
 )
-from repro.obs.live.httpd import LiveHTTPServer
-from repro.obs.live.slo import (
+from repro.obs.live.slo import (  # staticcheck: ignore[IMP004]
     STATE_LEVELS,
     SLOMonitor,
     SLOPolicy,
 )
-from repro.obs.live.windows import Reservoir, WindowSet, WindowStats
+from repro.obs.live.windows import (  # staticcheck: ignore[IMP004]
+    Reservoir,
+    WindowSet,
+    WindowStats,
+)
+
+_, __getattr__, __dir__ = lazy_exports(__name__, {"httpd": ("LiveHTTPServer",)})
 
 __all__ = [
     "LiveObs",

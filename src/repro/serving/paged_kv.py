@@ -94,11 +94,7 @@ class PagedKVManager:
         # for its lifetime (freelist recycling, no compaction), so callers
         # may cache `sequence_row` and batch-index into the arrays.
         self._row_of: dict[int, int] = {}
-        self._rows = 0  # rows ever used
-        self._table = np.zeros((0, 0), dtype=np.int64)
-        self._tokens = np.zeros(0, dtype=np.int64)
-        self._block_capacity = np.zeros(0, dtype=np.int64)
-        self._free_rows: list[int] = []
+        self._reset_rows()
         # Running aggregates: O(1) utilization / fragmentation.
         self._total_tokens = 0
         self._block_refs = 0  # sum of len(block table) over live sequences
@@ -353,9 +349,23 @@ class PagedKVManager:
             self._push_free(blocks[after == 0])
         self._block_refs -= blocks.size
         self._total_tokens -= int(self._tokens[row])
+        if not self._row_of:
+            # Drained: the row tables grew to this fill's peak, and no row
+            # is live to need them.  Block refcounts and the free stack
+            # stay, so later fills take the same block ids.
+            self._reset_rows()
+            return
         self._tokens[row] = 0
         self._block_capacity[row] = 0
         self._free_rows.append(row)
+
+    def _reset_rows(self) -> None:
+        """Empty sequence-row tables, as a fresh pool has."""
+        self._rows = 0  # rows ever used
+        self._table = np.zeros((0, 0), dtype=np.int64)
+        self._tokens = np.zeros(0, dtype=np.int64)
+        self._block_capacity = np.zeros(0, dtype=np.int64)
+        self._free_rows: list[int] = []
 
     def _blocks(self, row: int) -> np.ndarray:
         """A view of the row's block table, in token order."""

@@ -38,7 +38,10 @@ TERMINAL_PHASES = frozenset(
 _PREEMPTIBLE = (Phase.PREFILL, Phase.DECODE)
 
 
-@dataclass
+# Slots: a run holds thousands of requests, and the engine's first stores
+# to the ``init=False`` fields come in an order that varies per request,
+# so with a ``__dict__`` each request would carry its own unshared dict.
+@dataclass(slots=True)
 class Request:
     """One generation request.
 

@@ -22,30 +22,14 @@ a rule.
 
 from __future__ import annotations
 
-from repro.staticcheck.baseline import (
-    Baseline,
-    discover_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.staticcheck.engine import CheckResult, resolve_root, run_check
-from repro.staticcheck.model import Rule, Severity, Violation
-from repro.staticcheck.report import format_json, format_text
-from repro.staticcheck.rules import ALL_RULES, RULES_BY_ID
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ALL_RULES",
-    "RULES_BY_ID",
-    "Baseline",
-    "CheckResult",
-    "Rule",
-    "Severity",
-    "Violation",
-    "discover_baseline",
-    "format_json",
-    "format_text",
-    "load_baseline",
-    "resolve_root",
-    "run_check",
-    "write_baseline",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "rules": ("ALL_RULES", "RULES_BY_ID"),
+    "baseline": (
+        "Baseline", "discover_baseline", "load_baseline", "write_baseline",
+    ),
+    "engine": ("CheckResult", "resolve_root", "run_check"),
+    "model": ("Rule", "Severity", "Violation"),
+    "report": ("format_json", "format_text"),
+})

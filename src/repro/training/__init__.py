@@ -1,22 +1,10 @@
 """Numpy training substrate for the tiny accuracy-experiment models."""
 
-from repro.training.backprop import loss_and_grads, loss_only
-from repro.training.optimizer import Adam, AdamConfig, clip_grad_norm, cosine_lr
-from repro.training.trainer import TrainConfig, TrainResult, train
-from repro.training.zoo import ZOO_SPECS, ZooEntry, load_zoo_model, zoo_dir
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Adam",
-    "AdamConfig",
-    "TrainConfig",
-    "TrainResult",
-    "ZOO_SPECS",
-    "ZooEntry",
-    "clip_grad_norm",
-    "cosine_lr",
-    "load_zoo_model",
-    "loss_and_grads",
-    "loss_only",
-    "train",
-    "zoo_dir",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "backprop": ("loss_and_grads", "loss_only"),
+    "optimizer": ("Adam", "AdamConfig", "clip_grad_norm", "cosine_lr"),
+    "trainer": ("TrainConfig", "TrainResult", "train"),
+    "zoo": ("ZOO_SPECS", "ZooEntry", "load_zoo_model", "zoo_dir"),
+})

@@ -10,6 +10,7 @@ and in its ``kernel.*`` telemetry; only the schedule simulation (the
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 import repro.obs as obs
@@ -18,7 +19,7 @@ from repro.gpu.simulator import SchedulePolicy
 from repro.gpu.spec import A100_80G_SXM4
 from repro.kernels.base import GEMMKernel, PrecisionProfile
 from repro.kernels.baselines import QServeW4A8, TRTLLMW8A8
-from repro.kernels.tiling import GEMMShape
+from repro.kernels.tiling import GEMMShape, TileShape, tile_grid
 from repro.kernels.w4ax import W4AxKernel
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import SpanTracer
@@ -125,3 +126,38 @@ def test_kernels_differing_in_one_field_never_share_an_entry(field):
     a.latency(SHAPE)
     b.latency(SHAPE)
     assert len(kernel_base._LATENCY_MEMO) == 2
+
+
+def test_grid_memo_hit_equals_a_cold_grid():
+    """Split-k runs and class ids are memoized; a hit shares the cold
+    values and ``clear_latency_memo`` forgets them."""
+    shape = GEMMShape(77, 131, 4096)
+    cold = tile_grid(shape, TileShape(), int8_fraction=0.25, target_tiles=216)
+    ids = cold.class_ids
+    assert not ids.flags.writeable
+    hit = tile_grid(shape, TileShape(), int8_fraction=0.25, target_tiles=216)
+    assert hit.runs is cold.runs and hit.class_ids is ids
+    kernel_base.clear_latency_memo()
+    fresh = tile_grid(shape, TileShape(), int8_fraction=0.25, target_tiles=216)
+    assert fresh.runs == cold.runs and fresh.runs is not cold.runs
+    np.testing.assert_array_equal(fresh.class_ids, ids)
+    assert fresh.class_ids is not ids
+
+
+def test_grid_memo_keys():
+    # Runs key on the output-tile count, not on the extents; class ids on
+    # the extents.
+    wide = tile_grid(GEMMShape(128, 256, 4096), int8_fraction=0.25,
+                     target_tiles=216)
+    tall = tile_grid(GEMMShape(256, 128, 4096), int8_fraction=0.25,
+                     target_tiles=216)
+    assert wide.runs is tall.runs
+    assert wide.class_ids is not tall.class_ids
+    # The same precisions from a block plan are a separate entry, with
+    # equal runs.
+    is_high = np.arange(32) < 8
+    planned = tile_grid(GEMMShape(128, 256, 4096), is_high=is_high,
+                        target_tiles=216)
+    assert planned.runs == wide.runs and planned.runs is not wide.runs
+    assert tile_grid(GEMMShape(128, 256, 4096), int8_fraction=0.25,
+                     target_tiles=16).runs != wide.runs

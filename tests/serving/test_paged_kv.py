@@ -359,6 +359,56 @@ class TestFreelistFragmentation:
         assert m.freelist_fragmentation() == 0.0
 
 
+class TestDrain:
+    """The last ``free`` drops the row tables; block ids do not move."""
+
+    @staticmethod
+    def _fill(m, ids, rng):
+        for sid in ids:
+            m.allocate(sid, int(rng.integers(0, 13)))
+        rows = np.array([m.sequence_row(s) for s in ids], dtype=np.int64)
+        for _ in range(int(rng.integers(1, 6))):
+            m.append_token_many(rows)
+        m.append_token(ids[0])
+
+    def test_drain_and_refill_matches_a_pool_that_kept_its_rows(self):
+        rng = np.random.default_rng(7)
+        m = manager(blocks=64, block_tokens=4)
+        kept = manager(blocks=64, block_tokens=4)
+        kept._reset_rows = lambda: None  # never drops its row tables
+        next_id = 0
+        for _ in range(6):
+            ids = list(range(next_id, next_id + int(rng.integers(1, 9))))
+            next_id = ids[-1] + 1
+            seed = int(rng.integers(1 << 30))
+            for pool in (m, kept):
+                self._fill(pool, ids, np.random.default_rng(seed))
+            for sid in ids:
+                assert m.block_table(sid) == kept.block_table(sid)
+            for sid in rng.permutation(ids).tolist():
+                m.free(sid)
+                kept.free(sid)
+                assert (m.freelist_fragmentation()
+                        == kept.freelist_fragmentation())
+            assert m._rows == 0 and m._free_rows == []
+            assert m._table.size == m._tokens.size == 0
+            assert m._block_capacity.size == 0
+            assert kept._table.size > 0
+            assert m._low == kept._low
+            np.testing.assert_array_equal(
+                m._free[: m._free_top], kept._free[: kept._free_top]
+            )
+            np.testing.assert_array_equal(m._rc, kept._rc)
+
+    def test_no_reset_while_a_sequence_is_live(self):
+        m = manager(blocks=8, block_tokens=4)
+        m.allocate(0, 4)
+        m.allocate(1, 4)
+        m.free(0)
+        assert m._rows == 2 and m._free_rows == [0]
+        assert m.block_table(1) == [6]
+
+
 class TestMultiStepAppend:
     """``append_token_many(rows, k)`` with ``k <= append_horizon(rows)`` is
     ``k`` single-step calls: same tables, block ids, free-stack order and

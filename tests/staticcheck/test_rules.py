@@ -1,8 +1,8 @@
 """Per-family rule tests over the committed fixture trees.
 
-``fixtures/dirty`` mimics the package layout (core/, kernels/, serving/,
-obs/) and plants one known violation per rule; ``fixtures/clean`` is a
-conformant tree that must produce nothing.
+``fixtures/dirty`` mimics the package layout (core/, kernels/, model/,
+serving/, obs/) and plants one known violation per rule; ``fixtures/clean``
+is a conformant tree that must produce nothing.
 """
 
 from pathlib import Path
@@ -130,6 +130,19 @@ class TestIMP:
 
     def test_kernels_relative_serving_import(self, dirty):
         assert len(_hits(dirty, "IMP003", "kernels/layering2.py")) == 1
+
+    def test_package_init_imports_submodules(self, dirty):
+        hits = _hits(dirty, "IMP004", "model/__init__.py")
+        assert {v.message.split()[5] for v in hits} == {
+            "repro.model.config", "repro.model.layers",
+        }
+
+    def test_package_init_exemptions(self, dirty):
+        # The lazy helper, another package, a TYPE_CHECKING block and a
+        # deferred import inside a def are all allowed.
+        named = " ".join(v.message.split()[5] for v in _hits(dirty, "IMP004"))
+        for allowed in ("_lazy", "intquant", "rope", "attention"):
+            assert allowed not in named
 
     def test_instrument_seam_allowed(self, dirty):
         assert not any(
