@@ -123,6 +123,12 @@ SMOKE_SCALE = dict(tiers=(1000,), max_batch=256)
 # overhead divided by the required speedup (1280/5 at 4k, 470/2.5 at 1k).
 SCALE_OVERHEAD_CEILING_US = 256.0   # full run, 4k+ tiers
 SCALE_SMOKE_CEILING_US = 188.0      # reduced 1k CI variant
+# Observability budget: at the 1k smoke tier the attached step loop costs
+# at most twice the detached one (obs overhead <= detached overhead), and
+# attached us per observed step at 10k stays within this factor of 1k,
+# i.e. flat in queue depth.
+SCALE_OBS_TIER = 1000
+SCALE_OBS_FLAT_RATIO = 1.5
 # Footprint: fresh interpreters timed per import figure, the request count
 # of perfbench's burst_chaos workload, and a Fig. 10 batch for the pool
 # (256 sequences of 1024 prompt tokens, each grown by 512).
@@ -429,7 +435,10 @@ def _scale_trace(num_requests: int, seed: int = 9):
 
 
 def _scale_run(model, n: int, max_batch: int, attached: bool):
-    """One profiled overload run: (report, per-phase us/step)."""
+    """One profiled overload run: (report, per-phase us/step, step-loop
+    overhead us per observed step).  An attached run observes every step
+    it heartbeats, whole-prompt prefills included; a detached run's
+    observed steps are its engine steps."""
     from repro.obs import live as live_obs
     from repro.serving.engine import EngineConfig, ServingEngine
     from repro.serving.stepprof import StepPhaseProfiler
@@ -441,8 +450,7 @@ def _scale_run(model, n: int, max_batch: int, attached: bool):
     )
     prof = StepPhaseProfiler()
     trace = _scale_trace(n)
-    if attached:
-        live_obs.attach(window_seconds=1.0, capacity=n)
+    live = live_obs.attach(window_seconds=1.0, capacity=n) if attached else None
     # GC pauses land on whichever phase is active and can dwarf the
     # bookkeeping being measured; collect up front, then disable for
     # the timed run.
@@ -453,7 +461,8 @@ def _scale_run(model, n: int, max_batch: int, attached: bool):
     finally:
         gc.enable()
         live_obs.detach()
-    return report, prof.per_step_us()
+    observed = live.steps if live is not None else report.engine_steps
+    return report, prof.per_step_us(), prof.overhead_seconds() * 1e6 / observed
 
 
 def run_scale_bench(tiers=(1000, 4000, 10000), max_batch=512):
@@ -464,14 +473,19 @@ def run_scale_bench(tiers=(1000, 4000, 10000), max_batch=512):
     step-loop overhead (admit + schedule + decode + heartbeat phases) next
     to the simulated-kernel ``model`` phase, which is reported but not
     counted as overhead.  A second run with live observability and the
-    cost ledger attached gives ``obs_overhead_us_per_step``: attached
-    minus detached step-loop overhead.
+    cost ledger attached gives ``obs_overhead_us_per_step`` (attached
+    minus detached step-loop overhead, per engine step) and
+    ``attached_us_per_step``: the attached overhead per observed step,
+    whole-prompt prefills included, whose growth with queue depth the
+    gate bounds.
     """
     model = tiny_config(name="scale-bench")
     rows = []
     for n in tiers:
-        report, us = _scale_run(model, n, max_batch, attached=False)
-        _, attached_us = _scale_run(model, n, max_batch, attached=True)
+        report, us, _ = _scale_run(model, n, max_batch, attached=False)
+        _, attached_us, per_observed = _scale_run(
+            model, n, max_batch, attached=True
+        )
         rows.append(
             {
                 "requests": int(n),
@@ -479,6 +493,7 @@ def run_scale_bench(tiers=(1000, 4000, 10000), max_batch=512):
                 "throughput_tok_s": report.throughput,
                 "peak_batch": int(report.peak_batch),
                 "overhead_us_per_step": us["overhead"],
+                "attached_us_per_step": per_observed,
                 "obs_overhead_us_per_step": (
                     attached_us["overhead"] - us["overhead"]
                 ),
@@ -491,14 +506,40 @@ def run_scale_bench(tiers=(1000, 4000, 10000), max_batch=512):
     return rows
 
 
-def scale_gate(rows, smoke: bool) -> list[dict]:
-    """The rows whose step-loop overhead exceeds their tier's ceiling."""
+def scale_gate(rows, smoke: bool) -> list[str]:
+    """What the scale rows break: a step-loop overhead above its tier's
+    ceiling, attached observability costing more than the detached loop
+    at the 1k smoke tier, or attached us per observed step growing more
+    than ``SCALE_OBS_FLAT_RATIO``-fold from the 1k to the 10k tier."""
     ceiling = SCALE_SMOKE_CEILING_US if smoke else SCALE_OVERHEAD_CEILING_US
     gated = 1000 if smoke else 4000
-    return [
-        r for r in rows
+    broken = [
+        f"{r['requests']} requests: overhead "
+        f"{r['overhead_us_per_step']:.1f} us/step above {ceiling:g}"
+        for r in rows
         if r["requests"] >= gated and r["overhead_us_per_step"] > ceiling
     ]
+    tiers = {r["requests"]: r for r in rows}
+    base = tiers.get(SCALE_OBS_TIER)
+    if smoke and base and (
+        base["obs_overhead_us_per_step"] > base["overhead_us_per_step"]
+    ):
+        broken.append(
+            f"{SCALE_OBS_TIER} requests: obs overhead "
+            f"{base['obs_overhead_us_per_step']:.1f} us/step above the "
+            f"detached {base['overhead_us_per_step']:.1f}"
+        )
+    deep = tiers.get(10 * SCALE_OBS_TIER)
+    if base and deep and deep["attached_us_per_step"] > (
+        SCALE_OBS_FLAT_RATIO * base["attached_us_per_step"]
+    ):
+        broken.append(
+            f"{deep['requests']} requests: attached "
+            f"{deep['attached_us_per_step']:.1f} us/step above "
+            f"{SCALE_OBS_FLAT_RATIO:g}x the {SCALE_OBS_TIER}-request "
+            f"{base['attached_us_per_step']:.1f}"
+        )
+    return broken
 
 
 # --------------------------------------------------------------- footprint
@@ -612,6 +653,39 @@ def emit_footprint(rows, mode: str) -> None:
     )
 
 
+def emit_scale(rows: list[dict], mode: str) -> None:
+    """Write the scale rows: the text table and ``hotpath_scale`` in
+    ``BENCH_serving.json``."""
+    emit(
+        "hotpath_scale",
+        format_table(
+            "Scaling tier — engine step-loop overhead",
+            ["requests", "steps", "overhead us/step", "model us/step",
+             "obs us/step", "attached us/observed step"],
+            [
+                [r["requests"], r["steps"], r["overhead_us_per_step"],
+                 r["phases_us_per_step"]["model"],
+                 r["obs_overhead_us_per_step"], r["attached_us_per_step"]]
+                for r in rows
+            ],
+            notes=[
+                "overhead = admit + schedule + decode + heartbeat phases",
+                "(wall clock; the simulated-kernel `model` phase is",
+                f"reported beside it); ceilings: {SCALE_SMOKE_CEILING_US:g}"
+                f" us/step at the 1k smoke tier, "
+                f"{SCALE_OVERHEAD_CEILING_US:g} us/step at 4k+.",
+                "obs = the same run's overhead with live obs and the cost",
+                "ledger attached, minus detached; gated <= detached at the",
+                "1k smoke tier.  attached us/observed step counts every",
+                "heartbeat, whole-prompt prefills included; gated at 10k",
+                f"<= {SCALE_OBS_FLAT_RATIO:g}x the 1k figure.",
+            ],
+        ),
+    )
+    emit_json("hotpath_scale", {"mode": mode, "rows": rows},
+              trajectory="serving")
+
+
 # ------------------------------------------------------------- harnessing
 
 
@@ -716,34 +790,7 @@ def run_all(smoke: bool = False, scale: bool = False) -> dict:
         ),
     )
     if scale:
-        sc = results["scale"]
-        emit(
-            "hotpath_scale",
-            format_table(
-                "Scaling tier — engine step-loop overhead",
-                ["requests", "steps", "overhead us/step", "model us/step",
-                 "obs us/step"],
-                [
-                    [r["requests"], r["steps"], r["overhead_us_per_step"],
-                     r["phases_us_per_step"]["model"],
-                     r["obs_overhead_us_per_step"]]
-                    for r in sc
-                ],
-                notes=[
-                    "overhead = admit + schedule + decode + heartbeat phases",
-                    "(wall clock; the simulated-kernel `model` phase is",
-                    f"reported beside it); ceilings: {SCALE_SMOKE_CEILING_US:g}"
-                    f" us/step at the 1k smoke tier, "
-                    f"{SCALE_OVERHEAD_CEILING_US:g} us/step at 4k+.",
-                    "obs = the same run's overhead with live obs and the",
-                    "cost ledger attached, minus detached (not gated).",
-                ],
-            ),
-        )
-        emit_json(
-            "hotpath_scale", {"mode": results["mode"], "rows": sc},
-            trajectory="serving",
-        )
+        emit_scale(results["scale"], results["mode"])
     for name in ("kvcache", "gemm", "decode"):
         emit_json(f"hotpath_{name}", {"mode": results["mode"], "rows": results[name]})
     # Simulated serving numbers are deterministic, so they also feed the
@@ -801,7 +848,8 @@ def test_footprint_below_the_eager_tree():
 
 def test_scale_overhead_within_ceiling():
     """Per-step bookkeeping stays under the smoke ceiling at the 1k tier
-    (the full run gates the 4k+ tiers at SCALE_OVERHEAD_CEILING_US)."""
+    (the full run gates the 4k+ tiers at SCALE_OVERHEAD_CEILING_US), and
+    attached observability costs at most the detached loop."""
     rows = run_scale_bench(**SMOKE_SCALE)
     assert rows
     assert not scale_gate(rows, smoke=True), rows
@@ -819,7 +867,7 @@ def main() -> None:
         action="store_true",
         help="also run the high-concurrency scaling tiers (1k/4k/10k "
         "queued requests; 1k only with --smoke) and enforce the "
-        "step-overhead ceiling",
+        "step-overhead ceilings and the observability budget",
     )
     parser.add_argument(
         "--footprint",
@@ -839,15 +887,9 @@ def main() -> None:
         return
     results = run_all(smoke=args.smoke, scale=args.scale)
     if args.scale:
-        over = scale_gate(results["scale"], smoke=args.smoke)
-        if over:
-            raise SystemExit(
-                "scale regression: step-loop overhead above the ceiling: "
-                + ", ".join(
-                    f"{r['requests']} requests {r['overhead_us_per_step']:.1f}"
-                    " us/step" for r in over
-                )
-            )
+        broken = scale_gate(results["scale"], smoke=args.smoke)
+        if broken:
+            raise SystemExit("scale regression: " + "; ".join(broken))
 
 
 if __name__ == "__main__":

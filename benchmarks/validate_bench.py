@@ -43,6 +43,11 @@ SCALE_ROW_KEYS = frozenset({
     "overhead_us_per_step", "obs_overhead_us_per_step", "phases_us_per_step",
 })
 
+#: The scale tier whose attached step loop may cost at most twice the
+#: detached one in a smoke run (``obs_overhead_us_per_step <=
+#: overhead_us_per_step``).
+SCALE_OBS_TIER = 1000
+
 #: Keys every ``hotpath_footprint`` row must carry, and the quantities
 #: the section must hold (one row each).
 FOOTPRINT_ROW_KEYS = frozenset({"quantity", "unit", "before", "after"})
@@ -114,6 +119,23 @@ def _check_attribution(name: str, i: int, attribution: object,
         )
 
 
+def _check_scale(name: str, payload: dict, rows: list, errors: list) -> None:
+    if payload.get("mode") != "smoke":
+        return
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict) or row.get("requests") != SCALE_OBS_TIER:
+            continue
+        obs_us = row.get("obs_overhead_us_per_step")
+        detached_us = row.get("overhead_us_per_step")
+        numbers = all(isinstance(v, (int, float)) for v in (obs_us, detached_us))
+        if numbers and obs_us > detached_us:
+            errors.append(
+                f"{name}: rows[{i}] attached costs more than twice detached "
+                f"at {SCALE_OBS_TIER} requests (obs {obs_us:.1f} > "
+                f"{detached_us:.1f} us/step)"
+            )
+
+
 def _check_footprint(name: str, rows: list, errors: list) -> None:
     seen = [row.get("quantity") for row in rows if isinstance(row, dict)]
     if sorted(seen) != sorted(FOOTPRINT_QUANTITIES):
@@ -154,7 +176,8 @@ def validate(doc: object) -> list:
                         name, i, row["attribution"], errors
                     )
         elif name == "hotpath_scale":
-            _check_rows(name, payload, SCALE_ROW_KEYS, errors)
+            rows = _check_rows(name, payload, SCALE_ROW_KEYS, errors)
+            _check_scale(name, payload, rows, errors)
         elif name == "hotpath_costmodel":
             rows = _check_rows(name, payload, COSTMODEL_ROW_KEYS, errors)
             for i, row in enumerate(rows):
@@ -279,6 +302,23 @@ def test_scale_rows_carry_obs_overhead():
         "missing keys" in e and "obs_overhead_us_per_step" in e
         for e in errors
     )
+
+
+def test_scale_obs_overhead_is_gated_at_the_smoke_tier():
+    doc = _good_doc()
+    row = {
+        "requests": 1000, "steps": 613, "peak_batch": 256,
+        "throughput_tok_s": 316248.3, "overhead_us_per_step": 80.0,
+        "obs_overhead_us_per_step": 80.0,
+        "phases_us_per_step": {"admit": 30.0, "model": 113.0},
+    }
+    doc["benchmarks"]["hotpath_scale"] = {"mode": "smoke", "rows": [row]}
+    assert validate(doc) == []
+    row["obs_overhead_us_per_step"] = 80.5
+    errors = validate(doc)
+    assert any("more than twice detached" in e for e in errors)
+    doc["benchmarks"]["hotpath_scale"]["mode"] = "full"
+    assert validate(doc) == []
 
 
 def test_footprint_rows_are_gated():

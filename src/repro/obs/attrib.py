@@ -24,16 +24,24 @@ Accounting discipline (how the sum-to-e2e invariant holds):
 * The engine charges the ledger **before** advancing request state, so every
   lifecycle transition (finish, preemption, retry, mid-flight expiry) is a
   settle-at-current-clock operation with zero residual.
-* Queue time accrues lazily at transitions: admission and close settle the
-  span since the request last went inactive.
+* A step costs O(1): it adds its components to run-level running sums, one
+  set per class of admitted row.  Every decoding row of a non-serialized
+  step shares the step's components; every other admitted row stalls for
+  ``dt``.  Only the prefill owner, one row per step, is charged directly.
+* A row keeps the sums as they stood at its last transition (admission,
+  prefill done, first token, requeue, close) and settles the difference
+  into its prefill or decode bucket at the next one.  Queue time settles
+  the same way, at admission and close.
 * While admitted, every clock advance lands exactly once per request —
   either as a compute component or as ``stall`` — so for every completed
   request ``queue + sum(components) == e2e`` up to float accumulation.
 
 The ledger also tracks per-request **KV economics** (blocks held over time,
-peak, shared-vs-exclusive blocks under prefix forking).  Its rows belong to
-the records of :class:`repro.obs.live.FlightRecorder`, the one per-request
-store: a record's queue/prefill/decode seconds *are* its ledger buckets.
+peak, shared-vs-exclusive blocks under prefix forking), settled at the pool
+events that change a row's blocks: admission, block crossing and release.
+Its rows belong to the records of :class:`repro.obs.live.FlightRecorder`,
+the one per-request store: a record's queue/prefill/decode seconds *are*
+its ledger buckets.
 
 Everything here is duck-typed over plain floats/ints and numpy — no
 serving imports (layering) and no wall clock or RNG (determinism: this
@@ -42,13 +50,14 @@ file is in the staticcheck DET scope).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
 __all__ = [
     "COMPONENTS",
     "CostLedger",
+    "LedgerRow",
     "aggregate",
     "critical_path",
     "tail_explainer",
@@ -64,208 +73,225 @@ COMPONENTS = ("gemm", "attention", "kv_dequant", "overhead", "stall")
 #: Attribution keys of a completed-request record, flattened.
 ATTRIBUTION_KEYS = ("queue",) + COMPONENTS
 
-# Column layout of the per-row component matrix: queue, then the five
-# components for the prefill bucket, then the five for decode.
+# Column layout of a row's component list: queue, then the five components
+# for the prefill bucket, then the five for decode.
 _QUEUE = 0
 _PF_BASE = 1
 _DEC_BASE = 6
 _N_COLS = 11
 _STALL_OFF = 4  # offset of "stall" within a bucket
 
-# Row states.
-_FREE = 0
-_WAITING = 1  # tracked but not admitted (queued / backing off)
-_ACTIVE = 2   # admitted: holds KV, participates in step charges
+# Run-level running sums: the four compute components shared by the
+# decoding rows of non-serialized steps, then the seconds of serialized
+# steps (decoding rows stall through them) and of every step (rows that
+# are not decoding stall through them, unless they own the prefill).
+_SERIALIZED = 4
+_ALL = 5
+_N_SUMS = 6
+
+
+class LedgerRow:
+    """One request's account while it is in flight: the handle
+    :meth:`CostLedger.open` returns and every other ledger call takes."""
+
+    __slots__ = (
+        "comp", "since", "admitted", "decoding", "first_tokened",
+        "inactive_since", "kv_row", "kv_admit", "kv_peak", "kv_last",
+        "kv_shared", "kv_held", "kv_held_since", "block_sec",
+    )
+
+    def __init__(self, arrival_time: float) -> None:
+        self.comp = [0.0] * _N_COLS
+        self.since = [0.0] * _N_SUMS  # the run-level sums at the last transition
+        self.admitted = False  # holds KV and takes its share of every step
+        self.decoding = False
+        self.first_tokened = False
+        self.inactive_since = arrival_time
+        self.kv_row = -1
+        self.kv_admit = self.kv_peak = self.kv_last = self.kv_shared = 0
+        self.kv_held = 0
+        self.kv_held_since = 0.0
+        self.block_sec = 0.0
 
 
 class CostLedger:
-    """Growable SoA latency + KV-economics accounts, one row per request in
-    flight.
+    """Latency + KV-economics accounts, one :class:`LedgerRow` per request
+    in flight.
 
     The record store (:class:`repro.obs.live.FlightRecorder`) owns the
-    rows: it opens one when it first sees a request, addresses every
-    lifecycle call by that row and settles it at close.  :meth:`charge`
-    distributes one step's simulated time over the admitted rows.  The
-    ledger holds no lock; the store serializes every call under its own.
+    rows: it opens one when it first sees a request, passes it to every
+    lifecycle call and settles it at close.  :meth:`step` adds one step to
+    the run-level sums in O(1); a row settles its share at its own
+    transitions.  KV block-seconds settle at the pool events that change a
+    row's blocks: admission, :meth:`kv_grown` and release.  The ledger
+    holds no lock; the store serializes every call under its own.
     """
 
     def __init__(self) -> None:
-        n = 64
-        self._comp = np.zeros((n, _N_COLS), dtype=np.float64)
-        self._state = np.zeros(n, dtype=np.int8)
-        self._decoding = np.zeros(n, dtype=bool)
-        self._first_tokened = np.zeros(n, dtype=bool)
-        self._kv_row = np.full(n, -1, dtype=np.int64)
-        self._inactive_since = np.zeros(n, dtype=np.float64)
-        self._kv_admit = np.zeros(n, dtype=np.int64)
-        self._kv_peak = np.zeros(n, dtype=np.int64)
-        self._kv_last = np.zeros(n, dtype=np.int64)
-        self._kv_shared = np.zeros(n, dtype=np.int64)
-        self._block_sec = np.zeros(n, dtype=np.float64)
-        self._free: list[int] = list(range(n - 1, -1, -1))
+        self._sums = [0.0] * _N_SUMS
+        self._of_kv_row: dict[int, LedgerRow] = {}  # pool row -> its account
 
     # ------------------------------------------------------------------
-    # row management
+    # settling
 
-    def _grow(self) -> None:
-        old = self._state.shape[0]
-        new = old * 2
-        self._comp = np.vstack(
-            [self._comp, np.zeros((old, _N_COLS), dtype=np.float64)]
-        )
-        for name, fill in (
-            ("_state", 0), ("_decoding", False), ("_first_tokened", False),
-            ("_kv_row", -1), ("_inactive_since", 0.0), ("_kv_admit", 0),
-            ("_kv_peak", 0), ("_kv_last", 0), ("_kv_shared", 0),
-            ("_block_sec", 0.0),
-        ):
-            arr = getattr(self, name)
-            ext = np.full(old, fill, dtype=arr.dtype)
-            setattr(self, name, np.concatenate([arr, ext]))
-        self._free.extend(range(new - 1, old - 1, -1))
+    def _add_due(self, row: LedgerRow, comp: list[float]) -> None:
+        """Add an admitted row's unsettled share since its last transition
+        to the bucket columns of ``comp``: the four compute components of
+        the steps it decoded in, then its stall."""
+        sums, since = self._sums, row.since
+        base = _DEC_BASE if row.first_tokened else _PF_BASE
+        if row.decoding:
+            for k in range(_SERIALIZED):
+                comp[base + k] += sums[k] - since[k]
+            comp[base + _STALL_OFF] += sums[_SERIALIZED] - since[_SERIALIZED]
+        else:
+            comp[base + _STALL_OFF] += sums[_ALL] - since[_ALL]
+
+    def _settle(self, row: LedgerRow) -> None:
+        """Move an admitted row's share into its bucket and restart it."""
+        self._add_due(row, row.comp)
+        row.since = self._sums.copy()
+
+    def _release(self, row: LedgerRow, ts: float) -> None:
+        """An admitted row gives its KV back at ``ts``: its share and its
+        block-seconds settle, and its last holding is its final count."""
+        self._settle(row)
+        row.block_sec += row.kv_held * (ts - row.kv_held_since)
+        row.kv_last = row.kv_held
+        row.kv_held = 0
+        row.admitted = False
+        if self._of_kv_row.get(row.kv_row) is row:
+            del self._of_kv_row[row.kv_row]
+        row.kv_row = -1
 
     # ------------------------------------------------------------------
     # lifecycle (engine transitions)
 
-    def open(self, arrival_time: float) -> int:
+    def open(self, arrival_time: float) -> LedgerRow:
         """A fresh row for a request that arrived at ``arrival_time``: it
         accrues queue time until admitted."""
-        if not self._free:
-            self._grow()
-        row = self._free.pop()
-        self._comp[row, :] = 0.0
-        self._state[row] = _WAITING
-        self._decoding[row] = False
-        self._first_tokened[row] = False
-        self._kv_row[row] = -1
-        self._inactive_since[row] = arrival_time
-        self._kv_admit[row] = 0
-        self._kv_peak[row] = 0
-        self._kv_last[row] = 0
-        self._kv_shared[row] = 0
-        self._block_sec[row] = 0.0
-        return row
+        return LedgerRow(arrival_time)
 
     def admitted(
         self,
-        row: int,
+        row: LedgerRow,
         ts: float,
         kv_row: int = -1,
         kv_blocks: int = 0,
         shared_blocks: int = 0,
     ) -> None:
-        """Settle queue time and activate the row (holds KV from now)."""
-        if self._state[row] == _WAITING:
-            self._comp[row, _QUEUE] += ts - self._inactive_since[row]
-        self._state[row] = _ACTIVE
-        self._kv_row[row] = kv_row
-        if self._kv_admit[row] == 0:
-            self._kv_admit[row] = kv_blocks
-        self._kv_last[row] = kv_blocks
-        self._kv_peak[row] = max(int(self._kv_peak[row]), kv_blocks)
-        self._kv_shared[row] = max(int(self._kv_shared[row]), shared_blocks)
+        """Settle queue time and activate the row: from ``ts`` it holds
+        ``kv_blocks`` blocks at pool row ``kv_row``, whose crossings
+        :meth:`kv_grown` reports."""
+        if not row.admitted:
+            row.comp[_QUEUE] += ts - row.inactive_since
+        row.admitted = True
+        row.since = self._sums.copy()
+        if kv_row >= 0:
+            self._of_kv_row[kv_row] = row
+            row.kv_row = kv_row
+        if row.kv_admit == 0:
+            row.kv_admit = kv_blocks
+        row.kv_held = row.kv_last = kv_blocks
+        row.kv_held_since = ts
+        row.kv_peak = max(row.kv_peak, kv_blocks)
+        row.kv_shared = max(row.kv_shared, shared_blocks)
 
-    def prefill_done(self, row: int) -> None:
+    def prefill_done(self, row: LedgerRow) -> None:
         """The request finished its prompt: it decodes from the next step."""
-        self._decoding[row] = True
+        self._settle(row)
+        row.decoding = True
 
-    def first_token(self, row: int) -> None:
+    def first_token(self, row: LedgerRow) -> None:
         """First output token landed: later charges go to the decode
         bucket.  Sticky across retries (recompute re-runs prefill, but the
         user already saw a token)."""
-        self._first_tokened[row] = True
+        self._settle(row)
+        row.first_tokened = True
 
-    def requeued(self, row: int, ts: float) -> None:
+    def requeued(self, row: LedgerRow, ts: float) -> None:
         """Back to the queue (retry backoff / preemption): KV released,
         prefill restarts; time until re-admission accrues as queue."""
-        self._state[row] = _WAITING
-        self._decoding[row] = False
-        self._kv_row[row] = -1
-        self._inactive_since[row] = ts
+        self._release(row, ts)
+        row.decoding = False
+        row.inactive_since = ts
 
-    def account(self, row: int) -> dict:
-        """The row's running totals: queue seconds, the per-bucket
-        components and the KV economics."""
-        comp = self._comp[row]
+    def kv_grown(self, kv_rows: np.ndarray, ts: float) -> None:
+        """Each pool row in ``kv_rows`` took one more block at ``ts``."""
+        of_kv_row = self._of_kv_row
+        for kv_row in kv_rows.tolist():
+            row = of_kv_row[kv_row]
+            row.block_sec += row.kv_held * (ts - row.kv_held_since)
+            row.kv_held_since = ts
+            held = row.kv_held = row.kv_last = row.kv_held + 1
+            if held > row.kv_peak:
+                row.kv_peak = held
+
+    def account(self, row: LedgerRow) -> dict:
+        """The row's totals: queue seconds, the per-bucket components (an
+        admitted row's unsettled share included) and the KV economics
+        (block-seconds up to the row's last KV event)."""
+        comp = row.comp
+        if row.admitted:
+            comp = comp.copy()
+            self._add_due(row, comp)
         return {
-            "queue_seconds": float(comp[_QUEUE]),
-            "prefill": {
-                name: float(comp[_PF_BASE + k])
-                for k, name in enumerate(COMPONENTS)
-            },
-            "decode": {
-                name: float(comp[_DEC_BASE + k])
-                for k, name in enumerate(COMPONENTS)
-            },
+            "queue_seconds": comp[_QUEUE],
+            "prefill": dict(zip(COMPONENTS, comp[_PF_BASE:_DEC_BASE])),
+            "decode": dict(zip(COMPONENTS, comp[_DEC_BASE:])),
             "kv": {
-                "blocks_admitted": int(self._kv_admit[row]),
-                "blocks_peak": int(self._kv_peak[row]),
-                "blocks_final": int(self._kv_last[row]),
-                "shared_blocks": int(self._kv_shared[row]),
-                "block_seconds": float(self._block_sec[row]),
+                "blocks_admitted": row.kv_admit,
+                "blocks_peak": row.kv_peak,
+                "blocks_final": row.kv_last,
+                "shared_blocks": row.kv_shared,
+                "block_seconds": row.block_sec,
             },
         }
 
-    def close(self, row: int, ts: float, kv_blocks: int | None = None) -> dict:
-        """Settle the row at ``ts``, free it and return its final account.
-        ``kv_blocks`` is a last KV sample (the blocks a finished request
-        held), taken into the peak and the final count."""
-        if self._state[row] == _WAITING:
-            self._comp[row, _QUEUE] += ts - self._inactive_since[row]
-        if kv_blocks is not None:
-            self._kv_peak[row] = max(int(self._kv_peak[row]), kv_blocks)
-            self._kv_last[row] = kv_blocks
-        account = self.account(row)
-        self._state[row] = _FREE
-        self._free.append(row)
-        return account
+    def close(self, row: LedgerRow, ts: float) -> dict:
+        """Settle the row at ``ts`` and return its final account."""
+        if row.admitted:
+            self._release(row, ts)
+        else:
+            row.comp[_QUEUE] += ts - row.inactive_since
+        return self.account(row)
 
     # ------------------------------------------------------------------
     # step charges (called once per engine iteration, pre-advancement)
 
-    def charge(
+    def step(
         self,
         dt: float,
         gemm: float,
         attention: float,
         kv_dequant: float,
         overhead: float,
-        prefill_row: int = -1,
+        prefill_row: LedgerRow | None = None,
         serialized: bool = False,
-        blocks_of_rows: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> None:
-        """Charge one engine iteration.  Its participants share the step's
-        kernel components in full (they ride the same fused pass); every
-        other admitted row stalls for ``dt``.  The participants are the
-        prefill owner ``prefill_row`` plus, unless the step is a
-        ``serialized`` whole-prompt prefill (the decode gap chunked
-        prefill exists to close), every decoding row."""
-        active = np.flatnonzero(self._state == _ACTIVE)
-        if active.size == 0:
-            return
-        part = active == prefill_row
-        if not serialized:
-            part |= self._decoding[active]
-        comp = self._comp
-        participants, idle = active[part], active[~part]
-        if participants.size:
-            base = np.where(
-                self._first_tokened[participants], _DEC_BASE, _PF_BASE
-            )
-            comp[participants, base] += gemm
-            comp[participants, base + 1] += attention
-            comp[participants, base + 2] += kv_dequant
-            comp[participants, base + 3] += overhead
-        if idle.size:
-            base = np.where(self._first_tokened[idle], _DEC_BASE, _PF_BASE)
-            comp[idle, base + _STALL_OFF] += dt
-        if blocks_of_rows is not None:
-            blocks = np.asarray(
-                blocks_of_rows(self._kv_row[active]), dtype=np.int64
-            )
-            self._block_sec[active] += blocks * dt
-            self._kv_peak[active] = np.maximum(self._kv_peak[active], blocks)
-            self._kv_last[active] = blocks
+        """Charge one engine iteration in O(1).  Its participants share the
+        step's kernel components in full (they ride the same fused pass);
+        every other admitted row stalls for ``dt``.  The participants are
+        the prefill owner ``prefill_row`` (a row still in its prompt) plus,
+        unless the step is a ``serialized`` whole-prompt prefill (the
+        decode gap chunked prefill exists to close), every decoding row."""
+        sums = self._sums
+        if serialized:
+            sums[_SERIALIZED] += dt
+        else:
+            sums[0] += gemm
+            sums[1] += attention
+            sums[2] += kv_dequant
+            sums[3] += overhead
+        sums[_ALL] += dt
+        if prefill_row is not None:
+            base = _DEC_BASE if prefill_row.first_tokened else _PF_BASE
+            comp = prefill_row.comp
+            comp[base] += gemm
+            comp[base + 1] += attention
+            comp[base + 2] += kv_dequant
+            comp[base + 3] += overhead
+            prefill_row.since[_ALL] += dt  # computing, not stalled
 
 
 def aggregate(records: list[dict]) -> dict:

@@ -113,6 +113,11 @@ class LiveObs:
         self._lock = Lock()
         self._exported_evictions = 0
 
+    @property
+    def hooked(self) -> bool:
+        """Whether a heartbeat hook reads the bundle at step multiples."""
+        return self._hook is not None
+
     # ------------------------------------------------------------- feeding
 
     def heartbeat(
@@ -135,17 +140,19 @@ class LiveObs:
         if self._hook is not None and self.steps % self._hook_every == 0:
             self._hook(self)
 
-    def heartbeat_batch(self, clocks, samples: dict) -> None:
+    def heartbeat_batch(self, clocks, names: tuple[str, ...], values) -> None:
         """Feed a contiguous run of engine steps at once.
 
         ``clocks`` is an ascending array of per-step simulated timestamps
-        and ``samples`` maps catalogued metric names to equal-length value
-        arrays.  The end state (windows, SLO monitor, counters, hook call
-        count) is identical to calling :meth:`heartbeat` per step; the
-        per-step lock/sample overhead is paid once per batch.  The
-        heartbeat hook fires at the same step multiples, with the step
-        counter, live clock, and SLO monitor at its own step — only the
-        window reservoirs already hold the whole batch's samples.
+        and ``values`` holds one row per step and one column per catalogued
+        metric in ``names``; the metrics share one window ring, so the
+        batch is one ring write.  The end state (windows, SLO monitor,
+        counters, hook call count) is identical to calling
+        :meth:`heartbeat` per step; the per-step lock/sample overhead is
+        paid once per batch.  The heartbeat hook fires at the same step
+        multiples, with the step counter, live clock, and SLO monitor at
+        its own step — only the window reservoirs already hold the whole
+        batch's samples.
         """
         n = len(clocks)
         if n == 0:
@@ -153,17 +160,16 @@ class LiveObs:
         last = float(clocks[-1])
         with self._lock:
             base = self.steps
-        for name, values in samples.items():
-            self.windows.extend(name, values, clocks)
+        if names:
+            self.windows.extend(names, values, clocks)
         hook = self._hook
         every = self._hook_every
-        for k in range(n):
-            c = float(clocks[k])
+        for step, c in enumerate(clocks.tolist(), base + 1):
             self.slo.advance(c)
-            self.steps = base + k + 1
+            self.steps = step
             if c > self.clock:
                 self.clock = c
-            if hook is not None and self.steps % every == 0:
+            if hook is not None and step % every == 0:
                 hook(self)
         self._export_metrics(last, count=n)
 

@@ -26,11 +26,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from threading import Lock
-from typing import Callable, Protocol
+from typing import Protocol
 
 import numpy as np
 
-from repro.obs.attrib import CostLedger, aggregate
+from repro.obs.attrib import CostLedger, LedgerRow, aggregate
 
 __all__ = ["FlightRecord", "FlightRecorder"]
 
@@ -53,7 +53,7 @@ class _Request(Protocol):
     arrival_time: float
 
 
-@dataclass
+@dataclass(slots=True)
 class FlightRecord:
     """The recorded life of one request.
 
@@ -79,7 +79,7 @@ class FlightRecord:
     generated: int = 0
     slo_met: bool | None = None
     timeline_truncated: bool = False
-    row: int = -1  # cost-ledger row while in flight
+    row: LedgerRow | None = None  # cost-ledger row while in flight
     account: dict = field(default_factory=dict)
 
     def note(self, ts: float, event: str, **detail: object) -> None:
@@ -208,7 +208,8 @@ class FlightRecorder:
         return rec
 
     def queued(self, req: _Request) -> None:
-        """First sight of a request (idempotent; retries re-queue)."""
+        """The request arrived: its record opens and accrues queue time
+        (idempotent)."""
         with self._lock:
             self._open(req)
 
@@ -222,7 +223,7 @@ class FlightRecorder:
     ) -> None:
         """(Re-)admission: queue time settles and the request holds
         ``kv_blocks`` (``shared_blocks`` of them forked) at pool row
-        ``kv_row``, whose later holdings the step charges sample."""
+        ``kv_row``, whose block crossings :meth:`kv_grown` reports."""
         with self._lock:
             rec = self._open(req)
             if rec.admitted_time is None:
@@ -272,17 +273,22 @@ class FlightRecorder:
         overhead: float,
         prefill_id: int = -1,
         serialized: bool = False,
-        blocks_of_rows: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> None:
-        """Charge one engine step to the in-flight records
-        (:meth:`CostLedger.charge`); ``prefill_id`` names the request
-        whose prompt computes this step."""
+        """Charge one engine step to the in-flight records in O(1)
+        (:meth:`CostLedger.step`); ``prefill_id`` names the request whose
+        prompt computes this step."""
         with self._lock:
             rec = self._active.get(prefill_id)
-            self._ledger.charge(
+            self._ledger.step(
                 dt, gemm, attention, kv_dequant, overhead,
-                -1 if rec is None else rec.row, serialized, blocks_of_rows,
+                None if rec is None else rec.row, serialized,
             )
+
+    def kv_grown(self, kv_rows: np.ndarray, ts: float) -> None:
+        """The requests at pool rows ``kv_rows`` each took one more KV
+        block at ``ts`` (:meth:`CostLedger.kv_grown`)."""
+        with self._lock:
+            self._ledger.kv_grown(kv_rows, ts)
 
     def close(
         self,
@@ -292,10 +298,8 @@ class FlightRecorder:
         reason: str = "",
         generated: int = 0,
         slo_met: bool | None = None,
-        kv_blocks: int | None = None,
     ) -> FlightRecord:
-        """Settle a record's account and move it to the completed ring.
-        ``kv_blocks`` is a last KV sample (see :meth:`CostLedger.close`)."""
+        """Settle a record's account and move it to the completed ring."""
         with self._lock:
             rec = self._open(req)
             del self._active[rec.request_id]
@@ -308,8 +312,8 @@ class FlightRecorder:
                 ts, outcome, reason=reason, generated=generated,
                 e2e=ts - rec.arrival_time,
             )
-            rec.account = self._ledger.close(rec.row, ts, kv_blocks)
-            rec.row = -1
+            rec.account = self._ledger.close(rec.row, ts)
+            rec.row = None
             if len(self._completed) == self.capacity:
                 evicted = self._completed[0]
                 self.evictions += 1

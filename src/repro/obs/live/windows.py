@@ -12,6 +12,10 @@ Determinism contract (staticcheck DET scope): everything here is a pure
 function of the samples fed in.  Timestamps arrive as data — typically the
 engine's simulated clock via the per-step heartbeat — and no wall clock is
 ever read, so two identical runs produce identical window tables.
+
+Metrics sampled at the same clocks (the engine heartbeat's per-step
+columns) share one ring of ``width`` value columns, so a batch of steps is
+one :meth:`Reservoir.extend` for all of them.
 """
 
 from __future__ import annotations
@@ -94,7 +98,8 @@ class WindowStats:
 
 
 class Reservoir:
-    """A bounded FIFO ring of ``(timestamp, value)`` samples.
+    """A bounded FIFO ring of ``(timestamp, values)`` samples, ``width``
+    values (one per metric) per timestamp.
 
     The ring never holds more than ``capacity`` samples; pushing into a
     full ring evicts the oldest sample (and counts the eviction).  Window
@@ -102,15 +107,18 @@ class Reservoir:
     back any window narrower than its retention.
     """
 
-    __slots__ = ("capacity", "_ts", "_values", "_head", "_size",
+    __slots__ = ("capacity", "width", "_ts", "_values", "_head", "_size",
                  "evictions", "first_ts", "last_ts", "pushed")
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY):
+    def __init__(self, capacity: int = DEFAULT_CAPACITY, width: int = 1):
         if capacity < 1:
             raise ValueError("capacity must be positive")
+        if width < 1:
+            raise ValueError("width must be positive")
         self.capacity = capacity
+        self.width = width
         self._ts = np.zeros(capacity, dtype=np.float64)
-        self._values = np.zeros(capacity, dtype=np.float64)
+        self._values = np.zeros((capacity, width), dtype=np.float64)
         self._head = 0  # index of the oldest retained sample
         self._size = 0
         self.evictions = 0
@@ -141,10 +149,13 @@ class Reservoir:
     def extend(self, ts: np.ndarray, values: np.ndarray) -> None:
         """Append many samples at once — exactly equivalent to pushing
         them one by one (same retained ring, evictions, and counters),
-        but with one vectorized write instead of n python calls."""
+        but with one vectorized write instead of n python calls.
+        ``values`` holds one row of ``width`` values per timestamp (a flat
+        array when ``width`` is 1)."""
         n = int(len(ts))
         if n == 0:
             return
+        values = np.reshape(values, (n, self.width))
         if self.pushed == 0:
             self.first_ts = float(ts[0])
         self.pushed += n
@@ -167,21 +178,24 @@ class Reservoir:
         self._head = (self._head + overflow) % cap
         self.evictions += overflow
 
-    def _retained(self) -> tuple[np.ndarray, np.ndarray]:
-        """Retained ``(ts, values)`` arrays, oldest first."""
+    def _retained(self, column: int) -> tuple[np.ndarray, np.ndarray]:
+        """Retained ``(ts, values)`` arrays of one column, oldest first."""
         idx = (self._head + np.arange(self._size)) % self.capacity
-        return self._ts[idx], self._values[idx]
+        return self._ts[idx], self._values[idx, column]
 
     def values(self, now: float | None = None,
-               window_seconds: float | None = None) -> np.ndarray:
-        """Values inside ``(now - window_seconds, now]`` (all when None)."""
-        ts, vals = self._retained()
+               window_seconds: float | None = None,
+               column: int = 0) -> np.ndarray:
+        """Values of ``column`` inside ``(now - window_seconds, now]``
+        (all when None)."""
+        ts, vals = self._retained(column)
         if window_seconds is None or now is None:
             return vals
         return vals[ts > now - window_seconds]
 
     def stats(self, now: float | None = None,
-              window_seconds: float | None = None) -> WindowStats:
+              window_seconds: float | None = None,
+              column: int = 0) -> WindowStats:
         """Sliding-window aggregates at time ``now``.
 
         ``now`` defaults to the newest sample's timestamp.  The rate
@@ -197,16 +211,18 @@ class Reservoir:
             span = min(window_seconds, now - self.first_ts) if self.pushed \
                 else window_seconds
         return WindowStats.from_values(
-            self.values(now, window_seconds), span
+            self.values(now, window_seconds, column), span
         )
 
 
 class WindowSet:
-    """One reservoir per metric, keyed by catalogued metric name.
+    """One reservoir column per metric, keyed by catalogued metric name.
 
-    Sampling an un-catalogued name raises, so the live window tables can
-    never drift from ``obs/catalog.py`` (the staticcheck OBS contract).
-    Thread-safe: the HTTP exporter reads stats while the engine pushes.
+    A metric fed alone (:meth:`sample`) has a ring of its own; metrics fed
+    together (:meth:`extend`) share one ring, a column each.  Sampling an
+    un-catalogued name raises, so the live window tables can never drift
+    from ``obs/catalog.py`` (the staticcheck OBS contract).  Thread-safe:
+    the HTTP exporter reads stats while the engine pushes.
     """
 
     def __init__(
@@ -220,55 +236,61 @@ class WindowSet:
         self.capacity = capacity
         self.window_seconds = window_seconds
         self._catalog = METRIC_CATALOG if catalog is None else catalog
-        self._reservoirs: dict[str, Reservoir] = {}
+        # metric name -> (its ring, its column); metrics fed together map
+        # to one ring, which _rings keys by their names.
+        self._columns: dict[str, tuple[Reservoir, int]] = {}
+        self._rings: dict[tuple[str, ...], Reservoir] = {}
         self._lock = Lock()
         self.clock = 0.0  # newest timestamp seen across all reservoirs
 
+    def _ring(self, names: tuple[str, ...]) -> Reservoir:
+        """The ring the metrics ``names`` are fed into together, made on
+        first use; a metric belongs to one ring."""
+        ring = self._rings.get(names)
+        if ring is not None:
+            return ring
+        for name in names:
+            if name not in self._catalog:
+                raise ValueError(
+                    f"metric {name!r} is not declared in obs/catalog.py; "
+                    "live windows only track catalogued metrics"
+                )
+            if name in self._columns:
+                raise ValueError(
+                    f"metric {name!r} is already fed into another ring"
+                )
+        with self._lock:
+            ring = self._rings[names] = Reservoir(self.capacity, len(names))
+            for column, name in enumerate(names):
+                self._columns[name] = (ring, column)
+        return ring
+
+    def _advance(self, ts: float) -> None:
+        if ts > self.clock:
+            self.clock = ts
+
     def sample(self, name: str, value: float, ts: float) -> None:
         """Push one sample for a catalogued metric."""
-        res = self._reservoirs.get(name)
-        if res is None:
-            if name not in self._catalog:
-                raise ValueError(
-                    f"metric {name!r} is not declared in obs/catalog.py; "
-                    "live windows only track catalogued metrics"
-                )
-            with self._lock:
-                res = self._reservoirs.setdefault(
-                    name, Reservoir(self.capacity)
-                )
+        ring = self._ring((name,))
         with self._lock:
-            res.push(ts, value)
-            if ts > self.clock:
-                self.clock = ts
+            ring.push(ts, value)
+            self._advance(ts)
 
-    def extend(self, name: str, values: np.ndarray, ts: np.ndarray) -> None:
-        """Push a batch of samples for a catalogued metric (amortized
-        heartbeats); equivalent to sampling each pair in order."""
-        if len(values) == 0:
+    def extend(
+        self, names: tuple[str, ...], values: np.ndarray, ts: np.ndarray
+    ) -> None:
+        """Push a batch of samples of catalogued metrics fed together
+        (amortized heartbeats): ``values`` holds a row per timestamp and a
+        column per name.  Equivalent to sampling each metric in order."""
+        if len(ts) == 0:
             return
-        res = self._reservoirs.get(name)
-        if res is None:
-            if name not in self._catalog:
-                raise ValueError(
-                    f"metric {name!r} is not declared in obs/catalog.py; "
-                    "live windows only track catalogued metrics"
-                )
-            with self._lock:
-                res = self._reservoirs.setdefault(
-                    name, Reservoir(self.capacity)
-                )
+        ring = self._ring(names)
         with self._lock:
-            res.extend(ts, values)
-            newest = float(ts[-1])
-            if newest > self.clock:
-                self.clock = newest
-
-    def reservoir(self, name: str) -> Reservoir | None:
-        return self._reservoirs.get(name)
+            ring.extend(ts, values)
+            self._advance(float(ts[-1]))
 
     def names(self) -> list[str]:
-        return sorted(self._reservoirs)
+        return sorted(self._columns)
 
     def stats(
         self,
@@ -282,8 +304,8 @@ class WindowSet:
             window_seconds = self.window_seconds
         with self._lock:
             return {
-                name: self._reservoirs[name].stats(now, window_seconds)
-                for name in sorted(self._reservoirs)
+                name: ring.stats(now, window_seconds, column)
+                for name, (ring, column) in sorted(self._columns.items())
             }
 
     def to_dict(

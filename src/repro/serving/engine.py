@@ -364,8 +364,12 @@ class _EngineTelemetry(EngineEvents):
 _HEARTBEAT_METRICS = (
     "serving.step_seconds", "serving.batch_size", "serving.output_tokens_total",
     "serving.kv_utilization", "serving.kv_free_blocks", "serving.kv_shared_blocks",
-    "serving.kv_freelist_frag", "serving.step_gemm_seconds",
-    "serving.step_attention_seconds", "serving.step_kv_dequant_seconds",
+    "serving.step_gemm_seconds", "serving.step_attention_seconds",
+    "serving.step_kv_dequant_seconds",
+)
+#: The window metrics sampled once per request, buffered like heartbeats.
+_REQUEST_METRICS = (
+    "serving.ttft_seconds", "serving.tpot_seconds", "serving.e2e_seconds",
 )
 
 
@@ -382,16 +386,20 @@ class _LiveHooks(EngineEvents):
     is the engine's *simulated* clock — the live layer never sees wall
     time, keeping chaos runs bit-reproducible.
 
-    Heartbeats (:meth:`step_end`) are buffered in a small ring and handed
-    to the live layer in batches (:meth:`LiveObs.heartbeat_batch`),
-    amortizing the per-step lock/sample cost at high concurrency.  The
-    buffer flushes before every lifecycle event so sample/record ordering
-    inside the live layer is identical to unbuffered per-step feeding.
+    Heartbeats (:meth:`step_end`) and the per-request TTFT/TPOT/e2e
+    samples are buffered and handed to the live layer in batches
+    (:meth:`LiveObs.heartbeat_batch`), amortizing the per-step lock/sample
+    cost at high concurrency; the pool's free-list fragmentation gauge is
+    sampled once per batch.  The buffer flushes every ``FLUSH_EVERY``
+    steps, before every SLO outcome, and before every lifecycle event
+    while a heartbeat hook reads the bundle, so what the SLO monitor and
+    the hook see is what unbuffered per-step feeding gives.
     Steps are charged at :meth:`step_cost`, before request state advances,
     so every transition settles at the current clock and each record's
-    queue, prefill and decode seconds sum to its e2e.  A record's KV peak
-    is the ledger's per-step pool measurement plus one exact sample at
-    finish, when the request holds its total length.
+    queue, prefill and decode seconds sum to its e2e; a step costs the
+    ledger O(1) whatever the number of records.  A record's KV holdings
+    settle at the pool events that change them: admission, each block
+    crossing (:meth:`kv_grown`, the pool's ``on_grow`` hook) and release.
     """
 
     #: Heartbeats buffered before a bulk hand-off to the live layer.
@@ -401,64 +409,100 @@ class _LiveHooks(EngineEvents):
         self._live = live
         self._kv = kv
         self._flights = live.flights
-        self._hb = np.zeros((self.FLUSH_EVERY, 1 + len(_HEARTBEAT_METRICS)))
-        self._hb_n = 0
+        self._hooked = live.hooked
+        self._hb: list[tuple] = []  # buffered heartbeat rows
+        # Buffered request samples: metric -> (clocks, values).
+        self._samples = {name: ([], []) for name in _REQUEST_METRICS}
+        self._clock = 0.0  # end of the step being charged
 
     def flush(self) -> None:
-        """Hand buffered heartbeats to the live layer, oldest first."""
-        n = self._hb_n
-        if n == 0:
-            return
-        self._hb_n = 0
-        rows = self._hb[:n]
-        self._live.heartbeat_batch(
-            rows[:, 0], dict(zip(_HEARTBEAT_METRICS, rows[:, 1:].T))
-        )
+        """Hand the buffered request samples to the live layer, one window
+        write per metric, then the buffered heartbeats, oldest first, with
+        one free-list fragmentation sample at the last one's clock.  (A
+        hooked bundle flushes before every event, so its pending samples
+        all precede its pending heartbeats.)"""
+        for name, (clocks, values) in self._samples.items():
+            if clocks:
+                self._live.windows.extend((name,), values, clocks)
+                clocks.clear()
+                values.clear()
+        if self._hb:
+            rows = np.array(self._hb, dtype=np.float64)
+            self._hb.clear()
+            self._live.heartbeat_batch(
+                rows[:, 0], _HEARTBEAT_METRICS, rows[:, 1:]
+            )
+            self._live.sample(
+                "serving.kv_freelist_frag", self._kv.freelist_fragmentation(),
+                float(rows[-1, 0]),
+            )
+
+    def _sample(self, name: str, value: float, clock: float) -> None:
+        """Buffer one request sample of a window metric."""
+        clocks, values = self._samples[name]
+        clocks.append(clock)
+        values.append(value)
+
+    def _sync(self) -> None:
+        """Before a lifecycle event: with a heartbeat hook reading the
+        bundle, hand the buffered heartbeats over first, so the hook sees
+        the records as of its own step."""
+        if self._hooked:
+            self.flush()
+
+    def _slo_outcome(self, req: Request, clock: float, met: bool) -> None:
+        """Feed one SLO outcome after the heartbeats before it: the
+        monitor slides its window step by step."""
+        self.flush()
+        self._live.slo.record(clock, met=met, request_id=req.request_id)
 
     @staticmethod
     def _has_slo(req: Request) -> bool:
         return req.ttft_slo is not None or req.e2e_slo is not None
 
+    def arrive(self, req: Request, clock: float) -> None:
+        self._sync()
+        self._flights.queued(req)
+
     def admit(self, req: Request, clock: float) -> None:
-        self.flush()
+        self._sync()
         kv = self._kv
         self._flights.admitted(
             req, clock, kv_blocks=kv.blocks_needed(req.prompt_len),
             kv_row=kv.sequence_row(req.request_id),
-            shared_blocks=kv.sequence_shared_blocks(req.request_id),
+            shared_blocks=kv.shared_blocks
+            and kv.sequence_shared_blocks(req.request_id),
         )
+
+    def kv_grown(self, kv_rows: np.ndarray) -> None:
+        """The pool rows ``kv_rows`` each took a block as the step's tokens
+        landed (the pool's ``on_grow`` hook)."""
+        self._flights.kv_grown(kv_rows, self._clock)
 
     def first_token(self, req: Request, clock: float) -> None:
-        self.flush()
+        self._sync()
         self._flights.first_token(req.request_id, clock)
-        self._live.sample(
-            "serving.ttft_seconds", clock - req.arrival_time, clock
-        )
+        self._sample("serving.ttft_seconds", clock - req.arrival_time, clock)
 
     def finish(self, req: Request, clock: float) -> None:
-        self.flush()
+        self._sync()
         has_slo = self._has_slo(req)
         self._flights.close(
             req, clock, outcome="finished", generated=req.generated,
             slo_met=req.slo_met if has_slo else None,
-            kv_blocks=self._kv.blocks_needed(req.total_len),
         )
-        self._live.sample(
+        self._sample(
             "serving.tpot_seconds",
             (req.finish_time - req.first_token_time)
             / max(req.generated - 1, 1),
             clock,
         )
-        self._live.sample(
-            "serving.e2e_seconds", clock - req.arrival_time, clock
-        )
+        self._sample("serving.e2e_seconds", clock - req.arrival_time, clock)
         if has_slo:
-            self._live.slo.record(
-                clock, met=req.slo_met, request_id=req.request_id
-            )
+            self._slo_outcome(req, clock, req.slo_met)
 
     def preempt(self, req: Request, clock: float, lost: int) -> None:
-        self.flush()
+        self._sync()
         self._flights.preempted(req.request_id, clock, lost_tokens=lost)
 
     def _close_unserved(
@@ -466,7 +510,7 @@ class _LiveHooks(EngineEvents):
     ) -> None:
         """Close the record of a request that ends without finishing
         (rejected, failed, timed out)."""
-        self.flush()
+        self._sync()
         self._flights.close(
             req, clock, outcome=outcome, reason=req.failure_reason, **details
         )
@@ -475,7 +519,7 @@ class _LiveHooks(EngineEvents):
         self._close_unserved(req, clock, "rejected")
 
     def retry(self, req: Request, clock: float, reason: str) -> None:
-        self.flush()
+        self._sync()
         self._flights.retry(
             req.request_id, clock, reason=reason, attempt=req.retries
         )
@@ -483,17 +527,17 @@ class _LiveHooks(EngineEvents):
     def fail(self, req: Request, clock: float) -> None:
         self._close_unserved(req, clock, "failed", generated=req.generated)
         if self._has_slo(req):
-            self._live.slo.record(clock, met=False, request_id=req.request_id)
+            self._slo_outcome(req, clock, False)
 
     def timeout(self, req: Request, clock: float) -> None:
         self._close_unserved(
             req, clock, "timed_out", generated=req.generated, slo_met=False
         )
         # Timeouts only happen to requests with deadlines configured.
-        self._live.slo.record(clock, met=False, request_id=req.request_id)
+        self._slo_outcome(req, clock, False)
 
     def fault_hit(self, kind: str, req: Request, clock: float) -> None:
-        self.flush()
+        self._sync()
         self._flights.fault(req.request_id, clock, kind=kind)
 
     def prefill_done(self, req: Request, clock: float) -> None:
@@ -503,29 +547,30 @@ class _LiveHooks(EngineEvents):
         """Charge the step to the records' ledger accounts.  A serialized
         prefill stalls every other admitted request for its duration (the
         decode gap)."""
+        self._clock = step.end
         self._flights.step_cost(
             step.dt, step.gemm, step.attention - step.kv_dequant,
             step.kv_dequant, step.overhead, prefill_id=step.prefill_id,
-            serialized=step.serialized, blocks_of_rows=self._kv.blocks_of_rows,
+            serialized=step.serialized,
         )
 
     def step_end(self, step: Step, tokens: int) -> None:
         """Buffer one step's worth of sliding-window samples (KV gauges
         are snapshotted now, at the step's own clock)."""
         kv = self._kv
-        self._hb[self._hb_n] = (
+        self._hb.append((
             step.end, step.dt, step.batch, tokens, kv.utilization(),
-            kv.free_blocks, kv.shared_blocks, kv.freelist_fragmentation(),
-            step.gemm, step.attention, step.kv_dequant,
-        )
-        self._hb_n += 1
-        if self._hb_n == self.FLUSH_EVERY:
+            kv.free_blocks, kv.shared_blocks, step.gemm, step.attention,
+            step.kv_dequant,
+        ))
+        if len(self._hb) == self.FLUSH_EVERY:
             self.flush()
 
     def end_run(self, report: ThroughputReport) -> None:
         """Drain the heartbeat tail and deposit the KV pool's economics
         summary (computed once — not per step) in the record store."""
         self.flush()
+        self._kv.on_grow = None
         self._flights.set_pool_summary({
             "free_blocks": self._kv.free_blocks,
             "used_blocks": self._kv.used_blocks,
@@ -738,9 +783,8 @@ class _Run:
         self.has_slos = any(
             r.ttft_slo is not None or r.e2e_slo is not None for r in requests
         )
-        self.waiting = deque(
-            sorted(requests, key=lambda r: (r.arrival_time, r.request_id))
-        )
+        arrivals = sorted(requests, key=lambda r: (r.arrival_time, r.request_id))
+        self.waiting = deque(arrivals)
         self.expiry = DeadlineHeap()
         if self.has_slos:
             for r in self.waiting:
@@ -764,11 +808,18 @@ class _Run:
                 faults.step_faults(b, _FAULT_WINDOW) for b in count(0, _FAULT_WINDOW)
             )
         live = live_obs.active()
+        live_hooks = _LiveHooks(live, self.kv) if live is not None else None
+        # The live sink settles KV economics at the pool's block crossings.
+        self.kv.on_grow = None if live_hooks is None else live_hooks.kv_grown
         self.sinks: list[EngineEvents] = [s for s in (
             _EngineTelemetry(self.kv) if obs.enabled() else None,
-            _LiveHooks(live, self.kv) if live is not None else None,
+            live_hooks,
             tracer,
         ) if s is not None]
+        # Requests in arrival order, and how many of them the sinks have
+        # seen arrive (see arrive_due()).
+        self.arrivals = arrivals if self.sinks else []
+        self.arrived = 0
         # Faults, SLOs, degradation and event sinks act on every step; only
         # without them may an iteration advance several steps.
         self.multi_step = not (
@@ -874,6 +925,16 @@ class _Run:
             fits = kv.can_allocate(req.prompt_len + kv.block_tokens)
         return fits and kv.allocate(req.request_id, req.prompt_len)
 
+    def arrive_due(self) -> None:
+        """Report every request whose arrival time the clock has reached
+        to the sinks, once each."""
+        arrivals, i = self.arrivals, self.arrived
+        while i < len(arrivals) and arrivals[i].arrival_time <= self.clock:
+            for sink in self.sinks:
+                sink.arrive(arrivals[i], self.clock)
+            i += 1
+        self.arrived = i
+
     def clean_waiting(self) -> None:
         """Drop terminal (heap-swept) entries from the deque head."""
         while self.waiting and self.waiting[0].is_terminal:
@@ -916,6 +977,7 @@ class _Run:
                     sink.step_cost(step)
                     sink.prefill_done(req, self.clock)
                     sink.step_end(step, 0)
+                self.arrive_due()  # the prefill moved the clock
         # Request aborts only hit a request's first attempt.
         abort_at = self.abort_points.get(req.request_id, -1) if req.retries == 0 else -1
         self.state.add(req, self.kv.sequence_row(req.request_id), abort_at)
@@ -976,6 +1038,8 @@ class _Run:
                     wake = self.next_wake()
                     if wake != float("inf") and wake > self.clock:
                         self.clock = wake  # idle until next arrival / backoff expiry
+                if sinks:
+                    self.arrive_due()
 
                 # Shed every queued request whose deadline has already
                 # passed, wherever it sits in the FIFO (the heap sweep; the

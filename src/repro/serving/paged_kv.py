@@ -36,7 +36,7 @@ gauges scan only ``_rc[_low:]``, the blocks ever used.  Invariant:
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -95,6 +95,10 @@ class PagedKVManager:
         # may cache `sequence_row` and batch-index into the arrays.
         self._row_of: dict[int, int] = {}
         self._reset_rows()
+        #: Called with the stable rows that each took one more block as
+        #: they grew (a block crossing), when set: the serving engine's
+        #: live observer settles KV block-seconds there.
+        self.on_grow: Callable[[np.ndarray], None] | None = None
         # Running aggregates: O(1) utilization / fragmentation.
         self._total_tokens = 0
         self._block_refs = 0  # sum of len(block table) over live sequences
@@ -168,11 +172,6 @@ class PagedKVManager:
         live = rc[rc > 0]
         counts, freq = np.unique(live, return_counts=True)
         return {int(c): int(f) for c, f in zip(counts, freq)}
-
-    def blocks_of_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Block counts held by the given stable rows (vectorized gather;
-        rows must be live — see :meth:`sequence_row`)."""
-        return self._block_capacity[rows]
 
     def sequence_shared_blocks(self, seq_id: int) -> int:
         """How many of the sequence's blocks are shared (rc > 1) with
@@ -255,6 +254,8 @@ class PagedKVManager:
             self._table[row, cap] = self._take_block()
             self._block_capacity[row] += 1
             self._block_refs += 1
+            if self.on_grow is not None:
+                self.on_grow(np.array([row]))
         elif cap and self._rc[self._table[row, cap - 1]] > 1:
             # Copy-on-write: the tail block is shared and about to change.
             if not self.free_blocks:
@@ -322,6 +323,8 @@ class PagedKVManager:
             self._table[crossing, cols] = taken
             self._block_capacity[crossing] += 1
             self._block_refs += int(crossing.size)
+            if self.on_grow is not None:
+                self.on_grow(crossing)
         self._tokens[rows] += k
         self._total_tokens += int(rows.size) * k
         return True

@@ -53,13 +53,16 @@ class EngineEvents:
     it consumes (docs/observability.md, "Engine events").
 
     ``ServingEngine.run`` reports each event to every attached sink, on the
-    simulated clock.  ``fault`` marks an injection (``req`` given when it
-    is aimed at one request); ``fault_hit`` names the request a fault
-    struck.  Per step, ``step_cost`` comes before any request state
-    advances and ``step_end`` after, once the step's tokens have landed;
-    ``degraded`` closes a step run with shrunken admission knobs.
+    simulated clock.  ``arrive`` comes once per request, as soon as the
+    clock has reached its ``arrival_time`` and before any other event of
+    that request.  ``fault`` marks an injection (``req`` given when it is
+    aimed at one request); ``fault_hit`` names the request a fault struck.
+    Per step, ``step_cost`` comes before any request state advances and
+    ``step_end`` after, once the step's tokens have landed; ``degraded``
+    closes a step run with shrunken admission knobs.
     """
 
+    def arrive(self, req: Request, clock: float) -> None: ...
     def admit(self, req: Request, clock: float) -> None: ...
     def first_token(self, req: Request, clock: float) -> None: ...
     def finish(self, req: Request, clock: float) -> None: ...

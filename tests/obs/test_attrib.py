@@ -181,18 +181,23 @@ class TestLedgerUnits:
 
     def test_kv_economics_with_prefix_fork(self):
         """Direct-feed with a real paged-KV pool: block-seconds integrate
-        holdings over time and fork()ed children report shared blocks."""
+        holdings over time, settled at the pool's block crossings."""
         kv = PagedKVManager(total_bytes=1024.0, bytes_per_token=1.0,
                             block_tokens=16)
         assert kv.allocate(1, 64)          # 4 blocks
         store = FlightRecorder()
         _open(store, 1, kv_row=kv.sequence_row(1), kv_blocks=4,
               shared_blocks=kv.sequence_shared_blocks(1))
-        store.step_cost(2.0, gemm=1.0, attention=0.5, kv_dequant=0.25,
-                        overhead=0.25, blocks_of_rows=kv.blocks_of_rows)
+        store.step_cost(1.0, gemm=0.5, attention=0.25, kv_dequant=0.125,
+                        overhead=0.125)
+        kv.on_grow = lambda rows: store.kv_grown(rows, 1.0)
+        assert kv.append_token(1)          # the 65th token takes block 5
+        store.step_cost(1.0, gemm=0.5, attention=0.25, kv_dequant=0.125,
+                        overhead=0.125)
         rec = _close(store, 1, 2.0)
-        assert rec["kv"]["block_seconds"] == pytest.approx(8.0)
-        assert rec["kv"]["blocks_peak"] == 4
+        assert rec["kv"]["block_seconds"] == pytest.approx(4.0 + 5.0)
+        assert rec["kv"]["blocks_peak"] == rec["kv"]["blocks_final"] == 5
+        assert rec["kv"]["blocks_admitted"] == 4
 
     def test_shared_blocks_recorded_at_admit(self):
         kv = PagedKVManager(total_bytes=1024.0, bytes_per_token=1.0,

@@ -60,22 +60,25 @@ class TestLifecycle:
         assert len(record.timeline) == 1
 
     def test_kv_blocks_tracks_peak(self):
-        """The peak is the pool's per-step measurement of the request's
-        blocks, plus the last sample given at close."""
+        """The peak and the final count follow the pool's block crossings:
+        the blocks a request holds when it is released."""
         kv = PagedKVManager(total_bytes=1024.0, bytes_per_token=1.0,
                             block_tokens=4)
         assert kv.allocate(1, 12)  # 3 blocks
         rec = FlightRecorder()
         req = _req(1)
         rec.admitted(req, 0.0, kv_blocks=3, kv_row=kv.sequence_row(1))
+        kv.on_grow = lambda rows: rec.kv_grown(rows, 0.5)
         for _ in range(16):  # grows to 7 blocks
             kv.append_token(1)
-        rec.step_cost(1.0, 1.0, 0.0, 0.0, 0.0,
-                      blocks_of_rows=kv.blocks_of_rows)
         assert rec.get(1).kv_blocks_peak == 7
-        record = rec.close(req, 1.0, outcome="finished", kv_blocks=5)
+        kv.free(1)
+        record = rec.close(req, 1.0, outcome="finished")
         assert record.kv_blocks_peak == 7
-        assert record.account["kv"]["blocks_final"] == 5
+        assert record.account["kv"]["blocks_final"] == 7
+        assert record.account["kv"]["block_seconds"] == pytest.approx(
+            3 * 0.5 + 7 * 0.5
+        )
 
     def test_get_finds_active_and_completed(self):
         rec = FlightRecorder()

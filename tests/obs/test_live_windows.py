@@ -139,6 +139,23 @@ class TestWindowSet:
         assert "serving.batch_size" in table
         assert "p99" in table.splitlines()[0]
 
+    def test_grouped_metrics_share_one_ring(self):
+        """Metrics fed together are one multi-column ring whose per-metric
+        stats equal feeding each metric alone; a grouped metric cannot
+        also be fed alone."""
+        names = ("serving.step_seconds", "serving.batch_size")
+        ts = np.cumsum(np.full(40, 0.05))
+        values = np.column_stack([np.linspace(0.0, 1.0, 40), np.arange(40.0)])
+        grouped, alone = WindowSet(capacity=16), WindowSet(capacity=16)
+        grouped.extend(names, values[:25], ts[:25])
+        grouped.extend(names, values[25:], ts[25:])
+        for i, t in enumerate(ts):
+            for col, name in enumerate(names):
+                alone.sample(name, values[i, col], float(t))
+        assert grouped.to_dict() == alone.to_dict()
+        with pytest.raises(ValueError, match="another ring"):
+            grouped.sample("serving.batch_size", 1.0, 3.0)
+
     def test_to_dict_round_trips(self):
         ws = WindowSet()
         ws.sample("serving.batch_size", 4.0, 0.0)

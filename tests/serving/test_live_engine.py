@@ -88,6 +88,34 @@ class TestFlightRecorder:
         assert len(live.flights) == len(trace)
         assert live.flights.active_ids() == []  # all closed at end of run
 
+    def test_waiting_requests_are_tracked_from_arrival(self):
+        """The store opens a record when a request arrives, not when it is
+        admitted: at heartbeat 100 of a 2x overload on a 4-slot batch,
+        every one of the 30 arrived requests is in flight."""
+        engine = ServingEngine(
+            get_model_config("llama-3-8b"), build_system("comet"),
+            config=EngineConfig(
+                max_batch=4, hbm_bytes=20e9, prefill_chunk_tokens=256
+            ),
+        )
+        reqs = make_overload_trace(
+            30, engine.kv.token_capacity, overload=2.0, seed=0
+        )
+        seen = {}
+
+        def hook(bundle):
+            if bundle.steps == 100:
+                seen.update(bundle.flights.summary(), clock=bundle.clock)
+
+        live_obs.attach(heartbeat_hook=hook)
+        try:
+            engine.run(reqs)
+        finally:
+            live_obs.detach()
+        assert max(r.arrival_time for r in reqs) <= seen["clock"]
+        assert seen["active"] == 30
+        assert seen["completed"] == 0
+
     def test_failed_request_has_full_timeline(self, live):
         engine = _engine()
         engine.run(_overload_trace(engine), faults=CHAOS)
@@ -211,10 +239,10 @@ class TestHeartbeatBatch:
             name: rng.uniform(0.0, 10.0, size=100) for name in self.METRICS
         }
         if batched:
+            rows = np.column_stack([cols[name] for name in self.METRICS])
             for lo, hi in ((0, 1), (1, 40), (40, 40), (40, 100)):
                 bundle.heartbeat_batch(
-                    clocks[lo:hi],
-                    {k: v[lo:hi] for k, v in cols.items()},
+                    clocks[lo:hi], self.METRICS, rows[lo:hi]
                 )
         else:
             for i in range(100):
@@ -245,7 +273,7 @@ class TestHeartbeatBatch:
         import numpy as np
 
         bundle = live_obs.LiveObs()
-        bundle.heartbeat_batch(np.zeros(0), {})
+        bundle.heartbeat_batch(np.zeros(0), (), np.zeros((0, 0)))
         assert bundle.steps == 0 and bundle.clock == 0.0
 
 

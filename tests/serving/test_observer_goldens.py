@@ -36,6 +36,7 @@ from repro.obs.registry import Histogram, MetricsRegistry
 from repro.obs.spans import SpanTracer
 from repro.serving.engine import EngineConfig, ServingEngine
 from repro.serving.faults import FaultPlan
+from repro.serving.paged_kv import PagedKVManager
 from repro.serving.request import Request
 from repro.serving.systems import build_system
 from repro.serving.trace import STEP_SPAN_CAT, EngineTracer
@@ -228,6 +229,69 @@ def test_finished_kv_peak_is_the_blocks_held():
     (doc,) = [d for d in _served("chunked_prefill") if d["request_id"] == 24]
     assert doc["kv_blocks_peak"] == doc["attribution"]["kv"]["blocks_peak"]
     assert doc["kv_blocks_peak"] == 73
+
+
+def _recorded(name):
+    """Run one scenario with live obs attached; its completed records."""
+    engine, reqs, faults = _setup(name)
+    live = live_obs.attach(capacity=len(reqs))
+    try:
+        engine.run(reqs, faults=faults)
+    finally:
+        live_obs.detach()
+    return engine, live.flights.completed()
+
+
+def test_fault_ended_kv_peak_is_the_blocks_held(monkeypatch):
+    """Every record's KV peak is the most blocks its request held when the
+    pool released it, also for requests a fault ends: ids 3, 31, 38 and
+    49 of the tiny-model run crossed a block boundary on their last step
+    (id 3 held 5 blocks, not 4)."""
+    held: dict[int, int] = {}
+    free = PagedKVManager.free
+
+    def spy(kv, seq_id):
+        blocks = len(kv.block_table(seq_id))
+        held[seq_id] = max(held.get(seq_id, 0), blocks)
+        free(kv, seq_id)
+
+    monkeypatch.setattr(PagedKVManager, "free", spy)
+    _, records = _recorded("every_instant")
+    by_id = {r.request_id: r for r in records}
+    assert {i: by_id[i].kv_blocks_peak for i in held} == held
+    for i in (3, 31, 38, 49):
+        assert by_id[i].outcome == "failed"
+    assert by_id[3].kv_blocks_peak == 5
+
+
+def test_every_row_class_sums_to_its_e2e():
+    """Settle-on-transition accounting keeps queue + prefill + decode ==
+    e2e (float32 eps) for each class of row: preempted, retried,
+    fault-ended and chunked-prefill requests."""
+    eps = float(np.finfo(np.float32).eps)
+    classes = {"preempted": [], "retried": [], "fault_ended": [],
+               "chunked": []}
+    for name in ("optimistic_admission_preemptions", "fault_chaos",
+                 "kitchen_sink", "every_instant"):
+        engine, records = _recorded(name)
+        chunked = engine.config.prefill_chunk_tokens is not None
+        for rec in records:
+            for cls, member in (
+                ("preempted", rec.preemptions > 0),
+                ("retried", rec.retries > 0),
+                ("fault_ended", rec.outcome == "failed" and rec.faults > 0),
+                ("chunked", chunked and rec.admitted_time is not None),
+            ):
+                if member:
+                    classes[cls].append(rec)
+    for cls, recs in classes.items():
+        assert recs, cls
+        for rec in recs:
+            doc = rec.attribution()
+            assert math.isclose(
+                doc["attributed_seconds"], doc["e2e_seconds"],
+                rel_tol=eps, abs_tol=eps,
+            ), (cls, rec.request_id)
 
 
 def test_phases_are_the_attribution_under_overload():
