@@ -737,8 +737,9 @@ class ServingEngine:
           request's full sequence, so decoding never runs out of KV blocks
           — the deterministic max-batch setting of the paper's evaluation;
         * ``reserve_full_sequence=False``: admission is optimistic (prompt
-          only) and the engine preempts the most recently admitted sequence
-          (recompute-style, as in vLLM) when the pool runs dry.
+          only) and the engine preempts the most recently admitted decoding
+          sequence, the growing one included (recompute-style, as in vLLM),
+          when the pool runs dry; the oldest request always progresses.
 
         The run never raises on per-request trouble: requests that can
         never fit the KV pool are ``REJECTED``, requests whose SLOs expire
@@ -1009,14 +1010,15 @@ class _Run:
         for sink in self.sinks:
             sink.finish(req, self.clock)
 
-    def pick_victim(self, current: int) -> int | None:
-        """Row of the most recently admitted decodable request other than
-        row ``current``."""
+    def pick_victim(self) -> int:
+        """Row of the most recently admitted decoding request, the one
+        that is growing included (vLLM's rule): a request is only ever
+        evicted by an older one, so the oldest always makes progress."""
         running = self.state.reqs
         for j in range(len(running) - 1, -1, -1):
-            if j != current and running[j].phase is Phase.DECODE:
+            if running[j].phase is Phase.DECODE:
                 return j
-        return None
+        raise AssertionError("a growing row is always decoding")
 
     def serve(self) -> ThroughputReport:
         """Loop until every request is terminal, then report."""
@@ -1247,20 +1249,14 @@ class _Run:
                     elif n_dec:
                         # The pool cannot grow every sequence at once: grow
                         # them one by one in admission order, preempting the
-                        # most recently admitted decoder whenever it runs dry.
+                        # most recently admitted decoder (the grower
+                        # included) whenever it runs dry.
                         for i in dec_idx.tolist():
                             req = state.reqs[i]
                             if req.phase is not Phase.DECODE:
                                 continue  # preempted earlier in this step
                             while not kv.append_token(req.request_id):
-                                v = self.pick_victim(i)
-                                if v is None:
-                                    # Nothing decodable to evict: retry this
-                                    # request after other work drains.
-                                    req = state.sync(i)
-                                    self.retry_or_fail(req, "KV pool exhausted")
-                                    keep[i] = False
-                                    break
+                                v = self.pick_victim()
                                 victim = state.sync(v)
                                 lost = victim.preempt()
                                 step_preemptions += 1
@@ -1271,6 +1267,8 @@ class _Run:
                                     self.expiry.push(victim)
                                 for sink in sinks:
                                     sink.preempt(victim, self.clock, lost)
+                                if v == i:
+                                    break  # the grower was the newest
                             else:
                                 state.advance(i)
                                 tokens += 1
