@@ -287,9 +287,11 @@ class _EngineTelemetry(EngineEvents):
             request_id=req.request_id, prompt_len=req.prompt_len, **attrs,
         )
 
+    def arrive(self, req: Request, clock: float) -> None:
+        self.request_event("queued", req, req.arrival_time)
+
     def admit(self, req: Request, clock: float) -> None:
         self.admitted.inc()
-        self.request_event("queued", req, req.arrival_time)
         self.request_event("prefill", req, clock)
 
     def first_token(self, req: Request, clock: float) -> None:
