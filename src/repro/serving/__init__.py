@@ -17,7 +17,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "request": ("TERMINAL_PHASES", "Phase", "Request", "make_batch_requests"),
     "systems": ("SYSTEM_NAMES", "ServingSystem", "build_system"),
-    "trace": ("EngineTracer",),
     "workload": (
         "make_heterogeneous_requests", "make_overload_trace",
         "make_poisson_trace",

@@ -22,13 +22,14 @@ requests are shed or timed out against their SLOs, transient faults from a
 :class:`repro.serving.faults.FaultPlan` trigger bounded backoff retries,
 and an optional degradation policy shrinks the admission knobs under
 sustained KV pressure.  With no fault plan, no SLOs, and degradation off,
-the loop is arithmetically identical to the clean engine.
+the loop is arithmetically identical to the clean engine.  The policy
+(:mod:`repro.serving.scheduler`) and the built-in event sinks
+(:mod:`repro.serving.sinks`) live apart from this step executor.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, chain, count, repeat
 from operator import sub
@@ -45,15 +46,17 @@ from repro.kernels.attention import (
     kv_stream_seconds,
 )
 from repro.model.config import ModelConfig
-from repro.serving.batchstate import BatchState, DeadlineHeap, RetryHeap
+from repro.serving.batchstate import BatchState
 from repro.serving.faults import FaultKind, FaultPlan
 from repro.serving.memory_planner import DEFAULT_HBM_BYTES, plan_memory
 from repro.serving.paged_kv import PagedKVManager
 from repro.serving.parallel import TPConfig, TPStackModel
 from repro.serving.request import TERMINAL_PHASES, Phase, Request
+from repro.serving.scheduler import Scheduler
+from repro.serving.sinks import _EngineTelemetry, _LiveHooks
 from repro.serving.stepprof import _NullProfiler
 from repro.serving.systems import ServingSystem
-from repro.serving.trace import STEP_SPAN_CAT, EngineEvents, EngineTracer, Step
+from repro.serving.trace import EngineEvents, Step
 
 if TYPE_CHECKING:
     from repro.serving.stepprof import StepPhaseProfiler
@@ -233,355 +236,6 @@ class ThroughputReport:
         }
 
 
-class _EngineTelemetry(EngineEvents):
-    """Event sink for per-run ``repro.obs`` recording: engine steps and
-    request lifecycle events on the simulated timeline (its one writer),
-    TTFT/TPOT histograms, step counters, KV gauges.
-
-    Instantiated only while telemetry is enabled, so the disabled engine
-    pays a single ``obs.enabled()`` check per run.
-    """
-
-    def __init__(self, kv: PagedKVManager):
-        self._kv = kv
-        self._timeline = obs.tracer()
-        self._step_index = 0
-        m = obs.metrics()
-
-        def counter(name, **labels):
-            return m.counter(name, obs.metric_help(name), **labels)
-
-        def histogram(name, **buckets):
-            return m.histogram(name, obs.metric_help(name), **buckets)
-
-        def gauge(name):
-            return m.gauge(name, obs.metric_help(name))
-
-        self.admitted = counter("serving.requests_admitted_total")
-        self.finished = counter("serving.requests_finished_total")
-        self.preempted = counter("serving.preemptions_total")
-        self.output_tokens = counter("serving.output_tokens_total")
-        self.rejected = counter("serving.rejected_total")
-        self.retries = counter("serving.retries_total")
-        self.failed = counter("serving.requests_failed_total")
-        self.timed_out = counter("serving.requests_timed_out_total")
-        self.deadline_misses = counter("serving.deadline_misses_total")
-        self.degraded_steps = counter("serving.degraded_steps_total")
-        self.faults = counter("serving.faults_injected_total", labelnames=("kind",))
-        self.steps = counter("serving.engine_steps_total", labelnames=("kind",))
-        self.step_seconds = histogram("serving.step_seconds")
-        self.batch_size = histogram(
-            "serving.batch_size",
-            buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024),
-        )
-        self.ttft = histogram("serving.ttft_seconds")
-        self.tpot = histogram("serving.tpot_seconds")
-        self.e2e = histogram("serving.e2e_seconds")
-        self.kv_utilization = gauge("serving.kv_utilization")
-        self.kv_fragmentation = gauge("serving.kv_fragmentation")
-        self.kv_free_blocks = gauge("serving.kv_free_blocks")
-
-    def request_event(self, stage: str, req: Request, ts: float, **attrs) -> None:
-        obs.event(
-            f"serving.request.{stage}", ts=ts, cat="request", domain="sim",
-            request_id=req.request_id, prompt_len=req.prompt_len, **attrs,
-        )
-
-    def arrive(self, req: Request, clock: float) -> None:
-        self.request_event("queued", req, req.arrival_time)
-
-    def admit(self, req: Request, clock: float) -> None:
-        self.admitted.inc()
-        self.request_event("prefill", req, clock)
-
-    def first_token(self, req: Request, clock: float) -> None:
-        self.ttft.observe(clock - req.arrival_time)
-        self.request_event("decode", req, clock)
-
-    def finish(self, req: Request, clock: float) -> None:
-        self.finished.inc()
-        if not req.slo_met:  # always met without SLOs
-            self.deadline_misses.inc()
-        self.tpot.observe(
-            (req.finish_time - req.first_token_time) / max(req.generated - 1, 1)
-        )
-        self.e2e.observe(clock - req.arrival_time)
-        self.request_event("finished", req, clock)
-
-    def preempt(self, req: Request, clock: float, lost: int) -> None:
-        self.preempted.inc()
-        self.request_event("preempted", req, clock)
-
-    def reject(self, req: Request, clock: float) -> None:
-        self.rejected.inc()
-        self.request_event("rejected", req, clock, reason=req.failure_reason)
-
-    def retry(self, req: Request, clock: float, reason: str) -> None:
-        self.retries.inc()
-        self.request_event("retry", req, clock, attempt=req.retries, reason=reason)
-
-    def fail(self, req: Request, clock: float) -> None:
-        self.failed.inc()
-        self.request_event("failed", req, clock, reason=req.failure_reason)
-
-    def timeout(self, req: Request, clock: float) -> None:
-        self.timed_out.inc()
-        self.deadline_misses.inc()
-        self.request_event("timed_out", req, clock, reason=req.failure_reason)
-
-    def fault(self, kind: str, clock: float, req: Request | None = None) -> None:
-        self.faults.labels(kind=kind).inc()
-        ids = {} if req is None else {"request_id": req.request_id}
-        obs.event(
-            "serving.fault", ts=clock, cat="fault", domain="sim", kind=kind,
-            **ids,
-        )
-
-    def step_cost(self, step: Step) -> None:
-        self._timeline.add_span(
-            f"{step.kind} b={step.batch}", step.start, step.dt,
-            cat=STEP_SPAN_CAT, domain="sim", index=self._step_index,
-            kind=step.kind, batch=step.batch,
-            decode_tokens=step.decode_tokens,
-            prefill_tokens=step.prefill_tokens,
-            context_tokens=step.context_tokens,
-        )
-        self._step_index += 1
-
-    def step_end(self, step: Step, tokens: int) -> None:
-        if tokens:
-            self.output_tokens.inc(tokens)
-        self.steps.labels(kind=step.kind).inc()
-        self.step_seconds.observe(step.dt)
-        self.batch_size.observe(step.batch)
-        self.kv_utilization.set(self._kv.utilization())
-        self.kv_fragmentation.set(self._kv.fragmentation())
-        self.kv_free_blocks.set(self._kv.free_blocks)
-
-    def degraded(self, clock: float) -> None:
-        self.degraded_steps.inc()
-
-
-#: The window metrics of a heartbeat row, in column order after its clock.
-_HEARTBEAT_METRICS = (
-    "serving.step_seconds", "serving.batch_size", "serving.output_tokens_total",
-    "serving.kv_utilization", "serving.kv_free_blocks", "serving.kv_shared_blocks",
-    "serving.step_gemm_seconds", "serving.step_attention_seconds",
-    "serving.step_kv_dequant_seconds",
-)
-#: The window metrics sampled once per request, buffered like heartbeats.
-_REQUEST_METRICS = (
-    "serving.ttft_seconds", "serving.tpot_seconds", "serving.e2e_seconds",
-)
-
-
-class _LiveHooks(EngineEvents):
-    """Event sink feeding the attached live-observability bundle
-    (:mod:`repro.obs.live`): a per-step heartbeat with sliding-window
-    samples, streaming SLO outcomes, and one call per lifecycle event or
-    step charge to the record store ``live.flights`` (timelines plus the
-    cost ledger's accounts, :mod:`repro.obs.attrib`).
-
-    Instantiated only when a bundle is attached, so the detached engine
-    pays one ``live_obs.active()`` read per run (the same zero-cost
-    discipline as :class:`_EngineTelemetry`).  Every timestamp handed over
-    is the engine's *simulated* clock — the live layer never sees wall
-    time, keeping chaos runs bit-reproducible.
-
-    Heartbeats (:meth:`step_end`) and the per-request TTFT/TPOT/e2e
-    samples are buffered and handed to the live layer in batches
-    (:meth:`LiveObs.heartbeat_batch`), amortizing the per-step lock/sample
-    cost at high concurrency; the pool's free-list fragmentation gauge is
-    sampled once per batch.  The buffer flushes every ``FLUSH_EVERY``
-    steps, before every SLO outcome, and before every lifecycle event
-    while a heartbeat hook reads the bundle, so what the SLO monitor and
-    the hook see is what unbuffered per-step feeding gives.
-    Steps are charged at :meth:`step_cost`, before request state advances,
-    so every transition settles at the current clock and each record's
-    queue, prefill and decode seconds sum to its e2e; a step costs the
-    ledger O(1) whatever the number of records.  A record's KV holdings
-    settle at the pool events that change them: admission, each block
-    crossing (:meth:`kv_grown`, the pool's ``on_grow`` hook) and release.
-    """
-
-    #: Heartbeats buffered before a bulk hand-off to the live layer.
-    FLUSH_EVERY = 64
-
-    def __init__(self, live: live_obs.LiveObs, kv: PagedKVManager):
-        self._live = live
-        self._kv = kv
-        self._flights = live.flights
-        self._hooked = live.hooked
-        self._hb: list[tuple] = []  # buffered heartbeat rows
-        # Buffered request samples: metric -> (clocks, values).
-        self._samples = {name: ([], []) for name in _REQUEST_METRICS}
-        self._clock = 0.0  # end of the step being charged
-
-    def flush(self) -> None:
-        """Hand the buffered request samples to the live layer, one window
-        write per metric, then the buffered heartbeats, oldest first, with
-        one free-list fragmentation sample at the last one's clock.  (A
-        hooked bundle flushes before every event, so its pending samples
-        all precede its pending heartbeats.)"""
-        for name, (clocks, values) in self._samples.items():
-            if clocks:
-                self._live.windows.extend((name,), values, clocks)
-                clocks.clear()
-                values.clear()
-        if self._hb:
-            rows = np.array(self._hb, dtype=np.float64)
-            self._hb.clear()
-            self._live.heartbeat_batch(
-                rows[:, 0], _HEARTBEAT_METRICS, rows[:, 1:]
-            )
-            self._live.sample(
-                "serving.kv_freelist_frag", self._kv.freelist_fragmentation(),
-                float(rows[-1, 0]),
-            )
-
-    def _sample(self, name: str, value: float, clock: float) -> None:
-        """Buffer one request sample of a window metric."""
-        clocks, values = self._samples[name]
-        clocks.append(clock)
-        values.append(value)
-
-    def _sync(self) -> None:
-        """Before a lifecycle event: with a heartbeat hook reading the
-        bundle, hand the buffered heartbeats over first, so the hook sees
-        the records as of its own step."""
-        if self._hooked:
-            self.flush()
-
-    def _slo_outcome(self, req: Request, clock: float, met: bool) -> None:
-        """Feed one SLO outcome after the heartbeats before it: the
-        monitor slides its window step by step."""
-        self.flush()
-        self._live.slo.record(clock, met=met, request_id=req.request_id)
-
-    @staticmethod
-    def _has_slo(req: Request) -> bool:
-        return req.ttft_slo is not None or req.e2e_slo is not None
-
-    def arrive(self, req: Request, clock: float) -> None:
-        self._sync()
-        self._flights.queued(req)
-
-    def admit(self, req: Request, clock: float) -> None:
-        self._sync()
-        kv = self._kv
-        self._flights.admitted(
-            req, clock, kv_blocks=kv.blocks_needed(req.prompt_len),
-            kv_row=kv.sequence_row(req.request_id),
-            shared_blocks=kv.shared_blocks
-            and kv.sequence_shared_blocks(req.request_id),
-        )
-
-    def kv_grown(self, kv_rows: np.ndarray) -> None:
-        """The pool rows ``kv_rows`` each took a block as the step's tokens
-        landed (the pool's ``on_grow`` hook)."""
-        self._flights.kv_grown(kv_rows, self._clock)
-
-    def first_token(self, req: Request, clock: float) -> None:
-        self._sync()
-        self._flights.first_token(req.request_id, clock)
-        self._sample("serving.ttft_seconds", clock - req.arrival_time, clock)
-
-    def finish(self, req: Request, clock: float) -> None:
-        self._sync()
-        has_slo = self._has_slo(req)
-        self._flights.close(
-            req, clock, outcome="finished", generated=req.generated,
-            slo_met=req.slo_met if has_slo else None,
-        )
-        self._sample(
-            "serving.tpot_seconds",
-            (req.finish_time - req.first_token_time)
-            / max(req.generated - 1, 1),
-            clock,
-        )
-        self._sample("serving.e2e_seconds", clock - req.arrival_time, clock)
-        if has_slo:
-            self._slo_outcome(req, clock, req.slo_met)
-
-    def preempt(self, req: Request, clock: float, lost: int) -> None:
-        self._sync()
-        self._flights.preempted(req.request_id, clock, lost_tokens=lost)
-
-    def _close_unserved(
-        self, req: Request, clock: float, outcome: str, **details
-    ) -> None:
-        """Close the record of a request that ends without finishing
-        (rejected, failed, timed out)."""
-        self._sync()
-        self._flights.close(
-            req, clock, outcome=outcome, reason=req.failure_reason, **details
-        )
-
-    def reject(self, req: Request, clock: float) -> None:
-        self._close_unserved(req, clock, "rejected")
-
-    def retry(self, req: Request, clock: float, reason: str) -> None:
-        self._sync()
-        self._flights.retry(
-            req.request_id, clock, reason=reason, attempt=req.retries
-        )
-
-    def fail(self, req: Request, clock: float) -> None:
-        self._close_unserved(req, clock, "failed", generated=req.generated)
-        if self._has_slo(req):
-            self._slo_outcome(req, clock, False)
-
-    def timeout(self, req: Request, clock: float) -> None:
-        self._close_unserved(
-            req, clock, "timed_out", generated=req.generated, slo_met=False
-        )
-        # Timeouts only happen to requests with deadlines configured.
-        self._slo_outcome(req, clock, False)
-
-    def fault_hit(self, kind: str, req: Request, clock: float) -> None:
-        self._sync()
-        self._flights.fault(req.request_id, clock, kind=kind)
-
-    def prefill_done(self, req: Request, clock: float) -> None:
-        self._flights.prefill_done(req.request_id)  # a decoder from now on
-
-    def step_cost(self, step: Step) -> None:
-        """Charge the step to the records' ledger accounts.  A serialized
-        prefill stalls every other admitted request for its duration (the
-        decode gap)."""
-        self._clock = step.end
-        self._flights.step_cost(
-            step.dt, step.gemm, step.attention - step.kv_dequant,
-            step.kv_dequant, step.overhead, prefill_id=step.prefill_id,
-            serialized=step.serialized,
-        )
-
-    def step_end(self, step: Step, tokens: int) -> None:
-        """Buffer one step's worth of sliding-window samples (KV gauges
-        are snapshotted now, at the step's own clock)."""
-        kv = self._kv
-        self._hb.append((
-            step.end, step.dt, step.batch, tokens, kv.utilization(),
-            kv.free_blocks, kv.shared_blocks, step.gemm, step.attention,
-            step.kv_dequant,
-        ))
-        if len(self._hb) == self.FLUSH_EVERY:
-            self.flush()
-
-    def end_run(self, report: ThroughputReport) -> None:
-        """Drain the heartbeat tail and deposit the KV pool's economics
-        summary (computed once — not per step) in the record store."""
-        self.flush()
-        self._kv.on_grow = None
-        self._flights.set_pool_summary({
-            "free_blocks": self._kv.free_blocks,
-            "used_blocks": self._kv.used_blocks,
-            "shared_blocks": self._kv.shared_blocks,
-            "freelist_fragmentation": self._kv.freelist_fragmentation(),
-            "refcount_distribution": self._kv.refcount_distribution(),
-        })
-
-
 class ServingEngine:
     """Continuous-batching engine over the GPU timing simulator."""
 
@@ -676,22 +330,6 @@ class ServingEngine:
         kv_write = chunk * self._kv_bytes_per_token_per_gpu
         return compute + (history_read + kv_write) / self.spec.hbm_bandwidth
 
-    def prefill_time(self, prompt_len: int) -> float:
-        """Full prefill cost of one request."""
-        return (
-            self.linear_stack_latency(prompt_len)
-            + self.prefill_attention_time(prompt_len)
-            + self.config.step_overhead
-        )
-
-    def decode_step_time(self, batch: int, context_tokens: int) -> float:
-        """One engine iteration decoding ``batch`` tokens."""
-        return (
-            self.linear_stack_latency(batch)
-            + self.decode_attention_time(context_tokens, batch)
-            + self.config.step_overhead
-        )
-
     # ------------------------------------------------------------------
     # Serving loop
     # ------------------------------------------------------------------
@@ -699,7 +337,7 @@ class ServingEngine:
     def run(
         self,
         requests: list[Request],
-        tracer: EngineTracer | None = None,
+        sink: EngineEvents | None = None,
         faults: FaultPlan | None = None,
         profiler: "StepPhaseProfiler | None" = None,
     ) -> ThroughputReport:
@@ -709,9 +347,8 @@ class ServingEngine:
         engine event (:class:`repro.serving.trace.EngineEvents`) to its
         sinks: obs telemetry while ``repro.obs`` is enabled (the one writer
         of the obs simulated timeline: steps and lifecycle instants), the
-        attached live-observability bundle, and the
-        :class:`repro.serving.trace.EngineTracer` passed as ``tracer`` (an
-        in-memory record of the run's steps and failure instants).  Pass a
+        attached live-observability bundle, and any further
+        :class:`repro.serving.trace.EngineEvents` passed as ``sink``.  Pass a
         :class:`repro.serving.faults.FaultPlan` as ``faults`` to run under
         injected transient failures (chaos mode).  A
         :class:`repro.serving.stepprof.StepPhaseProfiler` as ``profiler``
@@ -731,9 +368,11 @@ class ServingEngine:
         degradation, a prefill chunk in flight and any event sink hold
         ``k`` at 1.
 
-        Requests with nonzero ``arrival_time`` form a trace: the clock fast-
-        forwards over idle gaps and admission only considers arrived
-        requests.  Two memory disciplines are supported:
+        Admission, preemption and degradation are the policy of a
+        :class:`repro.serving.scheduler.Scheduler`; the loop executes its
+        decisions.  Requests with nonzero ``arrival_time`` form a trace: the
+        clock fast-forwards over idle gaps and admission only considers
+        arrived requests.  Two memory disciplines are supported:
 
         * ``reserve_full_sequence=True`` (default): admission reserves each
           request's full sequence, so decoding never runs out of KV blocks
@@ -756,19 +395,21 @@ class ServingEngine:
                 f"requests {stale} were already served; engine runs require "
                 "fresh Request objects"
             )
-        return _Run(self, requests, tracer, faults, profiler).serve()
+        return _Run(self, requests, sink, faults, profiler).serve()
 
 
 class _Run:
-    """One :meth:`ServingEngine.run`: the queues, the running batch, the
-    clock and the counters no request carries, with the transitions as
-    methods.  :meth:`report` folds the request counters from the requests."""
+    """The step executor of one :meth:`ServingEngine.run`: the running
+    batch, the clock and the counters no request carries, with the
+    transitions as methods.  Admission, preemption and degradation are the
+    :class:`Scheduler`'s decisions; :meth:`report` folds the request
+    counters from the requests."""
 
     def __init__(
         self,
         engine: ServingEngine,
         requests: list[Request],
-        tracer: EngineTracer | None,
+        sink: EngineEvents | None,
         faults: FaultPlan | None,
         profiler: "StepPhaseProfiler | None",
     ):
@@ -783,20 +424,9 @@ class _Run:
             budgets = [r.max_new_tokens for r in requests]
             points = faults.request_abort_points(ids, budgets).tolist()
             self.abort_points = {i: p for i, p in zip(ids, points) if p >= 0}
-        self.has_slos = any(
-            r.ttft_slo is not None or r.e2e_slo is not None for r in requests
-        )
-        arrivals = sorted(requests, key=lambda r: (r.arrival_time, r.request_id))
-        self.waiting = deque(arrivals)
-        self.expiry = DeadlineHeap()
-        if self.has_slos:
-            for r in self.waiting:
-                self.expiry.push(r)
-        self.retry_queue = RetryHeap()
+        self.sched = Scheduler(cfg, self.kv, requests)
         self.state = BatchState()
         self.prof = profiler if profiler is not None else _NullProfiler()
-        self.committed_tokens = 0
-        self.capacity = int(self.kv.token_capacity * cfg.kv_capacity_slack)
         # Simulated seconds: the clock and its breakdown (see charge()).
         self.clock = self.prefill_s = self.decode_s = 0.0
         self.gemm_s = self.attn_s = self.overhead_s = 0.0
@@ -817,25 +447,28 @@ class _Run:
         self.sinks: list[EngineEvents] = [s for s in (
             _EngineTelemetry(self.kv) if obs.enabled() else None,
             live_hooks,
-            tracer,
+            sink,
         ) if s is not None]
         # Requests in arrival order, and how many of them the sinks have
         # seen arrive (see arrive_due()).
-        self.arrivals = arrivals if self.sinks else []
+        self.arrivals = list(self.sched.waiting) if self.sinks else []
         self.arrived = 0
         # Faults, SLOs, degradation and event sinks act on every step; only
         # without them may an iteration advance several steps.
         self.multi_step = not (
-            self.faults or self.has_slos or cfg.degrade_under_pressure or self.sinks
+            self.faults or self.sched.has_slos or cfg.degrade_under_pressure
+            or self.sinks
         )
 
     def charge(
-        self, dts: list[float], gemm: float, attns: list[float], decode: bool
-    ) -> list[float]:
-        """Advance the clock and the totals over ``len(dts)`` steps of one
-        fixed batch, adding step by step (the float sums of a per-step
-        loop).  Returns the clock series: the start, then the end of each
-        step."""
+        self, kind: str, dts: list[float], gemm: float, attns: list[float],
+        step: Step | None,
+    ) -> None:
+        """Advance the clock, its breakdown and the decode gap over
+        ``len(dts)`` steps of one fixed batch, adding step by step (the
+        float sums of a per-step loop).  ``step``, built only when sinks
+        are attached (then ``len(dts) == 1``), is reported to them."""
+        decode = kind != "prefill"
         step_overhead = self.config.step_overhead
         clocks = [self.clock]
         for dt, attn in zip(dts, attns):
@@ -848,12 +481,15 @@ class _Run:
             self.attn_s += attn
             self.overhead_s += step_overhead
             clocks.append(self.clock)
-        return clocks
-
-    def release_kv(self, req: Request) -> None:
-        """Return an admitted request's KV blocks and commitment."""
-        self.kv.free(req.request_id)
-        self.committed_tokens -= req.total_len
+        if step is not None:
+            for sink in self.sinks:
+                sink.step_cost(step)
+        if decode:
+            # The run's first decode step has no gap before it.
+            last = self.last_decode_clock
+            clocks[0] = clocks[1] if last is None else last
+            self.max_decode_gap = max(self.max_decode_gap, *map(sub, clocks[1:], clocks))
+            self.last_decode_clock = self.clock
 
     def reject(self, req: Request, reason: str) -> None:
         req.reject(reason, self.clock)
@@ -886,47 +522,13 @@ class _Run:
         fail it once the retry budget is spent.  The request must currently
         hold a KV allocation (and be synced from its row)."""
         req.reset_for_retry()
-        self.release_kv(req)
+        self.sched.release(req)
         if req.retries > self.config.max_retries:
             self.fail(req, reason)
             return
-        req.not_before = self.clock + self.config.retry_backoff * (
-            2 ** (req.retries - 1)
-        )
-        self.retry_queue.push(req)
+        self.sched.back_off(req, self.clock)
         for sink in self.sinks:
             sink.retry(req, self.clock, reason)
-
-    def infeasible_reason(self, req: Request) -> str | None:
-        """Why this request can never be served, or None if it can."""
-        kv = self.kv
-        if self.config.reserve_full_sequence:
-            if req.total_len > self.capacity:
-                return (
-                    f"total_len {req.total_len} exceeds KV commit "
-                    f"capacity {self.capacity}"
-                )
-            return None
-        if kv.blocks_needed(req.prompt_len + kv.block_tokens) > kv.num_blocks:
-            return (
-                f"prompt_len {req.prompt_len} exceeds the KV pool "
-                f"({kv.token_capacity} tokens)"
-            )
-        if kv.blocks_needed(req.total_len) > kv.num_blocks:
-            return (
-                f"total_len {req.total_len} exceeds the KV pool "
-                f"({kv.token_capacity} tokens)"
-            )
-        return None
-
-    def try_admit(self, req: Request) -> bool:
-        """Try to allocate a request's KV under the configured discipline."""
-        kv = self.kv
-        if self.config.reserve_full_sequence:
-            fits = self.committed_tokens + req.total_len <= self.capacity
-        else:  # optimistic: prompt plus one growth block of headroom
-            fits = kv.can_allocate(req.prompt_len + kv.block_tokens)
-        return fits and kv.allocate(req.request_id, req.prompt_len)
 
     def arrive_due(self) -> None:
         """Report every request whose arrival time the clock has reached
@@ -938,52 +540,49 @@ class _Run:
             i += 1
         self.arrived = i
 
-    def clean_waiting(self) -> None:
-        """Drop terminal (heap-swept) entries from the deque head."""
-        while self.waiting and self.waiting[0].is_terminal:
-            self.waiting.popleft()
-
-    def next_wake(self) -> float:
-        """When the queue head arrives or the first retry is due."""
-        self.clean_waiting()
-        head = self.waiting[0].arrival_time if self.waiting else float("inf")
-        return min(head, self.retry_queue.next_ready_time())
+    def prefill(self, i: int, tokens: int) -> None:
+        """Row ``i``'s prompt computed ``tokens`` more tokens; once the
+        whole prompt is in, the request decodes from the next step."""
+        req, state = self.state.reqs[i], self.state
+        req.prefill_progress += tokens
+        state.set_prefill_progress(i, req.prefill_progress)
+        if req.prefill_progress >= req.prompt_len:
+            req.phase = Phase.DECODE
+            state.mark_decode(i)
+            for sink in self.sinks:
+                sink.prefill_done(req, self.clock)
 
     def start_request(self, req: Request) -> None:
-        """Post-admission bookkeeping shared by the arrival and retry
-        paths: whole-prompt prefill (when not chunking) and batch entry."""
+        """Batch entry of an admitted request, then its whole-prompt
+        prefill (when not chunking), serialized before decoding: a step of
+        its own."""
         engine, sinks = self.engine, self.sinks
-        self.committed_tokens += req.total_len
         req.phase = Phase.PREFILL
         for sink in sinks:
             sink.admit(req, self.clock)
-        if self.config.prefill_chunk_tokens is None:
-            # Whole-prompt prefill, serialized before decoding.
-            step_overhead = self.config.step_overhead
-            with obs.span(
-                "engine.step", cat="serving", kind="prefill",
-                batch=1, prefill_tokens=req.prompt_len,
-            ):
-                pf_gemm = engine.linear_stack_latency(req.prompt_len)
-                pf_attn = engine.prefill_attention_time(req.prompt_len)
-                dt = pf_gemm + pf_attn + step_overhead
-            clocks = self.charge([dt], pf_gemm, [pf_attn], decode=False)
-            req.prefill_progress = req.prompt_len
-            req.phase = Phase.DECODE
-            if sinks:
-                step = Step(
-                    "prefill", clocks[0], self.clock, dt, 1, 0, req.prompt_len,
-                    req.prompt_len, pf_gemm, pf_attn, 0.0, step_overhead,
-                    req.request_id, serialized=True,
-                )
-                for sink in sinks:
-                    sink.step_cost(step)
-                    sink.prefill_done(req, self.clock)
-                    sink.step_end(step, 0)
-                self.arrive_due()  # the prefill moved the clock
         # Request aborts only hit a request's first attempt.
         abort_at = self.abort_points.get(req.request_id, -1) if req.retries == 0 else -1
         self.state.add(req, self.kv.sequence_row(req.request_id), abort_at)
+        if self.config.prefill_chunk_tokens is not None:
+            return
+        n, step_overhead = req.prompt_len, self.config.step_overhead
+        with obs.span(
+            "engine.step", cat="serving", kind="prefill", batch=1,
+            prefill_tokens=n,
+        ):
+            gemm = engine.linear_stack_latency(n)
+            attn = engine.prefill_attention_time(n)
+            dt = gemm + attn + step_overhead
+        step = Step(
+            "prefill", self.clock, self.clock + dt, dt, 1, 0, n, n, gemm, attn,
+            0.0, step_overhead, req.request_id, serialized=True,
+        ) if sinks else None
+        self.charge("prefill", [dt], gemm, [attn], step)
+        self.prefill(len(self.state) - 1, n)
+        if sinks:
+            for sink in sinks:
+                sink.step_end(step, 0)
+            self.arrive_due()  # the prefill moved the clock
 
     def settle(self, i: int, keep: np.ndarray) -> None:
         """Lifecycle of row ``i`` right after it decoded a token: the
@@ -1008,28 +607,14 @@ class _Run:
         keep[i] = False
         req.phase = Phase.FINISHED
         req.finish_time = self.clock
-        self.release_kv(req)
+        self.sched.release(req)
         for sink in self.sinks:
             sink.finish(req, self.clock)
 
-    def pick_victim(self) -> int:
-        """Row of the most recently admitted decoding request, the one
-        that is growing included (vLLM's rule): a request is only ever
-        evicted by an older one, so the oldest always makes progress."""
-        running = self.state.reqs
-        for j in range(len(running) - 1, -1, -1):
-            if running[j].phase is Phase.DECODE:
-                return j
-        raise AssertionError("a growing row is always decoding")
-
     def serve(self) -> ThroughputReport:
         """Loop until every request is terminal, then report."""
-        engine, cfg, kv = self.engine, self.config, self.kv
-        state, waiting, retry_queue = self.state, self.waiting, self.retry_queue
-        sinks, prof, has_slos = self.sinks, self.prof, self.has_slos
-        chunking = cfg.prefill_chunk_tokens
-        eff_max_batch, eff_chunk = cfg.max_batch, chunking
-        pressure_hot = pressure_cool = 0
+        engine, cfg, kv, sched = self.engine, self.config, self.kv, self.sched
+        state, sinks, prof = self.state, self.sinks, self.prof
         with obs.span(
             "serving.engine_run", cat="serving", model=engine.model.name,
             system=engine.system.name, requests=len(self.requests),
@@ -1039,90 +624,20 @@ class _Run:
                 spent += 1
                 prof.begin()
                 if not state:
-                    wake = self.next_wake()
+                    wake = sched.next_wake()
                     if wake != float("inf") and wake > self.clock:
                         self.clock = wake  # idle until next arrival / backoff expiry
                 if sinks:
                     self.arrive_due()
-
-                # Shed every queued request whose deadline has already
-                # passed, wherever it sits in the FIFO (the heap sweep; the
-                # deque drops the now-terminal entries lazily).
-                if has_slos:
-                    for req in self.expiry.expired(self.clock):
-                        self.expire(req, "expired while waiting")
-
-                # Re-admission of backed-off retries (they were already
-                # accepted once, so they queue ahead of new arrivals).  A
-                # whole-prompt prefill moves the clock: read it afresh.
-                while (
-                    retry_queue
-                    and len(state) < eff_max_batch
-                    and retry_queue.next_ready_time() <= self.clock
-                ):
-                    req = retry_queue.peek()
-                    if req.is_terminal:
-                        # Already shed by the deadline sweep while backing
-                        # off (its heap entry outlives the fault/retry).
-                        retry_queue.pop()
-                        continue
-                    if has_slos and self.clock > min(
-                        req.e2e_deadline, req.ttft_deadline
-                    ):
-                        # The deadline lapsed during backoff; shed it.
-                        retry_queue.pop()
-                        self.expire(req, "expired during retry backoff")
-                        continue
-                    if not self.try_admit(req):
-                        break
-                    retry_queue.pop()
+                for req in sched.admissions(self):
                     self.start_request(req)
-
-                # Admission.
-                while True:
-                    self.clean_waiting()
-                    if not (
-                        waiting
-                        and len(state) < eff_max_batch
-                        and waiting[0].arrival_time <= self.clock
-                    ):
-                        break
-                    req = waiting[0]
-                    reason = self.infeasible_reason(req)
-                    if reason is not None:
-                        # Admission control: this request can never fit;
-                        # refuse it and keep serving the rest.
-                        waiting.popleft()
-                        self.reject(req, reason)
-                        continue
-                    if has_slos and self.clock > min(
-                        req.e2e_deadline, req.ttft_deadline
-                    ):
-                        # Load shedding: the deadline expired while queued.
-                        waiting.popleft()
-                        self.expire(req, "expired while waiting")
-                        continue
-                    if not self.try_admit(req):
-                        break
-                    waiting.popleft()
-                    self.start_request(req)
-
                 if not state:
-                    wake = self.next_wake()
-                    if not waiting and not retry_queue:
-                        break
-                    if wake > self.clock:
-                        continue  # fast-forward next iteration
-                    # An arrived request could not enter an empty pool even
-                    # though the feasibility check passed; refuse it rather
-                    # than stalling the scheduler forever.
-                    if waiting and waiting[0].arrival_time <= self.clock:
-                        req = waiting.popleft()
-                        self.reject(req, "admission failed with an empty KV pool")
-                    else:
-                        req = retry_queue.pop()
-                        self.fail(req, "re-admission failed with an empty KV pool")
-                    continue
+                    wake = sched.next_wake()
+                    if wake == float("inf"):
+                        break  # nothing waits or backs off: all terminal
+                    if wake <= self.clock:
+                        sched.refuse_head(self)
+                    continue  # fast-forward next iteration
                 prof.lap("admit")
 
                 # Partition and aggregate over the batch arrays.
@@ -1137,7 +652,7 @@ class _Run:
                     pf_i = int(np.flatnonzero(~state.decoding)[0])
                     prefill_req = state.reqs[pf_i]
                     chunk = min(
-                        eff_chunk, prefill_req.prompt_len - prefill_req.prefill_progress
+                        sched.chunk, prefill_req.prompt_len - prefill_req.prefill_progress
                     )
                 dec_context = int(state.ctx[dec_idx].sum()) if n_dec else 0
                 kv_rows = state.kv_row[dec_idx]
@@ -1177,22 +692,19 @@ class _Run:
                         dt = dt + stall
                         self.overhead_s += stall
                 dts, attns = (dt.tolist(), attn.tolist()) if k > 1 else ([dt], [attn])
-                if k > 1 and (waiting or retry_queue):
+                if k > 1:
                     # Stop at the step whose clock reaches the next arrival
-                    # or retry wake-up.  A due queue head is blocked and
-                    # stays so while the batch is fixed.
-                    clock = self.clock
-                    wake = min(t for t in (
-                        waiting[0].arrival_time if waiting else clock,
-                        retry_queue.next_ready_time(), float("inf"),
-                    ) if t > clock)
-                    k = min(k, bisect_left(list(accumulate(dts, initial=clock)), wake))
-                    del dts[k:], attns[k:]
+                    # or retry wake-up.
+                    wake = sched.wake_after(self.clock)
+                    if wake != float("inf"):
+                        clocks = list(accumulate(dts, initial=self.clock))
+                        k = min(k, bisect_left(clocks, wake))
+                        del dts[k:], attns[k:]
                 self.compute_steps += k
                 spent += k - 1
                 prof.step(k)
                 prof.lap("model")
-                clocks = self.charge(dts, gemm, attns, decode=n_dec > 0)
+                step = None
                 if sinks:
                     # KV dequant: decode attention's history-streaming floor,
                     # capped by the attention time the kernel took.
@@ -1201,42 +713,27 @@ class _Run:
                         engine.spec.hbm_bandwidth,
                     )) if n_dec else 0.0
                     step = Step(
-                        kind, clocks[0], self.clock, dt, n_run, n_dec, chunk,
-                        int(state.ctx.sum()), gemm, attn, kv_dq,
+                        kind, self.clock, self.clock + dt, dt, n_run, n_dec,
+                        chunk, int(state.ctx.sum()), gemm, attn, kv_dq,
                         dt - gemm - attn,
                         prefill_req.request_id if chunk else -1,
                         serialized=False,
                     )
-                    for sink in sinks:
-                        sink.step_cost(step)
-                if n_dec:
-                    # The run's first decode step has no gap before it.
-                    last = self.last_decode_clock
-                    clocks[0] = clocks[1] if last is None else last
-                    gaps = map(sub, clocks[1:], clocks)
-                    self.max_decode_gap = max(self.max_decode_gap, *gaps)
-                    self.last_decode_clock = self.clock
-
+                self.charge(kind, dts, gemm, attns, step)
                 if fault is not None:
                     self.record_fault(fault.kind)
 
                 # Rows still in the batch once this step settles; the
                 # batch is compacted to them at the end of the step.
                 keep = np.ones(n_run, dtype=bool)
-                step_preemptions = tokens = 0
+                preempted = False
+                tokens = 0
                 # A kernel fault discards the step's results: the time is
                 # spent but no tokens land and no prefill progress is made;
                 # the engine retries the same work next iteration.
                 if fault is None or fault.kind is not FaultKind.KERNEL_FAULT:
                     if chunk:
-                        prefill_req.prefill_progress += chunk
-                        state.set_prefill_progress(pf_i, prefill_req.prefill_progress)
-                        if prefill_req.prefill_progress >= prefill_req.prompt_len:
-                            # First decode happens next iteration.
-                            prefill_req.phase = Phase.DECODE
-                            state.mark_decode(pf_i)
-                            for sink in sinks:
-                                sink.prefill_done(prefill_req, self.clock)
+                        self.prefill(pf_i, chunk)
                     if n_dec and kv.append_token_many(kv_rows, k):
                         state.advance(dec_idx, k)
                         tokens = n_dec * k
@@ -1251,22 +748,18 @@ class _Run:
                     elif n_dec:
                         # The pool cannot grow every sequence at once: grow
                         # them one by one in admission order, preempting the
-                        # most recently admitted decoder (the grower
-                        # included) whenever it runs dry.
+                        # scheduler's victim whenever the pool runs dry.
                         for i in dec_idx.tolist():
                             req = state.reqs[i]
                             if req.phase is not Phase.DECODE:
                                 continue  # preempted earlier in this step
                             while not kv.append_token(req.request_id):
-                                v = self.pick_victim()
+                                v = sched.victim(state.reqs)
                                 victim = state.sync(v)
                                 lost = victim.preempt()
-                                step_preemptions += 1
-                                self.release_kv(victim)
+                                preempted = True
                                 keep[v] = False
-                                waiting.appendleft(victim)
-                                if has_slos:
-                                    self.expiry.push(victim)
+                                sched.requeue(victim)
                                 for sink in sinks:
                                     sink.preempt(victim, self.clock, lost)
                                 if v == i:
@@ -1292,14 +785,14 @@ class _Run:
                         self.retry_or_fail(victim, "KV blocks lost")
                         keep[i] = False
 
-                if has_slos:
+                if sched.has_slos:
                     e2e_hit = self.clock > state.e2e_dl
                     hits = np.flatnonzero(keep & (
                         e2e_hit | ((state.gen == 0) & (self.clock > state.ttft_dl))
                     ))
                     for i in hits.tolist():
                         req = state.sync(i)
-                        self.release_kv(req)
+                        sched.release(req)
                         if e2e_hit[i]:
                             self.expire(req, "e2e deadline expired mid-flight")
                         else:
@@ -1308,27 +801,7 @@ class _Run:
 
                 if cfg.degrade_under_pressure:
                     pressure = kv.used_blocks / kv.num_blocks if kv.num_blocks else 0.0
-                    if pressure >= cfg.degrade_pressure or step_preemptions:
-                        pressure_hot += 1
-                        pressure_cool = 0
-                    else:
-                        pressure_cool += 1
-                        pressure_hot = 0
-                    if pressure_hot >= cfg.degrade_window:
-                        pressure_hot = 0
-                        eff_max_batch = max(1, eff_max_batch // 2)
-                        if chunking is not None:
-                            # Never above the configured chunk.
-                            floor = min(cfg.block_tokens, chunking)
-                            eff_chunk = max(floor, eff_chunk // 2)
-                    elif pressure_cool >= cfg.degrade_window:
-                        pressure_cool = 0
-                        eff_max_batch = min(cfg.max_batch, eff_max_batch * 2)
-                        if chunking is not None and eff_chunk < chunking:
-                            eff_chunk = min(chunking, eff_chunk * 2)
-                    if eff_max_batch < cfg.max_batch or (
-                        chunking is not None and eff_chunk < chunking
-                    ):
+                    if sched.observe(pressure, preempted):
                         self.degraded_steps += 1
                         for sink in sinks:
                             sink.degraded(self.clock)

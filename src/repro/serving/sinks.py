@@ -1,0 +1,368 @@
+"""The serving engine's built-in sinks of engine events
+(:class:`repro.serving.trace.EngineEvents`): :class:`_EngineTelemetry`
+while ``repro.obs`` is enabled, :class:`_LiveHooks` while a
+live-observability bundle is attached."""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+import numpy as np
+
+import repro.obs as obs
+from repro.obs import live as live_obs
+from repro.serving.paged_kv import PagedKVManager
+from repro.serving.request import Request
+from repro.serving.trace import STEP_SPAN_CAT, EngineEvents, Step
+
+if TYPE_CHECKING:
+    from repro.serving.engine import ThroughputReport
+
+
+class _EngineTelemetry(EngineEvents):
+    """Event sink for per-run ``repro.obs`` recording: engine steps and
+    request lifecycle events on the simulated timeline (its one writer),
+    TTFT/TPOT histograms, step counters, KV gauges.
+
+    Instantiated only while telemetry is enabled, so the disabled engine
+    pays a single ``obs.enabled()`` check per run.
+    """
+
+    def __init__(self, kv: PagedKVManager):
+        self._kv = kv
+        self._timeline = obs.tracer()
+        self._step_index = 0
+        m = obs.metrics()
+
+        def counter(name, **labels):
+            return m.counter(name, obs.metric_help(name), **labels)
+
+        def histogram(name, **buckets):
+            return m.histogram(name, obs.metric_help(name), **buckets)
+
+        def gauge(name):
+            return m.gauge(name, obs.metric_help(name))
+
+        self.admitted = counter("serving.requests_admitted_total")
+        self.finished = counter("serving.requests_finished_total")
+        self.preempted = counter("serving.preemptions_total")
+        self.output_tokens = counter("serving.output_tokens_total")
+        self.rejected = counter("serving.rejected_total")
+        self.retries = counter("serving.retries_total")
+        self.failed = counter("serving.requests_failed_total")
+        self.timed_out = counter("serving.requests_timed_out_total")
+        self.deadline_misses = counter("serving.deadline_misses_total")
+        self.degraded_steps = counter("serving.degraded_steps_total")
+        self.faults = counter("serving.faults_injected_total", labelnames=("kind",))
+        self.steps = counter("serving.engine_steps_total", labelnames=("kind",))
+        self.step_seconds = histogram("serving.step_seconds")
+        self.batch_size = histogram(
+            "serving.batch_size",
+            buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024),
+        )
+        self.ttft = histogram("serving.ttft_seconds")
+        self.tpot = histogram("serving.tpot_seconds")
+        self.e2e = histogram("serving.e2e_seconds")
+        self.kv_utilization = gauge("serving.kv_utilization")
+        self.kv_fragmentation = gauge("serving.kv_fragmentation")
+        self.kv_free_blocks = gauge("serving.kv_free_blocks")
+
+    def request_event(self, stage: str, req: Request, ts: float, **attrs) -> None:
+        obs.event(
+            f"serving.request.{stage}", ts=ts, cat="request", domain="sim",
+            request_id=req.request_id, prompt_len=req.prompt_len, **attrs,
+        )
+
+    def arrive(self, req: Request, clock: float) -> None:
+        self.request_event("queued", req, req.arrival_time)
+
+    def admit(self, req: Request, clock: float) -> None:
+        self.admitted.inc()
+        self.request_event("prefill", req, clock)
+
+    def first_token(self, req: Request, clock: float) -> None:
+        self.ttft.observe(clock - req.arrival_time)
+        self.request_event("decode", req, clock)
+
+    def finish(self, req: Request, clock: float) -> None:
+        self.finished.inc()
+        if not req.slo_met:  # always met without SLOs
+            self.deadline_misses.inc()
+        self.tpot.observe(
+            (req.finish_time - req.first_token_time) / max(req.generated - 1, 1)
+        )
+        self.e2e.observe(clock - req.arrival_time)
+        self.request_event("finished", req, clock)
+
+    def preempt(self, req: Request, clock: float, lost: int) -> None:
+        self.preempted.inc()
+        self.request_event("preempted", req, clock)
+
+    def reject(self, req: Request, clock: float) -> None:
+        self.rejected.inc()
+        self.request_event("rejected", req, clock, reason=req.failure_reason)
+
+    def retry(self, req: Request, clock: float, reason: str) -> None:
+        self.retries.inc()
+        self.request_event("retry", req, clock, attempt=req.retries, reason=reason)
+
+    def fail(self, req: Request, clock: float) -> None:
+        self.failed.inc()
+        self.request_event("failed", req, clock, reason=req.failure_reason)
+
+    def timeout(self, req: Request, clock: float) -> None:
+        self.timed_out.inc()
+        self.deadline_misses.inc()
+        self.request_event("timed_out", req, clock, reason=req.failure_reason)
+
+    def fault(self, kind: str, clock: float, req: Request | None = None) -> None:
+        self.faults.labels(kind=kind).inc()
+        ids = {} if req is None else {"request_id": req.request_id}
+        obs.event(
+            "serving.fault", ts=clock, cat="fault", domain="sim", kind=kind,
+            **ids,
+        )
+
+    def step_cost(self, step: Step) -> None:
+        self._timeline.add_span(
+            f"{step.kind} b={step.batch}", step.start, step.dt,
+            cat=STEP_SPAN_CAT, domain="sim", index=self._step_index,
+            kind=step.kind, batch=step.batch,
+            decode_tokens=step.decode_tokens,
+            prefill_tokens=step.prefill_tokens,
+            context_tokens=step.context_tokens,
+        )
+        self._step_index += 1
+
+    def step_end(self, step: Step, tokens: int) -> None:
+        if tokens:
+            self.output_tokens.inc(tokens)
+        self.steps.labels(kind=step.kind).inc()
+        self.step_seconds.observe(step.dt)
+        self.batch_size.observe(step.batch)
+        self.kv_utilization.set(self._kv.utilization())
+        self.kv_fragmentation.set(self._kv.fragmentation())
+        self.kv_free_blocks.set(self._kv.free_blocks)
+
+    def degraded(self, clock: float) -> None:
+        self.degraded_steps.inc()
+
+
+#: The window metrics of a heartbeat row, in column order after its clock.
+_HEARTBEAT_METRICS = (
+    "serving.step_seconds", "serving.batch_size", "serving.output_tokens_total",
+    "serving.kv_utilization", "serving.kv_free_blocks", "serving.kv_shared_blocks",
+    "serving.step_gemm_seconds", "serving.step_attention_seconds",
+    "serving.step_kv_dequant_seconds",
+)
+#: The window metrics sampled once per request, buffered like heartbeats.
+_REQUEST_METRICS = (
+    "serving.ttft_seconds", "serving.tpot_seconds", "serving.e2e_seconds",
+)
+
+
+class _LiveHooks(EngineEvents):
+    """Event sink feeding the attached live-observability bundle
+    (:mod:`repro.obs.live`): a per-step heartbeat with sliding-window
+    samples, streaming SLO outcomes, and one call per lifecycle event or
+    step charge to the record store ``live.flights`` (timelines plus the
+    cost ledger's accounts, :mod:`repro.obs.attrib`).
+
+    Instantiated only when a bundle is attached, so the detached engine
+    pays one ``live_obs.active()`` read per run (the same zero-cost
+    discipline as :class:`_EngineTelemetry`).  Every timestamp handed over
+    is the engine's *simulated* clock — the live layer never sees wall
+    time, keeping chaos runs bit-reproducible.
+
+    Heartbeats (:meth:`step_end`) and the per-request TTFT/TPOT/e2e
+    samples are buffered and handed to the live layer in batches
+    (:meth:`LiveObs.heartbeat_batch`), amortizing the per-step lock/sample
+    cost at high concurrency; the pool's free-list fragmentation gauge is
+    sampled once per batch.  The buffer flushes every ``FLUSH_EVERY``
+    steps, before every SLO outcome, and before every lifecycle event
+    while a heartbeat hook reads the bundle, so what the SLO monitor and
+    the hook see is what unbuffered per-step feeding gives.
+    Steps are charged at :meth:`step_cost`, before request state advances,
+    so every transition settles at the current clock and each record's
+    queue, prefill and decode seconds sum to its e2e; a step costs the
+    ledger O(1) whatever the number of records.  A record's KV holdings
+    settle at the pool events that change them: admission, each block
+    crossing (:meth:`kv_grown`, the pool's ``on_grow`` hook) and release.
+    """
+
+    #: Heartbeats buffered before a bulk hand-off to the live layer.
+    FLUSH_EVERY = 64
+
+    def __init__(self, live: live_obs.LiveObs, kv: PagedKVManager):
+        self._live = live
+        self._kv = kv
+        self._flights = live.flights
+        self._hooked = live.hooked
+        self._hb: list[tuple] = []  # buffered heartbeat rows
+        # Buffered request samples: metric -> (clocks, values).
+        self._samples = {name: ([], []) for name in _REQUEST_METRICS}
+        self._clock = 0.0  # end of the step being charged
+
+    def flush(self) -> None:
+        """Hand the buffered request samples to the live layer, one window
+        write per metric, then the buffered heartbeats, oldest first, with
+        one free-list fragmentation sample at the last one's clock.  (A
+        hooked bundle flushes before every event, so its pending samples
+        all precede its pending heartbeats.)"""
+        for name, (clocks, values) in self._samples.items():
+            if clocks:
+                self._live.windows.extend((name,), values, clocks)
+                clocks.clear()
+                values.clear()
+        if self._hb:
+            rows = np.array(self._hb, dtype=np.float64)
+            self._hb.clear()
+            self._live.heartbeat_batch(
+                rows[:, 0], _HEARTBEAT_METRICS, rows[:, 1:]
+            )
+            self._live.sample(
+                "serving.kv_freelist_frag", self._kv.freelist_fragmentation(),
+                float(rows[-1, 0]),
+            )
+
+    def _sample(self, name: str, value: float, clock: float) -> None:
+        """Buffer one request sample of a window metric."""
+        clocks, values = self._samples[name]
+        clocks.append(clock)
+        values.append(value)
+
+    def _sync(self) -> None:
+        """Before a lifecycle event: with a heartbeat hook reading the
+        bundle, hand the buffered heartbeats over first, so the hook sees
+        the records as of its own step."""
+        if self._hooked:
+            self.flush()
+
+    def _slo_outcome(self, req: Request, clock: float, met: bool) -> None:
+        """Feed one SLO outcome after the heartbeats before it: the
+        monitor slides its window step by step."""
+        self.flush()
+        self._live.slo.record(clock, met=met, request_id=req.request_id)
+
+    @staticmethod
+    def _has_slo(req: Request) -> bool:
+        return req.ttft_slo is not None or req.e2e_slo is not None
+
+    def arrive(self, req: Request, clock: float) -> None:
+        self._sync()
+        self._flights.queued(req)
+
+    def admit(self, req: Request, clock: float) -> None:
+        self._sync()
+        kv = self._kv
+        self._flights.admitted(
+            req, clock, kv_blocks=kv.blocks_needed(req.prompt_len),
+            kv_row=kv.sequence_row(req.request_id),
+            shared_blocks=kv.shared_blocks
+            and kv.sequence_shared_blocks(req.request_id),
+        )
+
+    def kv_grown(self, kv_rows: np.ndarray) -> None:
+        """The pool rows ``kv_rows`` each took a block as the step's tokens
+        landed (the pool's ``on_grow`` hook)."""
+        self._flights.kv_grown(kv_rows, self._clock)
+
+    def first_token(self, req: Request, clock: float) -> None:
+        self._sync()
+        self._flights.first_token(req.request_id, clock)
+        self._sample("serving.ttft_seconds", clock - req.arrival_time, clock)
+
+    def finish(self, req: Request, clock: float) -> None:
+        self._sync()
+        has_slo = self._has_slo(req)
+        self._flights.close(
+            req, clock, outcome="finished", generated=req.generated,
+            slo_met=req.slo_met if has_slo else None,
+        )
+        self._sample(
+            "serving.tpot_seconds",
+            (req.finish_time - req.first_token_time)
+            / max(req.generated - 1, 1),
+            clock,
+        )
+        self._sample("serving.e2e_seconds", clock - req.arrival_time, clock)
+        if has_slo:
+            self._slo_outcome(req, clock, req.slo_met)
+
+    def preempt(self, req: Request, clock: float, lost: int) -> None:
+        self._sync()
+        self._flights.preempted(req.request_id, clock, lost_tokens=lost)
+
+    def _close_unserved(
+        self, req: Request, clock: float, outcome: str, **details
+    ) -> None:
+        """Close the record of a request that ends without finishing
+        (rejected, failed, timed out)."""
+        self._sync()
+        self._flights.close(
+            req, clock, outcome=outcome, reason=req.failure_reason, **details
+        )
+
+    def reject(self, req: Request, clock: float) -> None:
+        self._close_unserved(req, clock, "rejected")
+
+    def retry(self, req: Request, clock: float, reason: str) -> None:
+        self._sync()
+        self._flights.retry(
+            req.request_id, clock, reason=reason, attempt=req.retries
+        )
+
+    def fail(self, req: Request, clock: float) -> None:
+        self._close_unserved(req, clock, "failed", generated=req.generated)
+        if self._has_slo(req):
+            self._slo_outcome(req, clock, False)
+
+    def timeout(self, req: Request, clock: float) -> None:
+        self._close_unserved(
+            req, clock, "timed_out", generated=req.generated, slo_met=False
+        )
+        # Timeouts only happen to requests with deadlines configured.
+        self._slo_outcome(req, clock, False)
+
+    def fault_hit(self, kind: str, req: Request, clock: float) -> None:
+        self._sync()
+        self._flights.fault(req.request_id, clock, kind=kind)
+
+    def prefill_done(self, req: Request, clock: float) -> None:
+        self._flights.prefill_done(req.request_id)  # a decoder from now on
+
+    def step_cost(self, step: Step) -> None:
+        """Charge the step to the records' ledger accounts.  A serialized
+        prefill stalls every other admitted request for its duration (the
+        decode gap)."""
+        self._clock = step.end
+        self._flights.step_cost(
+            step.dt, step.gemm, step.attention - step.kv_dequant,
+            step.kv_dequant, step.overhead, prefill_id=step.prefill_id,
+            serialized=step.serialized,
+        )
+
+    def step_end(self, step: Step, tokens: int) -> None:
+        """Buffer one step's worth of sliding-window samples (KV gauges
+        are snapshotted now, at the step's own clock)."""
+        kv = self._kv
+        self._hb.append((
+            step.end, step.dt, step.batch, tokens, kv.utilization(),
+            kv.free_blocks, kv.shared_blocks, step.gemm, step.attention,
+            step.kv_dequant,
+        ))
+        if len(self._hb) == self.FLUSH_EVERY:
+            self.flush()
+
+    def end_run(self, report: ThroughputReport) -> None:
+        """Drain the heartbeat tail and deposit the KV pool's economics
+        summary (computed once — not per step) in the record store."""
+        self.flush()
+        self._kv.on_grow = None
+        self._flights.set_pool_summary({
+            "free_blocks": self._kv.free_blocks,
+            "used_blocks": self._kv.used_blocks,
+            "shared_blocks": self._kv.shared_blocks,
+            "freelist_fragmentation": self._kv.freelist_fragmentation(),
+            "refcount_distribution": self._kv.refcount_distribution(),
+        })

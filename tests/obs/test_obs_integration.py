@@ -20,17 +20,17 @@ from repro.obs.attrib import analyze_trace
 from repro.serving.engine import EngineConfig, ServingEngine
 from repro.serving.request import make_batch_requests
 from repro.serving.systems import build_system
-from repro.serving.trace import EngineTracer
+from repro.serving.trace import EngineEvents
 
 
-def run_engine(n_requests=4, tracer=None):
+def run_engine(n_requests=4, sink=None):
     engine = ServingEngine(
         get_model_config("llama-3-8b"),
         build_system("comet"),
         config=EngineConfig(max_batch=8),
     )
     reqs = make_batch_requests(n_requests, 64, 8)
-    report = engine.run(reqs, tracer=tracer)
+    report = engine.run(reqs, sink=sink)
     return engine, report
 
 
@@ -174,10 +174,15 @@ class TestDisabledMode:
         assert lat.tiles_by_precision == (("int4", 48), ("int8", 16))
         assert lat.convert_instructions > 0.0
 
-    def test_engine_tracer_still_works_when_disabled(self):
-        tracer = EngineTracer()
-        run_engine(tracer=tracer)
-        assert len(tracer.steps) > 0
+    def test_engine_sink_still_works_when_disabled(self):
+        steps = []
+
+        class StepRecorder(EngineEvents):
+            def step_cost(self, step):
+                steps.append(step)
+
+        run_engine(sink=StepRecorder())
+        assert len(steps) > 0
         assert obs.tracer() is None
 
 

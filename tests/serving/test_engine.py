@@ -170,8 +170,8 @@ class TestEngine:
 
     def test_step_time_components_positive(self):
         eng = self._engine()
-        assert eng.prefill_time(128) > 0
-        assert eng.decode_step_time(8, 1024) > 0
+        assert eng.linear_stack_latency(128) > 0
+        assert eng.prefill_attention_time(128) > 0
         assert eng.decode_attention_time(1024, 8) > 0
 
 

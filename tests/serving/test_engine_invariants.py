@@ -11,8 +11,8 @@ SLOs — every run of a small-model workload must satisfy:
   requests hold;
 * a KV pool fully freed at exit;
 * the cost ledger's per-request components summing to each e2e;
-* one chrome-trace lifecycle instant per counted fault, failure, retry,
-  rejection and timeout;
+* one lifecycle instant on the obs timeline per counted fault, failure,
+  retry, rejection and timeout, and one ``queued`` instant per request;
 * obs telemetry, which counts engine events, agreeing with the report,
   which folds the requests' end state.
 
@@ -38,7 +38,7 @@ from repro.serving.faults import FaultPlan
 from repro.serving.memory_planner import WORKSPACE_FRACTION
 from repro.serving.request import TERMINAL_PHASES, Phase, Request
 from repro.serving.systems import build_system
-from repro.serving.trace import EngineTracer
+from repro.serving.trace import EngineEvents
 
 MODEL = tiny_config(name="fuzz")
 SYSTEM = build_system("comet")
@@ -113,11 +113,10 @@ def test_engine_invariants(cfg, reqs, faults):
     engine = ServingEngine(
         MODEL, SYSTEM, config=EngineConfig(max_steps=_MAX_STEPS, **cfg)
     )
-    tracer = EngineTracer()
-    registry, _ = obs.enable(MetricsRegistry())
+    registry, spans = obs.enable(MetricsRegistry())
     live = live_obs.attach(window_seconds=1.0)
     try:
-        report = engine.run(reqs, tracer=tracer, faults=faults)
+        report = engine.run(reqs, faults=faults)
     finally:
         live_obs.detach()
         obs.disable()
@@ -150,12 +149,16 @@ def test_engine_invariants(cfg, reqs, faults):
         ), rec
 
     # One lifecycle instant per counted event.
-    kinds = [e.cat for e in tracer.events()]
-    assert kinds.count("fault") == report.faults_injected
-    assert kinds.count("failed") == report.requests_failed
-    assert kinds.count("retry") == report.retries
-    assert kinds.count("rejected") == report.requests_rejected
-    assert kinds.count("timed_out") == report.requests_timed_out
+    names = [r.name for r in spans.records if r.domain == "sim" and r.instant]
+    assert names.count("serving.fault") == report.faults_injected
+    for stage, value in (
+        ("failed", report.requests_failed),
+        ("retry", report.retries),
+        ("rejected", report.requests_rejected),
+        ("timed_out", report.requests_timed_out),
+        ("queued", len(reqs)),
+    ):
+        assert names.count(f"serving.request.{stage}") == value, stage
 
     # Telemetry agrees with the report.
     def counted(name):
@@ -177,9 +180,9 @@ def test_engine_invariants(cfg, reqs, faults):
     assert counted("output_tokens_total") >= report.output_tokens
 
 
-def _outcome(engine, reqs, tracer=None):
+def _outcome(engine, reqs, sink=None):
     try:
-        report = engine.run(reqs, tracer=tracer)
+        report = engine.run(reqs, sink=sink)
     except RuntimeError as err:  # max_steps: the same budget on both sides
         return str(err)
     return dataclasses.asdict(report), [
@@ -192,8 +195,8 @@ def _outcome(engine, reqs, tracer=None):
 @settings(max_examples=100, deadline=None)
 def test_multi_step_iterations_match_single_steps(cfg, reqs):
     # Detached, the engine advances a pure-decode batch to its next event
-    # in one iteration; an attached tracer holds it to one step per
-    # iteration.  Both must produce the same run, float for float.
+    # in one iteration; any attached sink, even one that consumes no
+    # event, holds it to one step per iteration.  Both must produce the same run, float for float.
     # Arrivals spread over many steps, so some land mid-horizon.
     twin = copy.deepcopy(reqs)
     engine = ServingEngine(
@@ -202,7 +205,7 @@ def test_multi_step_iterations_match_single_steps(cfg, reqs):
     stepped = ServingEngine(
         MODEL, SYSTEM, config=EngineConfig(max_steps=_MAX_STEPS, **cfg)
     )
-    assert _outcome(engine, reqs) == _outcome(stepped, twin, EngineTracer())
+    assert _outcome(engine, reqs) == _outcome(stepped, twin, EngineEvents())
 
 
 def test_optimistic_preemption_makes_progress():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.obs as obs
 from repro.model.config import get_model_config, tiny_config
 from repro.serving.engine import EngineConfig, ServingEngine
 from repro.serving.faults import FaultKind, FaultPlan, StepFault, _raw_outputs
@@ -15,7 +16,6 @@ from repro.serving.request import (
     make_batch_requests,
 )
 from repro.serving.systems import build_system
-from repro.serving.trace import EngineTracer
 from repro.serving.workload import make_overload_trace
 
 
@@ -33,6 +33,17 @@ CHAOS = FaultPlan(
     straggler_rate=0.05,
     request_abort_rate=0.1,
 )
+
+
+def _sim_instants(eng, reqs, faults):
+    """Run with telemetry on: the report and the lifecycle instants on the
+    obs simulated timeline."""
+    _, spans = obs.enable()
+    try:
+        report = eng.run(reqs, faults=faults)
+    finally:
+        obs.disable()
+    return report, [r for r in spans.records if r.domain == "sim" and r.instant]
 
 
 class TestFaultPlan:
@@ -258,14 +269,10 @@ class TestChaosRuns:
     def test_tracer_records_fault_events(self):
         eng = engine(max_batch=8, hbm_bytes=20e9, max_retries=1)
         reqs = make_batch_requests(8, 128, 32)
-        tracer = EngineTracer()
-        eng.run(
-            reqs,
-            tracer=tracer,
-            faults=FaultPlan(seed=0, step_fault_rate=0.3),
+        _, records = _sim_instants(
+            eng, reqs, FaultPlan(seed=0, step_fault_rate=0.3)
         )
-        kinds = {e.cat for e in tracer.events()}
-        assert "fault" in kinds
+        assert "serving.fault" in {r.name for r in records}
 
     def test_trace_instants_match_report_counts(self):
         """Every counted fault (request aborts included), failure, retry,
@@ -283,26 +290,25 @@ class TestChaosRuns:
             Request(len(reqs), prompt_len=eng.kv.token_capacity,
                     max_new_tokens=1)
         )
-        tracer = EngineTracer()
-        rep = eng.run(reqs, tracer=tracer, faults=FaultPlan(
+        rep, records = _sim_instants(eng, reqs, FaultPlan(
             seed=3, step_fault_rate=0.05, kv_loss_rate=0.4,
             request_abort_rate=0.5,
         ))
-        kinds = [e.cat for e in tracer.events()]
+        names = [r.name for r in records]
         counts = {
-            "fault": rep.faults_injected,
-            "failed": rep.requests_failed,
-            "retry": rep.retries,
-            "rejected": rep.requests_rejected,
-            "timed_out": rep.requests_timed_out,
+            "serving.fault": rep.faults_injected,
+            "serving.request.failed": rep.requests_failed,
+            "serving.request.retry": rep.retries,
+            "serving.request.rejected": rep.requests_rejected,
+            "serving.request.timed_out": rep.requests_timed_out,
         }
         assert all(counts.values()), counts  # every kind is exercised
-        assert {k: kinds.count(k) for k in counts} == counts
+        assert {k: names.count(k) for k in counts} == counts
         aborts = [
-            e for e in tracer.events()
-            if e.cat == "fault" and e.attrs["kind"] == "request_abort"
+            r for r in records
+            if r.name == "serving.fault" and r.attrs["kind"] == "request_abort"
         ]
-        assert aborts and all("request_id" in e.attrs for e in aborts)
+        assert aborts and all("request_id" in r.attrs for r in aborts)
 
 
 class TestFaultEffects:

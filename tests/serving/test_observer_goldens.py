@@ -1,12 +1,12 @@
 """Golden pins for everything the engine's observers record.
 
-Each scenario of ``test_vectorized_engine`` runs with all three observers
-attached at once: the telemetry registry (``obs.enable()``), a live-
-observability bundle whose flight recorder keeps every request, and an
-:class:`EngineTracer`.  What they recorded is kept in
+Each scenario of ``test_vectorized_engine`` runs with both built-in
+observers attached at once: telemetry (``obs.enable()``, its registry and
+its simulated timeline) and a live-observability bundle whose flight
+recorder keeps every request.  What they recorded is kept in
 ``observer_goldens.json``, floats as hex:
 
-* the tracer's steps and lifecycle instants;
+* the engine steps, from the timeline's step spans;
 * the simulated-domain records of ``obs.tracer()``, in record order;
 * every ``serving.*`` metric in the registry;
 * every flight record (``to_dict()``);
@@ -39,7 +39,7 @@ from repro.serving.faults import FaultPlan
 from repro.serving.paged_kv import PagedKVManager
 from repro.serving.request import Request
 from repro.serving.systems import build_system
-from repro.serving.trace import STEP_SPAN_CAT, EngineTracer
+from repro.serving.trace import STEP_SPAN_CAT
 from repro.serving.workload import make_overload_trace
 
 from test_vectorized_engine import _same_length_burst, _scenarios
@@ -137,26 +137,25 @@ def _observe(name):
     clear_latency_memo()
     registry, spans = obs.enable(MetricsRegistry(), SpanTracer())
     live = live_obs.attach(capacity=len(reqs))
-    tracer = EngineTracer()
     try:
-        engine.run(reqs, tracer=tracer, faults=faults)
+        engine.run(reqs, faults=faults)
     finally:
         live_obs.detach()
         obs.disable()
     flights = live.flights
     assert not flights.active_ids()
+    sim = [r for r in spans.records if r.domain == "sim"]
     return _jsonable({
-        "tracer_steps": [
-            [i, s.start, s.dt, s.kind, s.batch,
-             s.decode_tokens, s.prefill_tokens, s.context_tokens]
-            for i, s in enumerate(tracer.steps)
+        "steps": [
+            [a["index"], r.start, r.duration, a["kind"], a["batch"],
+             a["decode_tokens"], a["prefill_tokens"], a["context_tokens"]]
+            for r in sim if r.cat == STEP_SPAN_CAT for a in (r.attrs,)
         ],
-        "tracer_events": [_span(e) for e in tracer.events()],
-        # Step spans carry the tracer's steps (pinned above); only their
-        # place in the order is kept here.
+        # Step spans are pinned above; only their place in the order is
+        # kept here.
         "obs_sim_records": [
             ["step", r.attrs["index"]] if r.cat == STEP_SPAN_CAT else _span(r)
-            for r in spans.records if r.domain == "sim"
+            for r in sim
         ],
         "metrics": {
             f.name: _metric(f) for f in registry.collect()
@@ -178,15 +177,20 @@ def test_observers_match_golden(name):
 
 
 def test_goldens_exercise_every_observer_path():
-    """Between them, the pinned runs hit every step kind, every tracer
+    """Between them, the pinned runs hit every step kind, every lifecycle
     instant, every flight-recorder event and every serving counter."""
     with GOLDENS_PATH.open() as fh:
         goldens = list(json.load(fh).values())
-    assert {s[3] for g in goldens for s in g["tracer_steps"]} == {
+    assert {s[3] for g in goldens for s in g["steps"]} == {
         "prefill", "decode", "mixed",
     }
-    assert {e[1] for g in goldens for e in g["tracer_events"]} == {
-        "rejected", "timed_out", "failed", "retry", "fault",
+    assert {
+        r[0] for g in goldens for r in g["obs_sim_records"] if r[0] != "step"
+    } == {
+        "serving.fault", *(f"serving.request.{stage}" for stage in (
+            "queued", "prefill", "decode", "finished", "preempted",
+            "rejected", "retry", "failed", "timed_out",
+        )),
     }
     assert {
         e["event"] for g in goldens for f in g["flights"]

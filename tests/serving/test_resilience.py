@@ -18,7 +18,7 @@ from repro.serving.request import (
     make_batch_requests,
 )
 from repro.serving.systems import build_system
-from repro.serving.trace import EngineTracer
+from repro.serving.trace import STEP_SPAN_CAT, EngineEvents
 from repro.serving.workload import make_overload_trace, make_poisson_trace
 
 
@@ -186,7 +186,7 @@ class TestDeadlines:
 
 
 class TestGracefulDegradation:
-    def _overloaded(self, degrade, tracer=None, **cfg):
+    def _overloaded(self, degrade, sink=None, **cfg):
         eng = engine(
             max_batch=48, hbm_bytes=20e9, reserve_full_sequence=False,
             degrade_under_pressure=degrade, **cfg,
@@ -194,7 +194,7 @@ class TestGracefulDegradation:
         reqs = make_overload_trace(
             40, eng.kv.token_capacity, overload=1.5, seed=5
         )
-        return eng, eng.run(reqs, tracer=tracer)
+        return eng, eng.run(reqs, sink=sink)
 
     def test_degradation_reduces_preemption_thrash(self):
         _, base = self._overloaded(degrade=False)
@@ -209,12 +209,16 @@ class TestGracefulDegradation:
 
     def test_degradation_never_raises_a_small_prefill_chunk(self):
         # A configured chunk below block_tokens is the shrink floor too.
-        tracer = EngineTracer()
-        _, report = self._overloaded(
-            degrade=True, tracer=tracer, prefill_chunk_tokens=8
-        )
+        _, spans = obs.enable()
+        try:
+            _, report = self._overloaded(degrade=True, prefill_chunk_tokens=8)
+        finally:
+            obs.disable()
         assert report.degraded_steps > 0
-        assert max(s.prefill_tokens for s in tracer.steps) == 8
+        assert max(
+            r.attrs["prefill_tokens"] for r in spans.records
+            if r.cat == STEP_SPAN_CAT and r.domain == "sim"
+        ) == 8
 
     def test_degraded_steps_counted_as_they_run(self):
         # A mid-run read of the telemetry counter already sees the
@@ -222,12 +226,12 @@ class TestGracefulDegradation:
         registry, _ = obs.enable(MetricsRegistry())
         seen = []
 
-        class MidRunReader(EngineTracer):
+        class MidRunReader(EngineEvents):
             def step_end(self, step, tokens):
                 seen.append(registry.get("serving.degraded_steps_total").value)
 
         try:
-            _, report = self._overloaded(degrade=True, tracer=MidRunReader())
+            _, report = self._overloaded(degrade=True, sink=MidRunReader())
             final = registry.get("serving.degraded_steps_total").value
         finally:
             obs.disable()

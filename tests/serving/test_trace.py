@@ -1,5 +1,6 @@
-"""Tests for engine execution tracing: the in-memory :class:`EngineTracer`
-and the engine steps the telemetry sink puts on the obs timeline."""
+"""Tests for engine execution tracing: the steps the engine reports to an
+event sink, and the steps and lifecycle instants the telemetry sink puts
+on the obs timeline."""
 
 import json
 
@@ -12,7 +13,7 @@ from repro.serving.engine import EngineConfig, ServingEngine
 from repro.serving.faults import FaultPlan
 from repro.serving.request import make_batch_requests
 from repro.serving.systems import build_system
-from repro.serving.trace import STEP_SPAN_CAT, EngineTracer, Step
+from repro.serving.trace import STEP_SPAN_CAT, EngineEvents, Step
 from repro.serving.workload import make_overload_trace
 
 
@@ -23,14 +24,44 @@ def _obs_off():
     obs.disable()
 
 
+class StepRecorder(EngineEvents):
+    """A sink that keeps the steps of a run, in the order reported."""
+
+    def __init__(self):
+        self.steps = []
+
+    def step_cost(self, step):
+        self.steps.append(step)
+
+
 def traced_run(**cfg):
     eng = ServingEngine(
         get_model_config("llama-3-8b"), build_system("comet"),
         config=EngineConfig(**cfg),
     )
-    tracer = EngineTracer()
-    report = eng.run(make_batch_requests(4, 64, 8), tracer=tracer)
+    tracer = StepRecorder()
+    report = eng.run(make_batch_requests(4, 64, 8), sink=tracer)
     return report, tracer
+
+
+def chaos_run():
+    """A tiny-model run under overload, SLOs and every fault kind, with
+    telemetry on: its report and the obs simulated-domain records."""
+    eng = ServingEngine(
+        tiny_config(), build_system("comet"),
+        config=EngineConfig(max_batch=8, hbm_bytes=1e6, max_retries=1),
+    )
+    reqs = make_overload_trace(
+        60, eng.kv.token_capacity, overload=2.0, burst_seconds=0.01,
+        e2e_slo=0.08, seed=1,
+    )
+    faults = FaultPlan(seed=3, step_fault_rate=0.05, kv_loss_rate=0.4,
+                       request_abort_rate=0.5)
+    _, spans = obs.enable()
+    tracer = StepRecorder()
+    report = eng.run(reqs, sink=tracer, faults=faults)
+    records = [r for r in spans.records if r.domain == "sim"]
+    return report, tracer, records
 
 
 def sim_step_spans(records):
@@ -38,6 +69,8 @@ def sim_step_spans(records):
 
 
 class TestEngineTracer:
+    """The steps a recording sink receives."""
+
     def test_steps_cover_run(self):
         report, tracer = traced_run(max_batch=4)
         assert len(tracer.steps) > 0
@@ -69,18 +102,23 @@ class TestEngineTracer:
         )
         from repro.serving.request import Request
 
-        tracer = EngineTracer()
+        tracer = StepRecorder()
         reqs = [Request(0, 16, 8), Request(1, 128, 4, arrival_time=1e-9)]
-        eng.run(reqs, tracer=tracer)
+        eng.run(reqs, sink=tracer)
         kinds = {s.kind for s in tracer.steps}
         assert "mixed" in kinds or "prefill" in kinds
         mixed = [s for s in tracer.steps if s.kind == "mixed"]
         assert all(s.prefill_tokens > 0 and s.decode_tokens > 0 for s in mixed)
 
     def test_empty_tracer(self):
-        t = EngineTracer()
-        assert t.steps == []
-        assert t.events() == []
+        # A sink that consumes no event holds the loop to one step per
+        # iteration and changes nothing in the run.
+        report, _ = traced_run(max_batch=4)
+        eng = ServingEngine(
+            get_model_config("llama-3-8b"), build_system("comet"),
+            config=EngineConfig(max_batch=4),
+        )
+        assert eng.run(make_batch_requests(4, 64, 8), sink=EngineEvents()) == report
 
     def test_chrome_trace_export(self, tmp_path):
         # The merged obs export carries one pid-0 step event per traced step.
@@ -94,19 +132,25 @@ class TestEngineTracer:
         assert events[0]["dur"] > 0
 
     def test_records_export(self):
-        # Instants are the tracer's own sim records; a clean run has none.
-        _, tracer = traced_run(max_batch=4)
-        assert tracer.events() == []
-        t = EngineTracer()
-        req = make_batch_requests(1, 8, 2)[0]
-        t.retry(req, 1.5, "kv loss")
-        t.fault("straggler", 2.0)
-        first, second = t.events()
-        assert (first.span_id, second.span_id) == (0, 1)
-        assert first.name == "engine.retry" and first.cat == "retry"
-        assert first.instant and first.domain == "sim" and first.start == 1.5
-        assert first.attrs == {"request_id": 0, "reason": "kv loss", "attempt": 0}
-        assert second.attrs == {"kind": "straggler"}
+        # Lifecycle instants are telemetry's sim records: a clean run
+        # writes no failure instant; a chaos run's carry their causes.
+        _, spans = obs.enable()
+        traced_run(max_batch=4)
+        stages = {r.name for r in spans.records if r.instant}
+        assert stages == {
+            f"serving.request.{s}"
+            for s in ("queued", "prefill", "decode", "finished")
+        }
+        obs.disable()
+        _, _, records = chaos_run()
+        retry = next(r for r in records if r.name == "serving.request.retry")
+        assert retry.instant and retry.cat == "request"
+        assert set(retry.attrs) == {
+            "request_id", "prompt_len", "attempt", "reason",
+        }
+        assert retry.attrs["attempt"] == 1
+        fault = next(r for r in records if r.name == "serving.fault")
+        assert fault.cat == "fault" and "kind" in fault.attrs
 
     def test_step_trace_end(self):
         _, tracer = traced_run(max_batch=4)
@@ -146,37 +190,21 @@ class TestSpanMigration:
             )
 
     def test_steps_forwarded_to_global_tracer_when_enabled(self):
-        # With a tracer attached to a chaos run, obs holds each step and
-        # each tracer instant once, written by telemetry.
-        eng = ServingEngine(
-            tiny_config(), build_system("comet"),
-            config=EngineConfig(max_batch=8, hbm_bytes=1e6, max_retries=1),
-        )
-        reqs = make_overload_trace(
-            60, eng.kv.token_capacity, overload=2.0, burst_seconds=0.01,
-            e2e_slo=0.08, seed=1,
-        )
-        faults = FaultPlan(seed=3, step_fault_rate=0.05, kv_loss_rate=0.4,
-                           request_abort_rate=0.5)
-        _, spans = obs.enable()
-        tracer = EngineTracer()
-        eng.run(reqs, tracer=tracer, faults=faults)
-        records = [r for r in spans.records if r.domain == "sim"]
+        # With a sink attached to a chaos run, obs holds each step once
+        # and one instant per counted failure event, written by telemetry.
+        report, tracer, records = chaos_run()
         assert len(sim_step_spans(records)) == len(tracer.steps)
         assert not [r for r in records if r.name.startswith("engine.")]
-        names = {"rejected": "serving.request.rejected",
-                 "timed_out": "serving.request.timed_out",
-                 "failed": "serving.request.failed",
-                 "retry": "serving.request.retry", "fault": "serving.fault"}
-        mirrored = [
-            (names[e.cat], e.start, e.attrs) for e in tracer.events()
-        ]
-        written = [
-            (r.name, r.start, {k: v for k, v in r.attrs.items()
-                               if k != "prompt_len"})
-            for r in records if r.name in names.values()
-        ]
-        assert mirrored and written == mirrored
+        names = [r.name for r in records if r.instant]
+        counts = {
+            "serving.fault": report.faults_injected,
+            "serving.request.rejected": report.requests_rejected,
+            "serving.request.timed_out": report.requests_timed_out,
+            "serving.request.failed": report.requests_failed,
+            "serving.request.retry": report.retries,
+        }
+        assert report.faults_injected and report.retries
+        assert {name: names.count(name) for name in counts} == counts
 
     def test_steps_reach_obs_without_a_tracer(self):
         # A twin run's tracer steps, then an obs-enabled run with none.
