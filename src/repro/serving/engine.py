@@ -488,7 +488,8 @@ class _Run:
             # The run's first decode step has no gap before it.
             last = self.last_decode_clock
             clocks[0] = clocks[1] if last is None else last
-            self.max_decode_gap = max(self.max_decode_gap, *map(sub, clocks[1:], clocks))
+            gaps = map(sub, clocks[1:], clocks)
+            self.max_decode_gap = max(self.max_decode_gap, *gaps)
             self.last_decode_clock = self.clock
 
     def reject(self, req: Request, reason: str) -> None:
@@ -651,9 +652,8 @@ class _Run:
                 if n_dec < n_run:
                     pf_i = int(np.flatnonzero(~state.decoding)[0])
                     prefill_req = state.reqs[pf_i]
-                    chunk = min(
-                        sched.chunk, prefill_req.prompt_len - prefill_req.prefill_progress
-                    )
+                    chunk = min(sched.chunk, prefill_req.prompt_len
+                                - prefill_req.prefill_progress)
                 dec_context = int(state.ctx[dec_idx].sum()) if n_dec else 0
                 kv_rows = state.kv_row[dec_idx]
                 # Event horizon (see run's docstring); arrivals bound k once
@@ -695,7 +695,7 @@ class _Run:
                 if k > 1:
                     # Stop at the step whose clock reaches the next arrival
                     # or retry wake-up.
-                    wake = sched.wake_after(self.clock)
+                    wake = sched.next_wake(after=self.clock)
                     if wake != float("inf"):
                         clocks = list(accumulate(dts, initial=self.clock))
                         k = min(k, bisect_left(clocks, wake))

@@ -196,8 +196,9 @@ def _outcome(engine, reqs, sink=None):
 def test_multi_step_iterations_match_single_steps(cfg, reqs):
     # Detached, the engine advances a pure-decode batch to its next event
     # in one iteration; any attached sink, even one that consumes no
-    # event, holds it to one step per iteration.  Both must produce the same run, float for float.
-    # Arrivals spread over many steps, so some land mid-horizon.
+    # event, holds it to one step per iteration.  Both must produce the
+    # same run, float for float.  Arrivals spread over many steps, so
+    # some land mid-horizon.
     twin = copy.deepcopy(reqs)
     engine = ServingEngine(
         MODEL, SYSTEM, config=EngineConfig(max_steps=_MAX_STEPS, **cfg)
