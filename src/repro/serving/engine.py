@@ -541,49 +541,38 @@ class _Run:
             i += 1
         self.arrived = i
 
-    def prefill(self, i: int, tokens: int) -> None:
-        """Row ``i``'s prompt computed ``tokens`` more tokens; once the
-        whole prompt is in, the request decodes from the next step."""
-        req, state = self.state.reqs[i], self.state
-        req.prefill_progress += tokens
-        state.set_prefill_progress(i, req.prefill_progress)
-        if req.prefill_progress >= req.prompt_len:
-            req.phase = Phase.DECODE
-            state.mark_decode(i)
-            for sink in self.sinks:
-                sink.prefill_done(req, self.clock)
-
     def start_request(self, req: Request) -> None:
-        """Batch entry of an admitted request, then its whole-prompt
-        prefill (when not chunking), serialized before decoding: a step of
-        its own."""
+        """Post-admission bookkeeping: the whole-prompt prefill (when not
+        chunking), a step of its own serialized before decoding, and
+        batch entry."""
         engine, sinks = self.engine, self.sinks
         req.phase = Phase.PREFILL
         for sink in sinks:
             sink.admit(req, self.clock)
+        if self.config.prefill_chunk_tokens is None:
+            n, step_overhead = req.prompt_len, self.config.step_overhead
+            with obs.span(
+                "engine.step", cat="serving", kind="prefill", batch=1,
+                prefill_tokens=n,
+            ):
+                gemm = engine.linear_stack_latency(n)
+                attn = engine.prefill_attention_time(n)
+                dt = gemm + attn + step_overhead
+            step = Step(
+                "prefill", self.clock, self.clock + dt, dt, 1, 0, n, n, gemm,
+                attn, 0.0, step_overhead, req.request_id, serialized=True,
+            ) if sinks else None
+            self.charge("prefill", [dt], gemm, [attn], step)
+            req.prefill_progress = n
+            req.phase = Phase.DECODE
+            if sinks:
+                for sink in sinks:
+                    sink.prefill_done(req, self.clock)
+                    sink.step_end(step, 0)
+                self.arrive_due()  # the prefill moved the clock
         # Request aborts only hit a request's first attempt.
         abort_at = self.abort_points.get(req.request_id, -1) if req.retries == 0 else -1
         self.state.add(req, self.kv.sequence_row(req.request_id), abort_at)
-        if self.config.prefill_chunk_tokens is not None:
-            return
-        n, step_overhead = req.prompt_len, self.config.step_overhead
-        with obs.span(
-            "engine.step", cat="serving", kind="prefill", batch=1,
-            prefill_tokens=n,
-        ):
-            gemm = engine.linear_stack_latency(n)
-            attn = engine.prefill_attention_time(n)
-            dt = gemm + attn + step_overhead
-        step = Step(
-            "prefill", self.clock, self.clock + dt, dt, 1, 0, n, n, gemm, attn,
-            0.0, step_overhead, req.request_id, serialized=True,
-        ) if sinks else None
-        self.charge("prefill", [dt], gemm, [attn], step)
-        self.prefill(len(self.state) - 1, n)
-        if sinks:
-            for sink in sinks:
-                sink.step_end(step, 0)
-            self.arrive_due()  # the prefill moved the clock
 
     def settle(self, i: int, keep: np.ndarray) -> None:
         """Lifecycle of row ``i`` right after it decoded a token: the
@@ -733,7 +722,14 @@ class _Run:
                 # the engine retries the same work next iteration.
                 if fault is None or fault.kind is not FaultKind.KERNEL_FAULT:
                     if chunk:
-                        self.prefill(pf_i, chunk)
+                        prefill_req.prefill_progress += chunk
+                        state.set_prefill_progress(pf_i, prefill_req.prefill_progress)
+                        if prefill_req.prefill_progress >= prefill_req.prompt_len:
+                            # First decode happens next iteration.
+                            prefill_req.phase = Phase.DECODE
+                            state.mark_decode(pf_i)
+                            for sink in sinks:
+                                sink.prefill_done(prefill_req, self.clock)
                     if n_dec and kv.append_token_many(kv_rows, k):
                         state.advance(dec_idx, k)
                         tokens = n_dec * k
