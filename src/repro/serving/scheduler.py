@@ -45,6 +45,12 @@ class Scheduler:
         self.max_batch = config.max_batch
         self.chunk = config.prefill_chunk_tokens
         self._hot = self._cool = 0  # consecutive hot / cool steps
+        # The two admission queues, in admission order: (the due head, its
+        # pop, the reason a lapsed head is shed with).
+        self._sources = (
+            (self._due_retry, self.retry_queue.pop, "expired during retry backoff"),
+            (self._due_arrival, self.waiting.popleft, "expired while waiting"),
+        )
 
     def infeasible_reason(self, req: Request) -> str | None:
         """Why this request can never be served, or None if it can."""
@@ -118,12 +124,9 @@ class Scheduler:
         if self.has_slos:
             for req in self.expiry.expired(run.clock):
                 run.expire(req, "expired while waiting")
-        for due, pop, shed in (
-            (self._due_retry, self.retry_queue.pop,
-             "expired during retry backoff"),
-            (self._due_arrival, self.waiting.popleft, "expired while waiting"),
-        ):
-            while len(run.state) < self.max_batch:
+        state = run.state
+        for due, pop, shed in self._sources:
+            while len(state) < self.max_batch:
                 req = due(run.clock)
                 if req is None:
                     break
