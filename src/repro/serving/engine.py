@@ -378,9 +378,10 @@ class ServingEngine:
           request's full sequence, so decoding never runs out of KV blocks
           — the deterministic max-batch setting of the paper's evaluation;
         * ``reserve_full_sequence=False``: admission is optimistic (prompt
-          only) and the engine preempts the most recently admitted decoding
-          sequence, the growing one included (recompute-style, as in vLLM),
-          when the pool runs dry; the oldest request always progresses.
+          only) and the engine preempts the most recently admitted running
+          sequence, prefilling or decoding, the growing one included
+          (recompute-style, as in vLLM), when the pool runs dry; the oldest
+          request always progresses.
 
         The run never raises on per-request trouble: requests that can
         never fit the KV pool are ``REJECTED``, requests whose SLOs expire

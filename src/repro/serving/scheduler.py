@@ -45,12 +45,6 @@ class Scheduler:
         self.max_batch = config.max_batch
         self.chunk = config.prefill_chunk_tokens
         self._hot = self._cool = 0  # consecutive hot / cool steps
-        # The two admission queues, in admission order: (the due head, its
-        # pop, the reason a lapsed head is shed with).
-        self._sources = (
-            (self._due_retry, self.retry_queue.pop, "expired during retry backoff"),
-            (self._due_arrival, self.waiting.popleft, "expired while waiting"),
-        )
 
     def infeasible_reason(self, req: Request) -> str | None:
         """Why this request can never be served, or None if it can."""
@@ -97,53 +91,51 @@ class Scheduler:
         while self.waiting and self.waiting[0].is_terminal:
             self.waiting.popleft()
 
-    def _due_retry(self, clock: float) -> Request | None:
-        """The first backed-off retry due by ``clock``.  Entries the
-        deadline sweep shed while they backed off are dropped."""
-        retry_queue = self.retry_queue
-        while retry_queue and retry_queue.next_ready_time() <= clock:
-            req = retry_queue.peek()
-            if not req.is_terminal:
-                return req
-            retry_queue.pop()
-        return None
-
-    def _due_arrival(self, clock: float) -> Request | None:
-        """The queue head, if it has arrived by ``clock``."""
-        self.clean_waiting()
-        head = self.waiting[0] if self.waiting else None
-        return head if head is not None and head.arrival_time <= clock else None
+    def _lapsed(self, req: Request, clock: float) -> bool:
+        """Whether a queued request is past its TTFT or e2e deadline."""
+        return self.has_slos and clock > min(req.e2e_deadline, req.ttft_deadline)
 
     def admissions(self, run: _Run) -> Iterator[Request]:
         """The requests to admit now, one at a time: after shedding every
         queued request past its deadline, the due retries (accepted once,
         they go first), then the arrivals, each until one does not fit or
-        the batch is full; a request that can never fit is refused and a
-        lapsed one shed on the way.  ``run`` starts each before asking for
-        the next, so deadlines are read at the clock its prefill moved."""
+        the batch is full; a lapsed request is shed and an arrival that
+        can never fit refused on the way.  ``run`` starts each before
+        asking for the next, so deadlines are read at the clock its
+        prefill moved."""
         if self.has_slos:
             for req in self.expiry.expired(run.clock):
                 run.expire(req, "expired while waiting")
-        state = run.state
-        for due, pop, shed in self._sources:
-            while len(state) < self.max_batch:
-                req = due(run.clock)
-                if req is None:
-                    break
-                reason = self.infeasible_reason(req)  # None for every retry
-                if reason is not None:
-                    pop()
-                    run.reject(req, reason)
-                elif self.has_slos and run.clock > min(
-                    req.e2e_deadline, req.ttft_deadline
-                ):
-                    pop()
-                    run.expire(req, shed)
-                elif self.try_admit(req):
-                    pop()
-                    yield req
-                else:
-                    break
+        state, retries, waiting = run.state, self.retry_queue, self.waiting
+        while len(state) < self.max_batch and retries.next_ready_time() <= run.clock:
+            req = retries.peek()
+            if req.is_terminal:  # shed by the deadline sweep while backing off
+                retries.pop()
+            elif self._lapsed(req, run.clock):
+                retries.pop()
+                run.expire(req, "expired during retry backoff")
+            elif self.try_admit(req):
+                retries.pop()
+                yield req
+            else:
+                break
+        while len(state) < self.max_batch:
+            self.clean_waiting()
+            if not waiting or waiting[0].arrival_time > run.clock:
+                break
+            req = waiting[0]
+            reason = self.infeasible_reason(req)
+            if reason is not None:
+                waiting.popleft()
+                run.reject(req, reason)
+            elif self._lapsed(req, run.clock):
+                waiting.popleft()
+                run.expire(req, "expired while waiting")
+            elif self.try_admit(req):
+                waiting.popleft()
+                yield req
+            else:
+                break
 
     def refuse_head(self, run: _Run) -> None:
         """A due request could not enter an empty pool although the
@@ -185,11 +177,12 @@ class Scheduler:
     @staticmethod
     def victim(running: list[Request]) -> int:
         """Row to preempt when a decoder cannot take its next KV block:
-        the most recently admitted decoding request, the growing one
-        included (vLLM's rule).  A request is only ever evicted in favour
-        of an older one, so the oldest always makes progress."""
+        the most recently admitted request still running, whether it
+        decodes or prefills, the growing one included (vLLM's rule).  A
+        request is only ever evicted in favour of an older one, so the
+        oldest always makes progress."""
         for j in range(len(running) - 1, -1, -1):
-            if running[j].phase is Phase.DECODE:
+            if running[j].phase in (Phase.PREFILL, Phase.DECODE):
                 return j
         raise AssertionError("a growing row is always decoding")
 

@@ -11,14 +11,17 @@ SLOs — every run of a small-model workload must satisfy:
   requests hold;
 * a KV pool fully freed at exit;
 * the cost ledger's per-request components summing to each e2e;
+* every preemption evicting the most recently admitted running request;
 * one lifecycle instant on the obs timeline per counted fault, failure,
   retry, rejection and timeout, and one ``queued`` instant per request;
 * obs telemetry, which counts engine events, agreeing with the report,
   which folds the requests' end state.
 
 Every run must also terminate well within ``_MAX_STEPS``: under
-optimistic admission the preemption victim is the newest decoder, the
-growing one included, so the oldest request always makes progress.
+optimistic admission the preemption victim is the newest running
+request, prefilling or decoding, the growing one included, so the oldest
+request always makes progress.  Some prompts are long enough that a
+chunked prefill outlasts a block's worth of an older request's decode.
 """
 
 import copy
@@ -79,6 +82,10 @@ _configs = st.fixed_dictionaries({
 
 _slo = st.one_of(st.none(), st.floats(1e-3, 3e-2))
 
+# Mostly short prompts, with some long enough that a chunked prefill
+# outlasts a block's worth of decode steps of an older request.
+_prompt_lens = st.one_of(st.integers(1, 64), st.integers(65, 320))
+
 
 @st.composite
 def _workloads(draw, max_arrival=2e-3):
@@ -89,7 +96,7 @@ def _workloads(draw, max_arrival=2e-3):
     return [
         Request(
             i,
-            prompt_len=draw(st.integers(1, 64)),
+            prompt_len=draw(_prompt_lens),
             max_new_tokens=draw(st.integers(1, 64)),
             arrival_time=draw(st.floats(0.0, max_arrival)),
             ttft_slo=ttft_slo,
@@ -97,6 +104,26 @@ def _workloads(draw, max_arrival=2e-3):
         )
         for i in range(n)
     ]
+
+
+class _VictimCheck(EngineEvents):
+    """Checks the victim rule on the event stream: every preemption evicts
+    the most recently admitted request still running."""
+
+    def __init__(self):
+        self.running = []  # request ids, in admission order
+
+    def admit(self, req, clock):
+        self.running.append(req.request_id)
+
+    def preempt(self, req, clock, lost):
+        assert self.running.pop() == req.request_id
+
+    def leave(self, req, clock, *_):
+        if req.request_id in self.running:
+            self.running.remove(req.request_id)
+
+    finish = retry = fail = timeout = leave
 
 
 def _attributed(record):
@@ -108,7 +135,7 @@ def _attributed(record):
 
 
 @given(cfg=_configs, reqs=_workloads(), faults=_faults)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_engine_invariants(cfg, reqs, faults):
     engine = ServingEngine(
         MODEL, SYSTEM, config=EngineConfig(max_steps=_MAX_STEPS, **cfg)
@@ -116,7 +143,7 @@ def test_engine_invariants(cfg, reqs, faults):
     registry, spans = obs.enable(MetricsRegistry())
     live = live_obs.attach(window_seconds=1.0)
     try:
-        report = engine.run(reqs, faults=faults)
+        report = engine.run(reqs, sink=_VictimCheck(), faults=faults)
     finally:
         live_obs.detach()
         obs.disable()
@@ -212,8 +239,8 @@ def test_multi_step_iterations_match_single_steps(cfg, reqs):
 def test_optimistic_preemption_makes_progress():
     # Three requests that cannot all fit a 7-block pool.  A victim rule
     # that spares the growing row lets two of them evict each other
-    # forever; preempting the newest decoder, the grower included, lets
-    # the oldest request always progress.
+    # forever; preempting the newest running request, the grower
+    # included, lets the oldest request always progress.
     engine = ServingEngine(MODEL, SYSTEM, config=EngineConfig(
         hbm_bytes=_hbm_for(112), reserve_full_sequence=False,
         prefill_chunk_tokens=48, max_steps=5_000,
@@ -226,3 +253,21 @@ def test_optimistic_preemption_makes_progress():
     ]
     report = engine.run(reqs)
     assert report.requests_completed == 3
+
+
+def test_preemption_evicts_a_newer_prefilling_row():
+    # Two long prompts in a 41-block pool, prefilled 16 tokens a step: the
+    # older request runs dry 17 tokens into its decode, while the newer
+    # one is still on its 20-step prefill.  A victim rule that looks only
+    # at decoders evicts the grower itself, and the two requests then
+    # evict each other forever; the newest running row, prefilling or
+    # not, must go instead.
+    engine = ServingEngine(MODEL, SYSTEM, config=EngineConfig(
+        hbm_bytes=_hbm_for(41 * 16), reserve_full_sequence=False,
+        prefill_chunk_tokens=16, max_steps=5_000,
+    ))
+    assert engine.kv.num_blocks == 41
+    reqs = [Request(i, prompt_len=320, max_new_tokens=100) for i in range(2)]
+    report = engine.run(reqs)
+    assert report.requests_completed == 2
+    assert [r.preemptions for r in reqs] == [0, 1]
