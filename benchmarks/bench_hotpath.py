@@ -15,8 +15,12 @@ Guards the two vectorized inference hot paths against regressions:
   transformer with a KV4 cache, the number a serving stack actually ships.
 * **Simulated serving** — tok/s and latency tails on the simulated clock,
   on a tiny model and on llama-3-8b at the Fig. 10 1024/512 shape.
-* **Cost model** — µs per cold-memo `GEMMKernel.latency` call against
-  tile count, beside the replaced per-tile path's cost.
+* **Cost model** (also ``--costmodel``, alone) — µs per cold-memo
+  `GEMMKernel.latency` call against tile count, beside the replaced
+  per-tile path's cost.
+* **Scale** (``--scale``, run alone) — engine step-loop overhead with
+  1k/4k/10k queued requests, detached and with live obs attached, gated
+  against per-step ceilings (``hotpath_scale``).
 * **Footprint** (``--footprint``, run alone) — what the serving path
   loads and keeps: the fresh-interpreter import of
   ``repro.serving.engine`` (seconds, modules, RSS), the bytes of the
@@ -653,6 +657,31 @@ def emit_footprint(rows, mode: str) -> None:
     )
 
 
+def emit_costmodel(rows: list[dict], mode: str) -> None:
+    """Write the cost-model rows: the text table and ``hotpath_costmodel``
+    in ``BENCH_serving.json``."""
+    emit(
+        "hotpath_costmodel",
+        format_table(
+            "Cost model — one cold-memo GEMMKernel.latency call",
+            ["kernel", "model", "m", "tiles/call", "us/call",
+             "per-tile us/call", "speedup"],
+            [
+                [r["kernel"], r["model"], r["m"], r["tiles_per_call"],
+                 r["us_per_call"], r["per_tile_us_per_call"], r["speedup"]]
+                for r in rows
+            ],
+            notes=[
+                "us/call: tile-class costing, latency memo cleared first;",
+                "per-tile us/call: the replaced per-tile path (see",
+                "PER_TILE_US_PER_CALL for its hardware).",
+            ],
+        ),
+    )
+    emit_json("hotpath_costmodel", {"mode": mode, "rows": rows},
+              trajectory="serving")
+
+
 def emit_scale(rows: list[dict], mode: str) -> None:
     """Write the scale rows: the text table and ``hotpath_scale`` in
     ``BENCH_serving.json``."""
@@ -689,7 +718,7 @@ def emit_scale(rows: list[dict], mode: str) -> None:
 # ------------------------------------------------------------- harnessing
 
 
-def run_all(smoke: bool = False, scale: bool = False) -> dict:
+def run_all(smoke: bool = False) -> dict:
     maybe_emit_metrics()
     kv_args = SMOKE_KV if smoke else FULL_KV
     gemm_args = SMOKE_GEMM if smoke else FULL_GEMM
@@ -706,10 +735,6 @@ def run_all(smoke: bool = False, scale: bool = False) -> dict:
             **(SMOKE_COSTMODEL if smoke else FULL_COSTMODEL)
         ),
     }
-    if scale:
-        results["scale"] = run_scale_bench(
-            **(SMOKE_SCALE if smoke else FULL_SCALE)
-        )
 
     kv = results["kvcache"]
     emit(
@@ -770,27 +795,7 @@ def run_all(smoke: bool = False, scale: bool = False) -> dict:
                    "llama-3-8b rows: Fig. 10 at 1024/512, all requests at t=0."],
         ),
     )
-    costmodel = results["costmodel"]
-    emit(
-        "hotpath_costmodel",
-        format_table(
-            "Cost model — one cold-memo GEMMKernel.latency call",
-            ["kernel", "model", "m", "tiles/call", "us/call",
-             "per-tile us/call", "speedup"],
-            [
-                [r["kernel"], r["model"], r["m"], r["tiles_per_call"],
-                 r["us_per_call"], r["per_tile_us_per_call"], r["speedup"]]
-                for r in costmodel
-            ],
-            notes=[
-                "us/call: tile-class costing, latency memo cleared first;",
-                "per-tile us/call: the replaced per-tile path (see",
-                "PER_TILE_US_PER_CALL for its hardware).",
-            ],
-        ),
-    )
-    if scale:
-        emit_scale(results["scale"], results["mode"])
+    emit_costmodel(results["costmodel"], results["mode"])
     for name in ("kvcache", "gemm", "decode"):
         emit_json(f"hotpath_{name}", {"mode": results["mode"], "rows": results[name]})
     # Simulated serving numbers are deterministic, so they also feed the
@@ -798,11 +803,6 @@ def run_all(smoke: bool = False, scale: bool = False) -> dict:
     emit_json(
         "hotpath_serving",
         {"mode": results["mode"], "rows": serving},
-        trajectory="serving",
-    )
-    emit_json(
-        "hotpath_costmodel",
-        {"mode": results["mode"], "rows": costmodel},
         trajectory="serving",
     )
     return results
@@ -865,9 +865,10 @@ def main() -> None:
     parser.add_argument(
         "--scale",
         action="store_true",
-        help="also run the high-concurrency scaling tiers (1k/4k/10k "
-        "queued requests; 1k only with --smoke) and enforce the "
-        "step-overhead ceilings and the observability budget",
+        help="run only the high-concurrency scaling tiers (1k/4k/10k "
+        "queued requests; 1k only with --smoke), enforce the "
+        "step-overhead ceilings and the observability budget, and write "
+        "only the hotpath_scale rows",
     )
     parser.add_argument(
         "--footprint",
@@ -875,22 +876,36 @@ def main() -> None:
         help="run only the footprint section: engine import cost, request "
         "and drained-pool bytes (the hotpath_footprint rows)",
     )
+    parser.add_argument(
+        "--costmodel",
+        action="store_true",
+        help="run only the cost-model section: cold-memo "
+        "GEMMKernel.latency calls (the hotpath_costmodel rows)",
+    )
     args = parser.parse_args()
+    mode = "smoke" if args.smoke else "full"
     if args.footprint:
-        mode = "smoke" if args.smoke else "full"
         emit_footprint(
             run_footprint_bench(
                 **(SMOKE_FOOTPRINT if args.smoke else FULL_FOOTPRINT)
             ),
             mode,
         )
-        return
-    results = run_all(smoke=args.smoke, scale=args.scale)
-    if args.scale:
-        broken = scale_gate(results["scale"], smoke=args.smoke)
+    elif args.scale:
+        rows = run_scale_bench(**(SMOKE_SCALE if args.smoke else FULL_SCALE))
+        emit_scale(rows, mode)
+        broken = scale_gate(rows, smoke=args.smoke)
         if broken:
             raise SystemExit("scale regression: " + "; ".join(broken))
-
+    elif args.costmodel:
+        emit_costmodel(
+            run_costmodel_bench(
+                **(SMOKE_COSTMODEL if args.smoke else FULL_COSTMODEL)
+            ),
+            mode,
+        )
+    else:
+        run_all(smoke=args.smoke)
 
 if __name__ == "__main__":
     main()

@@ -42,8 +42,9 @@ def bank_conflict_degree(byte_addresses: np.ndarray, num_banks: int = 32) -> int
     words = addrs // _BANK_WORD_BYTES
     banks = words % num_banks
     degree = 1
-    for bank in np.unique(banks):
-        distinct_words = len(np.unique(words[banks == bank]))
+    # ``return_counts`` keeps np.unique from importing numpy.ma.
+    for bank in np.unique(banks, return_counts=True)[0]:
+        distinct_words = len(np.unique(words[banks == bank], return_counts=True)[0])
         degree = max(degree, distinct_words)
     return int(degree)
 

@@ -57,35 +57,48 @@ class ScheduleResult:
         span = self.makespan - self.sync_time
         if span <= 0:
             return 1.0
-        return float(self.per_sm_busy.mean() / span)
+        # The mean as numpy takes it (a pairwise sum), without its overhead.
+        return float(self.per_sm_busy.sum() / len(self.per_sm_busy) / span)
 
 
 #: Load groups: a load value -> the ascending indices of the SMs holding it.
 Groups = dict[float, list[int]]
 
 
-def _lpt_groups(durations: np.ndarray, num_sms: int) -> Groups:
+def _lpt_groups(values: list[float], counts: list[int], num_sms: int) -> Groups:
     """Load groups of the longest-processing-time greedy: tiles in
     descending duration each go to the least-loaded SM (lowest index on
     ties), one ``(duration, count)`` class at a time.
 
-    The SMs of a group offer the same loads ``load + j x duration``
-    (summed one tile at a time), so a heap walks the offered loads group
-    by group in rising order and the class takes the ``count`` lowest.
-    At the cut value the lowest SM indices of the tied groups take the rest.
+    While every SM shares one load, the class fills whole waves: each wave
+    adds the duration to that load (one tile at a time) and the lowest SM
+    indices take the remainder.  Otherwise the SMs of a group offer the
+    same loads ``load + j x duration``, so a heap walks the offered loads
+    group by group in rising order and the class takes the ``count``
+    lowest.  At the cut value the lowest SM indices of the tied groups
+    take the rest.
     """
     groups = {0.0: list(range(num_sms))}
-    values, counts = np.unique(durations, return_counts=True)
-    for duration, count in zip(values[::-1].tolist(), counts[::-1].tolist()):
+    for duration, count in zip(reversed(values), reversed(counts)):
+        cut: Groups = {}
+        if len(groups) == 1:
+            ((load, sms),) = groups.items()
+            for _ in range(count // num_sms):
+                load += duration
+            rest = count % num_sms
+            _join(cut, load + duration, sms[:rest])
+            _join(cut, load, sms[rest:])
+            groups = cut
+            continue
         heap = [(load, load) for load in groups]  # (offered load, group)
         heapq.heapify(heap)
-        cut: Groups = {}
         while count:
-            offered = heap[0][0]
-            tied = []
+            offered, g = heapq.heappop(heap)
+            tied, size = [g], len(groups[g])
             while heap and heap[0][0] == offered:
-                tied.append(heapq.heappop(heap)[1])
-            size = sum(len(groups[g]) for g in tied)
+                g = heapq.heappop(heap)[1]
+                tied.append(g)
+                size += len(groups[g])
             after = offered + duration
             if size <= count:
                 count -= size
@@ -149,6 +162,7 @@ def simulate_schedule(
     steal_overhead: float = 0.05,
     max_split: int = 8,
     divisible: bool = True,
+    classes: tuple[list[float], list[int]] | None = None,
 ) -> ScheduleResult:
     """Simulate a tile schedule and return the kernel makespan.
 
@@ -162,6 +176,10 @@ def simulate_schedule(
         max_split: maximum pieces a tile may be decomposed into.
         divisible: whether work stealing may split tiles (reductions make
             some tiles atomic).
+        classes: the class view of ``durations``, if the caller has it:
+            the distinct durations in ascending order and how many tiles
+            take each, as ``np.unique(durations, return_counts=True)``
+            gives them.  Derived from ``durations`` when omitted.
     """
     if num_sms <= 0:
         raise ValueError("num_sms must be positive")
@@ -173,42 +191,55 @@ def simulate_schedule(
     durations = np.asarray(durations, dtype=np.float64)  # staticcheck: ignore[NUM003]
     if len(durations) == 0:
         return ScheduleResult(policy, 0.0, np.zeros(num_sms, dtype=np.float64), 0, 0.0)
+    if classes is None:
+        unique, tally = np.unique(durations, return_counts=True)
+        classes = unique.tolist(), tally.tolist()
+    values, counts = classes
     # NaN fails every comparison, so it is rejected here too.
-    if not 0.0 <= durations.min() <= durations.max() < math.inf:
+    if not 0.0 <= values[0] <= values[-1] < math.inf:
         raise ValueError("durations must be finite and non-negative")
+    # The static binding puts tile i on SM i % num_sms in wave i // num_sms.
+    num_waves = -(-len(durations) // num_sms)
     with obs.span(
         "gpu.simulate_schedule", cat="gpu",
         policy=policy.value, tiles=len(durations), sms=num_sms,
     ):
-        # The static binding puts tile i on SM i % num_sms in wave
-        # i // num_sms; zero-duration slots pad the ragged last wave.
-        num_waves = -(-len(durations) // num_sms)
-        waves = np.zeros(num_waves * num_sms, dtype=np.float64)
-        waves[: len(durations)] = durations
-        waves = waves.reshape(num_waves, num_sms)
-        # Per-SM sums wave by wave in issue order (sequential, not pairwise).
-        busy = np.add.accumulate(waves, axis=0)[-1].copy()
         sync_time = sync_overhead
-        if policy is SchedulePolicy.WAVE_BARRIER:
-            # Every wave costs its slowest tile plus a barrier.
-            makespan = float(np.add.accumulate(waves.max(axis=1) + sync_overhead)[-1])
-            sync_time = sync_overhead * num_waves
+        if policy in (SchedulePolicy.WAVE_BARRIER, SchedulePolicy.STATIC_QUEUE):
+            waves = _waves(durations, num_sms, num_waves)
+            busy = np.add.accumulate(waves, axis=0)[-1].copy()
+            if policy is SchedulePolicy.WAVE_BARRIER:
+                # Every wave costs its slowest tile plus a barrier.
+                makespan = float(
+                    np.add.accumulate(waves.max(axis=1) + sync_overhead)[-1]
+                )
+                sync_time = sync_overhead * num_waves
+            else:
+                makespan = float(busy.max()) + sync_overhead
         else:
-            if policy is not SchedulePolicy.STATIC_QUEUE:
-                # Remapping may always keep the static binding, so take the
-                # better of the LPT remap and round-robin (LPT is a
-                # heuristic and can lose on adversarial inputs).
-                groups = _lpt_groups(durations, num_sms)
-                if max(groups) > busy.max():
+            # Remapping may always keep the static binding, so take the
+            # better of the LPT remap and round-robin (LPT is a heuristic
+            # and can lose on adversarial inputs).  SM 0 holds a tile in
+            # every wave, so its in-order load bounds the round-robin
+            # maximum from below: at or under it, LPT wins outright.
+            groups = _lpt_groups(values, counts, num_sms)
+            lpt_max = max(groups)
+            if lpt_max > np.add.accumulate(durations[::num_sms])[-1]:
+                static = np.add.accumulate(
+                    _waves(durations, num_sms, num_waves), axis=0
+                )[-1]
+                if lpt_max > static.max():
                     groups = {}
-                    for sm, load in enumerate(busy.tolist()):
+                    for sm, load in enumerate(static.tolist()):
                         groups.setdefault(load, []).append(sm)
-                if policy is SchedulePolicy.WORK_STEALING and divisible:
-                    min_piece = float(durations.max()) / max_split
-                    _steal(groups, num_sms, min_piece, steal_overhead)
-                for load, sms in groups.items():
-                    busy[sms] = load
-            makespan = float(busy.max()) + sync_overhead
+            if policy is SchedulePolicy.WORK_STEALING and divisible:
+                _steal(groups, num_sms, values[-1] / max_split, steal_overhead)
+            loads = [0.0] * num_sms
+            for load, sms in groups.items():
+                for sm in sms:
+                    loads[sm] = load
+            busy = np.array(loads, dtype=np.float64)
+            makespan = max(groups) + sync_overhead
     result = ScheduleResult(
         policy=policy,
         makespan=makespan,
@@ -219,6 +250,15 @@ def simulate_schedule(
     if obs.enabled():
         _record_schedule_metrics(result, num_sms)
     return result
+
+
+def _waves(durations: np.ndarray, num_sms: int, num_waves: int) -> np.ndarray:
+    """The static binding as a ``(num_waves, num_sms)`` table; zero-duration
+    slots pad the ragged last wave.  Summing it wave by wave (sequential,
+    not pairwise) gives the per-SM loads in issue order."""
+    waves = np.zeros(num_waves * num_sms, dtype=np.float64)
+    waves[: len(durations)] = durations
+    return waves.reshape(num_waves, num_sms)
 
 
 def _record_schedule_metrics(result: ScheduleResult, num_sms: int) -> None:

@@ -6,10 +6,11 @@ Every kernel (COMET-W4Ax and all baselines) shares the execution model:
    (:func:`repro.kernels.tiling.tile_grid`);
 2. each class's on-chip time is ``smem + convert + mma`` — shared-memory
    operand movement (with bank-conflict multipliers), CUDA-core format
-   conversion, tensor-core math — costed once and expanded to one duration
-   per block;
+   conversion, tensor-core math — costed once per tile geometry and
+   kernel configuration (process-wide);
 3. the blocks are scheduled across SMs under a policy
-   (:mod:`repro.gpu.simulator`);
+   (:mod:`repro.gpu.simulator`), which takes the classes as
+   ``(duration, count)`` pairs;
 4. with the software pipeline, off-chip traffic overlaps compute, so kernel
    latency is the max of the on-chip makespan and the DRAM roofline;
    without it, each tile serializes its load with its compute;
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,11 +63,16 @@ _BOUND_SLACK = 1e-9
 #: Process-wide ``(kernel config key, shape) -> KernelLatency`` memo.
 _LATENCY_MEMO: dict[tuple, KernelLatency] = {}
 
+#: Process-wide tile-cost memo: kernel config key -> ``(rows, cols, depth,
+#: precision)`` (plus the active SM count when unpipelined) -> seconds.
+_TILE_COST_MEMO: dict[tuple, dict[tuple, float]] = {}
+
 
 def clear_latency_memo() -> None:
-    """Forget every memoized latency and tile-grid piece (the next calls
-    cost from scratch)."""
+    """Forget every memoized latency, tile cost and tile-grid piece (the
+    next calls cost from scratch)."""
     _LATENCY_MEMO.clear()
+    _TILE_COST_MEMO.clear()
     clear_grid_memo()
 
 
@@ -120,15 +127,25 @@ class KernelLatency:
         return self.dram_seconds > self.onchip_makespan
 
 
-@dataclass(frozen=True, eq=False)
-class _TilePlan:
-    """One candidate tile costed per class: everything but the schedule."""
+class _TilePlan(NamedTuple):
+    """One candidate tile costed per class: everything but the schedule
+    and the block-order DRAM sum."""
 
     tile: TileShape
     grid: TileGrid
     #: On-chip seconds (plus the load, unpipelined) per ``grid.classes``.
     class_cost: list[float]
+    #: The class view of the blocks' durations: the distinct costs in
+    #: ascending order and the blocks taking each.
+    duration_classes: tuple[list[float], list[int]]
+    #: Per class, the activation and the weight bytes one block adds to
+    #: its operand's unique footprint.
+    act_bytes: list[float]
+    weight_bytes: list[float]
     overhead_seconds: float
+    tiles_by_precision: tuple[tuple[str, int], ...]
+    convert_instructions: float
+    smem_conflict_tiles: int
 
 
 class GEMMKernel(ABC):
@@ -221,31 +238,6 @@ class GEMMKernel(ABC):
             + wt.cols * wt.depth * p.weight_load_bytes
         )
         return global_load_time(self.spec, nbytes, active_sms)
-
-    def dram_traffic_bytes(self, shape: GEMMShape, grid: TileGrid) -> float:
-        """Unique-or-streamed DRAM traffic, with L2 capturing small operands."""
-        act, weight = self._unique_bytes(grid)
-        # Summed block by block in block order, as the blocks stream.
-        return self._traffic_bytes(
-            shape,
-            grid,
-            float(np.add.accumulate(grid.expand(act))[-1]),
-            float(np.add.accumulate(grid.expand(weight))[-1]),
-            self.spec.l2_capacity,
-        )
-
-    def _unique_bytes(self, grid: TileGrid) -> tuple[list[float], list[float]]:
-        """Per class, the activation and weight bytes one block adds to
-        its operand's unique footprint."""
-        m_tiles, n_tiles = grid.m_tiles, grid.n_tiles
-        act, weight = [], []
-        for c in grid.classes:
-            p = self._profile(c.precision)
-            # Summing over all tiles counts each activation region n_tiles
-            # times and each weight region m_tiles times; divide back out.
-            act.append(c.rows * c.depth * p.act_load_bytes / max(n_tiles, 1))
-            weight.append(c.cols * c.depth * p.weight_load_bytes / max(m_tiles, 1))
-        return act, weight
 
     def _traffic_bytes(
         self,
@@ -356,7 +348,12 @@ class GEMMKernel(ABC):
         return best
 
     def _plan_tile(self, shape: GEMMShape, tile: TileShape) -> _TilePlan:
-        """Cut the GEMM into tile classes and cost each class once."""
+        """Cut the GEMM into tile classes and cost each class, in one pass.
+
+        A class's cost depends only on its geometry, its precision and
+        (unpipelined) the active SM count, so it comes from the
+        process-wide tile-cost memo of this kernel configuration.
+        """
         spec = self.spec
         grid = tile_grid(
             shape,
@@ -364,13 +361,36 @@ class GEMMKernel(ABC):
             target_tiles=_OCCUPANCY_FACTOR * spec.num_sms,
             **self.precision_source(shape),
         )
+        costs = _TILE_COST_MEMO.get(self._config_key)
+        if costs is None:
+            costs = _TILE_COST_MEMO[self._config_key] = {}
         active = min(grid.num_tiles, spec.num_sms)
-        cost: dict[TileClass, float] = {}  # split-k repeats equal classes
+        # Summing over all tiles counts each activation region n_tiles
+        # times and each weight region m_tiles times; divide back out.
+        act_share, weight_share = max(grid.n_tiles, 1), max(grid.m_tiles, 1)
+        class_cost, act_bytes, weight_bytes, convert = [], [], [], []
+        tally: dict[float, int] = {}
+        by_precision: dict[str, int] = {}
+        conflict_tiles = 0
         for c in grid.classes:
-            if c not in cost:
-                cost[c] = self.tile_onchip_time(c)
+            rows, cols, depth, precision, count = c
+            key = c[:4] if self.pipelined else (*c[:4], active)
+            cost = costs.get(key)
+            if cost is None:
+                cost = self.tile_onchip_time(c)
                 if not self.pipelined:
-                    cost[c] += self.tile_load_time(c, active)
+                    cost += self.tile_load_time(c, active)
+                costs[key] = cost
+            class_cost.append(cost)
+            tally[cost] = tally.get(cost, 0) + count
+            p = self._profile(precision)
+            act_bytes.append(rows * depth * p.act_load_bytes / act_share)
+            weight_bytes.append(cols * depth * p.weight_load_bytes / weight_share)
+            by_precision[precision] = by_precision.get(precision, 0) + count
+            convert.append(count * cols * depth * p.convert_per_weight)
+            if p.smem_serialization > 1.0:
+                conflict_tiles += count
+        values = sorted(tally)
         # Dynamic activation quantization runs once over the input across
         # all SMs, so divide the per-SM conversion time by the SM count.
         act_quant = (
@@ -382,7 +402,13 @@ class GEMMKernel(ABC):
             + act_quant
             + self._reduction_overhead(shape, grid)
         )
-        return _TilePlan(tile, grid, [cost[c] for c in grid.classes], overhead)
+        return _TilePlan(
+            tile, grid, class_cost, (values, [tally[d] for d in values]),
+            act_bytes, weight_bytes, overhead,
+            tiles_by_precision=tuple(sorted(by_precision.items())),
+            convert_instructions=sum(convert),
+            smem_conflict_tiles=conflict_tiles,
+        )
 
     def _lower_bound(self, shape: GEMMShape, plan: _TilePlan) -> float:
         """A lower bound on the plan's ``seconds``, from class-level sums.
@@ -398,24 +424,21 @@ class GEMMKernel(ABC):
         counts = [c.count for c in plan.grid.classes]
         onchip = sum(d * n for d, n in zip(plan.class_cost, counts)) / spec.num_sms
         if self.policy is not SchedulePolicy.WORK_STEALING:
-            tiles_of: dict[float, int] = {}
-            for d, n in zip(plan.class_cost, counts):
-                tiles_of[d] = tiles_of.get(d, 0) + n
+            durations, tiles = plan.duration_classes
             at_least = 0
-            for d in sorted(tiles_of, reverse=True):
-                at_least += tiles_of[d]
+            for d, n in zip(reversed(durations), reversed(tiles)):
+                at_least += n
                 onchip = max(onchip, -(-at_least // spec.num_sms) * d)
         bound = onchip + spec.tile_sync_overhead
         if self.pipelined:
-            act, weight = self._unique_bytes(plan.grid)
             # Near the L2 capacity the class-level sum may fall on the
             # other side of it than the exact sum; the slack keeps the
             # smaller (one-pass) multiplier there.
             dram = self._traffic_bytes(
                 shape,
                 plan.grid,
-                sum(a * n for a, n in zip(act, counts)),
-                sum(w * n for w, n in zip(weight, counts)),
+                sum(a * n for a, n in zip(plan.act_bytes, counts)),
+                sum(w * n for w, n in zip(plan.weight_bytes, counts)),
                 spec.l2_capacity * (1.0 + _BOUND_SLACK),
             )
             bound = max(bound, dram / spec.hbm_bandwidth)
@@ -425,22 +448,25 @@ class GEMMKernel(ABC):
         """Schedule the plan's blocks and total its exact latency."""
         spec = self.spec
         grid = plan.grid
-        classes = grid.classes
-        profiles = {c.precision: self._profile(c.precision) for c in classes}
+        # Per block: its duration, then the bytes it adds to each operand.
+        blocks = grid.expand((plan.class_cost, plan.act_bytes, plan.weight_bytes))
         sched = simulate_schedule(
-            grid.expand(plan.class_cost),
+            blocks[0],
             spec.num_sms,
             self.policy,
             sync_overhead=spec.tile_sync_overhead,
+            classes=plan.duration_classes,
         )
-        dram_seconds = self.dram_traffic_bytes(shape, grid) / spec.hbm_bandwidth
+        # Unique-or-streamed DRAM traffic, with L2 capturing small
+        # operands; summed block by block in block order, as the blocks
+        # stream, both operands in one pass.
+        act, weight = np.add.accumulate(blocks[1:], axis=1)[:, -1].tolist()
+        dram_bytes = self._traffic_bytes(shape, grid, act, weight, spec.l2_capacity)
+        dram_seconds = dram_bytes / spec.hbm_bandwidth
         span = (
             max(sched.makespan, dram_seconds) if self.pipelined else sched.makespan
         )
         overhead = plan.overhead_seconds
-        by_precision: dict[str, int] = {}
-        for c in classes:
-            by_precision[c.precision] = by_precision.get(c.precision, 0) + c.count
         return KernelLatency(
             seconds=span + overhead,
             onchip_makespan=sched.makespan,
@@ -449,13 +475,7 @@ class GEMMKernel(ABC):
             tile=plan.tile,
             num_tiles=grid.num_tiles,
             utilization=sched.utilization,
-            tiles_by_precision=tuple(sorted(by_precision.items())),
-            convert_instructions=sum(
-                c.count * c.cols * c.depth * profiles[c.precision].convert_per_weight
-                for c in classes
-            ),
-            smem_conflict_tiles=sum(
-                c.count for c in classes
-                if profiles[c.precision].smem_serialization > 1.0
-            ),
+            tiles_by_precision=plan.tiles_by_precision,
+            convert_instructions=plan.convert_instructions,
+            smem_conflict_tiles=plan.smem_conflict_tiles,
         )

@@ -17,9 +17,11 @@ split further (split-k) to raise occupancy, as vendor kernels do.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,10 +37,11 @@ __all__ = [
 ]
 
 #: Process-wide memos of the two pieces of a grid that a cold cost-model
-#: call would otherwise rebuild per candidate tile: the split-k runs, keyed
-#: ``(k, tk, precision source, output tiles, target_tiles)``, and the
-#: block-order class ids, keyed ``(row_counts, col_counts, runs)``.
-_RUNS_MEMO: dict[tuple, tuple[tuple[str, int], ...]] = {}
+#: call would otherwise rebuild per candidate tile: the split-k runs and
+#: their distinct runs with repeat counts, keyed ``(k, tk, precision
+#: source, output tiles, target_tiles)``, and the block-order class ids,
+#: keyed ``(row_counts, col_counts, runs)``.
+_RUNS_MEMO: dict[tuple, tuple[tuple, tuple]] = {}
 _CLASS_IDS_MEMO: dict[tuple, np.ndarray] = {}
 
 
@@ -129,10 +132,10 @@ def _edge_extents(size: int, tile: int) -> list[tuple[int, int]]:
     return [(e, n) for e, n in ((tile, size // tile), (size % tile, 1)) if e and n]
 
 
-@dataclass(frozen=True)
-class TileClass:
+class TileClass(NamedTuple):
     """``count`` identical thread blocks: a ``rows x cols`` output tile
-    (ragged at the edges) over a k-run ``depth`` deep at ``precision``."""
+    (ragged at the edges) over a k-run ``depth`` deep at ``precision``.
+    Its first four fields are the tile geometry a cost depends on."""
 
     rows: int
     cols: int
@@ -147,9 +150,10 @@ class TileGrid:
 
     Block ``(mi, ni, run)`` covers output tile ``(mi, ni)`` over k-run
     ``runs[run]``.  Blocks with the same row extent, column extent and run
-    do identical work, so there are at most ``4 * len(runs)`` classes;
-    ``class_ids`` holds every block's class in ``(mi, ni, run)`` order.
-    It is built on first use: costing a grid per class never needs it.
+    do identical work, and split-k repeats equal runs, so there are at
+    most four classes per distinct run; ``class_ids`` holds every block's
+    class in ``(mi, ni, run)`` order.  It is built on first use: costing
+    a grid per class never needs it.
     """
 
     m_tiles: int
@@ -167,25 +171,28 @@ class TileGrid:
     @cached_property
     def class_ids(self) -> np.ndarray:
         """Every block's class, in block order (read-only: grids with the
-        same extents and run count share one array)."""
-        runs = len(self.runs)
-        key = (self.row_counts, self.col_counts, runs)
+        same extents and runs share one array)."""
+        key = (self.row_counts, self.col_counts, self.runs)
         ids = _CLASS_IDS_MEMO.get(key)
         if ids is None:
-            # Class (r * len(col_counts) + c) * len(runs) + k has row
-            # extent r, column extent c and run k.
+            # Class (r * len(col_counts) + c) * len(kinds) + j has row
+            # extent r, column extent c and the j-th distinct run, in
+            # order of first appearance (as tile_grid lists them).
+            kinds = list(dict.fromkeys(self.runs))
+            kind = np.array([kinds.index(run) for run in self.runs])
             r = np.repeat(np.arange(len(self.row_counts)), self.row_counts)
             c = np.repeat(np.arange(len(self.col_counts)), self.col_counts)
             tiles = r[:, None] * len(self.col_counts) + c[None, :]
-            ids = (tiles[:, :, None] * runs + np.arange(runs)).ravel()
+            ids = (tiles[:, :, None] * len(kinds) + kind).ravel()
             ids.flags.writeable = False
             _CLASS_IDS_MEMO[key] = ids
         return ids
 
-    def expand(self, per_class: list[float]) -> np.ndarray:
-        """One float64 value per block, in block order."""
+    def expand(self, per_class) -> np.ndarray:
+        """One float64 value per block, in block order; a sequence of
+        per-class rows gives one row of per-block values each."""
         values = np.asarray(per_class, dtype=np.float64)  # staticcheck: ignore[NUM003]
-        return values[self.class_ids]
+        return values.take(self.class_ids, axis=-1)
 
 
 def tile_grid(
@@ -211,19 +218,21 @@ def tile_grid(
     n_tiles = -(-shape.n // tile.tn)
     source = None if is_high is None else np.asarray(is_high, dtype=bool).tobytes()
     key = (shape.k, tile.tk, int8_fraction, source, m_tiles * n_tiles, target_tiles)
-    runs = _RUNS_MEMO.get(key)
-    if runs is None:
-        runs = _RUNS_MEMO[key] = _split_runs(
+    entry = _RUNS_MEMO.get(key)
+    if entry is None:
+        runs = _split_runs(
             shape.k, tile.tk, m_tiles * n_tiles, int8_fraction, is_high,
             target_tiles,
         )
+        entry = _RUNS_MEMO[key] = runs, tuple(Counter(runs).items())
+    runs, kinds = entry
     row_ext = _edge_extents(shape.m, tile.tm)
     col_ext = _edge_extents(shape.n, tile.tn)
     classes = tuple(
-        TileClass(rows, cols, depth, prec, row_count * col_count)
+        TileClass(rows, cols, depth, prec, row_count * col_count * repeats)
         for rows, row_count in row_ext
         for cols, col_count in col_ext
-        for prec, depth in runs
+        for (prec, depth), repeats in kinds
     )
     return TileGrid(
         m_tiles, n_tiles, runs, classes,

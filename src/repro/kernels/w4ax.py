@@ -46,6 +46,9 @@ __all__ = ["W4AxKernel", "DEFAULT_INT8_FRACTION"]
 #: W4A4 ratio as 75% ... the lower bound of the given kernel performance").
 DEFAULT_INT8_FRACTION = 0.25
 
+#: COMET's one tile shape (Section 5).
+COMET_TILE = TileShape(128, 128, 128)
+
 
 class W4AxKernel(GEMMKernel):
     """The COMET mixed-precision W4A4/W4A8 kernel."""
@@ -92,7 +95,7 @@ class W4AxKernel(GEMMKernel):
     def candidate_tiles(self, shape: GEMMShape) -> list[TileShape]:
         # Fixed tiling keeps the mixed-precision block layout intact
         # (Section 5); the paper notes this costs some shapes performance.
-        return [TileShape(128, 128, 128)]
+        return [COMET_TILE]
 
     def profile(self, precision: str) -> PrecisionProfile:
         if precision == "int4":

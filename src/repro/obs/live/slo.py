@@ -24,7 +24,10 @@ Deterministic: timestamps are data (simulated clock); no wall-clock reads.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from threading import Lock
 
 __all__ = ["SLOPolicy", "SLOMonitor", "STATE_OK", "STATE_WARN",
@@ -85,7 +88,11 @@ class SLOMonitor:
         self.policy = policy or SLOPolicy()
         self.capacity = capacity
         self.event_capacity = event_capacity
-        self._outcomes: list[tuple[float, bool]] = []  # (ts, met), FIFO
+        self._outcomes: deque[tuple[float, bool]] = deque(maxlen=capacity)
+        #: The retained outcomes inside the window at ``clock`` (``ts >
+        #: clock - window_seconds``), ascending in ``ts``, and their misses.
+        self._window: deque[tuple[float, bool]] = deque()
+        self._window_misses = 0
         self._lock = Lock()
         self.state = STATE_OK
         self.events: list[dict] = []
@@ -102,9 +109,17 @@ class SLOMonitor:
             self.total += 1
             if not met:
                 self.misses += 1
-            self._outcomes.append((ts, met))
-            if len(self._outcomes) > self.capacity:
-                self._outcomes.pop(0)
+            outcome = (ts, met)
+            if len(self._outcomes) == self.capacity:
+                self._leave(self._outcomes[0])  # the append drops it
+            self._outcomes.append(outcome)
+            if ts > self.clock - self.policy.window_seconds:
+                window = self._window
+                if window and ts < window[-1][0]:  # recorded out of order
+                    window.insert(bisect_right(window, ts, key=itemgetter(0)), outcome)
+                else:
+                    window.append(outcome)
+                self._window_misses += not met
             return self._advance(ts, request_id=request_id)
 
     def advance(self, now: float) -> str:
@@ -118,7 +133,9 @@ class SLOMonitor:
     def burn_rate(self, now: float | None = None) -> float:
         """Window miss fraction divided by the error budget."""
         with self._lock:
-            return self._burn_rate(self.clock if now is None else now)
+            return self._burn_rate(*self._window_counts(
+                self.clock if now is None else now
+            ))
 
     def snapshot(self, now: float | None = None) -> dict:
         """JSON-able health summary (the ``/slo`` endpoint payload)."""
@@ -130,7 +147,7 @@ class SLOMonitor:
                 "state": self.state,
                 "level": STATE_LEVELS[self.state],
                 "worst_state": self.worst_state,
-                "burn_rate": self._burn_rate(now),
+                "burn_rate": self._burn_rate(misses, total),
                 "window_misses": misses,
                 "window_total": total,
                 "lifetime_misses": self.misses,
@@ -149,24 +166,39 @@ class SLOMonitor:
     # ----------------------------------------------------------- internals
 
     def _window_counts(self, now: float) -> tuple[int, int]:
+        """Misses and outcomes in the window at ``now``.  At the monitor's
+        clock they are kept up to date; a later ``now`` looks inside the
+        current window, and only an earlier one scans every retained
+        outcome."""
+        if now == self.clock:
+            return self._window_misses, len(self._window)
         cutoff = now - self.policy.window_seconds
         misses = total = 0
-        for ts, met in self._outcomes:
+        for ts, met in self._window if now > self.clock else self._outcomes:
             if ts > cutoff:
                 total += 1
                 if not met:
                     misses += 1
         return misses, total
 
-    def _burn_rate(self, now: float) -> float:
-        misses, total = self._window_counts(now)
+    def _burn_rate(self, misses: int, total: int) -> float:
         if total == 0:
             return 0.0
         return (misses / total) / self.policy.budget
 
+    def _leave(self, outcome: tuple[float, bool]) -> None:
+        """Forget a retained outcome dropped from the ring."""
+        if outcome[0] > self.clock - self.policy.window_seconds:
+            self._window.remove(outcome)  # the oldest, unless out of order
+            self._window_misses -= not outcome[1]
+
     def _advance(self, now: float, request_id: int | None = None) -> str:
         if now > self.clock:
             self.clock = now
+            cutoff = now - self.policy.window_seconds
+            window = self._window
+            while window and window[0][0] <= cutoff:
+                self._window_misses -= not window.popleft()[1]
         misses, total = self._window_counts(now)
         if total < self.policy.min_samples:
             new_state = STATE_OK if self.state == STATE_OK else self.state
@@ -175,7 +207,7 @@ class SLOMonitor:
             if total == 0:
                 new_state = STATE_OK
         else:
-            burn = (misses / total) / self.policy.budget
+            burn = self._burn_rate(misses, total)
             if burn >= self.policy.critical_burn:
                 new_state = STATE_CRITICAL
             elif burn >= self.policy.warn_burn:
@@ -187,7 +219,7 @@ class SLOMonitor:
                 "ts": now,
                 "from": self.state,
                 "to": new_state,
-                "burn_rate": self._burn_rate(now),
+                "burn_rate": self._burn_rate(misses, total),
                 "window_misses": misses,
                 "window_total": total,
             }

@@ -19,10 +19,22 @@ def tasks_of(durations):
     return np.asarray(durations, dtype=np.float64)
 
 
+def class_view(durations):
+    """The ``(distinct durations, counts)`` view ``simulate_schedule``
+    takes from callers that know their tile classes, tallied the way the
+    kernels tally their class costs (not with ``np.unique``)."""
+    tally = {}
+    for d in tasks_of(durations).tolist():
+        tally[d] = tally.get(d, 0) + 1
+    values = sorted(tally)
+    return values, [tally[v] for v in values]
+
+
 def lpt_loads(durations, num_sms):
     """Per-SM loads of the grouped LPT remap, SM by SM."""
     loads = [0.0] * num_sms
-    for load, sms in _lpt_groups(tasks_of(durations), num_sms).items():
+    values, counts = class_view(durations)
+    for load, sms in _lpt_groups(values, counts, num_sms).items():
         for sm in sms:
             loads[sm] = load
     return loads
@@ -313,12 +325,15 @@ def assert_same_schedule(durations, num_sms, policy, steal_overhead=0.05,
     args = (durations, num_sms, policy, sync_overhead, steal_overhead,
             max_split, divisible)
     want = reference_schedule(*args)
-    got = simulate_schedule(*args)
-    assert got.makespan.hex() == want.makespan.hex()
-    assert got.utilization.hex() == want.utilization.hex()
-    assert np.array_equal(got.per_sm_busy, want.per_sm_busy)
-    assert got.num_waves == want.num_waves
-    assert got.sync_time == want.sync_time
+    # Without the class view the scheduler derives it; with it, it must
+    # not matter that the caller tallied it.
+    for got in (simulate_schedule(*args),
+                simulate_schedule(*args, classes=class_view(durations))):
+        assert got.makespan.hex() == want.makespan.hex()
+        assert got.utilization.hex() == want.utilization.hex()
+        assert np.array_equal(got.per_sm_busy, want.per_sm_busy)
+        assert got.num_waves == want.num_waves
+        assert got.sync_time == want.sync_time
     return want
 
 

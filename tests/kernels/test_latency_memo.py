@@ -126,6 +126,34 @@ def test_kernels_differing_in_one_field_never_share_an_entry(field):
     a.latency(SHAPE)
     b.latency(SHAPE)
     assert len(kernel_base._LATENCY_MEMO) == 2
+    # Nor do they share tile costs.
+    tile_costs = kernel_base._TILE_COST_MEMO
+    assert len(tile_costs) == 2
+    assert tile_costs[a._config_key] is not tile_costs[b._config_key]
+
+
+def test_clearing_the_latency_memo_empties_the_tile_cost_memo():
+    """A cold call after ``clear_latency_memo`` costs its tiles again, so
+    cold-call benchmarks stay cold."""
+    W4AxKernel().latency(SHAPE)
+    assert kernel_base._TILE_COST_MEMO
+    kernel_base.clear_latency_memo()
+    assert not kernel_base._TILE_COST_MEMO
+
+
+@pytest.mark.parametrize("pipelined, first, second", [
+    # The second shape reuses the first's full 128-row tiles.
+    (True, GEMMShape(300, 4096, 4096), GEMMShape(200, 4096, 4096)),
+    # Unpipelined, a tile's cost depends on the active SM count: the same
+    # tile geometry on 32 and on 64 blocks costs differently.
+    (False, GEMMShape(64, 1024, 512), GEMMShape(64, 2048, 512)),
+])
+def test_tile_cost_hits_equal_a_cold_call(pipelined, first, second):
+    kernel = W4AxKernel(software_pipeline=pipelined)
+    kernel.latency(first)
+    warm = kernel.latency(second)
+    kernel_base.clear_latency_memo()
+    assert W4AxKernel(software_pipeline=pipelined).latency(second) == warm
 
 
 def test_grid_memo_hit_equals_a_cold_grid():

@@ -154,6 +154,8 @@ class TestBuildTiles:
         ]
         assert expanded == blocks
         assert sum(c.count for c in grid.classes) == grid.num_tiles == len(blocks)
+        # Equal split-k runs share a class: no two classes do equal work.
+        assert len({c[:4] for c in grid.classes}) == len(grid.classes)
 
 
 ALL_KERNELS = [CuBLASW16A16, TRTLLMW4A16, TRTLLMW8A8, QServeW4A8, OracleW4A4, W4AxKernel]

@@ -1,6 +1,8 @@
 """Tests for the streaming SLO burn-rate monitor."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.live.slo import (
     STATE_CRITICAL,
@@ -121,3 +123,74 @@ class TestSLOMonitor:
         assert snap["lifetime_misses"] == 1
         assert snap["policy"]["budget"] == 0.1
         assert isinstance(snap["events"], list)
+
+
+class _ScanningMonitor(SLOMonitor):
+    """The monitor with its window counted by scanning every retained
+    outcome on each query, as it was before the incremental window."""
+
+    def _window_counts(self, now):
+        cutoff = now - self.policy.window_seconds
+        misses = total = 0
+        for ts, met in self._outcomes:
+            if ts > cutoff:
+                total += 1
+                if not met:
+                    misses += 1
+        return misses, total
+
+
+#: Quarter-second offsets make outcomes land exactly on the window cutoff.
+_QUARTERS = st.integers(-12, 12).map(lambda q: q / 4)
+#: Operations on a clock that mostly moves forward, as the engine drives
+#: it: ``(kind, offset from the driven clock, met)``.  ``record`` and
+#: ``advance`` move the driven clock by a non-negative offset; ``late``
+#: records at the clock plus an offset, most often in the past.
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["record", "advance", "late", "snapshot",
+                         "snapshot_now"]),
+        _QUARTERS,
+        st.booleans(),
+    ),
+    max_size=80,
+)
+
+
+class TestIncrementalWindow:
+    @given(
+        _OPS,
+        st.integers(1, 12),
+        st.sampled_from([0.25, 1.0, 2.5]),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_a_full_scan(self, ops, capacity, window, min_samples):
+        """States, events, burn rates and snapshots equal the scanning
+        monitor's, for in-order and out-of-order outcomes, heartbeats and
+        snapshots at, after and before the monitor's clock."""
+        policy = SLOPolicy(window_seconds=window, budget=0.25,
+                           warn_burn=1.0, critical_burn=2.0,
+                           min_samples=min_samples)
+        fast = SLOMonitor(policy=policy, capacity=capacity, event_capacity=6)
+        scan = _ScanningMonitor(policy=policy, capacity=capacity,
+                                event_capacity=6)
+        clock = 0.0
+        for kind, offset, met in ops:
+            if kind in ("record", "advance"):
+                clock += abs(offset)
+            at = clock + offset
+            if kind == "record":
+                got = [m.record(clock, met) for m in (fast, scan)]
+            elif kind == "late":
+                got = [m.record(at, met) for m in (fast, scan)]
+            elif kind == "advance":
+                got = [m.advance(clock) for m in (fast, scan)]
+            elif kind == "snapshot":
+                got = [m.snapshot(at) for m in (fast, scan)]
+            else:
+                got = [m.snapshot() for m in (fast, scan)]
+            assert got[0] == got[1]
+            assert fast.burn_rate() == scan.burn_rate()
+            assert fast.state == scan.state and fast.events == scan.events
+        assert fast.snapshot() == scan.snapshot()

@@ -4,6 +4,8 @@ Importing ``repro.serving.engine`` and running an engine must not load the
 quantization numerics, the baselines, the training and data stacks, the
 post-hoc exporters or the HTTP server: every package ``__init__`` maps its
 names lazily (``repro._lazy``), and staticcheck ``IMP004`` keeps it so.
+Nor may it load ``numpy.ma``, which ``np.unique`` imports unless it also
+returns counts.
 The graph is probed in a fresh interpreter, since this one has imported
 everything the other tests use.
 """
@@ -29,6 +31,7 @@ UNLOADED = (
     "repro.obs.export",
     "repro.obs.live.httpd",
     "http.server",
+    "numpy.ma",
 )
 #: Packages the serving path must leave unloaded, with all their modules.
 UNLOADED_TREES = ("repro.baselines", "repro.training", "repro.data",
