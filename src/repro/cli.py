@@ -34,10 +34,10 @@ from repro.analysis.roofline import balance_point, roofline_sweep
 from repro.api import KERNELS, kernel_latency, quantize_model
 from repro.data.perplexity import evaluate_perplexity
 from repro.gpu.spec import KNOWN_GPUS
-from repro.model.config import PAPER_MODELS, get_model_config
+from repro.model.config import PAPER_MODELS, ModelConfig, get_model_config
 from repro.serving.engine import EngineConfig, ServingEngine
 from repro.serving.metrics import LatencyReport
-from repro.serving.request import make_batch_requests
+from repro.serving.request import Request, make_batch_requests
 from repro.serving.systems import SYSTEM_NAMES, build_system
 
 __all__ = ["main", "build_parser"]
@@ -107,24 +107,50 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
             try:
                 lat = kernel_latency(kernel, args.batch, n, k, spec=spec)
                 cells.append(f"{lat.seconds * 1e6:13.1f}us")
-            except KeyError:  # precision unsupported on this GPU
+            except ValueError:  # precision unsupported on this GPU
                 cells.append(f"{'n/a':>15s}")
         print(f"{layer:8s} {n:>7d}x{k:<6d}" + "".join(f"{c:>16s}" for c in cells))
     _end_metrics(metrics_path)
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    cfg = get_model_config(args.model)
-    metrics_path = _begin_metrics(args)
+def _build_engine(
+    cfg: ModelConfig, args: argparse.Namespace, **config
+) -> ServingEngine | None:
+    """The engine for ``args.system`` at ``args.batch``, or None after
+    printing why its weights and KV pool do not fit."""
     try:
-        engine = ServingEngine(
+        return ServingEngine(
             cfg,
             build_system(args.system),
-            config=EngineConfig(max_batch=args.batch),
+            config=EngineConfig(max_batch=args.batch, **config),
         )
     except ValueError as exc:
         print(f"OOM: {exc}", file=sys.stderr)
+        return None
+
+
+def _overload_trace(
+    args: argparse.Namespace, engine: ServingEngine
+) -> list[Request]:
+    """The ``--requests`` overload trace sized to the engine's KV pool."""
+    from repro.serving.workload import make_overload_trace
+
+    return make_overload_trace(
+        args.requests,
+        engine.kv.token_capacity,
+        overload=args.overload,
+        ttft_slo=args.ttft_slo,
+        e2e_slo=args.e2e_slo,
+        seed=args.seed,
+    )
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    cfg = get_model_config(args.model)
+    metrics_path = _begin_metrics(args)
+    engine = _build_engine(cfg, args)
+    if engine is None:
         return 1
     feasible = min(max(engine.plan.max_batch(args.prompt + args.out), 1), args.batch)
     requests = make_batch_requests(
@@ -162,34 +188,20 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
     from repro.serving.faults import FaultPlan
     from repro.serving.request import TERMINAL_PHASES
-    from repro.serving.workload import make_overload_trace
 
     cfg = get_model_config(args.model)
     metrics_path = _begin_metrics(args)
-    try:
-        engine = ServingEngine(
-            cfg,
-            build_system(args.system),
-            config=EngineConfig(
-                max_batch=args.batch,
-                hbm_bytes=args.hbm_gb * 1e9,
-                reserve_full_sequence=not args.optimistic,
-                prefill_chunk_tokens=args.chunk or None,
-                max_retries=args.max_retries,
-                degrade_under_pressure=args.degrade,
-            ),
-        )
-    except ValueError as exc:
-        print(f"OOM: {exc}", file=sys.stderr)
-        return 1
-    requests = make_overload_trace(
-        args.requests,
-        engine.kv.token_capacity,
-        overload=args.overload,
-        ttft_slo=args.ttft_slo,
-        e2e_slo=args.e2e_slo,
-        seed=args.seed,
+    engine = _build_engine(
+        cfg, args,
+        hbm_bytes=args.hbm_gb * 1e9,
+        reserve_full_sequence=not args.optimistic,
+        prefill_chunk_tokens=args.chunk or None,
+        max_retries=args.max_retries,
+        degrade_under_pressure=args.degrade,
     )
+    if engine is None:
+        return 1
+    requests = _overload_trace(args, engine)
     plan = FaultPlan(
         seed=args.seed,
         step_fault_rate=args.step_fault_rate,
@@ -251,33 +263,19 @@ def _cmd_top(args: argparse.Namespace) -> int:
     import repro.obs as obs
     from repro.obs import live as live_obs
     from repro.serving.faults import FaultPlan
-    from repro.serving.workload import make_overload_trace
 
     cfg = get_model_config(args.model)
     metrics_path = _begin_metrics(args)
     if not metrics_path:
         obs.enable()  # the live layer mirrors health into /metrics
-    try:
-        engine = ServingEngine(
-            cfg,
-            build_system(args.system),
-            config=EngineConfig(
-                max_batch=args.batch,
-                hbm_bytes=args.hbm_gb * 1e9,
-                prefill_chunk_tokens=args.chunk or None,
-            ),
-        )
-    except ValueError as exc:
-        print(f"OOM: {exc}", file=sys.stderr)
-        return 1
-    requests = make_overload_trace(
-        args.requests,
-        engine.kv.token_capacity,
-        overload=args.overload,
-        ttft_slo=args.ttft_slo,
-        e2e_slo=args.e2e_slo,
-        seed=args.seed,
+    engine = _build_engine(
+        cfg, args,
+        hbm_bytes=args.hbm_gb * 1e9,
+        prefill_chunk_tokens=args.chunk or None,
     )
+    if engine is None:
+        return 1
+    requests = _overload_trace(args, engine)
 
     json_to_stdout = args.json == "-"
 

@@ -171,6 +171,12 @@ class OracleW4A4(_UniformKernel):
     uniform_precision = "int4"
 
     def __init__(self, spec: GPUSpec = A100_80G_SXM4):
+        if "int4" not in spec.tensor_core_tput:
+            raise ValueError(
+                f"{spec.name} has no INT4 tensor core, so the all-INT4 "
+                "oracle cannot run on it; W4AxKernel models the INT8 "
+                "fallback such GPUs take"
+            )
         super().__init__(
             spec=spec,
             policy=SchedulePolicy.BALANCED,

@@ -49,10 +49,6 @@ METRIC_CATALOG: dict[str, tuple[str, str]] = {
         "counter",
         "Channel blocks executed through the batched packed-GEMM paths, "
         "by precision (int4/int8)."),
-    "kernel.decode_attention_seqs_batched_total": (
-        "counter",
-        "Sequences whose decode attention ran through the stacked "
-        "flash-decoding kernel."),
     # ------------------------------------------------------------- kvcache
     "kvcache.groups_dequant_cached_hits_total": (
         "counter",

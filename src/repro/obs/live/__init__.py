@@ -93,7 +93,6 @@ class LiveObs:
     def __init__(
         self,
         window_seconds: float = 1.0,
-        window_samples: int = 1024,
         capacity: int = DEFAULT_CAPACITY,
         slo_policy: SLOPolicy | None = None,
         heartbeat_hook: Callable[["LiveObs"], None] | None = None,
@@ -101,9 +100,7 @@ class LiveObs:
     ):
         if hook_every < 1:
             raise ValueError("hook_every must be >= 1")
-        self.windows = WindowSet(
-            capacity=window_samples, window_seconds=window_seconds
-        )
+        self.windows = WindowSet(window_seconds=window_seconds)
         self.flights = FlightRecorder(capacity=capacity)
         self.slo = SLOMonitor(policy=slo_policy)
         self.steps = 0

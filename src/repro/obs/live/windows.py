@@ -229,13 +229,11 @@ class WindowSet:
         self,
         capacity: int = DEFAULT_CAPACITY,
         window_seconds: float = DEFAULT_WINDOW_SECONDS,
-        catalog: dict | None = None,
     ):
         if window_seconds <= 0:
             raise ValueError("window_seconds must be positive")
         self.capacity = capacity
         self.window_seconds = window_seconds
-        self._catalog = METRIC_CATALOG if catalog is None else catalog
         # metric name -> (its ring, its column); metrics fed together map
         # to one ring, which _rings keys by their names.
         self._columns: dict[str, tuple[Reservoir, int]] = {}
@@ -250,7 +248,7 @@ class WindowSet:
         if ring is not None:
             return ring
         for name in names:
-            if name not in self._catalog:
+            if name not in METRIC_CATALOG:
                 raise ValueError(
                     f"metric {name!r} is not declared in obs/catalog.py; "
                     "live windows only track catalogued metrics"

@@ -77,35 +77,25 @@ class EngineConfig:
         max_batch: concurrent-sequence cap.
         block_tokens: paged-KV block granularity.
         hbm_bytes: usable device memory.
-        step_overhead: per-iteration framework overhead.
         max_steps: safety cap on simulated steps: every decode or prefill
             step counts one, as does every loop pass that steps nothing
             (an idle fast-forward, a refused admission).
         decode_attention: 'flash' (Flash-Decoding) or 'naive' — the paper's
             Section 7 attention-kernel axis.
         prefill_attention: 'flash' (FlashAttention) or 'naive'.
-        kv_capacity_slack: fraction of the KV pool's token capacity that
-            full-sequence admission may commit.  Paged allocation rounds
-            every sequence up to block granularity, so a pool that is
-            exactly "full" in token terms can still fail a block
-            allocation; committing only this fraction absorbs the
-            rounding.  1.0 disables the slack.
         max_retries: transient-fault retry budget per request; a request
             whose fault count exceeds it ends ``FAILED``.
-        retry_backoff: base re-queue delay after a transient fault; the
-            n-th retry waits ``retry_backoff * 2**(n-1)`` seconds.
         degrade_under_pressure: enable graceful degradation — shrink the
             effective ``max_batch`` / ``prefill_chunk_tokens`` while the KV
             pool stays hot instead of thrashing on preemptions.
-        degrade_pressure: KV-pool block-usage fraction treated as pressure.
-        degrade_window: consecutive hot (cool) steps before the degradation
-            policy shrinks (re-grows) the admission knobs.
+
+    The KV commit slack, the retry backoff and the degradation ladder's
+    pressure and window are constants of :mod:`repro.serving.scheduler`.
     """
 
     max_batch: int = 512
     block_tokens: int = 16
     hbm_bytes: float = DEFAULT_HBM_BYTES
-    step_overhead: float = DEFAULT_STEP_OVERHEAD
     max_steps: int = 1_000_000
     decode_attention: str = "flash"
     prefill_attention: str = "flash"
@@ -117,12 +107,8 @@ class EngineConfig:
     #: Megatron-style tensor parallelism across this many identical GPUs
     #: (1 = the paper's single-GPU setting).
     tensor_parallel: int = 1
-    kv_capacity_slack: float = 0.98
     max_retries: int = 2
-    retry_backoff: float = 0.05
     degrade_under_pressure: bool = False
-    degrade_pressure: float = 0.92
-    degrade_window: int = 4
 
     def __post_init__(self) -> None:
         for knob, kernels in (("decode_attention", DECODE_ATTENTION),
@@ -137,13 +123,7 @@ class EngineConfig:
             (chunk is not None and chunk <= 0,
              "prefill_chunk_tokens must be positive or None"),
             (self.tensor_parallel < 1, "tensor_parallel must be >= 1"),
-            (not 0.0 < self.kv_capacity_slack <= 1.0,
-             "kv_capacity_slack must be in (0, 1]"),
             (self.max_retries < 0, "max_retries must be >= 0"),
-            (self.retry_backoff < 0, "retry_backoff must be >= 0"),
-            (not 0.0 < self.degrade_pressure <= 1.0,
-             "degrade_pressure must be in (0, 1]"),
-            (self.degrade_window < 1, "degrade_window must be >= 1"),
         ):
             if bad:
                 raise ValueError(message)
@@ -470,7 +450,6 @@ class _Run:
         float sums of a per-step loop).  ``step``, built only when sinks
         are attached (then ``len(dts) == 1``), is reported to them."""
         decode = kind != "prefill"
-        step_overhead = self.config.step_overhead
         clocks = [self.clock]
         for dt, attn in zip(dts, attns):
             self.clock += dt
@@ -480,7 +459,7 @@ class _Run:
                 self.prefill_s += dt
             self.gemm_s += gemm
             self.attn_s += attn
-            self.overhead_s += step_overhead
+            self.overhead_s += DEFAULT_STEP_OVERHEAD
             clocks.append(self.clock)
         if step is not None:
             for sink in self.sinks:
@@ -551,17 +530,18 @@ class _Run:
         for sink in sinks:
             sink.admit(req, self.clock)
         if self.config.prefill_chunk_tokens is None:
-            n, step_overhead = req.prompt_len, self.config.step_overhead
+            n = req.prompt_len
             with obs.span(
                 "engine.step", cat="serving", kind="prefill", batch=1,
                 prefill_tokens=n,
             ):
                 gemm = engine.linear_stack_latency(n)
                 attn = engine.prefill_attention_time(n)
-                dt = gemm + attn + step_overhead
+                dt = gemm + attn + DEFAULT_STEP_OVERHEAD
             step = Step(
                 "prefill", self.clock, self.clock + dt, dt, 1, 0, n, n, gemm,
-                attn, 0.0, step_overhead, req.request_id, serialized=True,
+                attn, 0.0, DEFAULT_STEP_OVERHEAD, req.request_id,
+                serialized=True,
             ) if sinks else None
             self.charge("prefill", [dt], gemm, [attn], step)
             req.prefill_progress = n
@@ -674,7 +654,7 @@ class _Run:
                         attn = attn + engine._chunk_attention_time(
                             chunk, prefill_req.prefill_progress
                         )
-                    dt = gemm + attn + cfg.step_overhead
+                    dt = gemm + attn + DEFAULT_STEP_OVERHEAD
                     if fault is not None and fault.kind is FaultKind.STRAGGLER:
                         # The whole iteration straggles; the extra time is
                         # framework-side stall, not GEMM/attention work.

@@ -73,11 +73,9 @@ class LatencyReport:
         e2e = np.empty(n, dtype=np.float64)
         tpot = np.empty(n, dtype=np.float64)
         for i, r in enumerate(done):
-            ttft[i] = r.first_token_time - r.arrival_time
-            e2e[i] = r.finish_time - r.arrival_time
-            tpot[i] = (r.finish_time - r.first_token_time) / max(
-                r.generated - 1, 1
-            )
+            ttft[i] = r.ttft
+            e2e[i] = r.e2e
+            tpot[i] = r.tpot
         q = np.array([50.0, 95.0, 99.0], dtype=np.float64)
         ttft_q = np.percentile(ttft, q)
         tpot_q = np.percentile(tpot, q)

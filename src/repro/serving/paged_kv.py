@@ -36,16 +36,13 @@ gauges scan only ``_rc[_low:]``, the blocks ever used.  Invariant:
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import Callable
 
 import numpy as np
 
 import repro.obs as obs
 
-if TYPE_CHECKING:  # structural only: anything with .read() -> (K, V)
-    from repro.model.kvcache import LayerKVCache
-
-__all__ = ["PagedKVManager", "KVAllocationError", "gather_decode_batch"]
+__all__ = ["PagedKVManager", "KVAllocationError"]
 
 
 class KVAllocationError(RuntimeError):
@@ -505,25 +502,3 @@ class PagedKVManager:
     def sequence_bytes(self, seq_id: int) -> float:
         return self.sequence_tokens(seq_id) * self.bytes_per_token
 
-
-def gather_decode_batch(
-    caches: Mapping[int, "LayerKVCache"], seq_ids: Sequence[int]
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Gather the dequantized KV histories of a running batch.
-
-    ``caches`` maps sequence id to its per-layer quantized cache; each
-    read goes through the sealed-group dequant memo
-    (:meth:`repro.model.kvcache.LayerKVCache.read`), so a decode-step
-    gather costs O(new tokens) per sequence, not O(history).  The returned
-    ragged ``(keys, values)`` lists feed
-    :func:`repro.kernels.attention.batched_decode_attention` — one stacked
-    dequant+attention call for the whole batch (the arrays are read-only
-    memo views; valid until the next append).
-    """
-    keys: list[np.ndarray] = []
-    values: list[np.ndarray] = []
-    for sid in seq_ids:
-        k, v = caches[sid].read()
-        keys.append(k)
-        values.append(v)
-    return keys, values

@@ -116,19 +116,31 @@ class Request:
         return self.arrival_time + self.e2e_slo
 
     @property
+    def ttft(self) -> float:
+        """Time to first token: seconds from arrival to the first token."""
+        return self.first_token_time - self.arrival_time
+
+    @property
+    def tpot(self) -> float:
+        """Time per output token: the mean gap between the tokens after
+        the first, up to the finish."""
+        return (self.finish_time - self.first_token_time) / max(
+            self.generated - 1, 1
+        )
+
+    @property
+    def e2e(self) -> float:
+        """End-to-end latency: seconds from arrival to the finish."""
+        return self.finish_time - self.arrival_time
+
+    @property
     def slo_met(self) -> bool:
         """Finished within every configured deadline (goodput criterion)."""
         if self.phase is not Phase.FINISHED:
             return False
-        if (
-            self.ttft_slo is not None
-            and self.first_token_time - self.arrival_time > self.ttft_slo
-        ):
+        if self.ttft_slo is not None and self.ttft > self.ttft_slo:
             return False
-        if (
-            self.e2e_slo is not None
-            and self.finish_time - self.arrival_time > self.e2e_slo
-        ):
+        if self.e2e_slo is not None and self.e2e > self.e2e_slo:
             return False
         return True
 

@@ -17,6 +17,21 @@ from repro.serving.request import Phase, Request
 if TYPE_CHECKING:
     from repro.serving.engine import EngineConfig, _Run
 
+#: Fraction of the KV pool's token capacity that full-sequence admission
+#: may commit.  Paged allocation rounds every sequence up to block
+#: granularity, so a pool that is exactly "full" in token terms can still
+#: fail a block allocation; committing only this fraction absorbs the
+#: rounding.
+KV_CAPACITY_SLACK = 0.98
+#: Base re-queue delay after a transient fault: the n-th retry waits
+#: ``RETRY_BACKOFF * 2**(n-1)`` seconds.
+RETRY_BACKOFF = 0.05
+#: KV-pool block-usage fraction the degradation ladder treats as pressure.
+DEGRADE_PRESSURE = 0.92
+#: Consecutive hot (cool) steps before the ladder shrinks (re-grows) the
+#: admission knobs.
+DEGRADE_WINDOW = 4
+
 
 class Scheduler:
     """The policy of one engine run: the waiting FIFO, the backed-off
@@ -41,7 +56,7 @@ class Scheduler:
                 self.expiry.push(r)
         self.retry_queue = RetryHeap()
         self.committed_tokens = 0
-        self.capacity = int(kv.token_capacity * config.kv_capacity_slack)
+        self.capacity = int(kv.token_capacity * KV_CAPACITY_SLACK)
         self.max_batch = config.max_batch
         self.chunk = config.prefill_chunk_tokens
         self._hot = self._cool = 0  # consecutive hot / cool steps
@@ -168,10 +183,8 @@ class Scheduler:
 
     def back_off(self, req: Request, clock: float) -> None:
         """Queue a faulted request for re-admission: the n-th retry waits
-        ``retry_backoff * 2**(n-1)`` seconds from ``clock``."""
-        req.not_before = clock + self.config.retry_backoff * (
-            2 ** (req.retries - 1)
-        )
+        ``RETRY_BACKOFF * 2**(n-1)`` seconds from ``clock``."""
+        req.not_before = clock + RETRY_BACKOFF * 2 ** (req.retries - 1)
         self.retry_queue.push(req)
 
     @staticmethod
@@ -188,25 +201,25 @@ class Scheduler:
 
     def observe(self, pressure: float, preempted: bool) -> bool:
         """Feed one step (its KV-pool usage fraction, whether it
-        preempted) to the degradation ladder: ``degrade_window`` hot steps
+        preempted) to the degradation ladder: ``DEGRADE_WINDOW`` hot steps
         in a row halve the admission knobs, as many cool ones double them
         back up to the configured values.  Returns whether the knobs are
         below those (a degraded step)."""
         cfg = self.config
         configured = cfg.prefill_chunk_tokens
-        if pressure >= cfg.degrade_pressure or preempted:
+        if pressure >= DEGRADE_PRESSURE or preempted:
             self._hot += 1
             self._cool = 0
         else:
             self._cool += 1
             self._hot = 0
-        if self._hot >= cfg.degrade_window:
+        if self._hot >= DEGRADE_WINDOW:
             self._hot = 0
             self.max_batch = max(1, self.max_batch // 2)
             if configured is not None:
                 # The floor is a block, or the configured chunk if smaller.
                 self.chunk = max(min(cfg.block_tokens, configured), self.chunk // 2)
-        elif self._cool >= cfg.degrade_window:
+        elif self._cool >= DEGRADE_WINDOW:
             self._cool = 0
             self.max_batch = min(cfg.max_batch, self.max_batch * 2)
             if configured is not None and self.chunk < configured:

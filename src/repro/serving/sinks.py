@@ -81,17 +81,15 @@ class _EngineTelemetry(EngineEvents):
         self.request_event("prefill", req, clock)
 
     def first_token(self, req: Request, clock: float) -> None:
-        self.ttft.observe(clock - req.arrival_time)
+        self.ttft.observe(req.ttft)
         self.request_event("decode", req, clock)
 
     def finish(self, req: Request, clock: float) -> None:
         self.finished.inc()
         if not req.slo_met:  # always met without SLOs
             self.deadline_misses.inc()
-        self.tpot.observe(
-            (req.finish_time - req.first_token_time) / max(req.generated - 1, 1)
-        )
-        self.e2e.observe(clock - req.arrival_time)
+        self.tpot.observe(req.tpot)
+        self.e2e.observe(req.e2e)
         self.request_event("finished", req, clock)
 
     def preempt(self, req: Request, clock: float, lost: int) -> None:
@@ -270,7 +268,7 @@ class _LiveHooks(EngineEvents):
     def first_token(self, req: Request, clock: float) -> None:
         self._sync()
         self._flights.first_token(req.request_id, clock)
-        self._sample("serving.ttft_seconds", clock - req.arrival_time, clock)
+        self._sample("serving.ttft_seconds", req.ttft, clock)
 
     def finish(self, req: Request, clock: float) -> None:
         self._sync()
@@ -279,13 +277,8 @@ class _LiveHooks(EngineEvents):
             req, clock, outcome="finished", generated=req.generated,
             slo_met=req.slo_met if has_slo else None,
         )
-        self._sample(
-            "serving.tpot_seconds",
-            (req.finish_time - req.first_token_time)
-            / max(req.generated - 1, 1),
-            clock,
-        )
-        self._sample("serving.e2e_seconds", clock - req.arrival_time, clock)
+        self._sample("serving.tpot_seconds", req.tpot, clock)
+        self._sample("serving.e2e_seconds", req.e2e, clock)
         if has_slo:
             self._slo_outcome(req, clock, req.slo_met)
 

@@ -28,8 +28,6 @@ class TestDecodeAttention:
         k = NaiveDecodeAttention()
         with pytest.raises(ValueError):
             k.latency(0, 10, KV_BYTES, **MODEL)
-        with pytest.raises(ValueError):
-            FlashDecodeAttention(split_tokens=0)
 
     def test_flash_wins_at_small_batch_long_context(self):
         """Flash-Decoding's raison d'etre: few sequences, long history."""

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.api import kernel_latency
 from repro.gpu.spec import A100_80G_SXM4, H100_SXM5
-from repro.kernels.baselines import CuBLASW16A16, TRTLLMW8A8
+from repro.kernels.baselines import CuBLASW16A16, OracleW4A4, TRTLLMW8A8
 from repro.kernels.tiling import GEMMShape
 from repro.kernels.w4ax import W4AxKernel
 
@@ -14,6 +15,15 @@ class TestH100Kernels:
     def test_w4ax_runs_without_int4_cores(self):
         lat = W4AxKernel(spec=H100_SXM5).latency(SHAPE)
         assert lat.seconds > 0
+
+    def test_oracle_w4a4_refuses_a_gpu_without_int4_cores(self):
+        """The all-INT4 oracle has no fallback: H100 is refused when the
+        kernel is built, naming the GPU and pointing to W4Ax's."""
+        with pytest.raises(ValueError, match="H100-SXM5.*W4AxKernel"):
+            OracleW4A4(spec=H100_SXM5)
+        with pytest.raises(ValueError, match="no INT4 tensor core"):
+            kernel_latency("oracle-w4a4", SHAPE.m, SHAPE.n, SHAPE.k, spec=H100_SXM5)
+        assert OracleW4A4(spec=A100_80G_SXM4).latency(SHAPE).seconds > 0
 
     def test_h100_faster_than_a100(self):
         """More SMs, more bandwidth, faster cores: every kernel speeds up."""

@@ -15,7 +15,9 @@ from repro.serving.request import (
     Request,
     make_batch_requests,
 )
+from repro.serving.scheduler import RETRY_BACKOFF
 from repro.serving.systems import build_system
+from repro.serving.trace import EngineEvents
 from repro.serving.workload import make_overload_trace
 
 
@@ -352,13 +354,22 @@ class TestFaultEffects:
         assert rep.output_tokens == 0
 
     def test_retry_backoff_is_exponential(self):
-        eng = engine(max_batch=4, max_retries=2, retry_backoff=0.1)
-        reqs = make_batch_requests(4, 64, 16)
-        eng.run(reqs, faults=FaultPlan(seed=0, request_abort_rate=1.0))
-        assert all(r.phase is Phase.FINISHED for r in reqs)
-        # Each request backed off once (first attempt aborts, second runs
-        # clean), so not_before was set 0.1 s past some failure instant.
-        assert all(r.not_before > 0.0 for r in reqs)
+        class RetryClocks(EngineEvents):
+            def __init__(self):
+                self.seen = []
+
+            def retry(self, req, clock, reason):
+                self.seen.append((clock, req.retries, req.not_before))
+
+        sink = RetryClocks()
+        eng = engine(max_batch=8, max_retries=8)
+        reqs = make_batch_requests(12, 64, 32)
+        eng.run(reqs, faults=FaultPlan(seed=3, kv_loss_rate=0.2), sink=sink)
+        # The n-th retry waits RETRY_BACKOFF * 2**(n-1) past its fault.
+        assert sink.seen
+        assert max(n for _, n, _ in sink.seen) >= 2
+        for clock, n, not_before in sink.seen:
+            assert not_before == clock + RETRY_BACKOFF * 2 ** (n - 1)
 
     def test_kv_loss_requeues_victims(self):
         plan = FaultPlan(seed=3, kv_loss_rate=0.2)

@@ -17,6 +17,12 @@ from repro.serving.request import (
     Request,
     make_batch_requests,
 )
+from repro.serving.scheduler import (
+    DEGRADE_PRESSURE,
+    DEGRADE_WINDOW,
+    KV_CAPACITY_SLACK,
+    Scheduler,
+)
 from repro.serving.systems import build_system
 from repro.serving.trace import STEP_SPAN_CAT, EngineEvents
 from repro.serving.workload import make_overload_trace, make_poisson_trace
@@ -101,33 +107,46 @@ class TestRequestLifecycle:
 
 class TestConfigValidation:
     def test_capacity_slack_bounds(self):
-        with pytest.raises(ValueError):
-            EngineConfig(kv_capacity_slack=0.0)
-        with pytest.raises(ValueError):
-            EngineConfig(kv_capacity_slack=1.5)
-        assert EngineConfig(kv_capacity_slack=1.0).kv_capacity_slack == 1.0
+        # The slack is a share of the pool in (0, 1], and the scheduler's
+        # commit capacity is exactly that share of the pool's tokens.
+        assert 0.0 < KV_CAPACITY_SLACK <= 1.0
+        eng = engine(max_batch=4, hbm_bytes=20e9)
+        sched = Scheduler(eng.config, eng.kv, [])
+        assert sched.capacity == int(eng.kv.token_capacity * KV_CAPACITY_SLACK)
+        assert 0 < sched.capacity <= eng.kv.token_capacity
 
     def test_retry_knobs(self):
         with pytest.raises(ValueError):
             EngineConfig(max_retries=-1)
-        with pytest.raises(ValueError):
-            EngineConfig(retry_backoff=-0.1)
 
     def test_degradation_knobs(self):
-        with pytest.raises(ValueError):
-            EngineConfig(degrade_pressure=0.0)
-        with pytest.raises(ValueError):
-            EngineConfig(degrade_window=0)
+        # Usage at exactly DEGRADE_PRESSURE is hot: DEGRADE_WINDOW such
+        # steps in a row halve the batch cap, and as many steps just below
+        # it double the cap back.
+        eng = engine(max_batch=64, degrade_under_pressure=True)
+        sched = Scheduler(eng.config, eng.kv, [])
+        cool = DEGRADE_PRESSURE - 1e-9
+        for _ in range(DEGRADE_WINDOW - 1):
+            assert not sched.observe(DEGRADE_PRESSURE, preempted=False)
+        assert sched.observe(DEGRADE_PRESSURE, preempted=False)
+        assert sched.max_batch == 32
+        for _ in range(DEGRADE_WINDOW - 1):
+            assert sched.observe(cool, preempted=False)
+        assert not sched.observe(cool, preempted=False)
+        assert sched.max_batch == 64
 
     def test_slack_widens_admission(self):
-        tight = engine(max_batch=512, hbm_bytes=20e9, kv_capacity_slack=0.5)
-        loose = engine(max_batch=512, hbm_bytes=20e9, kv_capacity_slack=1.0)
-        total = 1024
-        n_tight = 0.5 * tight.kv.token_capacity // total
-        reqs = make_batch_requests(int(n_tight) + 4, total // 2, total // 2)
-        rep_t = tight.run([Request(r.request_id, r.prompt_len, r.max_new_tokens) for r in reqs])
-        rep_l = loose.run([Request(r.request_id, r.prompt_len, r.max_new_tokens) for r in reqs])
-        assert rep_l.peak_batch > rep_t.peak_batch
+        # Full-sequence admission commits up to the slack's share of the
+        # pool: a request of exactly that many tokens is served, and one
+        # token more is refused as infeasible.
+        eng = engine(max_batch=4, hbm_bytes=20e9)
+        limit = int(eng.kv.token_capacity * KV_CAPACITY_SLACK)
+        fits, over = Request(0, limit - 8, 8), Request(1, limit - 7, 8)
+        assert fits.total_len == limit
+        rep = eng.run([fits, over])
+        assert fits.phase is Phase.FINISHED
+        assert over.phase is Phase.REJECTED
+        assert rep.requests_completed == rep.requests_rejected == 1
 
 
 class TestDeadlines:
