@@ -22,13 +22,21 @@ import json
 import re
 import sys
 from dataclasses import asdict
+from itertools import count
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.model.config import get_model_config
-from repro.serving.batchstate import BatchState, DeadlineHeap, RetryHeap
+from repro.serving.batchstate import (
+    _INITIAL_CAPACITY,
+    BatchState,
+    DeadlineHeap,
+    RetryHeap,
+)
 from repro.serving.engine import EngineConfig, ServingEngine
 from repro.serving.faults import FaultPlan
 from repro.serving.request import Phase, Request, make_batch_requests
@@ -431,6 +439,145 @@ class TestBatchState:
             state.add(r, kv_row=i, abort_at=-1)
         assert len(state.reqs) == 200
         assert int(state.ctx.sum()) == sum(r.context_len for r in reqs)
+
+
+def _steps_to_event(row: dict) -> int:
+    """Decode steps until a row's next lifecycle event, one token at a
+    time: its first token, its scheduled abort or its finish."""
+    t = 1
+    while not _at_event(row, row["gen"] + t):
+        t += 1
+    return t
+
+
+def _at_event(row: dict, gen: int) -> bool:
+    """The engine's per-step lifecycle test for a row at ``gen``."""
+    return gen == 1 or gen >= row["max_new"] or gen == row["abort_at"]
+
+
+class TestBatchStateProperty:
+    """:class:`BatchState` against a plain per-row reference, over runs of
+    the operations the engine performs on it: admissions (in bulk, past the
+    initial capacity), prefill progress and completion, single-row and
+    whole-batch advances (``k`` up to the horizon), lifecycle settles
+    (first tokens, aborts, finishes) and arbitrary row drops (preemption,
+    faults, expiry)."""
+
+    COLUMNS = ("ctx", "gen", "max_new", "decoding", "e2e_dl", "ttft_dl",
+               "kv_row", "abort_at")
+
+    @staticmethod
+    def _check(state: BatchState, ref: list[dict], alias: list) -> None:
+        assert state.reqs is alias
+        assert len(state) == len(ref)
+        assert [r.request_id for r in state.reqs] == [
+            row["req"].request_id for row in ref
+        ]
+        for name in TestBatchStateProperty.COLUMNS:
+            assert getattr(state, name).tolist() == [row[name] for row in ref], name
+        if ref:
+            assert state.horizon() == min(_steps_to_event(row) for row in ref)
+
+    @staticmethod
+    def _settle(state: BatchState, ref: list[dict], advanced: list[int]) -> None:
+        """The engine's settle pass after an advance: rows at their event
+        sync; an abort or a finish drops the row."""
+        keep = np.ones(len(ref), dtype=bool)
+        for i in advanced:
+            row = ref[i]
+            if not _at_event(row, row["gen"]):
+                continue
+            assert state.sync(i).generated == row["gen"]
+            if row["gen"] == row["abort_at"] or row["gen"] >= row["max_new"]:
+                keep[i] = False
+        if not keep.all():
+            state.rebuild(keep)
+            ref[:] = [row for row, k in zip(ref, keep) if k]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_per_row_reference(self, data):
+        state = BatchState()
+        alias = state.reqs
+        ref: list[dict] = []
+        ids = count()
+        for _ in range(data.draw(st.integers(1, 25), label="ops")):
+            op = data.draw(st.sampled_from(
+                ("add", "add", "advance_all", "advance_decoding",
+                 "advance_one", "progress", "prefill_done", "drop")
+            ))
+            decoding = [i for i, row in enumerate(ref) if row["decoding"]]
+            prefilling = [i for i, row in enumerate(ref) if not row["decoding"]]
+            if op == "add":
+                for _ in range(data.draw(st.integers(1, 2 * _INITIAL_CAPACITY))):
+                    max_new = data.draw(st.integers(1, 12))
+                    req = Request(
+                        next(ids), prompt_len=data.draw(st.integers(1, 40)),
+                        max_new_tokens=max_new,
+                        ttft_slo=data.draw(st.none() | st.floats(0.1, 5.0)),
+                        e2e_slo=data.draw(st.none() | st.floats(0.1, 5.0)),
+                    )
+                    req.phase = data.draw(st.sampled_from(
+                        (Phase.PREFILL, Phase.DECODE)
+                    ))
+                    if req.phase is Phase.DECODE:
+                        req.prefill_progress = req.prompt_len
+                    abort_at = data.draw(
+                        st.just(-1) | st.integers(1, max_new), label="abort_at"
+                    )
+                    kv_row = data.draw(st.integers(0, 10_000))
+                    state.add(req, kv_row, abort_at)
+                    ref.append(dict(
+                        req=req, ctx=req.context_len, gen=0, max_new=max_new,
+                        decoding=req.phase is Phase.DECODE,
+                        e2e_dl=req.e2e_deadline, ttft_dl=req.ttft_deadline,
+                        kv_row=kv_row, abort_at=abort_at,
+                    ))
+            elif op == "advance_all" and ref and not prefilling:
+                # Whole-batch advance by k, up to the horizon.
+                k = data.draw(st.integers(1, state.horizon()))
+                state.advance(np.flatnonzero(state.decoding), k)
+                for row in ref:
+                    row["ctx"] += k
+                    row["gen"] += k
+                self._settle(state, ref, list(range(len(ref))))
+            elif op == "advance_decoding" and decoding:
+                state.advance(np.array(decoding))
+                for i in decoding:
+                    ref[i]["ctx"] += 1
+                    ref[i]["gen"] += 1
+                self._settle(state, ref, decoding)
+            elif op == "advance_one" and decoding:
+                i = data.draw(st.sampled_from(decoding))
+                state.advance(i)
+                ref[i]["ctx"] += 1
+                ref[i]["gen"] += 1
+                self._settle(state, ref, [i])
+            elif op == "progress" and prefilling:
+                i = data.draw(st.sampled_from(prefilling))
+                req = ref[i]["req"]
+                req.prefill_progress = data.draw(
+                    st.integers(req.prefill_progress, req.prompt_len - 1)
+                    if req.prefill_progress < req.prompt_len
+                    else st.just(req.prefill_progress)
+                )
+                state.set_prefill_progress(i, req.prefill_progress)
+                ref[i]["ctx"] = req.prefill_progress
+            elif op == "prefill_done" and prefilling:
+                i = data.draw(st.sampled_from(prefilling))
+                req = ref[i]["req"]
+                req.prefill_progress = req.prompt_len
+                req.phase = Phase.DECODE
+                state.mark_decode(i)
+                ref[i]["decoding"] = True
+                ref[i]["ctx"] = req.context_len
+            elif op == "drop" and ref:
+                keep = np.array(data.draw(st.lists(
+                    st.booleans(), min_size=len(ref), max_size=len(ref)
+                )))
+                state.rebuild(keep)
+                ref[:] = [row for row, k in zip(ref, keep) if k]
+            self._check(state, ref, alias)
 
 
 class TestDeadlineHeap:
