@@ -26,7 +26,6 @@ loop these structures replaced (``tests/serving/engine_goldens.json``).
 from __future__ import annotations
 
 import heapq
-import itertools
 
 import numpy as np
 
@@ -37,64 +36,81 @@ __all__ = ["BatchState", "DeadlineHeap", "RetryHeap"]
 #: Initial array capacity; grows by doubling.
 _INITIAL_CAPACITY = 64
 
+# Columns of the int64 block, in order, and of the float64 deadline block.
+_INT_COLUMNS = ("ctx", "gen", "max_new", "kv_row", "abort_at", "event")
+_FLOAT_COLUMNS = ("e2e_dl", "ttft_dl")
+
+
+def _next_event(gen: int, max_new: int, abort_at: int) -> int:
+    """The ``generated`` count at which a row at ``gen`` meets its next
+    lifecycle event: its first token, else its scheduled abort (-1: none)
+    or its finish, whichever comes first."""
+    if gen == 0:
+        return 1
+    return min(abort_at, max_new) if abort_at > gen else max_new
+
 
 class BatchState:
     """Struct-of-arrays view of the running batch, in admission order.
 
-    The request list (``reqs``) carries identity and ordering; the parallel
-    numpy arrays carry the per-step hot fields.  A request's ``generated``
-    counter is advanced *in the array* and written back to the object
-    lazily (:meth:`sync`) at lifecycle events — first token, finish,
-    preemption, expiry, fault — so the object view is accurate wherever it
-    is read.  ``phase`` and ``prefill_progress`` mutate rarely (once per
-    request / once per chunk) and are kept eagerly consistent on both
-    sides.
-    """
+    The request list (``reqs``) carries identity and ordering; three numpy
+    blocks carry the per-step hot fields, one slot per row: an int64 block
+    (context length, generated count, output budget, KV row, abort point,
+    next event), a float64 block (the e2e and TTFT deadlines) and the bool
+    ``decoding`` column.  Each block stores a column contiguously, so a
+    column view is a plain 1-D array and compacting the batch is one take
+    per block.
 
-    #: The per-row arrays, grown and compacted together.
-    _COLUMNS = ("_ctx", "_gen", "_max_new", "_decoding", "_e2e_dl",
-                "_ttft_dl", "_kv_row", "_abort_at")
+    ``event`` holds the ``generated`` count at which each row's next
+    lifecycle event fires (first token, scheduled abort or finish), so a
+    step's lifecycle rows are ``gen == event`` (:meth:`at_event`) and
+    :meth:`horizon` is the least ``event - gen``; :meth:`next_event` moves
+    a row's event on after its first token.
+
+    A request's ``generated`` counter is advanced *in the array* and
+    written back to the object lazily (:meth:`sync`) at lifecycle events —
+    first token, finish, preemption, expiry, fault — so the object view is
+    accurate wherever it is read.  ``phase`` and ``prefill_progress``
+    mutate rarely (once per request / once per chunk) and are kept eagerly
+    consistent on both sides.
+    """
 
     def __init__(self) -> None:
         self.reqs: list[Request] = []
-        self._cap = _INITIAL_CAPACITY
-        self._ctx = np.zeros(self._cap, dtype=np.int64)
-        self._gen = np.zeros(self._cap, dtype=np.int64)
-        self._max_new = np.zeros(self._cap, dtype=np.int64)
-        self._decoding = np.zeros(self._cap, dtype=bool)
-        self._e2e_dl = np.zeros(self._cap, dtype=np.float64)
-        self._ttft_dl = np.zeros(self._cap, dtype=np.float64)
-        self._kv_row = np.zeros(self._cap, dtype=np.int64)
-        self._abort_at = np.full(self._cap, -1, dtype=np.int64)
+        self._alloc(_INITIAL_CAPACITY)
 
     def __len__(self) -> int:
         return len(self.reqs)
 
     # ------------------------------------------------------------ growth
 
-    def _grow(self) -> None:
-        new_cap = self._cap * 2
-        for name in self._COLUMNS:
-            old = getattr(self, name)
-            fresh = np.zeros(new_cap, dtype=old.dtype)
-            fresh[: self._cap] = old
-            setattr(self, name, fresh)
-        self._cap = new_cap
+    def _alloc(self, cap: int) -> None:
+        """Fresh blocks of ``cap`` slots, the old rows copied over, and a
+        view per column (``_ctx``, ``_gen``... ``_ttft_dl``)."""
+        ints = np.zeros((len(_INT_COLUMNS), cap), dtype=np.int64)
+        dls = np.zeros((len(_FLOAT_COLUMNS), cap), dtype=np.float64)
+        decoding = np.zeros(cap, dtype=bool)
+        n = len(self.reqs)
+        if n:
+            ints[:, :n] = self._ints[:, :n]
+            dls[:, :n] = self._dls[:, :n]
+            decoding[:n] = self._decoding[:n]
+        self._ints, self._dls, self._decoding = ints, dls, decoding
+        for block, names in ((ints, _INT_COLUMNS), (dls, _FLOAT_COLUMNS)):
+            for column, name in zip(block, names):
+                setattr(self, "_" + name, column)
 
     def add(self, req: Request, kv_row: int, abort_at: int = -1) -> None:
         """Append a just-admitted request (phase PREFILL or DECODE)."""
         i = len(self.reqs)
-        if i >= self._cap:
-            self._grow()
+        if i == self._decoding.size:
+            self._alloc(2 * i)
         self.reqs.append(req)
-        self._ctx[i] = req.context_len
-        self._gen[i] = req.generated
-        self._max_new[i] = req.max_new_tokens
+        gen, max_new = req.generated, req.max_new_tokens
+        self._ints[:, i] = (req.context_len, gen, max_new, kv_row, abort_at,
+                            _next_event(gen, max_new, abort_at))
+        self._dls[:, i] = (req.e2e_deadline, req.ttft_deadline)
         self._decoding[i] = req.phase is Phase.DECODE
-        self._e2e_dl[i] = req.e2e_deadline
-        self._ttft_dl[i] = req.ttft_deadline
-        self._kv_row[i] = kv_row
-        self._abort_at[i] = abort_at
 
     # ------------------------------------------------------------- views
 
@@ -115,20 +131,24 @@ class BatchState:
         return self._max_new[: len(self.reqs)]
 
     @property
-    def e2e_dl(self) -> np.ndarray:
-        return self._e2e_dl[: len(self.reqs)]
-
-    @property
-    def ttft_dl(self) -> np.ndarray:
-        return self._ttft_dl[: len(self.reqs)]
-
-    @property
     def kv_row(self) -> np.ndarray:
         return self._kv_row[: len(self.reqs)]
 
     @property
     def abort_at(self) -> np.ndarray:
         return self._abort_at[: len(self.reqs)]
+
+    @property
+    def event(self) -> np.ndarray:
+        return self._event[: len(self.reqs)]
+
+    @property
+    def e2e_dl(self) -> np.ndarray:
+        return self._e2e_dl[: len(self.reqs)]
+
+    @property
+    def ttft_dl(self) -> np.ndarray:
+        return self._ttft_dl[: len(self.reqs)]
 
     # ----------------------------------------------------------- updates
 
@@ -140,23 +160,28 @@ class BatchState:
     def set_prefill_progress(self, i: int, progress: int) -> None:
         self._ctx[i] = progress
 
-    def advance(self, idx: np.ndarray | int, k: int = 1) -> None:
-        """Record ``k`` decoded tokens for every row in ``idx``."""
+    def advance(self, idx: np.ndarray | slice | int, k: int = 1) -> None:
+        """Record ``k`` decoded tokens for every row in ``idx`` (row
+        indices, or a slice of the rows)."""
         self._ctx[idx] += k
         self._gen[idx] += k
+
+    def at_event(self) -> np.ndarray:
+        """Rows whose ``generated`` count has reached their next event."""
+        n = len(self.reqs)
+        return np.flatnonzero(self._gen[:n] == self._event[:n])
+
+    def next_event(self, i: int, max_new: int, abort_at: int) -> None:
+        """Row ``i`` took its first token and lives on: its next event is
+        its scheduled abort or its finish."""
+        self._event[i] = _next_event(1, max_new, abort_at)
 
     def horizon(self) -> int:
         """Decode steps the batch can take, every row decoding, up to and
         including its first lifecycle event: a first token (1 while any
         row has none), the earliest finish, or a scheduled abort."""
         n = len(self.reqs)
-        gen = self._gen[:n]
-        if np.count_nonzero(gen) < n:
-            return 1
-        ends, abort = self._max_new[:n], self._abort_at[:n]
-        if abort.max() >= 0:  # -1: no abort scheduled
-            ends = np.where(abort > gen, np.minimum(abort, ends), ends)
-        return int((ends - gen).min())
+        return int((self._event[:n] - self._gen[:n]).min())
 
     def sync(self, i: int) -> Request:
         """Write the array-side ``generated`` back to the object."""
@@ -167,13 +192,15 @@ class BatchState:
     def rebuild(self, keep: np.ndarray) -> None:
         """Compact the batch to the rows where ``keep`` is True, preserving
         their relative (admission) order — the order victim selection
-        keys on.  The request list is updated in place."""
-        n = len(self.reqs)
-        kept = int(keep.sum())
-        for name in self._COLUMNS:
-            arr = getattr(self, name)
-            arr[:kept] = arr[:n][keep]
-        self.reqs[:] = list(itertools.compress(self.reqs, keep.tolist()))
+        keys on.  The leaving requests are deleted from ``reqs`` in place."""
+        idx = np.flatnonzero(keep)
+        kept = idx.size
+        self._ints[:, :kept] = self._ints.take(idx, axis=1)
+        self._dls[:, :kept] = self._dls.take(idx, axis=1)
+        self._decoding[:kept] = self._decoding.take(idx)
+        reqs = self.reqs
+        for i in np.flatnonzero(~keep)[::-1].tolist():
+            del reqs[i]
 
 
 class DeadlineHeap:

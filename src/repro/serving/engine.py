@@ -248,7 +248,7 @@ class ServingEngine:
         )
         self.decode_attention = DECODE_ATTENTION[self.config.decode_attention](spec)
         self.prefill_attention = PREFILL_ATTENTION[self.config.prefill_attention](spec)
-        self._prefill_attn_cache: dict[int, float] = {}
+        self._prefill_cache: dict[int, tuple[float, float, float]] = {}
 
     # ------------------------------------------------------------------
     # Step-time model
@@ -282,12 +282,7 @@ class ServingEngine:
         return attn + elementwise
 
     def prefill_attention_time(self, prompt_len: int) -> float:
-        """Attention cost of one request's prefill, incl. the KV write
-        (cached per prompt length — admission evaluates it per request
-        and real traces repeat lengths)."""
-        cached = self._prefill_attn_cache.get(prompt_len)
-        if cached is not None:
-            return cached
+        """Attention cost of one request's prefill, incl. the KV write."""
         attn = self.prefill_attention.latency(
             prompt_len, self.model.d_model, self.model.n_layers
         )
@@ -296,9 +291,20 @@ class ServingEngine:
             * self._kv_bytes_per_token_per_gpu
             / self.spec.hbm_bandwidth
         )
-        total = attn + kv_write
-        self._prefill_attn_cache[prompt_len] = total
-        return total
+        return attn + kv_write
+
+    def prefill_step_cost(self, prompt_len: int) -> tuple[float, float, float]:
+        """``(gemm, attention, dt)`` of one whole-prompt prefill step
+        (cached per prompt length — admission evaluates it per request and
+        real traces repeat lengths)."""
+        cost = self._prefill_cache.get(prompt_len)
+        if cost is None:
+            gemm = self.linear_stack_latency(prompt_len)
+            attn = self.prefill_attention_time(prompt_len)
+            cost = self._prefill_cache[prompt_len] = (
+                gemm, attn, gemm + attn + DEFAULT_STEP_OVERHEAD
+            )
+        return cost
 
     def _chunk_attention_time(self, chunk: int, progress: int) -> float:
         """Attention cost of one prefill chunk attending to its history."""
@@ -535,9 +541,7 @@ class _Run:
                 "engine.step", cat="serving", kind="prefill", batch=1,
                 prefill_tokens=n,
             ):
-                gemm = engine.linear_stack_latency(n)
-                attn = engine.prefill_attention_time(n)
-                dt = gemm + attn + DEFAULT_STEP_OVERHEAD
+                gemm, attn, dt = engine.prefill_step_cost(n)
             step = Step(
                 "prefill", self.clock, self.clock + dt, dt, 1, 0, n, n, gemm,
                 attn, 0.0, DEFAULT_STEP_OVERHEAD, req.request_id,
@@ -556,17 +560,20 @@ class _Run:
         self.state.add(req, self.kv.sequence_row(req.request_id), abort_at)
 
     def settle(self, i: int, keep: np.ndarray) -> None:
-        """Lifecycle of row ``i`` right after it decoded a token: the
-        first-token stamp, then its scheduled abort (a fault beats the
-        finish it may coincide with) or its finish, either of which drops
-        the row from this step's ``keep``."""
-        req = self.state.sync(i)
+        """Lifecycle of row ``i``, which just decoded the token of its next
+        event: the first-token stamp, then its scheduled abort (a fault
+        beats the finish it may coincide with) or its finish, either of
+        which drops the row from this step's ``keep``; a row that lives on
+        moves its event to its abort or finish."""
+        state = self.state
+        req = state.sync(i)
         gen = req.generated
         if gen == 1:
             req.first_token_time = self.clock
             for sink in self.sinks:
                 sink.first_token(req, self.clock)
-        if gen == self.state.abort_at[i]:
+        abort_at = int(state.abort_at[i])
+        if gen == abort_at:
             # Per-request transient fault: the first attempt aborts here;
             # retries run clean.
             self.record_fault(FaultKind.REQUEST_ABORT, req)
@@ -574,6 +581,7 @@ class _Run:
             keep[i] = False
             return
         if gen < req.max_new_tokens:
+            state.next_event(i, req.max_new_tokens, abort_at)
             return
         keep[i] = False
         req.phase = Phase.FINISHED
@@ -611,21 +619,23 @@ class _Run:
                     continue  # fast-forward next iteration
                 prof.lap("admit")
 
-                # Partition and aggregate over the batch arrays.
+                # Partition and aggregate over the batch arrays: a slice
+                # when every row decodes, else the decoding rows' indices.
                 n_run = len(state)
                 self.peak_batch = max(self.peak_batch, n_run)
-                dec_idx = np.flatnonzero(state.decoding)
-                n_dec = int(dec_idx.size)
+                n_dec = int(np.count_nonzero(state.decoding))
+                dec = slice(None)
                 pf_i = -1
                 prefill_req = None
                 chunk = 0
                 if n_dec < n_run:
+                    dec = np.flatnonzero(state.decoding)
                     pf_i = int(np.flatnonzero(~state.decoding)[0])
                     prefill_req = state.reqs[pf_i]
                     chunk = min(sched.chunk, prefill_req.prompt_len
                                 - prefill_req.prefill_progress)
-                dec_context = int(state.ctx[dec_idx].sum()) if n_dec else 0
-                kv_rows = state.kv_row[dec_idx]
+                dec_context = int(state.ctx[dec].sum())
+                kv_rows = state.kv_row[dec]
                 # Event horizon (see run's docstring); arrivals bound k once
                 # the step costs are known.
                 k = state.horizon() if self.multi_step and n_dec == n_run else 1
@@ -682,9 +692,10 @@ class _Run:
                         dec_context, engine._kv_bytes_per_token_per_gpu,
                         engine.spec.hbm_bandwidth,
                     )) if n_dec else 0.0
+                    context = dec_context if n_dec == n_run else int(state.ctx.sum())
                     step = Step(
                         kind, self.clock, self.clock + dt, dt, n_run, n_dec,
-                        chunk, int(state.ctx.sum()), gemm, attn, kv_dq,
+                        chunk, context, gemm, attn, kv_dq,
                         dt - gemm - attn,
                         prefill_req.request_id if chunk else -1,
                         serialized=False,
@@ -712,21 +723,16 @@ class _Run:
                             for sink in sinks:
                                 sink.prefill_done(prefill_req, self.clock)
                     if n_dec and kv.append_token_many(kv_rows, k):
-                        state.advance(dec_idx, k)
+                        state.advance(dec, k)
                         tokens = n_dec * k
-                        gen = state.gen[dec_idx]
-                        events = dec_idx[
-                            (gen == 1)
-                            | (gen >= state.max_new[dec_idx])
-                            | (gen == state.abort_at[dec_idx])
-                        ]
-                        for i in events.tolist():
+                        # Only rows that advanced can be at their event.
+                        for i in state.at_event().tolist():
                             self.settle(i, keep)
                     elif n_dec:
                         # The pool cannot grow every sequence at once: grow
                         # them one by one in admission order, preempting the
                         # scheduler's victim whenever the pool runs dry.
-                        for i in dec_idx.tolist():
+                        for i in np.arange(n_run)[dec].tolist():
                             req = state.reqs[i]
                             if req.phase is not Phase.DECODE:
                                 continue  # preempted earlier in this step
@@ -744,7 +750,8 @@ class _Run:
                             else:
                                 state.advance(i)
                                 tokens += 1
-                                self.settle(i, keep)
+                                if state.gen[i] == state.event[i]:
+                                    self.settle(i, keep)
                 prof.lap("decode")
                 for sink in sinks:
                     sink.step_end(step, tokens)

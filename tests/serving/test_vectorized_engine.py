@@ -480,16 +480,20 @@ class TestBatchStateProperty:
 
     @staticmethod
     def _settle(state: BatchState, ref: list[dict], advanced: list[int]) -> None:
-        """The engine's settle pass after an advance: rows at their event
-        sync; an abort or a finish drops the row."""
+        """The engine's settle pass after an advance: the rows at their
+        next event (``gen == event``) are exactly those the per-row
+        lifecycle test picks among the advanced rows; each syncs, an abort
+        or a finish drops it, and a row that lives on moves its event."""
+        events = state.at_event().tolist()
+        assert events == [i for i in advanced if _at_event(ref[i], ref[i]["gen"])]
         keep = np.ones(len(ref), dtype=bool)
-        for i in advanced:
+        for i in events:
             row = ref[i]
-            if not _at_event(row, row["gen"]):
-                continue
             assert state.sync(i).generated == row["gen"]
             if row["gen"] == row["abort_at"] or row["gen"] >= row["max_new"]:
                 keep[i] = False
+            else:
+                state.next_event(i, row["max_new"], row["abort_at"])
         if not keep.all():
             state.rebuild(keep)
             ref[:] = [row for row, k in zip(ref, keep) if k]
