@@ -151,16 +151,24 @@ class PagedKVManager:
         of allocate/free has interleaved live and free blocks.  Paged
         attention gathers per block so this costs nothing *here* — the
         gauge exists because the ROADMAP's prefix-caching and defrag
-        items need the decision signal.  The longest run is the widest gap
-        between used ids (sentinels ``-1`` and ``num_blocks``), all of
-        which sit in ``_rc[_low:]``: O(blocks ever used), no sort."""
+        items need the decision signal.  The never-used ids ``[0, _low)``
+        are one free run, which the first free run of ``_rc[_low:]``
+        extends when it starts at ``_low``; the other runs lie in
+        ``_rc[_low:]`` and are found at its free/used edges: O(blocks ever
+        used), no sort."""
         n = self.free_blocks
         if n <= 1:
             return 0.0
-        used = np.flatnonzero(self._rc[self._low:] != 0)  # offsets from _low
-        gaps = np.diff(used, prepend=-1 - self._low,
-                       append=self.num_blocks - self._low)
-        return 1.0 - (int(gaps.max()) - 1) / n
+        # Free flags of the blocks ever used, between two used sentinels.
+        free = np.zeros(self.num_blocks - self._low + 2, dtype=bool)
+        np.equal(self._rc[self._low:], 0, out=free[1:-1])
+        # Offsets where a free run starts, then ends, alternately.
+        edges = np.flatnonzero(free[1:] != free[:-1])
+        runs = edges[1::2] - edges[::2]
+        if edges.size and edges[0] == 0:
+            runs[0] += self._low
+        longest = max(int(runs.max()) if runs.size else 0, self._low)
+        return 1.0 - longest / n
 
     def refcount_distribution(self) -> dict[int, int]:
         """Histogram of live block refcounts ``{refcount: blocks}`` — the
@@ -307,7 +315,8 @@ class PagedKVManager:
         """
         if self._shared_blocks:
             return False
-        need = self._tokens[rows] >= self._block_capacity[rows] * self.block_tokens
+        cap = self._block_capacity[rows]
+        need = self._tokens[rows] >= cap * self.block_tokens
         crossing = rows[need]
         if crossing.size:
             if crossing.size > self.free_blocks:
@@ -315,10 +324,10 @@ class PagedKVManager:
             # One bulk take hands out the ids per-row takes would, in row
             # order; each lands in its row's next table slot.
             taken = self._take_blocks(int(crossing.size))
-            cols = self._block_capacity[crossing]
+            cols = cap[need]
             self._reserve(self._rows, int(cols.max()) + 1)
             self._table[crossing, cols] = taken
-            self._block_capacity[crossing] += 1
+            self._block_capacity[crossing] = cols + 1
             self._block_refs += int(crossing.size)
             if self.on_grow is not None:
                 self.on_grow(crossing)
