@@ -58,6 +58,7 @@ __all__ = [
     "COMPONENTS",
     "CostLedger",
     "LedgerRow",
+    "row_account",
     "aggregate",
     "critical_path",
     "tail_explainer",
@@ -141,8 +142,10 @@ class CostLedger:
         sums, since = self._sums, row.since
         base = _DEC_BASE if row.first_tokened else _PF_BASE
         if row.decoding:
-            for k in range(_SERIALIZED):
-                comp[base + k] += sums[k] - since[k]
+            comp[base] += sums[0] - since[0]
+            comp[base + 1] += sums[1] - since[1]
+            comp[base + 2] += sums[2] - since[2]
+            comp[base + 3] += sums[3] - since[3]
             comp[base + _STALL_OFF] += sums[_SERIALIZED] - since[_SERIALIZED]
         else:
             comp[base + _STALL_OFF] += sums[_ALL] - since[_ALL]
@@ -228,33 +231,21 @@ class CostLedger:
                 row.kv_peak = held
 
     def account(self, row: LedgerRow) -> dict:
-        """The row's totals: queue seconds, the per-bucket components (an
-        admitted row's unsettled share included) and the KV economics
-        (block-seconds up to the row's last KV event)."""
+        """The row's totals (:func:`row_account`), an admitted row's
+        unsettled share included."""
         comp = row.comp
         if row.admitted:
             comp = comp.copy()
             self._add_due(row, comp)
-        return {
-            "queue_seconds": comp[_QUEUE],
-            "prefill": dict(zip(COMPONENTS, comp[_PF_BASE:_DEC_BASE])),
-            "decode": dict(zip(COMPONENTS, comp[_DEC_BASE:])),
-            "kv": {
-                "blocks_admitted": row.kv_admit,
-                "blocks_peak": row.kv_peak,
-                "blocks_final": row.kv_last,
-                "shared_blocks": row.kv_shared,
-                "block_seconds": row.block_sec,
-            },
-        }
+        return row_account(row, comp)
 
-    def close(self, row: LedgerRow, ts: float) -> dict:
-        """Settle the row at ``ts`` and return its final account."""
+    def close(self, row: LedgerRow, ts: float) -> None:
+        """Settle the row at ``ts``: its account is final, and
+        :func:`row_account` reads it from the row alone."""
         if row.admitted:
             self._release(row, ts)
         else:
             row.comp[_QUEUE] += ts - row.inactive_since
-        return self.account(row)
 
     # ------------------------------------------------------------------
     # step charges (called once per engine iteration, pre-advancement)
@@ -292,6 +283,26 @@ class CostLedger:
             comp[base + 2] += kv_dequant
             comp[base + 3] += overhead
             prefill_row.since[_ALL] += dt  # computing, not stalled
+
+
+def row_account(row: LedgerRow, comp: list[float] | None = None) -> dict:
+    """A row's totals: queue seconds, the per-bucket components (``comp``,
+    the row's settled ones by default) and the KV economics (block-seconds
+    up to the row's last KV event)."""
+    if comp is None:
+        comp = row.comp
+    return {
+        "queue_seconds": comp[_QUEUE],
+        "prefill": dict(zip(COMPONENTS, comp[_PF_BASE:_DEC_BASE])),
+        "decode": dict(zip(COMPONENTS, comp[_DEC_BASE:])),
+        "kv": {
+            "blocks_admitted": row.kv_admit,
+            "blocks_peak": row.kv_peak,
+            "blocks_final": row.kv_last,
+            "shared_blocks": row.kv_shared,
+            "block_seconds": row.block_sec,
+        },
+    }
 
 
 def aggregate(records: list[dict]) -> dict:

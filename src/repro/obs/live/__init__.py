@@ -160,14 +160,20 @@ class LiveObs:
         if names:
             self.windows.extend(names, values, clocks)
         hook = self._hook
-        every = self._hook_every
-        for step, c in enumerate(clocks.tolist(), base + 1):
-            self.slo.advance(c)
-            self.steps = step
-            if c > self.clock:
-                self.clock = c
-            if hook is not None and step % every == 0:
-                hook(self)
+        if hook is None:
+            self.slo.advance_many(clocks.tolist())
+            self.steps = base + n
+            if last > self.clock:  # clocks ascend
+                self.clock = last
+        else:
+            every = self._hook_every
+            for step, c in enumerate(clocks.tolist(), base + 1):
+                self.slo.advance(c)
+                self.steps = step
+                if c > self.clock:
+                    self.clock = c
+                if step % every == 0:
+                    hook(self)
         self._export_metrics(last, count=n)
 
     def sample(self, name: str, value: float, ts: float | None = None) -> None:

@@ -6,10 +6,10 @@ request experienced, with simulated timestamps, plus where its e2e went
 (queue, then the prefill and decode components of
 :mod:`repro.obs.attrib`) and the KV blocks it held.
 
-Each in-flight record owns one row of a :class:`~repro.obs.attrib.
-CostLedger`; at close the row's settled account moves into the record, so
-the flight view and the cost-ledger view of a request are one set of
-numbers.
+Each record owns one row of a :class:`~repro.obs.attrib.CostLedger`; at
+close the row settles and the record keeps it, reading its account from
+it on demand, so the flight view and the cost-ledger view of a request
+are one set of numbers.
 
 Records are duck-typed against :class:`repro.serving.request.Request`
 attributes fed through the engine's live hooks — this module deliberately
@@ -30,7 +30,7 @@ from typing import Protocol
 
 import numpy as np
 
-from repro.obs.attrib import CostLedger, LedgerRow, aggregate
+from repro.obs.attrib import CostLedger, LedgerRow, aggregate, row_account
 
 __all__ = ["FlightRecord", "FlightRecorder"]
 
@@ -59,8 +59,9 @@ class FlightRecord:
 
     ``timeline`` is a list of ``(ts, event, detail)`` tuples on the
     simulated clock.  ``account`` is the request's cost-ledger account
-    (:meth:`CostLedger.account`): settled at close, refreshed by
-    :meth:`FlightRecorder.get` while the request is in flight.
+    (:meth:`CostLedger.account`): read from its settled ``row`` once the
+    record is closed, as of the last :meth:`FlightRecorder.get` while the
+    request is in flight.
     """
 
     request_id: int
@@ -79,8 +80,8 @@ class FlightRecord:
     generated: int = 0
     slo_met: bool | None = None
     timeline_truncated: bool = False
-    row: LedgerRow | None = None  # cost-ledger row while in flight
-    account: dict = field(default_factory=dict)
+    row: LedgerRow | None = None  # its cost-ledger row, settled at close
+    _account: dict | None = field(default=None, init=False, repr=False)
 
     def note(self, ts: float, event: str, **detail: object) -> None:
         if len(self.timeline) >= MAX_TIMELINE_EVENTS:
@@ -89,6 +90,12 @@ class FlightRecord:
         self.timeline.append((ts, event, detail))
 
     # ------------------------------------------------------- derived views
+
+    @property
+    def account(self) -> dict:
+        if self._account is None:
+            self._account = {} if self.row is None else row_account(self.row)
+        return self._account
 
     @property
     def in_flight(self) -> bool:
@@ -312,8 +319,8 @@ class FlightRecorder:
                 ts, outcome, reason=reason, generated=generated,
                 e2e=ts - rec.arrival_time,
             )
-            rec.account = self._ledger.close(rec.row, ts)
-            rec.row = None
+            self._ledger.close(rec.row, ts)
+            rec._account = None  # read from the settled row on demand
             if len(self._completed) == self.capacity:
                 evicted = self._completed[0]
                 self.evictions += 1
@@ -342,7 +349,7 @@ class FlightRecorder:
         with self._lock:
             rec = self._active.get(request_id)
             if rec is not None:
-                rec.account = self._ledger.account(rec.row)
+                rec._account = self._ledger.account(rec.row)
                 return rec
             return self._by_id.get(request_id)
 

@@ -128,6 +128,18 @@ class SLOMonitor:
         with self._lock:
             return self._advance(now)
 
+    def advance_many(self, clocks: list[float]) -> None:
+        """Heartbeats at ascending ``clocks``: the same as :meth:`advance`
+        at each in turn.  With no outcome in the window and no clock
+        behind the monitor's, nothing slides out and every window count
+        is zero, so only the first heartbeat can change the state and the
+        last sets the clock."""
+        with self._lock:
+            if not self._window and clocks[0] >= self.clock:
+                clocks = (clocks[0], clocks[-1])
+            for now in clocks:
+                self._advance(now)
+
     # ------------------------------------------------------------- queries
 
     def burn_rate(self, now: float | None = None) -> float:

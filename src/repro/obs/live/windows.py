@@ -171,9 +171,13 @@ class Reservoir:
             self._size = cap
             return
         overflow = max(0, self._size + n - cap)
-        idx = (self._head + self._size + np.arange(n)) % cap
-        self._ts[idx] = ts
-        self._values[idx] = values
+        # The n slots after the newest sample, wrapping once at most.
+        start = (self._head + self._size) % cap
+        first = min(n, cap - start)
+        self._ts[start:start + first] = ts[:first]
+        self._values[start:start + first] = values[:first]
+        self._ts[:n - first] = ts[first:]
+        self._values[:n - first] = values[first:]
         self._size = self._size + n - overflow
         self._head = (self._head + overflow) % cap
         self.evictions += overflow

@@ -194,3 +194,42 @@ class TestIncrementalWindow:
             assert fast.burn_rate() == scan.burn_rate()
             assert fast.state == scan.state and fast.events == scan.events
         assert fast.snapshot() == scan.snapshot()
+
+
+class TestAdvanceMany:
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(_QUARTERS.map(abs), min_size=1, max_size=6),
+                _QUARTERS,
+                st.booleans(),
+            ),
+            max_size=30,
+        ),
+        st.sampled_from([0.25, 1.0, 2.5]),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_one_advance_per_clock(self, rounds, window, min_samples):
+        """A run of ascending heartbeats leaves the state, the event log
+        and the window of per-clock :meth:`advance` calls, whether the
+        window is empty, emptying or holding outcomes (in order or late)
+        and whether the state is ok or recovering."""
+        policy = SLOPolicy(window_seconds=window, budget=0.25,
+                           warn_burn=1.0, critical_burn=2.0,
+                           min_samples=min_samples)
+        many, single = (SLOMonitor(policy=policy, event_capacity=6)
+                        for _ in range(2))
+        clock = 0.0
+        for steps, offset, met in rounds:
+            clocks = []
+            for step in steps:
+                clock += step
+                clocks.append(clock)
+            many.advance_many(clocks)
+            for c in clocks:
+                single.advance(c)
+            assert many.snapshot() == single.snapshot()
+            for mon in (many, single):
+                mon.record(clock + offset, met)
+        assert many.snapshot() == single.snapshot()

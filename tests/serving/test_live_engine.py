@@ -230,7 +230,13 @@ class TestHeartbeatBatch:
 
     METRICS = ("serving.step_seconds", "serving.batch_size")
 
-    def _feed(self, bundle, batched):
+    #: Batch boundaries; ``_feed`` may record SLO outcomes at each.
+    BATCHES = ((0, 1), (1, 40), (40, 40), (40, 70), (70, 100))
+
+    def _feed(self, bundle, batched, outcomes=False):
+        """Feed 100 steps, per step or in ``BATCHES``; with ``outcomes``,
+        record missed SLO outcomes after the first two batches, so the
+        SLO window holds outcomes, empties and recovers along the way."""
         import numpy as np
 
         rng = np.random.default_rng(5)
@@ -238,18 +244,19 @@ class TestHeartbeatBatch:
         cols = {
             name: rng.uniform(0.0, 10.0, size=100) for name in self.METRICS
         }
-        if batched:
-            rows = np.column_stack([cols[name] for name in self.METRICS])
-            for lo, hi in ((0, 1), (1, 40), (40, 40), (40, 100)):
-                bundle.heartbeat_batch(
-                    clocks[lo:hi], self.METRICS, rows[lo:hi]
-                )
-        else:
-            for i in range(100):
-                bundle.heartbeat(
-                    float(clocks[i]),
-                    {k: float(v[i]) for k, v in cols.items()},
-                )
+        rows = np.column_stack([cols[name] for name in self.METRICS])
+        for lo, hi in self.BATCHES:
+            if batched:
+                bundle.heartbeat_batch(clocks[lo:hi], self.METRICS, rows[lo:hi])
+            else:
+                for i in range(lo, hi):
+                    bundle.heartbeat(
+                        float(clocks[i]),
+                        {k: float(v[i]) for k, v in cols.items()},
+                    )
+            if outcomes and hi in (1, 40):
+                for _ in range(6):
+                    bundle.slo.record(float(clocks[hi - 1]), met=False)
 
     def test_end_state_matches_per_step_heartbeats(self):
         import numpy as np
@@ -267,6 +274,22 @@ class TestHeartbeatBatch:
             self._feed(bundle, batched)
             snaps[batched] = bundle.snapshot()
         assert hooks[True] == hooks[False]
+        assert snaps[True] == snaps[False]
+
+    def test_unhooked_end_state_matches_per_step_heartbeats(self):
+        """Without a hook the batch advances the SLO monitor in one call;
+        its state, events and window still match per-step heartbeats."""
+        snaps = {}
+        for batched in (False, True):
+            bundle = live_obs.LiveObs(
+                window_seconds=0.2,
+                slo_policy=live_obs.SLOPolicy(window_seconds=0.05),
+            )
+            self._feed(bundle, batched, outcomes=True)
+            snaps[batched] = bundle.snapshot()
+        assert [e["to"] for e in snaps[False]["slo"]["events"]] == [
+            "critical", "ok", "critical", "ok"
+        ]
         assert snaps[True] == snaps[False]
 
     def test_empty_batch_is_noop(self):
