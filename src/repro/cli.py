@@ -265,16 +265,16 @@ def _cmd_top(args: argparse.Namespace) -> int:
     from repro.serving.faults import FaultPlan
 
     cfg = get_model_config(args.model)
-    metrics_path = _begin_metrics(args)
-    if not metrics_path:
-        obs.enable()  # the live layer mirrors health into /metrics
     engine = _build_engine(
         cfg, args,
         hbm_bytes=args.hbm_gb * 1e9,
         prefill_chunk_tokens=args.chunk or None,
     )
     if engine is None:
-        return 1
+        return 1  # before telemetry is on, so the OOM exit leaves it off
+    metrics_path = _begin_metrics(args)
+    if not metrics_path:
+        obs.enable()  # the live layer mirrors health into /metrics
     requests = _overload_trace(args, engine)
 
     json_to_stdout = args.json == "-"

@@ -81,6 +81,17 @@ class TestServe:
 
 
 class TestTop:
+    def test_oom_exit_leaves_telemetry_off(self, capsys):
+        import repro.obs as obs
+
+        rc = main([
+            "top", "--model", "llama-3-70b", "--system", "trtllm-fp16",
+            "--once", "--requests", "5",
+        ])
+        assert rc == 1
+        assert "OOM" in capsys.readouterr().err
+        assert not obs.enabled()
+
     def test_quiet_run(self, capsys):
         rc = main([
             "top", "--model", "llama-3-8b", "--system", "comet",
