@@ -82,7 +82,7 @@ def _check_numerics(report: VerificationReport, rng: np.random.Generator) -> Non
 
 
 def _check_timing(report: VerificationReport, spec: GPUSpec,
-                  rng: np.random.Generator) -> None:
+                  oracle: OracleW4A4, rng: np.random.Generator) -> None:
     m = int(rng.choice([2, 16, 64, 256]))
     n = int(rng.choice([2048, 5120, 8192]))
     k = int(rng.choice([2048, 5120, 8192]))
@@ -90,7 +90,7 @@ def _check_timing(report: VerificationReport, spec: GPUSpec,
     case = f"timing {shape}"
     comet = W4AxKernel(spec=spec).latency(shape).seconds
     w4a8 = W4AxKernel(spec=spec, int8_fraction=1.0).latency(shape).seconds
-    oracle = OracleW4A4(spec=spec).latency(shape).seconds
+    oracle = oracle.latency(shape).seconds
     cublas = CuBLASW16A16(spec=spec).latency(shape).seconds
     w8a8 = TRTLLMW8A8(spec=spec).latency(shape).seconds
     for name, v in (("comet", comet), ("cublas", cublas), ("w8a8", w8a8)):
@@ -111,14 +111,18 @@ def verify_kernels(
     Args:
         cases: numerics cases (timing runs ``cases // 4 + 1``).
         seed: RNG seed.
-        spec: GPU to check the timing models on.
+        spec: GPU to check the timing models on.  The timing checks bound
+            the mixed kernel by the all-INT4 oracle, so a GPU without INT4
+            tensor cores is refused with the oracle's ``ValueError``
+            before any case runs.
     """
     if cases < 1:
         raise ValueError("cases must be positive")
+    oracle = OracleW4A4(spec=spec)
     rng = np.random.default_rng(seed)
     report = VerificationReport()
     for _ in range(cases):
         _check_numerics(report, rng)
     for _ in range(cases // 4 + 1):
-        _check_timing(report, spec, rng)
+        _check_timing(report, spec, oracle, rng)
     return report

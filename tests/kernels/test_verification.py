@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.gpu.spec import H100_SXM5
+from repro.kernels import verification
 from repro.kernels.verification import VerificationReport, verify_kernels
 
 
@@ -16,6 +18,21 @@ class TestVerifyKernels:
     def test_validation(self):
         with pytest.raises(ValueError):
             verify_kernels(cases=0)
+
+    def test_gpu_without_int4_refused_before_any_case(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(verification, "_check_numerics",
+                            lambda *args: ran.append(args))
+        with pytest.raises(ValueError, match="no INT4 tensor core"):
+            verify_kernels(cases=1, spec=H100_SXM5)
+        assert ran == []
+
+    def test_a100_report_unchanged(self):
+        # The A100 self-check as it read before the oracle was built once
+        # per run instead of once per timing case.
+        report = verify_kernels(cases=12, seed=0)
+        assert (report.numerics_cases, report.timing_cases) == (12, 4)
+        assert report.failures == []
 
     def test_deterministic(self):
         a = verify_kernels(cases=4, seed=7)
