@@ -7,10 +7,13 @@ checks, retry-queue sorts.  This module holds the three structures that
 erase those scans:
 
 * :class:`BatchState` — the engine's only representation of the running
-  batch: a struct-of-arrays (context length, generated count, phase flag,
-  deadlines, KV row, abort point) kept in admission order, so each step's
-  partition/aggregate/advance work is a handful of numpy operations
-  instead of O(batch) python, and every edge case (fault, abort,
+  batch: a struct-of-arrays kept in admission order in three blocks (an
+  int64 block of context length, generated count, output budget, KV row,
+  abort point and next lifecycle event; a float64 block of deadlines; the
+  bool decoding flags), so each step's partition/aggregate/advance work
+  is a fixed handful of numpy operations instead of O(batch) python, a
+  step's lifecycle rows are one compare (``gen == event``), compacting
+  the batch is one take per block, and every edge case (fault, abort,
   preemption, expiry) is a row operation;
 * :class:`DeadlineHeap` — a lazy-deletion min-heap over waiting requests'
   deadlines, giving the per-step expiry sweep O(expired · log n) cost and
@@ -106,10 +109,16 @@ class BatchState:
         if i == self._decoding.size:
             self._alloc(2 * i)
         self.reqs.append(req)
+        # Scalar stores: numpy converts a tuple into a column far slower.
         gen, max_new = req.generated, req.max_new_tokens
-        self._ints[:, i] = (req.context_len, gen, max_new, kv_row, abort_at,
-                            _next_event(gen, max_new, abort_at))
-        self._dls[:, i] = (req.e2e_deadline, req.ttft_deadline)
+        self._ctx[i] = req.context_len
+        self._gen[i] = gen
+        self._max_new[i] = max_new
+        self._kv_row[i] = kv_row
+        self._abort_at[i] = abort_at
+        self._event[i] = _next_event(gen, max_new, abort_at)
+        self._e2e_dl[i] = req.e2e_deadline
+        self._ttft_dl[i] = req.ttft_deadline
         self._decoding[i] = req.phase is Phase.DECODE
 
     # ------------------------------------------------------------- views

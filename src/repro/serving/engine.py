@@ -342,10 +342,14 @@ class ServingEngine:
         high-concurrency benchmark tier reads this; simulated results are
         unaffected).
 
-        The running batch lives in numpy arrays (:class:`BatchState`), so
-        each iteration's bookkeeping is a few array operations; faults,
-        aborts, finishes and expiries are row operations, and only a step
-        whose KV growth needs preemption walks the decoding rows one by one.
+        The running batch lives in numpy blocks (:class:`BatchState`), so
+        each iteration's bookkeeping is a fixed handful of array operations:
+        the decoding rows are a slice of the batch when no prefill chunk is
+        in flight, and the rows due a lifecycle event (first token, abort,
+        finish) are those whose generated count has reached their next-event
+        column.  Faults, aborts, finishes and expiries are row operations,
+        and only a step whose KV growth needs preemption walks the decoding
+        rows one by one.
         One iteration advances a pure-decode batch ``k`` steps, to its next
         event: a first token, finish or abort, the step before a second KV
         block crossing, the step whose clock reaches the next arrival or
@@ -456,17 +460,23 @@ class _Run:
         float sums of a per-step loop).  ``step``, built only when sinks
         are attached (then ``len(dts) == 1``), is reported to them."""
         decode = kind != "prefill"
-        clocks = [self.clock]
+        clock = self.clock
+        busy = self.decode_s if decode else self.prefill_s
+        gemm_s, attn_s, overhead_s = self.gemm_s, self.attn_s, self.overhead_s
+        clocks = [clock]
         for dt, attn in zip(dts, attns):
-            self.clock += dt
-            if decode:
-                self.decode_s += dt
-            else:
-                self.prefill_s += dt
-            self.gemm_s += gemm
-            self.attn_s += attn
-            self.overhead_s += DEFAULT_STEP_OVERHEAD
-            clocks.append(self.clock)
+            clock += dt
+            busy += dt
+            gemm_s += gemm
+            attn_s += attn
+            overhead_s += DEFAULT_STEP_OVERHEAD
+            clocks.append(clock)
+        self.clock = clock
+        if decode:
+            self.decode_s = busy
+        else:
+            self.prefill_s = busy
+        self.gemm_s, self.attn_s, self.overhead_s = gemm_s, attn_s, overhead_s
         if step is not None:
             for sink in self.sinks:
                 sink.step_cost(step)
