@@ -569,12 +569,13 @@ class _Run:
         abort_at = self.abort_points.get(req.request_id, -1) if req.retries == 0 else -1
         self.state.add(req, self.kv.sequence_row(req.request_id), abort_at)
 
-    def settle(self, i: int, keep: np.ndarray) -> None:
-        """Lifecycle of row ``i``, which just decoded the token of its next
-        event: the first-token stamp, then its scheduled abort (a fault
-        beats the finish it may coincide with) or its finish, either of
-        which drops the row from this step's ``keep``; a row that lives on
-        moves its event to its abort or finish."""
+    def settle(self, i: int, abort_at: int, keep: np.ndarray) -> None:
+        """Lifecycle of row ``i`` (scheduled to abort at ``abort_at``),
+        which just decoded the token of its next event: the first-token
+        stamp, then its abort (a fault beats the finish it may coincide
+        with) or its finish, either of which drops the row from this step's
+        ``keep``; a row that lives on moves its event to its abort or
+        finish."""
         state = self.state
         req = state.sync(i)
         gen = req.generated
@@ -582,7 +583,6 @@ class _Run:
             req.first_token_time = self.clock
             for sink in self.sinks:
                 sink.first_token(req, self.clock)
-        abort_at = int(state.abort_at[i])
         if gen == abort_at:
             # Per-request transient fault: the first attempt aborts here;
             # retries run clean.
@@ -736,8 +736,11 @@ class _Run:
                         state.advance(dec, k)
                         tokens = n_dec * k
                         # Only rows that advanced can be at their event.
-                        for i in state.at_event().tolist():
-                            self.settle(i, keep)
+                        events = state.at_event()
+                        for i, abort_at in zip(
+                            events.tolist(), state.abort_at[events].tolist()
+                        ):
+                            self.settle(i, abort_at, keep)
                     elif n_dec:
                         # The pool cannot grow every sequence at once: grow
                         # them one by one in admission order, preempting the
@@ -761,7 +764,7 @@ class _Run:
                                 state.advance(i)
                                 tokens += 1
                                 if state.gen[i] == state.event[i]:
-                                    self.settle(i, keep)
+                                    self.settle(i, int(state.abort_at[i]), keep)
                 prof.lap("decode")
                 for sink in sinks:
                     sink.step_end(step, tokens)

@@ -316,7 +316,8 @@ class PagedKVManager:
         if self._shared_blocks:
             return False
         cap = self._block_capacity[rows]
-        need = self._tokens[rows] >= cap * self.block_tokens
+        tokens = self._tokens[rows]
+        need = tokens >= cap * self.block_tokens
         crossing = rows[need]
         if crossing.size:
             if crossing.size > self.free_blocks:
@@ -331,7 +332,7 @@ class PagedKVManager:
             self._block_refs += int(crossing.size)
             if self.on_grow is not None:
                 self.on_grow(crossing)
-        self._tokens[rows] += k
+        self._tokens[rows] = tokens + k
         self._total_tokens += int(rows.size) * k
         return True
 

@@ -121,8 +121,8 @@ class Scheduler:
         if self.has_slos:
             for req in self.expiry.expired(run.clock):
                 run.expire(req, "expired while waiting")
-        state, retries, waiting = run.state, self.retry_queue, self.waiting
-        while len(state) < self.max_batch and retries.next_ready_time() <= run.clock:
+        running, retries, waiting = run.state.reqs, self.retry_queue, self.waiting
+        while len(running) < self.max_batch and retries.next_ready_time() <= run.clock:
             req = retries.peek()
             if req.is_terminal:  # shed by the deadline sweep while backing off
                 retries.pop()
@@ -134,7 +134,7 @@ class Scheduler:
                 yield req
             else:
                 break
-        while len(state) < self.max_batch:
+        while len(running) < self.max_batch:
             self.clean_waiting()
             if not waiting or waiting[0].arrival_time > run.clock:
                 break
