@@ -71,16 +71,13 @@ class Scheduler:
                     f"capacity {self.capacity}"
                 )
             return None
-        if kv.blocks_needed(req.prompt_len + kv.block_tokens) > kv.num_blocks:
-            return (
-                f"prompt_len {req.prompt_len} exceeds the KV pool "
-                f"({kv.token_capacity} tokens)"
-            )
-        if kv.blocks_needed(req.total_len) > kv.num_blocks:
-            return (
-                f"total_len {req.total_len} exceeds the KV pool "
-                f"({kv.token_capacity} tokens)"
-            )
+        # A length needs more blocks than the pool has exactly when it
+        # exceeds the pool's token capacity.
+        pool = kv.token_capacity
+        if req.prompt_len + kv.block_tokens > pool:
+            return f"prompt_len {req.prompt_len} exceeds the KV pool ({pool} tokens)"
+        if req.total_len > pool:
+            return f"total_len {req.total_len} exceeds the KV pool ({pool} tokens)"
         return None
 
     def try_admit(self, req: Request) -> bool:
