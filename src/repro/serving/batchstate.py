@@ -178,7 +178,9 @@ class BatchState:
     def at_event(self) -> np.ndarray:
         """Rows whose ``generated`` count has reached their next event."""
         n = len(self.reqs)
-        return np.flatnonzero(self._gen[:n] == self._event[:n])
+        # ndarray.nonzero, not np.flatnonzero: the wrapper's Python layers
+        # cost twice the search on a batch-sized column.
+        return (self._gen[:n] == self._event[:n]).nonzero()[0]
 
     def next_event(self, i: int, max_new: int, abort_at: int) -> None:
         """Row ``i`` took its first token and lives on: its next event is
@@ -202,13 +204,13 @@ class BatchState:
         """Compact the batch to the rows where ``keep`` is True, preserving
         their relative (admission) order — the order victim selection
         keys on.  The leaving requests are deleted from ``reqs`` in place."""
-        idx = np.flatnonzero(keep)
+        idx = keep.nonzero()[0]
         kept = idx.size
         self._ints[:, :kept] = self._ints.take(idx, axis=1)
         self._dls[:, :kept] = self._dls.take(idx, axis=1)
         self._decoding[:kept] = self._decoding.take(idx)
         reqs = self.reqs
-        for i in np.flatnonzero(~keep)[::-1].tolist():
+        for i in (~keep).nonzero()[0][::-1].tolist():
             del reqs[i]
 
 

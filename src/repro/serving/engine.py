@@ -32,7 +32,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, chain, count, repeat
-from operator import sub
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -460,33 +459,23 @@ class _Run:
         float sums of a per-step loop).  ``step``, built only when sinks
         are attached (then ``len(dts) == 1``), is reported to them."""
         decode = kind != "prefill"
-        clock = self.clock
-        busy = self.decode_s if decode else self.prefill_s
-        gemm_s, attn_s, overhead_s = self.gemm_s, self.attn_s, self.overhead_s
-        clocks = [clock]
         for dt, attn in zip(dts, attns):
-            clock += dt
-            busy += dt
-            gemm_s += gemm
-            attn_s += attn
-            overhead_s += DEFAULT_STEP_OVERHEAD
-            clocks.append(clock)
-        self.clock = clock
-        if decode:
-            self.decode_s = busy
-        else:
-            self.prefill_s = busy
-        self.gemm_s, self.attn_s, self.overhead_s = gemm_s, attn_s, overhead_s
+            self.clock += dt
+            if decode:
+                self.decode_s += dt
+                # The run's first decode step has no gap before it.
+                last = self.last_decode_clock
+                if last is not None and self.clock - last > self.max_decode_gap:
+                    self.max_decode_gap = self.clock - last
+                self.last_decode_clock = self.clock
+            else:
+                self.prefill_s += dt
+            self.gemm_s += gemm
+            self.attn_s += attn
+            self.overhead_s += DEFAULT_STEP_OVERHEAD
         if step is not None:
             for sink in self.sinks:
                 sink.step_cost(step)
-        if decode:
-            # The run's first decode step has no gap before it.
-            last = self.last_decode_clock
-            clocks[0] = clocks[1] if last is None else last
-            gaps = map(sub, clocks[1:], clocks)
-            self.max_decode_gap = max(self.max_decode_gap, *gaps)
-            self.last_decode_clock = self.clock
 
     def reject(self, req: Request, reason: str) -> None:
         req.reject(reason, self.clock)
@@ -639,8 +628,8 @@ class _Run:
                 prefill_req = None
                 chunk = 0
                 if n_dec < n_run:
-                    dec = np.flatnonzero(state.decoding)
-                    pf_i = int(np.flatnonzero(~state.decoding)[0])
+                    dec = state.decoding.nonzero()[0]
+                    pf_i = int((~state.decoding).nonzero()[0][0])
                     prefill_req = state.reqs[pf_i]
                     chunk = min(sched.chunk, prefill_req.prompt_len
                                 - prefill_req.prefill_progress)
@@ -773,7 +762,7 @@ class _Run:
                 if fault is not None and fault.kind is FaultKind.KV_LOSS:
                     # One running sequence's cache blocks are lost; the
                     # victim restarts from scratch (recompute) after backoff.
-                    alive = np.flatnonzero(keep)
+                    alive = keep.nonzero()[0]
                     if alive.size:
                         i = int(alive[int(fault.victim_draw * alive.size) % alive.size])
                         victim = state.sync(i)
@@ -784,9 +773,9 @@ class _Run:
 
                 if sched.has_slos:
                     e2e_hit = self.clock > state.e2e_dl
-                    hits = np.flatnonzero(keep & (
+                    hits = (keep & (
                         e2e_hit | ((state.gen == 0) & (self.clock > state.ttft_dl))
-                    ))
+                    )).nonzero()[0]
                     for i in hits.tolist():
                         req = state.sync(i)
                         sched.release(req)
