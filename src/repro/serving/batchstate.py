@@ -8,9 +8,9 @@ erase those scans:
 
 * :class:`BatchState` — the engine's only representation of the running
   batch: a struct-of-arrays kept in admission order in three blocks (an
-  int64 block of context length, generated count, output budget, KV row,
-  abort point and next lifecycle event; a float64 block of deadlines; the
-  bool decoding flags), so each step's partition/aggregate/advance work
+  int64 block of context length, generated count, KV row, abort point
+  and next lifecycle event; a float64 block of deadlines; the bool
+  decoding flags), so each step's partition/aggregate/advance work
   is a fixed handful of numpy operations instead of O(batch) python, a
   step's lifecycle rows are one compare (``gen == event``), compacting
   the batch is one take per block, and every edge case (fault, abort,
@@ -40,7 +40,7 @@ __all__ = ["BatchState", "DeadlineHeap", "RetryHeap"]
 _INITIAL_CAPACITY = 64
 
 # Columns of the int64 block, in order, and of the float64 deadline block.
-_INT_COLUMNS = ("ctx", "gen", "max_new", "kv_row", "abort_at", "event")
+_INT_COLUMNS = ("ctx", "gen", "kv_row", "abort_at", "event")
 _FLOAT_COLUMNS = ("e2e_dl", "ttft_dl")
 
 
@@ -58,8 +58,8 @@ class BatchState:
 
     The request list (``reqs``) carries identity and ordering; three numpy
     blocks carry the per-step hot fields, one slot per row: an int64 block
-    (context length, generated count, output budget, KV row, abort point,
-    next event), a float64 block (the e2e and TTFT deadlines) and the bool
+    (context length, generated count, KV row, abort point, next event), a
+    float64 block (the e2e and TTFT deadlines) and the bool
     ``decoding`` column.  Each block stores a column contiguously, so a
     column view is a plain 1-D array and compacting the batch is one take
     per block.
@@ -110,13 +110,12 @@ class BatchState:
             self._alloc(2 * i)
         self.reqs.append(req)
         # Scalar stores: numpy converts a tuple into a column far slower.
-        gen, max_new = req.generated, req.max_new_tokens
+        gen = req.generated
         self._ctx[i] = req.context_len
         self._gen[i] = gen
-        self._max_new[i] = max_new
         self._kv_row[i] = kv_row
         self._abort_at[i] = abort_at
-        self._event[i] = _next_event(gen, max_new, abort_at)
+        self._event[i] = _next_event(gen, req.max_new_tokens, abort_at)
         self._e2e_dl[i] = req.e2e_deadline
         self._ttft_dl[i] = req.ttft_deadline
         self._decoding[i] = req.phase is Phase.DECODE
@@ -134,10 +133,6 @@ class BatchState:
     @property
     def gen(self) -> np.ndarray:
         return self._gen[: len(self.reqs)]
-
-    @property
-    def max_new(self) -> np.ndarray:
-        return self._max_new[: len(self.reqs)]
 
     @property
     def kv_row(self) -> np.ndarray:

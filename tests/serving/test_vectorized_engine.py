@@ -463,8 +463,8 @@ class TestBatchStateProperty:
     (first tokens, aborts, finishes) and arbitrary row drops (preemption,
     faults, expiry)."""
 
-    COLUMNS = ("ctx", "gen", "max_new", "decoding", "e2e_dl", "ttft_dl",
-               "kv_row", "abort_at")
+    COLUMNS = ("ctx", "gen", "decoding", "e2e_dl", "ttft_dl", "kv_row",
+               "abort_at")
 
     @staticmethod
     def _check(state: BatchState, ref: list[dict], alias: list) -> None:
