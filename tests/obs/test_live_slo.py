@@ -211,10 +211,10 @@ class TestAdvanceMany:
     )
     @settings(max_examples=300, deadline=None)
     def test_equals_one_advance_per_clock(self, rounds, window, min_samples):
-        """A run of ascending heartbeats leaves the state, the event log
-        and the window of per-clock :meth:`advance` calls, whether the
-        window is empty, emptying or holding outcomes (in order or late)
-        and whether the state is ok or recovering."""
+        """A run of ascending heartbeats leaves the same state, event log
+        and window as per-clock :meth:`advance` calls, whether the window
+        is empty, emptying or holding outcomes (in order or late) and
+        whether the state is ok or recovering."""
         policy = SLOPolicy(window_seconds=window, budget=0.25,
                            warn_burn=1.0, critical_burn=2.0,
                            min_samples=min_samples)

@@ -235,8 +235,9 @@ class TestHeartbeatBatch:
 
     def _feed(self, bundle, batched, outcomes=False):
         """Feed 100 steps, per step or in ``BATCHES``; with ``outcomes``,
-        record missed SLO outcomes after the first two batches, so the
-        SLO window holds outcomes, empties and recovers along the way."""
+        record missed SLO outcomes after each batch that ends at step 1 or
+        40, so the SLO window holds outcomes, empties and recovers along
+        the way."""
         import numpy as np
 
         rng = np.random.default_rng(5)
