@@ -148,10 +148,10 @@ def _overload_trace(
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     cfg = get_model_config(args.model)
-    metrics_path = _begin_metrics(args)
     engine = _build_engine(cfg, args)
     if engine is None:
         return 1
+    metrics_path = _begin_metrics(args)
     feasible = min(max(engine.plan.max_batch(args.prompt + args.out), 1), args.batch)
     requests = make_batch_requests(
         feasible, args.prompt, args.out,
@@ -190,7 +190,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.serving.request import TERMINAL_PHASES
 
     cfg = get_model_config(args.model)
-    metrics_path = _begin_metrics(args)
     engine = _build_engine(
         cfg, args,
         hbm_bytes=args.hbm_gb * 1e9,
@@ -201,6 +200,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     )
     if engine is None:
         return 1
+    metrics_path = _begin_metrics(args)
     requests = _overload_trace(args, engine)
     plan = FaultPlan(
         seed=args.seed,

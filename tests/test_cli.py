@@ -92,6 +92,22 @@ class TestTop:
         assert "OOM" in capsys.readouterr().err
         assert not obs.enabled()
 
+    @pytest.mark.parametrize("command", ["serve", "chaos"])
+    def test_oom_exit_with_metrics_leaves_telemetry_off(
+        self, command, tmp_path, capsys
+    ):
+        import repro.obs as obs
+
+        path = tmp_path / "oom.prom"
+        rc = main([
+            command, "--model", "llama-3-70b", "--system", "trtllm-fp16",
+            "--emit-metrics", str(path),
+        ])
+        assert rc == 1
+        assert "OOM" in capsys.readouterr().err
+        assert not obs.enabled()
+        assert not list(tmp_path.iterdir())
+
     def test_quiet_run(self, capsys):
         rc = main([
             "top", "--model", "llama-3-8b", "--system", "comet",
