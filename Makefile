@@ -13,15 +13,15 @@ test:
 ## goldens, the detached-parity and invariant fuzzers, the live-engine
 ## tests, the retry/degradation/preemption policy tests of the scheduler,
 ## the paged-KV pool's reference tests (block ids, free-stack order,
-## free-list fragmentation) and the unit pins of the per-request record
-## store.  A tier-1 subset for quick iteration; CI runs it inside
-## `make test`.
+## free-list fragmentation), the step records a sink receives and the
+## unit pins of the per-request record store.  A tier-1 subset for quick
+## iteration; CI runs it inside `make test`.
 pins:
 	$(PYTHON) -m pytest -x -q tests/serving/test_vectorized_engine.py \
 		tests/serving/test_observer_goldens.py tests/kernels/test_costmodel_goldens.py \
 		tests/serving/test_engine_invariants.py tests/serving/test_live_engine.py \
 		tests/serving/test_resilience.py tests/serving/test_faults.py \
-		tests/serving/test_paged_kv.py \
+		tests/serving/test_paged_kv.py tests/serving/test_trace.py \
 		tests/obs/test_attrib.py tests/obs/test_live_flightrecorder.py \
 		tests/obs/test_live_http.py
 

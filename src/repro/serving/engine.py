@@ -55,15 +55,13 @@ from repro.serving.scheduler import Scheduler
 from repro.serving.sinks import _EngineTelemetry, _LiveHooks
 from repro.serving.stepprof import _NullProfiler
 from repro.serving.systems import ServingSystem
-from repro.serving.trace import EngineEvents, Step
+from repro.serving.trace import DEFAULT_STEP_OVERHEAD, EngineEvents, Step
 
 if TYPE_CHECKING:
     from repro.serving.stepprof import StepPhaseProfiler
 
 __all__ = ["EngineConfig", "ThroughputReport", "ServingEngine"]
 
-#: Per-step framework overhead: scheduler, sampling, python/driver time.
-DEFAULT_STEP_OVERHEAD = 100e-6
 #: Step faults drawn per FaultPlan.step_faults call.
 _FAULT_WINDOW = 256
 
@@ -328,11 +326,12 @@ class ServingEngine:
     ) -> ThroughputReport:
         """Serve a request list to completion and report throughput.
 
-        The loop reports every request transition and every step as an
-        engine event (:class:`repro.serving.trace.EngineEvents`) to its
-        sinks: obs telemetry while ``repro.obs`` is enabled (the one writer
-        of the obs simulated timeline: steps and lifecycle instants), the
-        attached live-observability bundle, and any further
+        The loop reports every request transition, and every iteration as
+        one :class:`repro.serving.trace.Step` record, as an engine event
+        (:class:`repro.serving.trace.EngineEvents`) to its sinks: obs
+        telemetry while ``repro.obs`` is enabled (the one writer of the obs
+        simulated timeline: steps and lifecycle instants), the attached
+        live-observability bundle, and any further
         :class:`repro.serving.trace.EngineEvents` passed as ``sink``.  Pass a
         :class:`repro.serving.faults.FaultPlan` as ``faults`` to run under
         injected transient failures (chaos mode).  A
@@ -349,13 +348,20 @@ class ServingEngine:
         column.  Faults, aborts, finishes and expiries are row operations,
         and only a step whose KV growth needs preemption walks the decoding
         rows one by one.
-        One iteration advances a pure-decode batch ``k`` steps, to its next
-        event: a first token, finish or abort, the step before a second KV
-        block crossing, the step whose clock reaches the next arrival or
-        retry wake-up, or the end of the ``max_steps`` budget.  Every float
-        is the one a step-at-a-time loop computes.  Faults, SLOs,
-        degradation, a prefill chunk in flight and any event sink hold
-        ``k`` at 1.
+        One iteration advances a pure-decode batch ``k`` steps, up to its
+        next event: the step before a first token, finish or abort (whose
+        step is an iteration of its own, so no request event fires inside a
+        multi-step record), the step before a second KV block crossing, the
+        step whose clock reaches the next arrival, or the end of the
+        ``max_steps`` budget.  Its record carries the ``k`` steps' times;
+        the clock and the report's seconds fold from it
+        (:meth:`_Run.charge`), and every float is the one a step-at-a-time
+        loop computes, for the sinks too: a sink expands the record
+        (:meth:`repro.serving.trace.Step.each`), and as no request event
+        fires inside it, what it records, and what a live bundle's
+        heartbeat hook reads, is what one step per iteration gives.
+        Faults, SLOs, degradation and a prefill chunk in flight hold ``k``
+        at 1.
 
         Admission, preemption and degradation are the policy of a
         :class:`repro.serving.scheduler.Scheduler`; the loop executes its
@@ -439,27 +445,23 @@ class _Run:
             live_hooks,
             sink,
         ) if s is not None]
-        # Requests in arrival order, and how many of them the sinks have
-        # seen arrive (see arrive_due()).
-        self.arrivals = list(self.sched.waiting) if self.sinks else []
+        # Requests in arrival order, and how many of them have arrived
+        # (see arrive_due()).
+        self.arrivals = list(self.sched.waiting)
         self.arrived = 0
-        # Faults, SLOs, degradation and event sinks act on every step; only
-        # without them may an iteration advance several steps.
+        # Faults, SLOs and degradation act on every step; only without them
+        # may an iteration advance several steps.
         self.multi_step = not (
             self.faults or self.sched.has_slos or cfg.degrade_under_pressure
-            or self.sinks
         )
 
-    def charge(
-        self, kind: str, dts: list[float], gemm: float, attns: list[float],
-        step: Step | None,
-    ) -> None:
-        """Advance the clock, its breakdown and the decode gap over
-        ``len(dts)`` steps of one fixed batch, adding step by step (the
-        float sums of a per-step loop).  ``step``, built only when sinks
-        are attached (then ``len(dts) == 1``), is reported to them."""
-        decode = kind != "prefill"
-        for dt, attn in zip(dts, attns):
+    def charge(self, step: Step) -> None:
+        """Fold one record into the clock, its breakdown, the decode gap
+        and the step count, adding step by step (the float sums of a
+        per-step loop), and report it to the sinks."""
+        decode = step.kind != "prefill"
+        gemm = step.gemm
+        for dt, attn, stall in zip(step.dt, step.attention, step.stall):
             self.clock += dt
             if decode:
                 self.decode_s += dt
@@ -472,10 +474,12 @@ class _Run:
                 self.prefill_s += dt
             self.gemm_s += gemm
             self.attn_s += attn
+            self.overhead_s += stall
             self.overhead_s += DEFAULT_STEP_OVERHEAD
-        if step is not None:
-            for sink in self.sinks:
-                sink.step_cost(step)
+        if not step.serialized:  # a whole-prompt prefill is an admission
+            self.compute_steps += step.k
+        for sink in self.sinks:
+            sink.step_cost(step)
 
     def reject(self, req: Request, reason: str) -> None:
         req.reject(reason, self.clock)
@@ -517,8 +521,9 @@ class _Run:
             sink.retry(req, self.clock, reason)
 
     def arrive_due(self) -> None:
-        """Report every request whose arrival time the clock has reached
-        to the sinks, once each."""
+        """Count every request whose arrival time the clock has reached as
+        arrived, reporting each to the sinks once; the next arrival bounds
+        the event horizon."""
         arrivals, i = self.arrivals, self.arrived
         while i < len(arrivals) and arrivals[i].arrival_time <= self.clock:
             for sink in self.sinks:
@@ -542,18 +547,16 @@ class _Run:
             ):
                 gemm, attn, dt = engine.prefill_step_cost(n)
             step = Step(
-                "prefill", self.clock, self.clock + dt, dt, 1, 0, n, n, gemm,
-                attn, 0.0, DEFAULT_STEP_OVERHEAD, req.request_id,
-                serialized=True,
-            ) if sinks else None
-            self.charge("prefill", [dt], gemm, [attn], step)
+                "prefill", self.clock, 1, (dt,), 1, 0, n, n, gemm, (attn,),
+                (0.0,), (0.0,), req.request_id, True,
+            )
+            self.charge(step)
             req.prefill_progress = n
             req.phase = Phase.DECODE
-            if sinks:
-                for sink in sinks:
-                    sink.prefill_done(req, self.clock)
-                    sink.step_end(step, 0)
-                self.arrive_due()  # the prefill moved the clock
+            for sink in sinks:
+                sink.prefill_done(req, self.clock)
+                sink.step_end(step, 0)
+            self.arrive_due()  # the prefill moved the clock
         # Request aborts only hit a request's first attempt.
         abort_at = self.abort_points.get(req.request_id, -1) if req.retries == 0 else -1
         self.state.add(req, self.kv.sequence_row(req.request_id), abort_at)
@@ -605,8 +608,7 @@ class _Run:
                     wake = sched.next_wake()
                     if wake != float("inf") and wake > self.clock:
                         self.clock = wake  # idle until next arrival / backoff expiry
-                if sinks:
-                    self.arrive_due()
+                self.arrive_due()
                 for req in sched.admissions(self):
                     self.start_request(req)
                 if not state:
@@ -635,9 +637,10 @@ class _Run:
                                 - prefill_req.prefill_progress)
                 dec_context = int(state.ctx[dec].sum())
                 kv_rows = state.kv_row[dec]
-                # Event horizon (see run's docstring); arrivals bound k once
-                # the step costs are known.
-                k = state.horizon() if self.multi_step and n_dec == n_run else 1
+                # Event horizon (see run's docstring): up to the step before
+                # the next event; arrivals bound k once the step costs are known.
+                k = (max(state.horizon() - 1, 1)
+                     if self.multi_step and n_dec == n_run else 1)
                 if k > 1:
                     k = min(k, kv.append_horizon(kv_rows), cfg.max_steps - spent + 1)
 
@@ -649,16 +652,21 @@ class _Run:
                 m = n_dec + chunk
                 with obs.span("engine.step", cat="serving", kind=kind, batch=n_run):
                     gemm = engine.linear_stack_latency(m)
-                    # attn and dt are arrays over the k steps, whose decode
-                    # context grows by n_dec a step (one kernel call; a
-                    # plain int at k == 1 keeps that step on Python floats).
-                    attn = 0.0
+                    # attn, kv_dq and dt are arrays over the k steps, whose
+                    # decode context grows by n_dec a step (one kernel call;
+                    # a plain int at k == 1 keeps that step on Python floats).
+                    attn = kv_dq = stall = 0.0
                     if n_dec:
-                        attn += engine.decode_attention_time(
-                            dec_context + n_dec * np.arange(k) if k > 1
-                            else dec_context, n_dec,
+                        ctx = (dec_context + n_dec * np.arange(k) if k > 1
+                               else dec_context)
+                        attn = engine.decode_attention_time(ctx, n_dec)
+                        # KV dequant: decode attention's history-streaming
+                        # floor, capped by the attention time the kernel took.
+                        floor = kv_stream_seconds(
+                            ctx, engine._kv_bytes_per_token_per_gpu,
+                            engine.spec.hbm_bandwidth,
                         )
-                    attn_dec = attn
+                        kv_dq = np.minimum(attn, floor) if k > 1 else min(attn, floor)
                     if chunk:
                         attn = attn + engine._chunk_attention_time(
                             chunk, prefill_req.prefill_progress
@@ -669,37 +677,29 @@ class _Run:
                         # framework-side stall, not GEMM/attention work.
                         stall = dt * (fault.slowdown - 1.0)
                         dt = dt + stall
-                        self.overhead_s += stall
-                dts, attns = (dt.tolist(), attn.tolist()) if k > 1 else ([dt], [attn])
                 if k > 1:
+                    dts, attns, kv_dqs = dt.tolist(), attn.tolist(), kv_dq.tolist()
                     # Stop at the step whose clock reaches the next arrival
-                    # or retry wake-up.
-                    wake = sched.next_wake(after=self.clock)
-                    if wake != float("inf"):
+                    # (retry wake-ups come from faults, which hold k at 1).
+                    if self.arrived < len(self.arrivals):
                         clocks = list(accumulate(dts, initial=self.clock))
-                        k = min(k, bisect_left(clocks, wake))
-                        del dts[k:], attns[k:]
-                self.compute_steps += k
+                        k = min(k, bisect_left(
+                            clocks, self.arrivals[self.arrived].arrival_time
+                        ))
+                        del dts[k:], attns[k:], kv_dqs[k:]
+                    stalls = (0.0,) * k
+                else:
+                    dts, attns, kv_dqs, stalls = (dt,), (attn,), (kv_dq,), (stall,)
                 spent += k - 1
                 prof.step(k)
                 prof.lap("model")
-                step = None
-                if sinks:
-                    # KV dequant: decode attention's history-streaming floor,
-                    # capped by the attention time the kernel took.
-                    kv_dq = min(attn_dec, kv_stream_seconds(
-                        dec_context, engine._kv_bytes_per_token_per_gpu,
-                        engine.spec.hbm_bandwidth,
-                    )) if n_dec else 0.0
-                    context = dec_context if n_dec == n_run else int(state.ctx.sum())
-                    step = Step(
-                        kind, self.clock, self.clock + dt, dt, n_run, n_dec,
-                        chunk, context, gemm, attn, kv_dq,
-                        dt - gemm - attn,
-                        prefill_req.request_id if chunk else -1,
-                        serialized=False,
-                    )
-                self.charge(kind, dts, gemm, attns, step)
+                step = Step(
+                    kind, self.clock, k, dts, n_run, n_dec, chunk,
+                    dec_context if n_dec == n_run else int(state.ctx.sum()),
+                    gemm, attns, kv_dqs, stalls,
+                    prefill_req.request_id if chunk else -1, False,
+                )
+                self.charge(step)
                 if fault is not None:
                     self.record_fault(fault.kind)
 

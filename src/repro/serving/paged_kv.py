@@ -131,12 +131,15 @@ class PagedKVManager:
     def can_allocate(self, tokens: int) -> bool:
         return self.blocks_needed(tokens) <= self.free_blocks
 
-    def utilization(self) -> float:
+    def utilization(self, extra_tokens: int = 0) -> float:
         """Fraction of allocated token slots actually holding tokens —
-        paging keeps this near 1 (internal fragmentation only)."""
+        paging keeps this near 1 (internal fragmentation only) — with
+        ``extra_tokens`` more (fewer, if negative) in the blocks held."""
         if self._block_refs == 0:
             return 1.0
-        return self._total_tokens / (self._block_refs * self.block_tokens)
+        return (self._total_tokens + extra_tokens) / (
+            self._block_refs * self.block_tokens
+        )
 
     def fragmentation(self) -> float:
         """Fraction of allocated token slots wasted (internal

@@ -161,14 +161,12 @@ class Scheduler:
                 self.retry_queue.pop(), "re-admission failed with an empty KV pool"
             )
 
-    def next_wake(self, after: float = float("-inf")) -> float:
-        """When the queue head arrives or the first retry is due, counting
-        only times later than ``after`` (inf if none): a due queue head is
-        blocked, and stays so while the running batch is fixed."""
+    def next_wake(self) -> float:
+        """When the queue head arrives or the first retry is due (inf if
+        neither)."""
         self.clean_waiting()
-        head = self.waiting[0].arrival_time if self.waiting else after
-        wakes = (head, self.retry_queue.next_ready_time())
-        return min((t for t in wakes if t > after), default=float("inf"))
+        head = self.waiting[0].arrival_time if self.waiting else float("inf")
+        return min(head, self.retry_queue.next_ready_time())
 
     def requeue(self, req: Request) -> None:
         """Release a preempted request's KV and put it back at the head

@@ -122,22 +122,23 @@ class _EngineTelemetry(EngineEvents):
         )
 
     def step_cost(self, step: Step) -> None:
-        self._timeline.add_span(
-            f"{step.kind} b={step.batch}", step.start, step.dt,
-            cat=STEP_SPAN_CAT, domain="sim", index=self._step_index,
-            kind=step.kind, batch=step.batch,
-            decode_tokens=step.decode_tokens,
-            prefill_tokens=step.prefill_tokens,
-            context_tokens=step.context_tokens,
-        )
-        self._step_index += 1
+        for s in step.each():
+            self._timeline.add_span(
+                f"{s.kind} b={s.batch}", s.start, s.dt,
+                cat=STEP_SPAN_CAT, domain="sim", index=self._step_index,
+                kind=s.kind, batch=s.batch, decode_tokens=s.decode_tokens,
+                prefill_tokens=s.prefill_tokens,
+                context_tokens=s.context_tokens,
+            )
+            self._step_index += 1
 
     def step_end(self, step: Step, tokens: int) -> None:
         if tokens:
             self.output_tokens.inc(tokens)
-        self.steps.labels(kind=step.kind).inc()
-        self.step_seconds.observe(step.dt)
-        self.batch_size.observe(step.batch)
+        self.steps.labels(kind=step.kind).inc(step.k)
+        for dt in step.dt:
+            self.step_seconds.observe(dt)
+            self.batch_size.observe(step.batch)
         self.kv_utilization.set(self._kv.utilization())
         self.kv_fragmentation.set(self._kv.fragmentation())
         self.kv_free_blocks.set(self._kv.free_blocks)
@@ -199,7 +200,7 @@ class _LiveHooks(EngineEvents):
         self._hb: list[tuple] = []  # buffered heartbeat rows
         # Buffered request samples: metric -> (clocks, values).
         self._samples = {name: ([], []) for name in _REQUEST_METRICS}
-        self._clock = 0.0  # end of the step being charged
+        self._clock = 0.0  # the end of the charged record's first step
 
     def flush(self) -> None:
         """Hand the buffered request samples to the live layer, one window
@@ -261,8 +262,8 @@ class _LiveHooks(EngineEvents):
         )
 
     def kv_grown(self, kv_rows: np.ndarray) -> None:
-        """The pool rows ``kv_rows`` each took a block as the step's tokens
-        landed (the pool's ``on_grow`` hook)."""
+        """The pool rows ``kv_rows`` each took a block as the record's
+        first step landed (the pool's ``on_grow`` hook)."""
         self._flights.kv_grown(kv_rows, self._clock)
 
     def first_token(self, req: Request, clock: float) -> None:
@@ -325,27 +326,30 @@ class _LiveHooks(EngineEvents):
         self._flights.prefill_done(req.request_id)  # a decoder from now on
 
     def step_cost(self, step: Step) -> None:
-        """Charge the step to the records' ledger accounts.  A serialized
-        prefill stalls every other admitted request for its duration (the
-        decode gap)."""
-        self._clock = step.end
-        self._flights.step_cost(
-            step.dt, step.gemm, step.attention - step.kv_dequant,
-            step.kv_dequant, step.overhead, prefill_id=step.prefill_id,
-            serialized=step.serialized,
-        )
+        """Charge each step of the record to the records' ledger accounts.
+        A serialized prefill stalls every other admitted request for its
+        duration (the decode gap).  Only a record's first step may cross a
+        block boundary, so its block crossings settle at that step's end."""
+        self._clock = step.start + step.dt[0]
+        for s in step.each():
+            self._flights.step_cost(
+                s.dt, s.gemm, s.attention - s.kv_dequant, s.kv_dequant,
+                s.overhead, prefill_id=s.prefill_id, serialized=s.serialized,
+            )
 
     def step_end(self, step: Step, tokens: int) -> None:
-        """Buffer one step's worth of sliding-window samples (KV gauges
-        are snapshotted now, at the step's own clock)."""
-        kv = self._kv
-        self._hb.append((
-            step.end, step.dt, step.batch, tokens, kv.utilization(),
-            kv.free_blocks, kv.shared_blocks, step.gemm, step.attention,
-            step.kv_dequant,
-        ))
-        if len(self._hb) == self.FLUSH_EVERY:
-            self.flush()
+        """Buffer a heartbeat row of sliding-window samples per step, each
+        with the KV gauges at its own clock: read now, as no request event
+        fires inside a multi-step record, whose steps only add tokens."""
+        kv, k = self._kv, step.k
+        for j, s in enumerate(step.each(), 1 - k):
+            self._hb.append((
+                s.end, s.dt, s.batch, tokens // k,
+                kv.utilization(s.decode_tokens * j), kv.free_blocks,
+                kv.shared_blocks, s.gemm, s.attention, s.kv_dequant,
+            ))
+            if len(self._hb) == self.FLUSH_EVERY:
+                self.flush()
 
     def end_run(self, report: ThroughputReport) -> None:
         """Drain the heartbeat tail and deposit the KV pool's economics

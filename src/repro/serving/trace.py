@@ -1,26 +1,29 @@
 """The serving engine's event vocabulary: :class:`EngineEvents` is the
 stream ``ServingEngine.run`` reports to its sinks, and :class:`Step` its
-record of one engine iteration (clock, phase mix, batch, token counts,
-cost split).  The telemetry sink (:mod:`repro.serving.sinks`) writes each
-step to the obs simulated timeline as a span of category
-:data:`STEP_SPAN_CAT`."""
+record of one loop iteration: ``k`` steps of one batch (clock, phase mix,
+batch, token counts, cost split per step).  The telemetry sink
+(:mod:`repro.serving.sinks`) writes each step (:meth:`Step.each`) to the
+obs simulated timeline as a span of category :data:`STEP_SPAN_CAT`."""
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from repro.serving.engine import ThroughputReport
     from repro.serving.request import Request
 
-__all__ = ["Step", "EngineEvents"]
+__all__ = ["Step", "StepView", "EngineEvents"]
 
 #: Span category used for engine-step spans on the simulated timeline.
 STEP_SPAN_CAT = "engine.step"
+#: Per-step framework overhead: scheduler, sampling, python/driver time.
+DEFAULT_STEP_OVERHEAD = 100e-6
 
 
-class Step(NamedTuple):
-    """One engine iteration, as the event stream reports it."""
+class StepView(NamedTuple):
+    """One step of a :class:`Step` record."""
 
     kind: str  # 'prefill' | 'decode' | 'mixed'
     start: float  # simulated clock when the step began
@@ -38,6 +41,49 @@ class Step(NamedTuple):
     serialized: bool  # a whole-prompt prefill: every other request waits
 
 
+class Step(NamedTuple):
+    """One loop iteration, as the event stream reports it: ``k`` steps of
+    one fixed batch (only a pure-decode batch takes ``k > 1``).  Its fields
+    are those of :class:`StepView` but ``end`` and ``overhead``, plus ``k``
+    and the straggler ``stall`` inside ``dt``.  ``dt``, ``attention``,
+    ``kv_dequant`` and ``stall`` are sequences over the steps;
+    ``context_tokens`` (the first step's) grows by ``decode_tokens`` a
+    step."""
+
+    kind: str
+    start: float
+    k: int
+    dt: Sequence[float]
+    batch: int
+    decode_tokens: int
+    prefill_tokens: int
+    context_tokens: int
+    gemm: float
+    attention: Sequence[float]
+    kv_dequant: Sequence[float]
+    stall: Sequence[float]
+    prefill_id: int
+    serialized: bool
+
+    def each(self) -> Iterator[StepView]:
+        """The record's steps in order, each ending where the engine's
+        clock does (``start + dt``, added step by step).  A step's overhead
+        is the rest of its time; a whole-prompt prefill's is
+        :data:`DEFAULT_STEP_OVERHEAD`."""
+        clock, gemm, n = self.start, self.gemm, self.decode_tokens
+        for j, (dt, attn, kv_dq) in enumerate(
+            zip(self.dt, self.attention, self.kv_dequant)
+        ):
+            end = clock + dt
+            yield StepView(
+                self.kind, clock, end, dt, self.batch, n, self.prefill_tokens,
+                self.context_tokens + n * j, gemm, attn, kv_dq,
+                DEFAULT_STEP_OVERHEAD if self.serialized else dt - gemm - attn,
+                self.prefill_id, self.serialized,
+            )
+            clock = end
+
+
 class EngineEvents:
     """The engine's event vocabulary, as no-ops: a sink overrides the events
     it consumes (docs/observability.md, "Engine events").
@@ -47,8 +93,9 @@ class EngineEvents:
     clock has reached its ``arrival_time`` and before any other event of
     that request.  ``fault`` marks an injection (``req`` given when it is
     aimed at one request); ``fault_hit`` names the request a fault struck.
-    Per step, ``step_cost`` comes before any request state advances and
-    ``step_end`` after, once the step's tokens have landed; ``degraded``
+    Per :class:`Step` record, ``step_cost`` comes before any request state
+    advances and ``step_end`` after, once its tokens have landed; a record
+    of several steps fires no request event in between.  ``degraded``
     closes a step run with shrunken admission knobs.
     """
 

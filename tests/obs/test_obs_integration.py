@@ -179,7 +179,7 @@ class TestDisabledMode:
 
         class StepRecorder(EngineEvents):
             def step_cost(self, step):
-                steps.append(step)
+                steps.extend(step.each())
 
         run_engine(sink=StepRecorder())
         assert len(steps) > 0

@@ -27,6 +27,7 @@ chunked prefill outlasts a block's worth of an older request's decode.
 import copy
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -35,7 +36,9 @@ from hypothesis import strategies as st
 import repro.obs as obs
 from repro.model.config import tiny_config
 from repro.obs import live as live_obs
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import Histogram, MetricsRegistry
+from repro.obs.spans import SpanTracer
+from repro.serving.batchstate import BatchState
 from repro.serving.engine import EngineConfig, ServingEngine
 from repro.serving.faults import FaultPlan
 from repro.serving.memory_planner import WORKSPACE_FRACTION
@@ -218,22 +221,85 @@ def _outcome(engine, reqs, sink=None):
     ]
 
 
+def _one_step():
+    """Hold the engine to one step per loop iteration: the reference its
+    event horizon must match."""
+    return mock.patch.object(BatchState, "horizon", lambda self: 1)
+
+
+def _engines(cfg):
+    return [
+        ServingEngine(MODEL, SYSTEM, config=EngineConfig(max_steps=_MAX_STEPS, **cfg))
+        for _ in range(2)
+    ]
+
+
 @given(cfg=_configs, reqs=_workloads(max_arrival=5e-2))
 @settings(max_examples=100, deadline=None)
 def test_multi_step_iterations_match_single_steps(cfg, reqs):
-    # Detached, the engine advances a pure-decode batch to its next event
-    # in one iteration; any attached sink, even one that consumes no
-    # event, holds it to one step per iteration.  Both must produce the
-    # same run, float for float.  Arrivals spread over many steps, so
-    # some land mid-horizon.
+    # The engine advances a pure-decode batch to its next event in one
+    # iteration; held to one step per iteration, it must produce the same
+    # run, float for float.  Arrivals spread over many steps, so some land
+    # mid-horizon.
     twin = copy.deepcopy(reqs)
-    engine = ServingEngine(
-        MODEL, SYSTEM, config=EngineConfig(max_steps=_MAX_STEPS, **cfg)
+    engine, stepped = _engines(cfg)
+    with _one_step():
+        reference = _outcome(stepped, twin)
+    assert _outcome(engine, reqs) == reference
+
+
+class _StepRecorder(EngineEvents):
+    """Keeps the steps of every record reported."""
+
+    def __init__(self):
+        self.steps = []
+
+    def step_cost(self, step):
+        self.steps.extend(step.each())
+
+
+def _observed(engine, reqs):
+    """A run with every observer attached: its outcome, the steps a
+    recording sink saw, the obs simulated-domain records and serving
+    metrics, the flight records and the live snapshot."""
+    registry, spans = obs.enable(MetricsRegistry(), SpanTracer())
+    live = live_obs.attach(capacity=len(reqs))
+    recorder = _StepRecorder()
+    try:
+        outcome = _outcome(engine, reqs, recorder)
+    finally:
+        live_obs.detach()
+        obs.disable()
+    metrics = {
+        f.name: [
+            (labels, child.counts, child.sum, child.count)
+            if isinstance(f, Histogram) else (labels, child.value)
+            for labels, child in f.series()
+        ]
+        for f in registry.collect() if f.name.startswith("serving.")
+    }
+    return (
+        outcome, recorder.steps,
+        [(r.name, r.cat, r.start, r.duration, r.instant, r.attrs)
+         for r in spans.records if r.domain == "sim"],
+        metrics,
+        [r.to_dict() for r in live.flights.completed()],
+        live.snapshot(),
     )
-    stepped = ServingEngine(
-        MODEL, SYSTEM, config=EngineConfig(max_steps=_MAX_STEPS, **cfg)
-    )
-    assert _outcome(engine, reqs) == _outcome(stepped, twin, EngineEvents())
+
+
+@given(cfg=_configs, reqs=_workloads(max_arrival=5e-2))
+@settings(max_examples=100, deadline=None)
+def test_attached_multi_step_iterations_match_single_steps(cfg, reqs):
+    # Attached sinks take the event horizon too: telemetry, the live
+    # bundle and a recording sink must see what they see one step per
+    # iteration, float for float (heartbeat flushes at every 64th step,
+    # block crossings settled at the first step's clock).
+    twin = copy.deepcopy(reqs)
+    engine, stepped = _engines(cfg)
+    with _one_step():
+        reference = _observed(stepped, twin)
+    assert _observed(engine, reqs) == reference
 
 
 def test_optimistic_preemption_makes_progress():

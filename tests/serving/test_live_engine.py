@@ -9,6 +9,7 @@ with the live layer attached or detached (zero perturbation).
 import gc
 import json
 import time
+from unittest import mock
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.obs import live as live_obs
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import SpanTracer
 from repro.model.config import get_model_config, tiny_config
+from repro.serving.batchstate import BatchState
 from repro.serving.engine import EngineConfig, ServingEngine
 from repro.serving.faults import FaultPlan
 from repro.serving.request import Request
@@ -78,6 +80,28 @@ class TestHeartbeat:
             live_obs.detach()
         assert seen
         assert all(s % 10 == 0 for s in seen)
+
+    @staticmethod
+    def _hook_reads():
+        """What a per-step heartbeat hook reads over a Poisson run."""
+        reads = []
+        live_obs.attach(heartbeat_hook=lambda b: reads.append(
+            (b.steps, b.clock, b.flights.summary(), b.snapshot())
+        ))
+        try:
+            _engine().run(make_poisson_trace(12, 50.0, seed=1))
+        finally:
+            live_obs.detach()
+        return reads
+
+    def test_hooked_bundle_sees_every_step(self):
+        # A hooked run takes the event horizon too: no request event fires
+        # inside a multi-step record, so each of the hook's reads of the
+        # bundle is the one a run held to one step per iteration gives.
+        reads = self._hook_reads()
+        with mock.patch.object(BatchState, "horizon", lambda self: 1):
+            assert reads == self._hook_reads()
+        assert len(reads) == reads[-1][0] and reads[-1][2]["completed"] == 12
 
 
 class TestFlightRecorder:

@@ -13,7 +13,7 @@ from repro.serving.engine import EngineConfig, ServingEngine
 from repro.serving.faults import FaultPlan
 from repro.serving.request import make_batch_requests
 from repro.serving.systems import build_system
-from repro.serving.trace import STEP_SPAN_CAT, EngineEvents, Step
+from repro.serving.trace import STEP_SPAN_CAT, EngineEvents, Step, StepView
 from repro.serving.workload import make_overload_trace
 
 
@@ -25,13 +25,16 @@ def _obs_off():
 
 
 class StepRecorder(EngineEvents):
-    """A sink that keeps the steps of a run, in the order reported."""
+    """A sink that keeps the step records of a run, in the order reported,
+    and their steps (:meth:`Step.each`)."""
 
     def __init__(self):
+        self.records = []
         self.steps = []
 
     def step_cost(self, step):
-        self.steps.append(step)
+        self.records.append(step)
+        self.steps.extend(step.each())
 
 
 def traced_run(**cfg):
@@ -83,7 +86,8 @@ class TestEngineTracer:
 
     def test_steps_contiguous(self):
         _, tracer = traced_run(max_batch=4)
-        assert all(isinstance(s, Step) for s in tracer.steps)
+        assert all(isinstance(s, Step) for s in tracer.records)
+        assert all(isinstance(s, StepView) for s in tracer.steps)
         for a, b in zip(tracer.steps, tracer.steps[1:]):
             assert b.start == pytest.approx(a.end)
 
@@ -111,8 +115,7 @@ class TestEngineTracer:
         assert all(s.prefill_tokens > 0 and s.decode_tokens > 0 for s in mixed)
 
     def test_empty_tracer(self):
-        # A sink that consumes no event holds the loop to one step per
-        # iteration and changes nothing in the run.
+        # A sink that consumes no event changes nothing in the run.
         report, _ = traced_run(max_batch=4)
         eng = ServingEngine(
             get_model_config("llama-3-8b"), build_system("comet"),
