@@ -120,7 +120,7 @@ PER_TILE_US_PER_CALL = {
 }
 # (queued-request tiers for the high-concurrency scaling bench)
 FULL_SCALE = dict(tiers=(1000, 4000, 10000), max_batch=512)
-SMOKE_SCALE = dict(tiers=(1000,), max_batch=256)
+SMOKE_SCALE = dict(tiers=(1000,), max_batch=256, repeats=3)
 # Step-loop overhead ceilings, us/step (admit + schedule + decode +
 # heartbeat wall time).  Each equals the bound the former speedup gate
 # against the per-request scalar loop implied: that loop's measured
@@ -469,7 +469,7 @@ def _scale_run(model, n: int, max_batch: int, attached: bool):
     return report, prof.per_step_us(), prof.overhead_seconds() * 1e6 / observed
 
 
-def run_scale_bench(tiers=(1000, 4000, 10000), max_batch=512):
+def run_scale_bench(tiers=(1000, 4000, 10000), max_batch=512, repeats=1):
     """Engine bookkeeping cost at high concurrency.
 
     Runs an overload trace through the engine per tier with a
@@ -481,15 +481,24 @@ def run_scale_bench(tiers=(1000, 4000, 10000), max_batch=512):
     minus detached step-loop overhead, per engine step) and
     ``attached_us_per_step``: the attached overhead per observed step,
     whole-prompt prefills included, whose growth with queue depth the
-    gate bounds.
+    gate bounds.  With ``repeats`` > 1 the detached and attached runs
+    alternate that many times and every figure is the median of its
+    runs, so host noise between two single runs does not move the gate.
     """
     model = tiny_config(name="scale-bench")
     rows = []
     for n in tiers:
-        report, us, _ = _scale_run(model, n, max_batch, attached=False)
-        _, attached_us, per_observed = _scale_run(
-            model, n, max_batch, attached=True
-        )
+        detached, attached = [], []
+        for _ in range(repeats):
+            detached.append(_scale_run(model, n, max_batch, attached=False))
+            attached.append(_scale_run(model, n, max_batch, attached=True))
+        report = detached[0][0]
+        us = {p: float(np.median([r[1][p] for r in detached]))
+              for p in detached[0][1]}
+        attached_us = {"overhead": float(np.median(
+            [r[1]["overhead"] for r in attached]
+        ))}
+        per_observed = float(np.median([r[2] for r in attached]))
         rows.append(
             {
                 "requests": int(n),
@@ -707,7 +716,9 @@ def emit_scale(rows: list[dict], mode: str) -> None:
                 "ledger attached, minus detached; gated <= detached at the",
                 "1k smoke tier.  attached us/observed step counts every",
                 "heartbeat, whole-prompt prefills included; gated at 10k",
-                f"<= {SCALE_OBS_FLAT_RATIO:g}x the 1k figure.",
+                f"<= {SCALE_OBS_FLAT_RATIO:g}x the 1k figure.  Smoke figures:",
+                f"medians of {SMOKE_SCALE['repeats']} alternating detached/"
+                "attached runs.",
             ],
         ),
     )

@@ -351,9 +351,10 @@ class ServingEngine:
         One iteration advances a pure-decode batch ``k`` steps, up to its
         next event: the step before a first token, finish or abort (whose
         step is an iteration of its own, so no request event fires inside a
-        multi-step record), the step before a second KV block crossing, the
-        step whose clock reaches the next arrival, or the end of the
-        ``max_steps`` budget.  Its record carries the ``k`` steps' times;
+        multi-step record), the step whose clock reaches the next arrival,
+        the end of the ``max_steps`` budget, or the last step whose KV block
+        crossings the free pool covers (a record may cross block boundaries
+        on any of its steps).  Its record carries the ``k`` steps' times;
         the clock and the report's seconds fold from it
         (:meth:`_Run.charge`), and every float is the one a step-at-a-time
         loop computes, for the sinks too: a sink expands the record
@@ -642,7 +643,7 @@ class _Run:
                 k = (max(state.horizon() - 1, 1)
                      if self.multi_step and n_dec == n_run else 1)
                 if k > 1:
-                    k = min(k, kv.append_horizon(kv_rows), cfg.max_steps - spent + 1)
+                    k = kv.append_horizon(kv_rows, min(k, cfg.max_steps - spent + 1))
 
                 # One continuous-batching iteration: decode tokens plus (when
                 # chunking) one prompt chunk share the same GEMM pass.

@@ -93,9 +93,11 @@ class PagedKVManager:
         self._row_of: dict[int, int] = {}
         self._reset_rows()
         #: Called with the stable rows that each took one more block as
-        #: they grew (a block crossing), when set: the serving engine's
-        #: live observer settles KV block-seconds there.
-        self.on_grow: Callable[[np.ndarray], None] | None = None
+        #: they grew (a block crossing) and the step offset of the
+        #: crossing in a multi-step :meth:`append_token_many` (0 for one
+        #: step), when set: the serving engine's live observer settles KV
+        #: block-seconds there.
+        self.on_grow: Callable[[np.ndarray, int], None] | None = None
         # Running aggregates: O(1) utilization / fragmentation.
         self._total_tokens = 0
         self._block_refs = 0  # sum of len(block table) over live sequences
@@ -131,22 +133,23 @@ class PagedKVManager:
     def can_allocate(self, tokens: int) -> bool:
         return self.blocks_needed(tokens) <= self.free_blocks
 
-    def utilization(self, extra_tokens: int = 0) -> float:
+    def utilization(self, extra_tokens: int = 0, extra_blocks: int = 0) -> float:
         """Fraction of allocated token slots actually holding tokens —
         paging keeps this near 1 (internal fragmentation only) — with
-        ``extra_tokens`` more (fewer, if negative) in the blocks held."""
-        if self._block_refs == 0:
+        ``extra_tokens`` more tokens and ``extra_blocks`` more blocks held
+        (fewer, if negative): the gauge as of an earlier step of a
+        multi-step :meth:`append_token_many`."""
+        blocks = self._block_refs + extra_blocks
+        if blocks == 0:
             return 1.0
-        return (self._total_tokens + extra_tokens) / (
-            self._block_refs * self.block_tokens
-        )
+        return (self._total_tokens + extra_tokens) / (blocks * self.block_tokens)
 
     def fragmentation(self) -> float:
         """Fraction of allocated token slots wasted (internal
         fragmentation at block granularity): ``1 - utilization``."""
         return 1.0 - self.utilization()
 
-    def freelist_fragmentation(self) -> float:
+    def freelist_fragmentation(self, untaken: int = 0) -> float:
         """Scatter of the free list: ``1 - longest_contiguous_run / free``.
 
         0.0 means every free block sits in one contiguous id range (a
@@ -158,13 +161,22 @@ class PagedKVManager:
         are one free run, which the first free run of ``_rc[_low:]``
         extends when it starts at ``_low``; the other runs lie in
         ``_rc[_low:]`` and are found at its free/used edges: O(blocks ever
-        used), no sort."""
-        n = self.free_blocks
+        used), no sort.
+
+        ``untaken`` counts the last that many blocks of the latest bulk
+        take as free again: the gauge as of an earlier step of a
+        multi-step :meth:`append_token_many`, whose later steps took
+        them.  Those blocks came off the stack, so they are ids at or
+        above ``_low``; the ones taken from the watermark continue the
+        never-used run."""
+        n = self.free_blocks + untaken
         if n <= 1:
             return 0.0
         # Free flags of the blocks ever used, between two used sentinels.
         free = np.zeros(self.num_blocks - self._low + 2, dtype=bool)
         np.equal(self._rc[self._low:], 0, out=free[1:-1])
+        if untaken:
+            free[self._taken[-untaken:] - (self._low - 1)] = True
         # Offsets where a free run starts, then ends, alternately.
         edges = np.flatnonzero(free[1:] != free[:-1])
         runs = edges[1::2] - edges[::2]
@@ -263,7 +275,7 @@ class PagedKVManager:
             self._block_capacity[row] += 1
             self._block_refs += 1
             if self.on_grow is not None:
-                self.on_grow(np.array([row]))
+                self.on_grow(np.array([row]), 0)
         elif cap and self._rc[self._table[row, cap - 1]] > 1:
             # Copy-on-write: the tail block is shared and about to change.
             if not self.free_blocks:
@@ -280,23 +292,40 @@ class PagedKVManager:
         self._total_tokens += 1
         return True
 
-    def append_horizon(self, rows: np.ndarray) -> int:
-        """How many steps :meth:`append_token_many` may grow ``rows`` in
-        one call: up to the step before any row's next block-boundary
-        crossing *after* the first step, so only step 1 takes blocks.  It
-        is 1 when the fast path cannot apply (a shared block, or more
-        step-1 crossings than free blocks), leaving the caller's
-        one-step fallback in charge."""
+    def _crossings(self, room: np.ndarray, k: int) -> np.ndarray:
+        """Blocks each row with ``room`` free slots in its table takes
+        over ``k`` one-token steps: one at step ``room + 1``, then one
+        every ``block_tokens`` steps."""
+        bt = self.block_tokens
+        return np.maximum(k - room + (bt - 1), 0) // bt
+
+    def append_horizon(self, rows: np.ndarray, k: int) -> int:
+        """How many steps, at most ``k``, :meth:`append_token_many` may
+        grow ``rows`` in one call: the largest ``k' <= k`` whose block
+        crossings over ``k'`` steps the free pool covers.  Crossings may
+        fall on any step.  It is 1 when the fast path cannot apply (a
+        shared block, or more step-1 crossings than free blocks), leaving
+        the caller's one-step fallback in charge."""
         if self._shared_blocks:
             return 1
+        free = self.free_blocks
+        # No row crosses more than ceil(k / block_tokens) times.
+        if rows.size * -(-k // self.block_tokens) <= free:
+            return k
         room = self._block_capacity[rows] * self.block_tokens - self._tokens[rows]
-        if rows.size > self.free_blocks and (
-            np.count_nonzero(room <= 0) > self.free_blocks
-        ):
+        if int(self._crossings(room, k).sum()) <= free:
+            return k
+        if np.count_nonzero(room == 0) > free:
             return 1
-        # A full tail block (room 0) is crossed at step 1, leaving a whole
-        # block of room: room 0 counts as block_tokens.
-        return int((room + (room <= 0) * self.block_tokens).min())
+        # Bisect: the crossings of `lo` steps fit the pool, of `hi` not.
+        lo, hi = 1, k
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if int(self._crossings(room, mid).sum()) <= free:
+                lo = mid
+            else:
+                hi = mid
+        return lo
 
     def append_token_many(self, rows: np.ndarray, k: int = 1) -> bool:
         """Grow every sequence in ``rows`` by ``k`` tokens, all-or-nothing.
@@ -304,10 +333,13 @@ class PagedKVManager:
         The vectorized batch-decode fast path: ``rows`` is an array of
         *stable rows* (from :meth:`sequence_row`, one per running decode
         sequence — no duplicates).  Per-token python work is replaced by
-        two array compares and one fancy-indexed increment; python remains
-        only for the (rare) sequences crossing a block boundary.  ``k``
-        must not exceed :meth:`append_horizon`, so every crossing falls on
-        the first of the ``k`` steps.
+        a few array operations.  A row may cross several block boundaries
+        over the ``k`` steps, on any of them (``k`` must not exceed
+        :meth:`append_horizon`): every crossing's block comes from one
+        bulk take, in step-then-row order, so block ids, tables and the
+        free stack equal those of ``k`` single-step calls.  ``on_grow``
+        hears each step's crossing rows, with the step's offset in the
+        call.
 
         Returns False **without mutating anything** when the fast path
         cannot apply — some block is prefix-shared (copy-on-write might
@@ -320,21 +352,63 @@ class PagedKVManager:
             return False
         cap = self._block_capacity[rows]
         tokens = self._tokens[rows]
-        need = tokens >= cap * self.block_tokens
-        crossing = rows[need]
-        if crossing.size:
-            if crossing.size > self.free_blocks:
-                return False
-            # One bulk take hands out the ids per-row takes would, in row
-            # order; each lands in its row's next table slot.
-            taken = self._take_blocks(int(crossing.size))
-            cols = cap[need]
-            self._reserve(self._rows, int(cols.max()) + 1)
-            self._table[crossing, cols] = taken
-            self._block_capacity[crossing] = cols + 1
-            self._block_refs += int(crossing.size)
-            if self.on_grow is not None:
-                self.on_grow(crossing)
+        if k == 1:  # every step of a fault-plan run: the fewest array ops
+            need = tokens >= cap * self.block_tokens
+            crossing = rows[need]
+            if crossing.size:
+                if crossing.size > self.free_blocks:
+                    return False
+                # One bulk take hands out the ids per-row takes would, in
+                # row order; each lands in its row's next table slot.
+                taken = self._take_blocks(int(crossing.size))
+                cols = cap[need]
+                self._reserve(self._rows, int(cols.max()) + 1)
+                self._table[crossing, cols] = taken
+                self._block_capacity[crossing] = cols + 1
+                self._block_refs += int(crossing.size)
+                if self.on_grow is not None:
+                    self.on_grow(crossing, 0)
+        else:
+            bt = self.block_tokens
+            room = cap * bt - tokens
+            at = (room < k).nonzero()[0]  # positions of the crossing rows
+            if at.size:
+                # A row crosses at step offset `room`, then every bt steps.
+                per_row = self._crossings(room[at], k)
+                n = int(per_row.sum())
+                if n > self.free_blocks:
+                    return False
+                self._block_capacity[rows[at]] = cap[at] + per_row
+                # The crossings in step-then-row order: every row's m-th
+                # crossing for m = 0, 1, ..., rows by first crossing (a
+                # stable sort keeps row order on ties).  Sort again only
+                # if first crossings lie a block or more apart, when
+                # successive m can share a step.
+                at = at[np.argsort(room[at], kind="stable")]
+                first = room[at]
+                nth, i = np.nonzero(
+                    np.arange(int(per_row.max()))[:, None]
+                    < self._crossings(first, k)
+                )
+                crossing = rows[at][i]
+                cols = cap[at][i]
+                cols += nth
+                step = first[i]
+                nth *= bt
+                step += nth
+                if first[-1] - first[0] >= bt:
+                    order = np.lexsort((at[i], step))
+                    crossing, cols, step = crossing[order], cols[order], step[order]
+                del nth, i  # before the take, which needs room for n more
+                taken = self._take_blocks(n)
+                self._reserve(self._rows, int(cols.max()) + 1)
+                self._table[crossing, cols] = taken
+                self._block_refs += n
+                if self.on_grow is not None:
+                    # One call per step, at the step's offset.
+                    cuts = (np.flatnonzero(step[1:] != step[:-1]) + 1).tolist()
+                    for a, b in zip([0, *cuts], [*cuts, n]):
+                        self.on_grow(crossing[a:b], int(step[a]))
         self._tokens[rows] = tokens + k
         self._total_tokens += int(rows.size) * k
         return True
@@ -379,6 +453,7 @@ class PagedKVManager:
         self._tokens = np.zeros(0, dtype=np.int64)
         self._block_capacity = np.zeros(0, dtype=np.int64)
         self._free_rows: list[int] = []
+        self._taken = np.zeros(0, dtype=np.int64)  # the latest bulk take
 
     def _blocks(self, row: int) -> np.ndarray:
         """A view of the row's block table, in token order."""
@@ -448,6 +523,7 @@ class PagedKVManager:
             )
             self._low = low
         self._rc[blocks] = 1
+        self._taken = blocks  # for freelist_fragmentation(untaken)
         if obs.enabled():
             obs.metrics().counter(
                 "serving.kv_blocks_allocated_total",

@@ -187,6 +187,11 @@ class _LiveHooks(EngineEvents):
     ledger O(1) whatever the number of records.  A record's KV holdings
     settle at the pool events that change them: admission, each block
     crossing (:meth:`kv_grown`, the pool's ``on_grow`` hook) and release.
+    A multi-step record may take blocks on any of its steps, so its
+    crossings settle at their own step's end clock, and each heartbeat
+    row, like a flush that falls inside the record, reads the pool with
+    the blocks of the record's later steps counted as free: float for
+    float what one step per iteration gives.
     """
 
     #: Heartbeats buffered before a bulk hand-off to the live layer.
@@ -200,14 +205,18 @@ class _LiveHooks(EngineEvents):
         self._hb: list[tuple] = []  # buffered heartbeat rows
         # Buffered request samples: metric -> (clocks, values).
         self._samples = {name: ([], []) for name in _REQUEST_METRICS}
-        self._clock = 0.0  # the end of the charged record's first step
+        # Of the charged record: its steps (Step.costs), and the KV blocks
+        # each step took (kv_grown).
+        self._steps: list[tuple[float, ...]] = []
+        self._taken = [0]
 
-    def flush(self) -> None:
+    def flush(self, untaken: int = 0) -> None:
         """Hand the buffered request samples to the live layer, one window
         write per metric, then the buffered heartbeats, oldest first, with
-        one free-list fragmentation sample at the last one's clock.  (A
-        hooked bundle flushes before every event, so its pending samples
-        all precede its pending heartbeats.)"""
+        one free-list fragmentation sample at the last one's clock, as of
+        its step: the ``untaken`` blocks the record's later steps took
+        count as free.  (A hooked bundle flushes before every event, so its
+        pending samples all precede its pending heartbeats.)"""
         for name, (clocks, values) in self._samples.items():
             if clocks:
                 self._live.windows.extend((name,), values, clocks)
@@ -220,8 +229,8 @@ class _LiveHooks(EngineEvents):
                 rows[:, 0], _HEARTBEAT_METRICS, rows[:, 1:]
             )
             self._live.sample(
-                "serving.kv_freelist_frag", self._kv.freelist_fragmentation(),
-                float(rows[-1, 0]),
+                "serving.kv_freelist_frag",
+                self._kv.freelist_fragmentation(untaken), float(rows[-1, 0]),
             )
 
     def _sample(self, name: str, value: float, clock: float) -> None:
@@ -261,10 +270,12 @@ class _LiveHooks(EngineEvents):
             and kv.sequence_shared_blocks(req.request_id),
         )
 
-    def kv_grown(self, kv_rows: np.ndarray) -> None:
+    def kv_grown(self, kv_rows: np.ndarray, j: int) -> None:
         """The pool rows ``kv_rows`` each took a block as the record's
-        first step landed (the pool's ``on_grow`` hook)."""
-        self._flights.kv_grown(kv_rows, self._clock)
+        step ``j`` (from 0) landed (the pool's ``on_grow`` hook): settled
+        at that step's end clock."""
+        self._flights.kv_grown(kv_rows, self._steps[j][0])
+        self._taken[j] += kv_rows.size
 
     def first_token(self, req: Request, clock: float) -> None:
         self._sync()
@@ -328,28 +339,35 @@ class _LiveHooks(EngineEvents):
     def step_cost(self, step: Step) -> None:
         """Charge each step of the record to the records' ledger accounts.
         A serialized prefill stalls every other admitted request for its
-        duration (the decode gap).  Only a record's first step may cross a
-        block boundary, so its block crossings settle at that step's end."""
-        self._clock = step.start + step.dt[0]
-        for s in step.each():
-            self._flights.step_cost(
-                s.dt, s.gemm, s.attention - s.kv_dequant, s.kv_dequant,
-                s.overhead, prefill_id=s.prefill_id, serialized=s.serialized,
-            )
+        duration (the decode gap).  The steps are kept for the block
+        crossings of each (:meth:`kv_grown`) and the heartbeats
+        (:meth:`step_end`) of the record."""
+        steps = self._steps = list(step.costs())
+        self._taken = [0] * step.k
+        charge = self._flights.step_cost
+        gemm, prefill_id, serialized = step.gemm, step.prefill_id, step.serialized
+        for _, dt, attn, kv_dq, overhead in steps:
+            charge(dt, gemm, attn - kv_dq, kv_dq, overhead, prefill_id, serialized)
 
     def step_end(self, step: Step, tokens: int) -> None:
         """Buffer a heartbeat row of sliding-window samples per step, each
         with the KV gauges at its own clock: read now, as no request event
-        fires inside a multi-step record, whose steps only add tokens."""
-        kv, k = self._kv, step.k
-        for j, s in enumerate(step.each(), 1 - k):
-            self._hb.append((
-                s.end, s.dt, s.batch, tokens // k,
-                kv.utilization(s.decode_tokens * j), kv.free_blocks,
-                kv.shared_blocks, s.gemm, s.attention, s.kv_dequant,
+        fires inside a multi-step record, whose steps only add tokens and
+        take blocks, with the tokens and blocks of the later steps taken
+        back out."""
+        kv, k, taken, hb = self._kv, step.k, self._taken, self._hb
+        free, shared, per_step = kv.free_blocks, kv.shared_blocks, tokens // k
+        batch, n, gemm = step.batch, step.decode_tokens, step.gemm
+        later = sum(taken)  # blocks the steps after step j took
+        for j, (end, dt, attn, kv_dq, _) in enumerate(self._steps):
+            later -= taken[j]
+            hb.append((
+                end, dt, batch, per_step,
+                kv.utilization(n * (j + 1 - k), -later),
+                free + later, shared, gemm, attn, kv_dq,
             ))
-            if len(self._hb) == self.FLUSH_EVERY:
-                self.flush()
+            if len(hb) == self.FLUSH_EVERY:
+                self.flush(later)
 
     def end_run(self, report: ThroughputReport) -> None:
         """Drain the heartbeat tail and deposit the KV pool's economics

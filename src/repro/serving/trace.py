@@ -65,23 +65,31 @@ class Step(NamedTuple):
     prefill_id: int
     serialized: bool
 
+    def costs(self) -> Iterator[tuple[float, float, float, float, float]]:
+        """Each step's ``(end, dt, attention, kv_dequant, overhead)``, in
+        order: the per-step fields of :meth:`each` as plain tuples.  A
+        step ends where the engine's clock does (``start + dt``, added
+        step by step).  Its overhead is the rest of its time; a
+        whole-prompt prefill's is :data:`DEFAULT_STEP_OVERHEAD`."""
+        clock, gemm, serialized = self.start, self.gemm, self.serialized
+        for dt, attn, kv_dq in zip(self.dt, self.attention, self.kv_dequant):
+            clock += dt
+            yield (
+                clock, dt, attn, kv_dq,
+                DEFAULT_STEP_OVERHEAD if serialized else dt - gemm - attn,
+            )
+
     def each(self) -> Iterator[StepView]:
-        """The record's steps in order, each ending where the engine's
-        clock does (``start + dt``, added step by step).  A step's overhead
-        is the rest of its time; a whole-prompt prefill's is
-        :data:`DEFAULT_STEP_OVERHEAD`."""
-        clock, gemm, n = self.start, self.gemm, self.decode_tokens
-        for j, (dt, attn, kv_dq) in enumerate(
-            zip(self.dt, self.attention, self.kv_dequant)
-        ):
-            end = clock + dt
+        """The record's steps in order (:meth:`costs`, with the record's
+        fields and each step's start and context)."""
+        start, n = self.start, self.decode_tokens
+        for j, (end, dt, attn, kv_dq, overhead) in enumerate(self.costs()):
             yield StepView(
-                self.kind, clock, end, dt, self.batch, n, self.prefill_tokens,
-                self.context_tokens + n * j, gemm, attn, kv_dq,
-                DEFAULT_STEP_OVERHEAD if self.serialized else dt - gemm - attn,
+                self.kind, start, end, dt, self.batch, n, self.prefill_tokens,
+                self.context_tokens + n * j, self.gemm, attn, kv_dq, overhead,
                 self.prefill_id, self.serialized,
             )
-            clock = end
+            start = end
 
 
 class EngineEvents:

@@ -190,7 +190,7 @@ class TestLedgerUnits:
               shared_blocks=kv.sequence_shared_blocks(1))
         store.step_cost(1.0, gemm=0.5, attention=0.25, kv_dequant=0.125,
                         overhead=0.125)
-        kv.on_grow = lambda rows: store.kv_grown(rows, 1.0)
+        kv.on_grow = lambda rows, j: store.kv_grown(rows, 1.0)
         assert kv.append_token(1)          # the 65th token takes block 5
         store.step_cost(1.0, gemm=0.5, attention=0.25, kv_dequant=0.125,
                         overhead=0.125)

@@ -68,7 +68,7 @@ class TestLifecycle:
         rec = FlightRecorder()
         req = _req(1)
         rec.admitted(req, 0.0, kv_blocks=3, kv_row=kv.sequence_row(1))
-        kv.on_grow = lambda rows: rec.kv_grown(rows, 0.5)
+        kv.on_grow = lambda rows, j: rec.kv_grown(rows, 0.5)
         for _ in range(16):  # grows to 7 blocks
             kv.append_token(1)
         assert rec.get(1).kv_blocks_peak == 7

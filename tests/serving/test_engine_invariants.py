@@ -249,12 +249,14 @@ def test_multi_step_iterations_match_single_steps(cfg, reqs):
 
 
 class _StepRecorder(EngineEvents):
-    """Keeps the steps of every record reported."""
+    """Keeps every record reported, and the steps of each."""
 
     def __init__(self):
+        self.records = []
         self.steps = []
 
     def step_cost(self, step):
+        self.records.append(step)
         self.steps.extend(step.each())
 
 
@@ -294,12 +296,34 @@ def test_attached_multi_step_iterations_match_single_steps(cfg, reqs):
     # Attached sinks take the event horizon too: telemetry, the live
     # bundle and a recording sink must see what they see one step per
     # iteration, float for float (heartbeat flushes at every 64th step,
-    # block crossings settled at the first step's clock).
+    # block crossings settled at their own step's clock).
     twin = copy.deepcopy(reqs)
     engine, stepped = _engines(cfg)
     with _one_step():
         reference = _observed(stepped, twin)
     assert _observed(engine, reqs) == reference
+
+
+def test_lockstep_batch_crosses_block_boundaries_inside_one_record():
+    # Eight 64/40 requests under full reservation decode in lockstep.
+    # Every row crosses a 16-token block boundary at its first token and
+    # again at tokens 17 and 33, all on the same steps, and no request
+    # event falls between the first token and the finish: the decode is
+    # the first-token step, one 38-step record and the finish step.
+    def run(engine):
+        reqs = [Request(i, prompt_len=64, max_new_tokens=40) for i in range(8)]
+        recorder = _StepRecorder()
+        report = engine.run(reqs, sink=recorder)
+        return report, [r.k for r in recorder.records if r.kind == "decode"]
+
+    engine, stepped = _engines({"max_batch": 8})
+    assert engine.kv.block_tokens == 16
+    report, decode = run(engine)
+    assert decode == [1, 38, 1]
+    with _one_step():
+        reference, stepped_decode = run(stepped)
+    assert stepped_decode == [1] * 40
+    assert report == reference
 
 
 def test_optimistic_preemption_makes_progress():

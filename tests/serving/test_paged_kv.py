@@ -16,11 +16,6 @@ def manager(blocks=10, block_tokens=4, bytes_per_token=2.0):
     )
 
 
-def _held(m):
-    """Blocks each live sequence holds, in ``live_sequences()`` order."""
-    return np.array([len(m.block_table(s)) for s in m.live_sequences()])
-
-
 class TestConstruction:
     def test_block_count(self):
         m = manager(blocks=10, block_tokens=4)
@@ -415,13 +410,14 @@ class TestDrain:
 
 
 class TestMultiStepAppend:
-    """``append_token_many(rows, k)`` with ``k <= append_horizon(rows)`` is
-    ``k`` single-step calls: same tables, block ids, free-stack order and
-    fragmentation gauge, and only the first step takes blocks."""
+    """``append_token_many(rows, k)`` with ``k <= append_horizon(rows,
+    k_max)`` is ``k`` single-step calls: same tables, block ids, free-stack
+    order, fragmentation gauge and ``on_grow`` calls, whichever steps the
+    block crossings land on."""
 
     @staticmethod
-    def _pool(block_tokens, prompts, freed):
-        m = manager(blocks=48, block_tokens=block_tokens)
+    def _pool(block_tokens, prompts, freed, blocks=48):
+        m = manager(blocks=blocks, block_tokens=block_tokens)
         for sid, tokens in enumerate(prompts):
             m.allocate(sid, tokens)
         # Free some sequences (never sequence 0) so the free stack holds
@@ -430,6 +426,12 @@ class TestMultiStepAppend:
             if freed[sid % len(freed)] and m.has_sequence(sid):
                 m.free(sid)
         return m
+
+    @staticmethod
+    def _rows(m):
+        return np.array(
+            [m.sequence_row(s) for s in m.live_sequences()], dtype=np.int64
+        )
 
     @staticmethod
     def _state(m, block_tokens):
@@ -445,54 +447,82 @@ class TestMultiStepAppend:
             state += (m.block_table(-1),)
         return state
 
-    @given(
+    @staticmethod
+    def _record_grows(m, calls, step=None):
+        """Log ``on_grow`` calls as ``(rows, step offset)``; ``step`` (a
+        one-item list) overrides the offset a single-step call passes."""
+        m.on_grow = lambda rows, j: calls.append(
+            (rows.tolist(), j if step is None else step[0])
+        )
+
+    _draws = dict(
         block_tokens=st.integers(1, 6),
         prompts=st.lists(st.integers(0, 20), min_size=1, max_size=8),
         freed=st.lists(st.booleans(), min_size=1, max_size=8),
-        k_draw=st.integers(0, 64),
+        blocks=st.integers(8, 64),
+        k_max=st.integers(1, 64),
     )
+
+    @given(k_draw=st.integers(0, 64), **_draws)
     @settings(max_examples=300, deadline=None)
-    def test_equals_k_single_steps(self, block_tokens, prompts, freed, k_draw):
-        many = self._pool(block_tokens, prompts, freed)
-        single = self._pool(block_tokens, prompts, freed)
-        rows = np.array(
-            [many.sequence_row(s) for s in many.live_sequences()], dtype=np.int64
-        )
-        horizon = many.append_horizon(rows)
-        assert 1 <= horizon <= block_tokens
+    def test_equals_k_single_steps(
+        self, block_tokens, prompts, freed, blocks, k_max, k_draw
+    ):
+        many = self._pool(block_tokens, prompts, freed, blocks)
+        single = self._pool(block_tokens, prompts, freed, blocks)
+        rows = self._rows(many)
+        horizon = many.append_horizon(rows, k_max)
+        assert 1 <= horizon <= k_max
         k = 1 + k_draw % horizon
-        held = _held(single)
+        grows, single_grows, step = [], [], [0]
+        self._record_grows(many, grows)
+        self._record_grows(single, single_grows, step)
         ok = many.append_token_many(rows, k)
-        for step in range(k):
+        for j in range(k):
+            step[0] = j
             assert single.append_token_many(rows) == ok
-            if step == 0:
-                held = _held(single)
-            else:  # only the first step may cross a block boundary
-                assert (_held(single) == held).all()
+        assert grows == single_grows
         assert self._state(many, block_tokens) == self._state(single, block_tokens)
 
-    @given(
-        block_tokens=st.integers(1, 6),
-        prompts=st.lists(st.integers(0, 20), min_size=1, max_size=8),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_horizon_is_tight(self, block_tokens, prompts):
-        # One step past the horizon, some row crosses a second boundary.
-        m = self._pool(block_tokens, prompts, [False])
-        rows = np.array(
-            [m.sequence_row(s) for s in m.live_sequences()], dtype=np.int64
-        )
-        horizon = m.append_horizon(rows)
-        if not m.append_token_many(rows):
-            assert horizon == 1  # no fast path: the caller steps once
-            return
-        blocks = _held(m)
-        for _ in range(horizon - 1):  # steps 2 .. horizon take no block
-            assert m.append_token_many(rows)
-        assert (_held(m) == blocks).all()
-        # Step horizon + 1 needs a block: it takes one or finds none free.
-        if m.append_token_many(rows):
-            assert (_held(m) > blocks).any()
+    @given(**_draws)
+    @settings(max_examples=300, deadline=None)
+    def test_gauges_as_of_each_step(self, block_tokens, prompts, freed, blocks, k_max):
+        # The gauges read after each single step equal the multi-step
+        # pool's, with the later steps' tokens and blocks taken back out.
+        many = self._pool(block_tokens, prompts, freed, blocks)
+        single = self._pool(block_tokens, prompts, freed, blocks)
+        rows = self._rows(many)
+        k = many.append_horizon(rows, k_max)
+        if not many.append_token_many(rows, k):
+            return  # the fallback: no multi-step state to read
+        held = []  # block references after each single step
+        gauges = []
+        for _ in range(k):
+            assert single.append_token_many(rows)
+            held.append(single._block_refs)
+            gauges.append((
+                single.free_blocks, single.utilization(),
+                single.freelist_fragmentation(),
+            ))
+        for j, (free, util, frag) in enumerate(gauges):
+            later = held[-1] - held[j]  # blocks taken after step j
+            assert many.free_blocks + later == free
+            assert many.utilization(rows.size * (j + 1 - k), -later) == util
+            assert many.freelist_fragmentation(later) == frag
+
+    @given(**_draws)
+    @settings(max_examples=200, deadline=None)
+    def test_horizon_is_tight(self, block_tokens, prompts, freed, blocks, k_max):
+        # The horizon is how many single steps in a row find their block
+        # crossings covered, capped at the caller's bound, and at least 1
+        # (the fallback, when step 1's crossings do not fit).
+        m = self._pool(block_tokens, prompts, freed, blocks)
+        rows = self._rows(m)
+        horizon = m.append_horizon(rows, k_max)
+        fits = 0
+        while fits <= k_max and m.append_token_many(rows):
+            fits += 1
+        assert horizon == max(1, min(fits, k_max))
 
     def test_fallback_when_first_step_cannot_fit(self):
         m = manager(blocks=3, block_tokens=4)
@@ -500,5 +530,5 @@ class TestMultiStepAppend:
         m.allocate(1, 4)
         m.allocate(2, 3)  # the pool is full; rows 0 and 1 must cross now
         rows = np.array([m.sequence_row(s) for s in (0, 1, 2)])
-        assert m.append_horizon(rows) == 1
+        assert m.append_horizon(rows, 8) == 1
         assert not m.append_token_many(rows, 1)
