@@ -49,7 +49,8 @@ GOLDENS_PATH = Path(__file__).with_name("observer_goldens.json")
 #: The pinned scenarios: a tiny-model run where every lifecycle instant
 #: fires, preemptions under graceful degradation, then those of
 #: ``test_vectorized_engine`` that cover chunked and whole-prompt prefill,
-#: preemptions, every fault kind and SLO shedding.
+#: preemptions, every fault kind, SLO shedding and the rules of a
+#: whole-prompt admission pass.
 SCENARIOS = (
     "every_instant",
     "degraded_preemptions",
@@ -60,6 +61,7 @@ SCENARIOS = (
     "slo_overload_shedding",
     "kitchen_sink",
     "retry_backoff_shed_by_deadline_sweep",
+    "admission_pass_edges",
 )
 
 #: A tiny model on a 1 MB pool under overload, SLOs and every fault kind,

@@ -42,6 +42,7 @@ from repro.serving.faults import FaultPlan
 from repro.serving.request import Phase, Request, make_batch_requests
 from repro.serving.stepprof import StepPhaseProfiler
 from repro.serving.systems import build_system
+from repro.serving.trace import EngineEvents
 from repro.serving.workload import make_overload_trace, make_poisson_trace
 
 GOLDENS_PATH = Path(__file__).with_name("engine_goldens.json")
@@ -127,6 +128,25 @@ def _anti_ordered_deadlines():
     ]
 
 
+def _admission_pass_edges():
+    # Optimistic admission on a 711-block pool, batch cap 5.  Request ids
+    # pick the first attempts a FaultPlan(seed=0, request_abort_rate=0.5)
+    # aborts: 6 at its 2nd token, 0 at its 3rd; the others run clean.
+    return [
+        Request(1, prompt_len=512, max_new_tokens=40),
+        Request(3, prompt_len=11376, max_new_tokens=8),  # > the pool
+        Request(4, prompt_len=512, max_new_tokens=40, arrival_time=0.005),
+        Request(5, prompt_len=256, max_new_tokens=40, arrival_time=0.006,
+                ttft_slo=0.02),
+        Request(7, prompt_len=6000, max_new_tokens=8, arrival_time=0.007),
+        Request(8, prompt_len=4352, max_new_tokens=8, arrival_time=0.008),
+        Request(6, prompt_len=512, max_new_tokens=8, arrival_time=0.009),
+        Request(0, prompt_len=512, max_new_tokens=8, arrival_time=0.009),
+        Request(11, prompt_len=256, max_new_tokens=8, arrival_time=0.01),
+        Request(12, prompt_len=128, max_new_tokens=8, arrival_time=0.51),
+    ]
+
+
 def _scenarios(llama8b):
     """name -> (EngineConfig kwargs, trace factory, FaultPlan or None)."""
     cap = _kv_capacity(llama8b)
@@ -204,6 +224,14 @@ def _scenarios(llama8b):
         ),
         "out_of_order_deadlines_shed_in_deadline_order": (
             {"max_batch": 1}, _anti_ordered_deadlines, None,
+        ),
+        # Whole-prompt admission passes that cross every rule of a pass
+        # (test_admission_pass_edges).
+        "admission_pass_edges": (
+            {"hbm_bytes": 4.8e9, "max_batch": 5,
+             "reserve_full_sequence": False},
+            _admission_pass_edges,
+            FaultPlan(seed=0, request_abort_rate=0.5),
         ),
     }
 
@@ -336,6 +364,73 @@ class TestVectorizedParity:
             "total", "overhead",
         }
         assert us["total"] >= us["overhead"] >= 0.0
+
+
+class _PassLog(EngineEvents):
+    """The admission passes of a run: the admit, reject and timeout events
+    between two batch steps, as ``(event, request id, clock)``, and the
+    pool's free blocks when each pass ended."""
+
+    def __init__(self, kv):
+        self.kv = kv
+        self.passes = [[]]
+        self.free_after = []
+
+    def admit(self, req, clock):
+        self.passes[-1].append(("admit", req.request_id, clock))
+
+    def reject(self, req, clock):
+        self.passes[-1].append(("reject", req.request_id, clock))
+
+    def timeout(self, req, clock):
+        self.passes[-1].append(("timeout", req.request_id, clock))
+
+    def step_cost(self, step):
+        if not step.serialized and self.passes[-1]:
+            self.free_after.append(self.kv.free_blocks)
+            self.passes.append([])
+
+
+def test_admission_pass_edges(llama8b):
+    """The scenario crosses every rule of a whole-prompt admission pass,
+    and matches its golden."""
+    cfg, trace_fn, faults = _scenarios(llama8b)["admission_pass_edges"]
+    engine = ServingEngine(
+        llama8b, build_system("comet"), config=EngineConfig(**cfg)
+    )
+    log = _PassLog(engine.kv)
+    reqs = trace_fn()
+    report = engine.run(reqs, sink=log, faults=faults)
+    assert _outcome(report, reqs) == _golden("admission_pass_edges")
+    r = {req.request_id: req for req in reqs}
+    passes = [p for p in log.passes if p]
+    assert [[(what, i) for what, i, _ in p] for p in passes] == [
+        [("admit", 1), ("reject", 3), ("admit", 4), ("timeout", 5),
+         ("admit", 7)],
+        [("admit", 8), ("admit", 0), ("admit", 6)],
+        [("admit", 11)],
+        [("admit", 12)],
+        [("admit", 6), ("admit", 0)],  # the retries
+    ]
+    starts = [p[0][2] for p in passes]
+    clock = {(n, i): c for n, p in enumerate(passes) for _, i, c in p}
+    # Pass 0: request 4 arrives during request 1's prefill; 3 can never
+    # fit and 5's TTFT lapses during 4's prefill, both between admissions;
+    # 8 fits the free blocks exactly, but not with the growth block of
+    # headroom optimistic admission asks for.
+    assert starts[0] < r[4].arrival_time <= clock[0, 4]
+    assert r[3].prompt_len + engine.kv.block_tokens > engine.kv.token_capacity
+    assert starts[0] < r[5].ttft_deadline < clock[0, 7]
+    assert engine.kv.blocks_needed(r[8].prompt_len) == log.free_after[0]
+    # Pass 1 fills the batch cap with request 11 waiting.
+    assert r[11].arrival_time < starts[1]
+    assert report.peak_batch == cfg["max_batch"]
+    # Request 6's retry falls due during arrival 12's prefill and waits
+    # for the next pass; 0's falls due during 6's and joins that pass.
+    _, _, prefill_12 = engine.prefill_step_cost(r[12].prompt_len)
+    assert starts[3] < r[6].not_before <= starts[3] + prefill_12
+    assert starts[4] < r[0].not_before <= clock[4, 0]
+    assert r[0].retries == r[6].retries == 1
 
 
 class TestWaitingQueueExpiry:
