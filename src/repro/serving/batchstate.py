@@ -29,6 +29,7 @@ loop these structures replaced (``tests/serving/engine_goldens.json``).
 from __future__ import annotations
 
 import heapq
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -105,20 +106,40 @@ class BatchState:
 
     def add(self, req: Request, kv_row: int, abort_at: int = -1) -> None:
         """Append a just-admitted request (phase PREFILL or DECODE)."""
+        self.add_many((req,), (kv_row,), (abort_at,))
+
+    def add_many(
+        self,
+        reqs: Sequence[Request],
+        kv_rows: Sequence[int],
+        abort_at: Sequence[int],
+    ) -> None:
+        """Append just-admitted requests (phase PREFILL or DECODE) in
+        order, with their KV rows and scheduled aborts (-1: none)."""
         i = len(self.reqs)
-        if i == self._decoding.size:
-            self._alloc(2 * i)
-        self.reqs.append(req)
-        # Scalar stores: numpy converts a tuple into a column far slower.
-        gen = req.generated
-        self._ctx[i] = req.context_len
-        self._gen[i] = gen
-        self._kv_row[i] = kv_row
-        self._abort_at[i] = abort_at
-        self._event[i] = _next_event(gen, req.max_new_tokens, abort_at)
-        self._e2e_dl[i] = req.e2e_deadline
-        self._ttft_dl[i] = req.ttft_deadline
-        self._decoding[i] = req.phase is Phase.DECODE
+        cap = self._decoding.size
+        if i + len(reqs) > cap:
+            while cap < i + len(reqs):
+                cap *= 2
+            self._alloc(cap)
+        self.reqs += reqs
+        # Scalar stores: numpy converts a sequence into a column slower
+        # for the few rows a typical pass admits, and no faster for 256.
+        ctx, gen, row, abort, event = (
+            self._ctx, self._gen, self._kv_row, self._abort_at, self._event
+        )
+        e2e_dl, ttft_dl, decoding = self._e2e_dl, self._ttft_dl, self._decoding
+        for req, kv_row, a in zip(reqs, kv_rows, abort_at):
+            g = req.generated
+            ctx[i] = req.context_len
+            gen[i] = g
+            row[i] = kv_row
+            abort[i] = a
+            event[i] = _next_event(g, req.max_new_tokens, a)
+            e2e_dl[i] = req.e2e_deadline
+            ttft_dl[i] = req.ttft_deadline
+            decoding[i] = req.phase is Phase.DECODE
+            i += 1
 
     # ------------------------------------------------------------- views
 

@@ -368,7 +368,17 @@ class ServingEngine:
         :class:`repro.serving.scheduler.Scheduler`; the loop executes its
         decisions.  Requests with nonzero ``arrival_time`` form a trace: the
         clock fast-forwards over idle gaps and admission only considers
-        arrived requests.  Two memory disciplines are supported:
+        arrived requests.  Each iteration starts with an admission pass,
+        decided whole (:meth:`repro.serving.scheduler.Scheduler.admission_pass`)
+        and replayed in order (:meth:`_Run.admit_pass`): one pool take for
+        all its admissions, then per request its ``admit`` event and, when
+        not chunking, its whole-prompt prefill record, with the refusals
+        and sheds in between, each at the clock the prefills before it
+        reached; the admissions join the batch together.  A step's finishes
+        go back to the pool together, in row order (:meth:`_Run.settle`).
+        Sinks read the pool as of each event (see
+        :class:`repro.serving.trace.EngineEvents`).  Two memory disciplines
+        are supported:
 
         * ``reserve_full_sequence=True`` (default): admission reserves each
           request's full sequence, so decoding never runs out of KV blocks
@@ -441,6 +451,12 @@ class _Run:
         live_hooks = _LiveHooks(live, self.kv) if live is not None else None
         # The live sink settles KV economics at the pool's block crossings.
         self.kv.on_grow = None if live_hooks is None else live_hooks.kv_grown
+        #: ``(gemm, attention, dt)`` of a whole-prompt prefill of ``n``
+        #: tokens, as a wall-clock step span while obs records.
+        self.prefill_cost = (
+            self._traced_prefill_cost if obs.enabled()
+            else engine.prefill_step_cost
+        )
         self.sinks: list[EngineEvents] = [s for s in (
             _EngineTelemetry(self.kv) if obs.enabled() else None,
             live_hooks,
@@ -532,66 +548,106 @@ class _Run:
             i += 1
         self.arrived = i
 
-    def start_request(self, req: Request) -> None:
-        """Post-admission bookkeeping: the whole-prompt prefill (when not
-        chunking), a step of its own serialized before decoding, and
-        batch entry."""
-        engine, sinks = self.engine, self.sinks
-        req.phase = Phase.PREFILL
-        for sink in sinks:
-            sink.admit(req, self.clock)
-        if self.config.prefill_chunk_tokens is None:
-            n = req.prompt_len
-            with obs.span(
-                "engine.step", cat="serving", kind="prefill", batch=1,
-                prefill_tokens=n,
-            ):
-                gemm, attn, dt = engine.prefill_step_cost(n)
-            step = Step(
-                "prefill", self.clock, 1, (dt,), 1, 0, n, n, gemm, (attn,),
-                (0.0,), (0.0,), req.request_id, True,
-            )
-            self.charge(step)
-            req.prefill_progress = n
-            req.phase = Phase.DECODE
-            for sink in sinks:
-                sink.prefill_done(req, self.clock)
-                sink.step_end(step, 0)
-            self.arrive_due()  # the prefill moved the clock
-        # Request aborts only hit a request's first attempt.
-        abort_at = self.abort_points.get(req.request_id, -1) if req.retries == 0 else -1
-        self.state.add(req, self.kv.sequence_row(req.request_id), abort_at)
+    def _traced_prefill_cost(self, n: int) -> tuple[float, float, float]:
+        """:meth:`ServingEngine.prefill_step_cost` inside a step span."""
+        with obs.span(
+            "engine.step", cat="serving", kind="prefill", batch=1,
+            prefill_tokens=n,
+        ):
+            return self.engine.prefill_step_cost(n)
 
-    def settle(self, i: int, abort_at: int, keep: np.ndarray) -> None:
-        """Lifecycle of row ``i`` (scheduled to abort at ``abort_at``),
-        which just decoded the token of its next event: the first-token
-        stamp, then its abort (a fault beats the finish it may coincide
-        with) or its finish, either of which drops the row from this step's
-        ``keep``; a row that lives on moves its event to its abort or
-        finish."""
-        state = self.state
-        req = state.sync(i)
-        gen = req.generated
-        if gen == 1:
-            req.first_token_time = self.clock
-            for sink in self.sinks:
-                sink.first_token(req, self.clock)
-        if gen == abort_at:
-            # Per-request transient fault: the first attempt aborts here;
-            # retries run clean.
-            self.record_fault(FaultKind.REQUEST_ABORT, req)
-            self.retry_or_fail(req, "request aborted")
-            keep[i] = False
-            return
-        if gen < req.max_new_tokens:
-            state.next_event(i, req.max_new_tokens, abort_at)
-            return
-        keep[i] = False
-        req.phase = Phase.FINISHED
-        req.finish_time = self.clock
-        self.sched.release(req)
-        for sink in self.sinks:
-            sink.finish(req, self.clock)
+    def admit_pass(self) -> None:
+        """Carry out one admission pass (:meth:`Scheduler.admission_pass`)
+        in its order.  An admitted request enters PREFILL; when not
+        chunking, its whole-prompt prefill follows at once, a step of its
+        own serialized before decoding, and the requests that arrived
+        while it ran are reported.  Refusals and sheds land between
+        admissions at the clock the prefills before them reached.  The
+        admitted requests then join the batch together."""
+        decided, rows = self.sched.admission_pass(self)
+        sinks = self.sinks
+        if rows and sinks:
+            # The pool took the pass's blocks before its first event.
+            reqs = [req for kind, req, _ in decided if kind == "admit"]
+            blocks = sum(self.kv.blocks_needed(r.prompt_len) for r in reqs)
+            tokens = sum(r.prompt_len for r in reqs)
+            for sink in sinks:
+                sink.kv_taken(tokens, blocks)
+        admitted, aborts = [], []
+        for kind, req, cost in decided:
+            if kind == "reject":
+                self.reject(req, cost)
+                continue
+            if kind == "expire":
+                self.expire(req, cost)
+                continue
+            req.phase = Phase.PREFILL
+            for sink in sinks:
+                sink.admit(req, self.clock)
+            if cost is not None:
+                gemm, attn, dt = cost
+                n = req.prompt_len
+                step = Step(
+                    "prefill", self.clock, 1, (dt,), 1, 0, n, n, gemm, (attn,),
+                    (0.0,), (0.0,), req.request_id, True,
+                )
+                self.charge(step)
+                req.prefill_progress = n
+                req.phase = Phase.DECODE
+                for sink in sinks:
+                    sink.prefill_done(req, self.clock)
+                    sink.step_end(step, 0)
+                self.arrive_due()  # the prefill moved the clock
+            admitted.append(req)
+            # Request aborts only hit a request's first attempt.
+            aborts.append(
+                self.abort_points.get(req.request_id, -1) if req.retries == 0 else -1
+            )
+        if admitted:
+            self.state.add_many(admitted, rows, aborts)
+
+    def settle(self, rows: list[int], aborts: list[int], keep: np.ndarray) -> None:
+        """Lifecycle of the batch rows ``rows`` (scheduled to abort at
+        ``aborts``), which just decoded the token of their next event, in
+        row order: each row's first-token stamp, then its abort (a fault
+        beats the finish it may coincide with) or its finish, either of
+        which drops the row from this step's ``keep``; a row that lives on
+        moves its event to its abort or finish.  The finished rows' blocks
+        return to the pool together, in row order, before an abort's
+        (so the free stack is that of one release per row) and before a
+        finish reaches the sinks, which read the pool as of it."""
+        state, sinks, clock = self.state, self.sinks, self.clock
+        done: list[Request] = []  # finished, their blocks not yet released
+        for i, abort_at in zip(rows, aborts):
+            req = state.sync(i)
+            gen = req.generated
+            if gen == 1:
+                req.first_token_time = clock
+                for sink in sinks:
+                    sink.first_token(req, clock)
+            if gen == abort_at:
+                # Per-request transient fault: the first attempt aborts
+                # here; retries run clean.
+                if done:
+                    self.sched.release(*done)
+                    done.clear()
+                self.record_fault(FaultKind.REQUEST_ABORT, req)
+                self.retry_or_fail(req, "request aborted")
+                keep[i] = False
+            elif gen < req.max_new_tokens:
+                state.next_event(i, req.max_new_tokens, abort_at)
+            else:
+                keep[i] = False
+                req.phase = Phase.FINISHED
+                req.finish_time = clock
+                done.append(req)
+                if sinks:
+                    self.sched.release(*done)
+                    done.clear()
+                    for sink in sinks:
+                        sink.finish(req, clock)
+        if done:
+            self.sched.release(*done)
 
     def serve(self) -> ThroughputReport:
         """Loop until every request is terminal, then report."""
@@ -610,8 +666,7 @@ class _Run:
                     if wake != float("inf") and wake > self.clock:
                         self.clock = wake  # idle until next arrival / backoff expiry
                 self.arrive_due()
-                for req in sched.admissions(self):
-                    self.start_request(req)
+                self.admit_pass()
                 if not state:
                     wake = sched.next_wake()
                     if wake == float("inf"):
@@ -727,10 +782,9 @@ class _Run:
                         tokens = n_dec * k
                         # Only rows that advanced can be at their event.
                         events = state.at_event()
-                        for i, abort_at in zip(
-                            events.tolist(), state.abort_at[events].tolist()
-                        ):
-                            self.settle(i, abort_at, keep)
+                        self.settle(
+                            events.tolist(), state.abort_at[events].tolist(), keep
+                        )
                     elif n_dec:
                         # The pool cannot grow every sequence at once: grow
                         # them one by one in admission order, preempting the
@@ -754,7 +808,9 @@ class _Run:
                                 state.advance(i)
                                 tokens += 1
                                 if state.gen[i] == state.event[i]:
-                                    self.settle(i, int(state.abort_at[i]), keep)
+                                    # Settled at once: its release may
+                                    # spare the next row a preemption.
+                                    self.settle([i], [int(state.abort_at[i])], keep)
                 prof.lap("decode")
                 for sink in sinks:
                     sink.step_end(step, tokens)

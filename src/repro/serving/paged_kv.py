@@ -36,7 +36,7 @@ gauges scan only ``_rc[_low:]``, the blocks ever used.  Invariant:
 from __future__ import annotations
 
 import math
-from typing import Callable
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -130,24 +130,17 @@ class PagedKVManager:
     def blocks_needed(self, tokens: int) -> int:
         return -(-tokens // self.block_tokens)
 
-    def can_allocate(self, tokens: int) -> bool:
-        return self.blocks_needed(tokens) <= self.free_blocks
-
     def utilization(self, extra_tokens: int = 0, extra_blocks: int = 0) -> float:
         """Fraction of allocated token slots actually holding tokens —
         paging keeps this near 1 (internal fragmentation only) — with
         ``extra_tokens`` more tokens and ``extra_blocks`` more blocks held
         (fewer, if negative): the gauge as of an earlier step of a
-        multi-step :meth:`append_token_many`."""
+        multi-step :meth:`append_token_many`, or before the later
+        sequences of an :meth:`allocate_many`."""
         blocks = self._block_refs + extra_blocks
         if blocks == 0:
             return 1.0
         return (self._total_tokens + extra_tokens) / (blocks * self.block_tokens)
-
-    def fragmentation(self) -> float:
-        """Fraction of allocated token slots wasted (internal
-        fragmentation at block granularity): ``1 - utilization``."""
-        return 1.0 - self.utilization()
 
     def freelist_fragmentation(self, untaken: int = 0) -> float:
         """Scatter of the free list: ``1 - longest_contiguous_run / free``.
@@ -166,7 +159,8 @@ class PagedKVManager:
         ``untaken`` counts the last that many blocks of the latest bulk
         take as free again: the gauge as of an earlier step of a
         multi-step :meth:`append_token_many`, whose later steps took
-        them.  Those blocks came off the stack, so they are ids at or
+        them, or before the later sequences of an :meth:`allocate_many`.
+        Those blocks came off the stack, so they are ids at or
         above ``_low``; the ones taken from the watermark continue the
         never-used run."""
         n = self.free_blocks + untaken
@@ -208,14 +202,32 @@ class PagedKVManager:
 
         Returns False (allocating nothing) when the pool is too full.
         """
-        if seq_id in self._row_of:
+        return self.allocate_many((seq_id,), (tokens,)) is not None
+
+    def allocate_many(
+        self, seq_ids: Sequence[int], tokens: Sequence[int]
+    ) -> list[int] | None:
+        """Allocate new sequences, ``tokens[i]`` initial tokens for
+        ``seq_ids[i]``, all or nothing: an admission pass's allocation.
+
+        One take hands out every sequence's blocks, in order, and each
+        sequence binds to a stable row, recycled ones first (the last
+        freed first): block ids, rows, tables and the free stack equal
+        those of successive :meth:`allocate` calls.  Returns the rows, or
+        None (allocating nothing) when the pool cannot hold them all.
+        """
+        row_of = self._row_of
+        if not row_of.keys().isdisjoint(seq_ids):
+            seq_id = next(s for s in seq_ids if s in row_of)
             raise KVAllocationError(f"sequence {seq_id} already allocated")
-        need = self.blocks_needed(max(tokens, 1))
-        if need > self.free_blocks:
-            return False
-        blocks = self._take_blocks(need)
-        self._install(seq_id, blocks, tokens)
-        return True
+        bt = self.block_tokens
+        counts = [-(-max(t, 1) // bt) for t in tokens]  # blocks_needed
+        need = sum(counts)
+        if need > self._low + self._free_top:  # free_blocks
+            return None
+        if not need:
+            return []
+        return self._install(seq_ids, tokens, counts, self._take_blocks(need))
 
     def fork(self, parent_id: int, child_id: int, shared_tokens: int | None = None) -> bool:
         """Create ``child_id`` sharing a prefix of ``parent_id``'s cache.
@@ -253,7 +265,7 @@ class PagedKVManager:
         if tail_tokens:
             # A copy of the tail block.
             blocks = np.append(blocks, self._take_block())
-        self._install(child_id, blocks, shared)
+        self._install((child_id,), (shared,), (blocks.size,), blocks)
         return True
 
     def append_token(self, seq_id: int) -> bool:
@@ -416,35 +428,53 @@ class PagedKVManager:
     def free(self, seq_id: int) -> None:
         """Release a finished sequence's references; blocks return to the
         pool when their last reference drops."""
-        row = self._row_of.pop(seq_id, None)
-        if row is None:
-            raise KVAllocationError(f"sequence {seq_id} not allocated")
-        blocks = self._blocks(row)
+        self.free_many((seq_id,))
+
+    def free_many(self, seq_ids: Sequence[int]) -> None:
+        """Release finished sequences' references, in order: an engine
+        step's finishes.  The free stack, rows and counters equal those
+        of successive :meth:`free` calls."""
+        row_of = self._row_of
+        rows = []
+        for seq_id in seq_ids:
+            row = row_of.pop(seq_id, None)
+            if row is None:
+                row_of.update(zip(seq_ids, rows))  # all or nothing
+                raise KVAllocationError(f"sequence {seq_id} not allocated")
+            rows.append(row)
+        if not rows:
+            return
+        table, tokens, capacity = self._table, self._tokens, self._block_capacity
+        tables = []
+        for row in rows:
+            tables.append(table[row, : capacity[row]])
+            self._total_tokens -= int(tokens[row])
+            tokens[row] = capacity[row] = 0
         if self._shared_blocks == 0:
             # No block anywhere is shared, so every refcount here is
-            # exactly 1: the whole table returns to the pool.
+            # exactly 1: the whole tables return to the pool, in order.
+            blocks = tables[0] if len(tables) == 1 else np.concatenate(tables)
             self._rc[blocks] = 0
             self._push_free(blocks)
+            self._block_refs -= blocks.size
         else:
-            # Bulk release: one fancy-indexed decrement over the block
-            # table (no duplicates within one sequence), then return the
-            # zero-refcount blocks to the pool *in table order* — the
-            # exact free-list state the per-block loop would leave.
-            self._rc[blocks] -= 1
-            after = self._rc[blocks]
-            self._shared_blocks -= int(np.count_nonzero(after == 1))
-            self._push_free(blocks[after == 0])
-        self._block_refs -= blocks.size
-        self._total_tokens -= int(self._tokens[row])
-        if not self._row_of:
+            for blocks in tables:
+                # One fancy-indexed decrement over the block table (no
+                # duplicates within one sequence), then the zero-refcount
+                # blocks return to the pool *in table order* — the exact
+                # free-list state the per-block loop would leave.
+                self._rc[blocks] -= 1
+                after = self._rc[blocks]
+                self._shared_blocks -= int(np.count_nonzero(after == 1))
+                self._push_free(blocks[after == 0])
+                self._block_refs -= blocks.size
+        if not row_of:
             # Drained: the row tables grew to this fill's peak, and no row
             # is live to need them.  Block refcounts and the free stack
             # stay, so later fills take the same block ids.
             self._reset_rows()
             return
-        self._tokens[row] = 0
-        self._block_capacity[row] = 0
-        self._free_rows.append(row)
+        self._free_rows += rows
 
     def _reset_rows(self) -> None:
         """Empty sequence-row tables, as a fresh pool has."""
@@ -477,20 +507,42 @@ class PagedKVManager:
                 [self._block_capacity, np.zeros(grow, np.int64)]
             )
 
-    def _install(self, seq_id: int, blocks: np.ndarray, tokens: int) -> None:
-        """Bind a fresh sequence to a (recycled or new) stable row."""
-        if self._free_rows:
-            row = self._free_rows.pop()
-        else:
-            row = self._rows
-            self._rows += 1
-        self._reserve(self._rows, blocks.size)
-        self._table[row, : blocks.size] = blocks
-        self._row_of[seq_id] = row
-        self._tokens[row] = tokens
-        self._block_capacity[row] = blocks.size
-        self._total_tokens += tokens
+    def _install(
+        self,
+        seq_ids: Sequence[int],
+        tokens: Sequence[int],
+        counts: Sequence[int],
+        blocks: np.ndarray,
+    ) -> list[int]:
+        """Bind fresh sequences to stable rows, in order: recycled rows
+        first (the last freed first), then new ones.  Sequence ``i`` holds
+        ``tokens[i]`` tokens in the next ``counts[i]`` of ``blocks``.
+        Returns the rows."""
+        free_rows, row_of = self._free_rows, self._row_of
+        live = len(row_of)
+        self._reserve(
+            self._rows + max(len(seq_ids) - len(free_rows), 0), max(counts)
+        )
+        table, held, capacity = self._table, self._tokens, self._block_capacity
+        rows = []
+        end = 0
+        for seq_id, t, c in zip(seq_ids, tokens, counts):
+            if free_rows:
+                row = free_rows.pop()
+            else:
+                row = self._rows
+                self._rows += 1
+            start, end = end, end + c
+            table[row, :c] = blocks[start:end]
+            row_of[seq_id] = row
+            held[row] = t
+            capacity[row] = c
+            rows.append(row)
+        if len(rows) != len(row_of) - live:
+            raise KVAllocationError(f"duplicate sequence ids in {list(seq_ids)}")
+        self._total_tokens += sum(tokens)
         self._block_refs += blocks.size
+        return rows
 
     def _take_block(self) -> int:
         """:meth:`_take_blocks` for one block, in scalar steps."""

@@ -7,7 +7,6 @@ ladder shrinks the admission knobs.  The executor (``_Run`` in
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
 from repro.serving.batchstate import DeadlineHeap, RetryHeap
@@ -36,7 +35,14 @@ DEGRADE_WINDOW = 4
 class Scheduler:
     """The policy of one engine run: the waiting FIFO, the backed-off
     retries, the queue deadlines and the KV commitment.  ``max_batch`` and
-    ``chunk`` are the admission knobs the degradation ladder moves."""
+    ``chunk`` are the admission knobs the degradation ladder moves.
+
+    Admission is decided a pass at a time (:meth:`admission_pass`): one
+    loop over locals settles who enters, who is refused and who is shed,
+    following the clock each whole-prompt prefill moves, and the pool
+    then takes the blocks of every admitted request at once.  The
+    executor replays the pass in the same order.  Releases go back to the
+    pool together as well (:meth:`release`)."""
 
     def __init__(
         self, config: EngineConfig, kv: PagedKVManager, requests: list[Request]
@@ -80,23 +86,11 @@ class Scheduler:
             return f"total_len {req.total_len} exceeds the KV pool ({pool} tokens)"
         return None
 
-    def try_admit(self, req: Request) -> bool:
-        """Try to allocate a request's KV under the configured discipline,
-        and commit its full sequence if it fits."""
-        kv = self.kv
-        if self.config.reserve_full_sequence:
-            fits = self.committed_tokens + req.total_len <= self.capacity
-        else:  # optimistic: prompt plus one growth block of headroom
-            fits = kv.can_allocate(req.prompt_len + kv.block_tokens)
-        if fits and kv.allocate(req.request_id, req.prompt_len):
-            self.committed_tokens += req.total_len
-            return True
-        return False
-
-    def release(self, req: Request) -> None:
-        """Return an admitted request's KV blocks and commitment."""
-        self.kv.free(req.request_id)
-        self.committed_tokens -= req.total_len
+    def release(self, *reqs: Request) -> None:
+        """Return admitted requests' KV blocks and commitments, in order."""
+        self.kv.free_many([r.request_id for r in reqs])
+        for r in reqs:
+            self.committed_tokens -= r.total_len
 
     def clean_waiting(self) -> None:
         """Drop terminal (heap-swept) entries from the deque head."""
@@ -107,47 +101,96 @@ class Scheduler:
         """Whether a queued request is past its TTFT or e2e deadline."""
         return self.has_slos and clock > min(req.e2e_deadline, req.ttft_deadline)
 
-    def admissions(self, run: _Run) -> Iterator[Request]:
-        """The requests to admit now, one at a time: after shedding every
-        queued request past its deadline, the due retries (accepted once,
-        they go first), then the arrivals, each until one does not fit or
-        the batch is full; a lapsed request is shed and an arrival that
-        can never fit refused on the way.  ``run`` starts each before
-        asking for the next, so deadlines are read at the clock its
-        prefill moved."""
+    def admission_pass(
+        self, run: _Run
+    ) -> tuple[list[tuple[str, Request, object]], list[int]]:
+        """Decide one admission pass at ``run.clock``, in one loop: after
+        shedding every queued request past its deadline, the due retries
+        (accepted once, they go first), then the arrivals, each until one
+        does not fit or the batch is full; a lapsed request is shed and an
+        arrival that can never fit refused on the way.  A whole-prompt
+        prefill moves the pass's clock by its step time
+        (``run.prefill_cost``), so an arrival, a deadline or, while
+        retries are admitted, a retry's backoff that the clock reaches
+        during an earlier prefill counts in this pass.  A request fits
+        when the pool holds its prompt (with one growth block of headroom
+        under optimistic admission, else within the full-sequence
+        commitment); the pool then takes every admitted request's blocks
+        at once (:meth:`PagedKVManager.allocate_many`).
+
+        Returns the pass in event order, for ``run`` to carry out:
+        ``("admit", req, cost)`` with the prefill's ``(gemm, attention,
+        dt)`` (None when prefill is chunked), ``("reject", req, reason)``
+        and ``("expire", req, reason)``; and the admitted requests' pool
+        rows, in order.  The shedding sweep's timeouts are reported at
+        once, before the pool takes anything."""
+        clock = run.clock
         if self.has_slos:
-            for req in self.expiry.expired(run.clock):
+            for req in self.expiry.expired(clock):
                 run.expire(req, "expired while waiting")
-        running, retries, waiting = run.state.reqs, self.retry_queue, self.waiting
-        while len(running) < self.max_batch and retries.next_ready_time() <= run.clock:
+        kv = self.kv
+        cost = run.prefill_cost if self.config.prefill_chunk_tokens is None else None
+        reserve = self.config.reserve_full_sequence
+        blocks_needed, headroom = kv.blocks_needed, kv.block_tokens
+        room = self.max_batch - len(run.state)
+        free, committed, capacity = kv.free_blocks, self.committed_tokens, self.capacity
+        decided: list[tuple[str, Request, object]] = []
+        ids: list[int] = []
+        tokens: list[int] = []
+
+        def take(req: Request) -> bool:
+            """Admit ``req`` if its KV fits."""
+            nonlocal clock, room, free, committed
+            n = req.prompt_len
+            need = blocks_needed(n)
+            if reserve:
+                if committed + req.total_len > capacity or need > free:
+                    return False
+            elif blocks_needed(n + headroom) > free:
+                return False
+            free -= need
+            committed += req.total_len
+            room -= 1
+            ids.append(req.request_id)
+            tokens.append(n)
+            step = None
+            if cost is not None:
+                step = cost(n)
+                clock += step[2]
+            decided.append(("admit", req, step))
+            return True
+
+        retries, waiting = self.retry_queue, self.waiting
+        while room > 0 and retries.next_ready_time() <= clock:
             req = retries.peek()
             if req.is_terminal:  # shed by the deadline sweep while backing off
                 retries.pop()
-            elif self._lapsed(req, run.clock):
+            elif self._lapsed(req, clock):
                 retries.pop()
-                run.expire(req, "expired during retry backoff")
-            elif self.try_admit(req):
+                decided.append(("expire", req, "expired during retry backoff"))
+            elif take(req):
                 retries.pop()
-                yield req
             else:
                 break
-        while len(running) < self.max_batch:
-            self.clean_waiting()
-            if not waiting or waiting[0].arrival_time > run.clock:
+        while room > 0:
+            if self.has_slos:  # only the deadline sweep leaves terminal entries
+                self.clean_waiting()
+            if not waiting or waiting[0].arrival_time > clock:
                 break
             req = waiting[0]
             reason = self.infeasible_reason(req)
             if reason is not None:
                 waiting.popleft()
-                run.reject(req, reason)
-            elif self._lapsed(req, run.clock):
+                decided.append(("reject", req, reason))
+            elif self._lapsed(req, clock):
                 waiting.popleft()
-                run.expire(req, "expired while waiting")
-            elif self.try_admit(req):
+                decided.append(("expire", req, "expired while waiting"))
+            elif take(req):
                 waiting.popleft()
-                yield req
             else:
                 break
+        self.committed_tokens = committed
+        return decided, kv.allocate_many(ids, tokens) if ids else []
 
     def refuse_head(self, run: _Run) -> None:
         """A due request could not enter an empty pool although the

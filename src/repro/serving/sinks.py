@@ -32,6 +32,8 @@ class _EngineTelemetry(EngineEvents):
         self._kv = kv
         self._timeline = obs.tracer()
         self._step_index = 0
+        # Taken by the pool for admissions not yet reported (kv_taken).
+        self._untaken_tokens = self._untaken_blocks = 0
         m = obs.metrics()
 
         def counter(name, **labels):
@@ -76,7 +78,12 @@ class _EngineTelemetry(EngineEvents):
     def arrive(self, req: Request, clock: float) -> None:
         self.request_event("queued", req, req.arrival_time)
 
+    def kv_taken(self, tokens: int, blocks: int) -> None:
+        self._untaken_tokens, self._untaken_blocks = tokens, blocks
+
     def admit(self, req: Request, clock: float) -> None:
+        self._untaken_tokens -= req.prompt_len
+        self._untaken_blocks -= self._kv.blocks_needed(req.prompt_len)
         self.admitted.inc()
         self.request_event("prefill", req, clock)
 
@@ -139,9 +146,12 @@ class _EngineTelemetry(EngineEvents):
         for dt in step.dt:
             self.step_seconds.observe(dt)
             self.batch_size.observe(step.batch)
-        self.kv_utilization.set(self._kv.utilization())
-        self.kv_fragmentation.set(self._kv.fragmentation())
-        self.kv_free_blocks.set(self._kv.free_blocks)
+        # As of this step: an admission pass's later requests are not in.
+        kv, blocks = self._kv, self._untaken_blocks
+        utilization = kv.utilization(-self._untaken_tokens, -blocks)
+        self.kv_utilization.set(utilization)
+        self.kv_fragmentation.set(1.0 - utilization)
+        self.kv_free_blocks.set(kv.free_blocks + blocks)
 
     def degraded(self, clock: float) -> None:
         self.degraded_steps.inc()
@@ -191,7 +201,9 @@ class _LiveHooks(EngineEvents):
     crossings settle at their own step's end clock, and each heartbeat
     row, like a flush that falls inside the record, reads the pool with
     the blocks of the record's later steps counted as free: float for
-    float what one step per iteration gives.
+    float what one step per iteration gives.  Likewise, during an
+    admission pass every pool read counts the tokens and blocks of the
+    pass's requests not yet admitted as not taken (:meth:`kv_taken`).
     """
 
     #: Heartbeats buffered before a bulk hand-off to the live layer.
@@ -209,13 +221,16 @@ class _LiveHooks(EngineEvents):
         # each step took (kv_grown).
         self._steps: list[tuple[float, ...]] = []
         self._taken = [0]
+        # Taken by the pool for admissions not yet reported (kv_taken).
+        self._untaken_tokens = self._untaken_blocks = 0
 
     def flush(self, untaken: int = 0) -> None:
         """Hand the buffered request samples to the live layer, one window
         write per metric, then the buffered heartbeats, oldest first, with
         one free-list fragmentation sample at the last one's clock, as of
-        its step: the ``untaken`` blocks the record's later steps took
-        count as free.  (A hooked bundle flushes before every event, so its
+        its step: the ``untaken`` blocks the record's later steps took,
+        and those of the admission pass's requests not yet admitted, count
+        as free.  (A hooked bundle flushes before every event, so its
         pending samples all precede its pending heartbeats.)"""
         for name, (clocks, values) in self._samples.items():
             if clocks:
@@ -230,7 +245,8 @@ class _LiveHooks(EngineEvents):
             )
             self._live.sample(
                 "serving.kv_freelist_frag",
-                self._kv.freelist_fragmentation(untaken), float(rows[-1, 0]),
+                self._kv.freelist_fragmentation(untaken + self._untaken_blocks),
+                float(rows[-1, 0]),
             )
 
     def _sample(self, name: str, value: float, clock: float) -> None:
@@ -260,11 +276,17 @@ class _LiveHooks(EngineEvents):
         self._sync()
         self._flights.queued(req)
 
+    def kv_taken(self, tokens: int, blocks: int) -> None:
+        self._untaken_tokens, self._untaken_blocks = tokens, blocks
+
     def admit(self, req: Request, clock: float) -> None:
         self._sync()
         kv = self._kv
+        blocks = kv.blocks_needed(req.prompt_len)
+        self._untaken_tokens -= req.prompt_len
+        self._untaken_blocks -= blocks
         self._flights.admitted(
-            req, clock, kv_blocks=kv.blocks_needed(req.prompt_len),
+            req, clock, kv_blocks=blocks,
             kv_row=kv.sequence_row(req.request_id),
             shared_blocks=kv.shared_blocks
             and kv.sequence_shared_blocks(req.request_id),
@@ -354,16 +376,18 @@ class _LiveHooks(EngineEvents):
         with the KV gauges at its own clock: read now, as no request event
         fires inside a multi-step record, whose steps only add tokens and
         take blocks, with the tokens and blocks of the later steps taken
-        back out."""
+        back out, and those of an admission pass's later requests."""
         kv, k, taken, hb = self._kv, step.k, self._taken, self._hb
-        free, shared, per_step = kv.free_blocks, kv.shared_blocks, tokens // k
+        shared, per_step = kv.shared_blocks, tokens // k
         batch, n, gemm = step.batch, step.decode_tokens, step.gemm
+        untaken_tokens, untaken = self._untaken_tokens, self._untaken_blocks
+        free = kv.free_blocks + untaken
         later = sum(taken)  # blocks the steps after step j took
         for j, (end, dt, attn, kv_dq, _) in enumerate(self._steps):
             later -= taken[j]
             hb.append((
                 end, dt, batch, per_step,
-                kv.utilization(n * (j + 1 - k), -later),
+                kv.utilization(n * (j + 1 - k) - untaken_tokens, -later - untaken),
                 free + later, shared, gemm, attn, kv_dq,
             ))
             if len(hb) == self.FLUSH_EVERY:

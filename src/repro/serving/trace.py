@@ -105,6 +105,13 @@ class EngineEvents:
     advances and ``step_end`` after, once its tokens have landed; a record
     of several steps fires no request event in between.  ``degraded``
     closes a step run with shrunken admission knobs.
+
+    An admission pass takes the pool blocks of all its admissions at once,
+    then reports them in order, each ``admit`` followed (without chunked
+    prefill) by its prefill record; ``kv_taken`` comes first, with the
+    pass's ``tokens`` and ``blocks``.  A sink that reads the pool before a
+    request's ``admit`` counts that request's ``prompt_len`` tokens and
+    ``blocks_needed(prompt_len)`` blocks as not yet taken.
     """
 
     def arrive(self, req: Request, clock: float) -> None: ...
@@ -122,4 +129,5 @@ class EngineEvents:
     def step_cost(self, step: Step) -> None: ...
     def step_end(self, step: Step, tokens: int) -> None: ...
     def degraded(self, clock: float) -> None: ...
+    def kv_taken(self, tokens: int, blocks: int) -> None: ...
     def end_run(self, report: ThroughputReport) -> None: ...

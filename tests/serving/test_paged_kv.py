@@ -532,3 +532,127 @@ class TestMultiStepAppend:
         rows = np.array([m.sequence_row(s) for s in (0, 1, 2)])
         assert m.append_horizon(rows, 8) == 1
         assert not m.append_token_many(rows, 1)
+
+
+class TestBulkCalls:
+    """``allocate_many`` and ``free_many`` equal successive ``allocate``
+    and ``free`` calls: block ids, tables, recycled rows, the free stack,
+    refcounts and the running counters."""
+
+    @staticmethod
+    def _pool(block_tokens, blocks, prompts, freed, forks):
+        # Recycled rows, and recycled blocks above the watermark; each
+        # fork shares sequence 0's full blocks (and copies its tail).
+        m = manager(blocks=blocks, block_tokens=block_tokens)
+        for sid, tokens in enumerate(prompts):
+            m.allocate(sid, tokens)
+        for child in range(forks):
+            if m.has_sequence(0) and m.sequence_tokens(0):
+                m.fork(0, 100 + child)
+        for sid in range(1, len(prompts)):
+            if freed[sid % len(freed)] and m.has_sequence(sid):
+                m.free(sid)
+        return m
+
+    @staticmethod
+    def _state(m):
+        return (
+            {s: (m.sequence_row(s), m.block_table(s), m.sequence_tokens(s))
+             for s in m.live_sequences()},
+            m._rows, list(m._free_rows),
+            m._tokens[: m._rows].tolist(),
+            m._block_capacity[: m._rows].tolist(),
+            m._low, m._free[: m._free_top].tolist(), m._rc.tolist(),
+            m._total_tokens, m._block_refs, m._shared_blocks,
+        )
+
+    _draws = dict(
+        block_tokens=st.integers(1, 6),
+        blocks=st.integers(4, 64),
+        prompts=st.lists(st.integers(0, 20), min_size=1, max_size=8),
+        freed=st.lists(st.booleans(), min_size=1, max_size=8),
+        forks=st.integers(0, 2),
+    )
+
+    @given(new=st.lists(st.integers(0, 30), min_size=1, max_size=8), **_draws)
+    @settings(max_examples=300, deadline=None)
+    def test_allocate_many_equals_successive_allocates(
+        self, block_tokens, blocks, prompts, freed, forks, new
+    ):
+        bulk = self._pool(block_tokens, blocks, prompts, freed, forks)
+        single = self._pool(block_tokens, blocks, prompts, freed, forks)
+        before = self._state(bulk)
+        ids = [200 + i for i in range(len(new))]
+        rows = bulk.allocate_many(ids, new)
+        if rows is None:  # all or nothing
+            assert sum(bulk.blocks_needed(max(t, 1)) for t in new) > bulk.free_blocks
+            assert self._state(bulk) == before
+            return
+        for sid, tokens in zip(ids, new):
+            assert single.allocate(sid, tokens)
+        assert rows == [single.sequence_row(s) for s in ids]
+        assert self._state(bulk) == self._state(single)
+
+    @given(new=st.lists(st.integers(0, 30), min_size=1, max_size=8), **_draws)
+    @settings(max_examples=200, deadline=None)
+    def test_gauges_as_of_each_allocation(
+        self, block_tokens, blocks, prompts, freed, forks, new
+    ):
+        # The gauges read after each allocate equal the bulk pool's, with
+        # the later sequences' tokens and blocks counted as not taken.
+        bulk = self._pool(block_tokens, blocks, prompts, freed, forks)
+        single = self._pool(block_tokens, blocks, prompts, freed, forks)
+        ids = [200 + i for i in range(len(new))]
+        if bulk.allocate_many(ids, new) is None:
+            return
+        counts = [bulk.blocks_needed(max(t, 1)) for t in new]
+        for j, (sid, tokens) in enumerate(zip(ids, new)):
+            assert single.allocate(sid, tokens)
+            later, later_tokens = sum(counts[j + 1:]), sum(new[j + 1:])
+            assert bulk.free_blocks + later == single.free_blocks
+            assert (bulk.utilization(-later_tokens, -later)
+                    == single.utilization())
+            assert (bulk.freelist_fragmentation(later)
+                    == single.freelist_fragmentation())
+
+    @given(data=st.data(), **_draws)
+    @settings(max_examples=300, deadline=None)
+    def test_free_many_equals_successive_frees(
+        self, block_tokens, blocks, prompts, freed, forks, data
+    ):
+        bulk = self._pool(block_tokens, blocks, prompts, freed, forks)
+        single = self._pool(block_tokens, blocks, prompts, freed, forks)
+        live = bulk.live_sequences()
+        order = data.draw(st.permutations(live))
+        ids = order[: data.draw(st.integers(0, len(order)))]
+        bulk.free_many(ids)
+        for sid in ids:
+            single.free(sid)
+        assert self._state(bulk) == self._state(single)
+        if len(ids) == len(live):  # drained: the row tables are dropped
+            assert bulk._rows == 0 and bulk._table.size == 0
+
+    def test_free_many_releases_a_shared_block_on_its_last_reference(self):
+        bulk = manager(blocks=8, block_tokens=4)
+        bulk.allocate(0, 8)
+        bulk.fork(0, 1)
+        bulk.allocate(2, 4)
+        assert bulk.shared_blocks == 2
+        bulk.free_many([1, 0])
+        assert bulk.shared_blocks == 0
+        # Request 0's table went back in order once 1 dropped its share.
+        assert bulk._free[: bulk._free_top].tolist() == [7, 6]
+        assert bulk.live_sequences() == [2]
+
+    def test_unknown_or_duplicate_sequences_raise(self):
+        m = manager()
+        m.allocate(0, 4)
+        with pytest.raises(KVAllocationError):
+            m.allocate_many([1, 0], [4, 4])
+        assert m.live_sequences() == [0]
+        with pytest.raises(KVAllocationError):
+            m.free_many([7])
+        with pytest.raises(KVAllocationError):  # all or nothing
+            m.free_many([0, 7])
+        assert m.live_sequences() == [0]
+        assert m.sequence_tokens(0) == 4

@@ -11,7 +11,7 @@ from repro.model.config import get_model_config, tiny_config
 from repro.obs import write_snapshot
 from repro.serving.engine import EngineConfig, ServingEngine
 from repro.serving.faults import FaultPlan
-from repro.serving.request import make_batch_requests
+from repro.serving.request import Request, make_batch_requests
 from repro.serving.systems import build_system
 from repro.serving.trace import STEP_SPAN_CAT, EngineEvents, Step, StepView
 from repro.serving.workload import make_overload_trace
@@ -223,3 +223,34 @@ class TestSpanMigration:
         assert [(r.start, r.duration) for r in records] == [
             (s.start, s.dt) for s in tracer.steps
         ]
+
+
+def test_kv_gauges_read_as_of_each_admission():
+    """An admission pass takes every admission's KV blocks at once; the
+    telemetry gauges set after each whole-prompt prefill still read the
+    pool as of that admission."""
+    registry, _ = obs.enable()
+    eng = ServingEngine(
+        get_model_config("llama-3-8b"), build_system("comet"),
+        config=EngineConfig(max_batch=8),
+    )
+    reqs = [Request(i, prompt_len=40 * i + 7, max_new_tokens=4) for i in range(6)]
+    seen = []
+
+    class Probe(EngineEvents):  # reports after the telemetry sink
+        def step_end(self, step, tokens):
+            if step.serialized:
+                seen.append((
+                    registry.get("serving.kv_free_blocks").value,
+                    registry.get("serving.kv_utilization").value,
+                ))
+
+    eng.run(reqs, sink=Probe())
+    expected, blocks, tokens = [], 0, 0
+    for r in reqs:  # one pass admits them all, in order
+        blocks += eng.kv.blocks_needed(r.prompt_len)
+        tokens += r.prompt_len
+        expected.append((
+            eng.kv.num_blocks - blocks, tokens / (blocks * eng.kv.block_tokens)
+        ))
+    assert seen == expected

@@ -527,6 +527,41 @@ class TestBatchState:
         assert [r.request_id for r in state.reqs] == [2]
         assert state.kv_row.tolist() == [12]
 
+    def test_add_many_equals_successive_adds(self):
+        # Rows of every kind (decoding or prefilling, with or without a
+        # first token, deadlines and a scheduled abort), added across a
+        # capacity doubling.
+        def reqs():
+            out = []
+            for i in range(_INITIAL_CAPACITY + 40):
+                r = Request(i, prompt_len=8 + i, max_new_tokens=16,
+                            arrival_time=0.01 * i,
+                            ttft_slo=0.5 if i % 3 else None,
+                            e2e_slo=2.0 if i % 5 else None)
+                r.phase = Phase.DECODE if i % 2 else Phase.PREFILL
+                r.generated = i % 4 if r.phase is Phase.DECODE else 0
+                r.prefill_progress = i % 7
+                out.append(r)
+            return out
+
+        one, many = BatchState(), BatchState()
+        a, b = reqs(), reqs()
+        aborts = [(-1, 3, 9)[i % 3] for i in range(len(a))]
+        rows = [100 + 2 * i for i in range(len(a))]
+        for r, row, abort_at in zip(a, rows, aborts):
+            one.add(r, row, abort_at)
+        cut = _INITIAL_CAPACITY - 10
+        many.add_many(b[:cut], rows[:cut], aborts[:cut])
+        many.add_many(b[cut:], rows[cut:], aborts[cut:])
+        assert [r.request_id for r in many.reqs] == [r.request_id for r in a]
+        for column in ("decoding", "ctx", "gen", "kv_row", "abort_at",
+                       "event", "e2e_dl", "ttft_dl"):
+            np.testing.assert_array_equal(
+                getattr(many, column), getattr(one, column), err_msg=column
+            )
+        assert many._decoding.size == one._decoding.size
+        assert many.horizon() == one.horizon()
+
     def test_grows_past_initial_capacity(self):
         state = BatchState()
         reqs = [self._req(i) for i in range(200)]
