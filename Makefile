@@ -10,14 +10,16 @@ test:
 	$(PYTHON) -m pytest -x -q --durations=10
 
 ## The pins every host-only change must keep green and byte-identical: the
-## goldens, the detached-parity and invariant fuzzers, the live-engine
-## tests, the retry/degradation/preemption policy tests of the scheduler,
-## the paged-KV pool's reference tests (block ids, free-stack order,
-## free-list fragmentation), the step records a sink receives and the
-## unit pins of the per-request record store.  A tier-1 subset for quick
-## iteration; CI runs it inside `make test`.
+## goldens, the step-time pin (`ServingEngine.step_time` on each step
+## composition, as float.hex), the detached-parity and invariant fuzzers,
+## the live-engine tests, the retry/degradation/preemption policy tests of
+## the scheduler, the paged-KV pool's reference tests (block ids,
+## free-stack order, free-list fragmentation), the step records a sink
+## receives and the unit pins of the per-request record store.  A tier-1
+## subset for quick iteration; CI runs it inside `make test`.
 pins:
 	$(PYTHON) -m pytest -x -q tests/serving/test_vectorized_engine.py \
+		tests/serving/test_engine.py \
 		tests/serving/test_observer_goldens.py tests/kernels/test_costmodel_goldens.py \
 		tests/serving/test_engine_invariants.py tests/serving/test_live_engine.py \
 		tests/serving/test_resilience.py tests/serving/test_faults.py \

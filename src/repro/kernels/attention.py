@@ -36,7 +36,6 @@ __all__ = [
     "FlashPrefillAttention",
     "DECODE_ATTENTION",
     "PREFILL_ATTENTION",
-    "kv_stream_seconds",
 ]
 
 
@@ -135,19 +134,6 @@ class FlashDecodeAttention(DecodeAttentionKernel):
         reduction = reduce_bytes / self.spec.hbm_bandwidth
         compute = self._score_compute(context_tokens, d_model, n_layers)
         return _maximum(mem, compute) + reduction
-
-
-def kv_stream_seconds(
-    context_tokens: int, kv_bytes_per_token: float, hbm_bandwidth: float
-) -> float:
-    """Time to stream (and dequantize on the fly) the cached KV history
-    through HBM at full bandwidth — the memory-bound floor every decode
-    attention kernel above shares, and the term W4A4KV4 shrinks 4x vs
-    FP16.  The serving engine's cost ledger uses this as the
-    ``kv_dequant`` carve-out of a decode step's attention time."""
-    if hbm_bandwidth <= 0:
-        raise ValueError("hbm_bandwidth must be positive")
-    return context_tokens * kv_bytes_per_token / hbm_bandwidth
 
 
 class PrefillAttentionKernel(ABC):

@@ -39,11 +39,7 @@ import numpy as np
 import repro.obs as obs
 from repro.obs import live as live_obs
 from repro.gpu.spec import A100_80G_SXM4, GPUSpec
-from repro.kernels.attention import (
-    DECODE_ATTENTION,
-    PREFILL_ATTENTION,
-    kv_stream_seconds,
-)
+from repro.kernels.attention import DECODE_ATTENTION, PREFILL_ATTENTION
 from repro.model.config import ModelConfig
 from repro.serving.batchstate import BatchState
 from repro.serving.faults import FaultKind, FaultPlan
@@ -64,6 +60,8 @@ __all__ = ["EngineConfig", "ThroughputReport", "ServingEngine"]
 
 #: Step faults drawn per FaultPlan.step_faults call.
 _FAULT_WINDOW = 256
+#: A step-time term: a float, or an array over a record's ``k`` steps.
+_Times = float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -80,6 +78,9 @@ class EngineConfig:
         decode_attention: 'flash' (Flash-Decoding) or 'naive' — the paper's
             Section 7 attention-kernel axis.
         prefill_attention: 'flash' (FlashAttention) or 'naive'.
+        reserve_full_sequence: admission reserves each request's whole
+            sequence (True) or only its prompt, preempting when the pool
+            runs dry (False); see :meth:`ServingEngine.run`.
         max_retries: transient-fault retry budget per request; a request
             whose fault count exceeds it ends ``FAILED``.
         degrade_under_pressure: enable graceful degradation — shrink the
@@ -256,62 +257,76 @@ class ServingEngine:
         tokens (cached per m); includes TP collectives when sharded."""
         return self._stack.stack_latency(m)
 
-    @property
-    def _kv_bytes_per_token_per_gpu(self) -> float:
-        """KV bytes streamed per token by one GPU (heads shard under TP)."""
-        return self.plan.kv_bytes_per_token / self.config.tensor_parallel
-
-    def decode_attention_time(self, context_tokens: int, batch: int) -> float:
-        """Attention cost of one decode step (Figure 2's memory-bound
-        activation-activation operator, under the configured kernel) plus
-        the per-layer elementwise traffic."""
-        attn = self.decode_attention.latency(
-            batch=batch,
-            context_tokens=context_tokens,
-            kv_bytes_per_token=self._kv_bytes_per_token_per_gpu,
-            d_model=self.model.d_model,
-            n_layers=self.model.n_layers,
-            n_kv_heads=self.model.n_kv_heads,
-        )
-        elementwise = (
-            batch * self.model.d_model * self.model.n_layers * 20 * 2
-        ) / self.spec.hbm_bandwidth
-        return attn + elementwise
-
-    def prefill_attention_time(self, prompt_len: int) -> float:
-        """Attention cost of one request's prefill, incl. the KV write."""
-        attn = self.prefill_attention.latency(
-            prompt_len, self.model.d_model, self.model.n_layers
-        )
-        kv_write = (
-            prompt_len
-            * self._kv_bytes_per_token_per_gpu
-            / self.spec.hbm_bandwidth
-        )
-        return attn + kv_write
-
-    def prefill_step_cost(self, prompt_len: int) -> tuple[float, float, float]:
-        """``(gemm, attention, dt)`` of one whole-prompt prefill step
-        (cached per prompt length — admission evaluates it per request and
-        real traces repeat lengths)."""
-        cost = self._prefill_cache.get(prompt_len)
-        if cost is None:
-            gemm = self.linear_stack_latency(prompt_len)
-            attn = self.prefill_attention_time(prompt_len)
-            cost = self._prefill_cache[prompt_len] = (
-                gemm, attn, gemm + attn + DEFAULT_STEP_OVERHEAD
-            )
-        return cost
-
-    def _chunk_attention_time(self, chunk: int, progress: int) -> float:
-        """Attention cost of one prefill chunk attending to its history."""
-        # chunk queries attend to ~(progress + chunk/2) keys on average.
-        keys = progress + chunk / 2.0
-        flops = 2.0 * chunk * keys * self.model.d_model * 2.0
-        compute = flops * self.model.n_layers / self.spec.tc_tput("fp16")
-        history_read = progress * self._kv_bytes_per_token_per_gpu
-        kv_write = chunk * self._kv_bytes_per_token_per_gpu
-        return compute + (history_read + kv_write) / self.spec.hbm_bandwidth
+    def step_time(
+        self,
+        n_dec: int = 0,
+        context: int | np.ndarray = 0,
+        chunk: int = 0,
+        progress: int = 0,
+        prompt_len: int = 0,
+        slowdown: float = 1.0,
+    ) -> tuple[float, _Times, _Times, _Times, _Times]:
+        """``(gemm, attention, kv_dequant, stall, dt)`` of one forward over
+        ``n_dec`` decoding rows with ``context`` cached tokens in all plus
+        one prompt ``chunk`` ``progress`` tokens into its prompt, or of a
+        whole-prompt prefill of ``prompt_len`` tokens; a straggler takes
+        ``slowdown`` times as long (docs/simulator.md, "Attention and
+        serving").  An array ``context`` (one entry per step of a record)
+        makes the time terms arrays, each entry bit-equal to the call at
+        that context.  The GEMM stack is cached per ``m`` and a
+        whole-prompt prefill per prompt length (real traces repeat them)."""
+        model, hbm = self.model, self.spec.hbm_bandwidth
+        # KV bytes streamed per token by one GPU (heads shard under TP).
+        kv_bytes = self.plan.kv_bytes_per_token / self.config.tensor_parallel
+        kv_dq = 0.0
+        if prompt_len:
+            cost = self._prefill_cache.get(prompt_len)
+            if cost is None:
+                with obs.span(
+                    "engine.step", cat="serving", kind="prefill", batch=1,
+                    prefill_tokens=prompt_len,
+                ):
+                    gemm = self.linear_stack_latency(prompt_len)
+                    attn = self.prefill_attention.latency(
+                        prompt_len, model.d_model, model.n_layers
+                    ) + prompt_len * kv_bytes / hbm  # plus the KV write
+                    cost = self._prefill_cache[prompt_len] = (
+                        gemm, attn, gemm + attn + DEFAULT_STEP_OVERHEAD
+                    )
+            gemm, attn, dt = cost
+        else:
+            # Decode tokens and one prompt chunk share the GEMM pass.
+            gemm = self.linear_stack_latency(n_dec + chunk)
+            attn = 0.0
+            if n_dec:
+                # Figure 2's memory-bound activation-activation operator
+                # under the configured kernel, plus per-layer elementwise
+                # traffic.
+                attn = self.decode_attention.latency(
+                    n_dec, context, kv_bytes, model.d_model, model.n_layers,
+                    model.n_kv_heads,
+                ) + (n_dec * model.d_model * model.n_layers * 20 * 2) / hbm
+                # KV dequant: the history-streaming floor, capped by the
+                # attention time the kernel took.
+                floor = context * kv_bytes / hbm
+                kv_dq = (np.minimum(attn, floor) if isinstance(attn, np.ndarray)
+                         else min(attn, floor))
+            if chunk:
+                # chunk queries attend to ~(progress + chunk/2) keys on
+                # average, read the history and write their own KV.
+                flops = 2.0 * chunk * (progress + chunk / 2.0) * model.d_model * 2.0
+                attn = attn + (
+                    flops * model.n_layers / self.spec.tc_tput("fp16")
+                    + (progress * kv_bytes + chunk * kv_bytes) / hbm
+                )
+            dt = gemm + attn + DEFAULT_STEP_OVERHEAD
+        stall = 0.0
+        if slowdown != 1.0:
+            # The whole step straggles; the extra time is framework-side
+            # stall, not GEMM/attention work.
+            stall = dt * (slowdown - 1.0)
+            dt = dt + stall
+        return gemm, attn, kv_dq, stall, dt
 
     # ------------------------------------------------------------------
     # Serving loop
@@ -451,12 +466,6 @@ class _Run:
         live_hooks = _LiveHooks(live, self.kv) if live is not None else None
         # The live sink settles KV economics at the pool's block crossings.
         self.kv.on_grow = None if live_hooks is None else live_hooks.kv_grown
-        #: ``(gemm, attention, dt)`` of a whole-prompt prefill of ``n``
-        #: tokens, as a wall-clock step span while obs records.
-        self.prefill_cost = (
-            self._traced_prefill_cost if obs.enabled()
-            else engine.prefill_step_cost
-        )
         self.sinks: list[EngineEvents] = [s for s in (
             _EngineTelemetry(self.kv) if obs.enabled() else None,
             live_hooks,
@@ -548,14 +557,6 @@ class _Run:
             i += 1
         self.arrived = i
 
-    def _traced_prefill_cost(self, n: int) -> tuple[float, float, float]:
-        """:meth:`ServingEngine.prefill_step_cost` inside a step span."""
-        with obs.span(
-            "engine.step", cat="serving", kind="prefill", batch=1,
-            prefill_tokens=n,
-        ):
-            return self.engine.prefill_step_cost(n)
-
     def admit_pass(self) -> None:
         """Carry out one admission pass (:meth:`Scheduler.admission_pass`)
         in its order.  An admitted request enters PREFILL; when not
@@ -585,11 +586,11 @@ class _Run:
             for sink in sinks:
                 sink.admit(req, self.clock)
             if cost is not None:
-                gemm, attn, dt = cost
+                gemm, attn, kv_dq, stall, dt = cost
                 n = req.prompt_len
                 step = Step(
                     "prefill", self.clock, 1, (dt,), 1, 0, n, n, gemm, (attn,),
-                    (0.0,), (0.0,), req.request_id, True,
+                    (kv_dq,), (stall,), req.request_id, True,
                 )
                 self.charge(step)
                 req.prefill_progress = n
@@ -684,13 +685,13 @@ class _Run:
                 dec = slice(None)
                 pf_i = -1
                 prefill_req = None
-                chunk = 0
+                chunk = progress = 0
                 if n_dec < n_run:
                     dec = state.decoding.nonzero()[0]
                     pf_i = int((~state.decoding).nonzero()[0][0])
                     prefill_req = state.reqs[pf_i]
-                    chunk = min(sched.chunk, prefill_req.prompt_len
-                                - prefill_req.prefill_progress)
+                    progress = prefill_req.prefill_progress
+                    chunk = min(sched.chunk, prefill_req.prompt_len - progress)
                 dec_context = int(state.ctx[dec].sum())
                 kv_rows = state.kv_row[dec]
                 # Event horizon (see run's docstring): up to the step before
@@ -705,34 +706,15 @@ class _Run:
                 kind = ("mixed" if chunk else "decode") if n_dec else "prefill"
                 fault = next(self.step_faults)
                 prof.lap("schedule")
-                m = n_dec + chunk
+                # At k > 1 the step times are arrays over the k steps, whose
+                # decode context grows by n_dec a step (one kernel call; a
+                # plain int at k == 1 keeps that step on Python floats).
+                ctx = dec_context + n_dec * np.arange(k) if k > 1 else dec_context
                 with obs.span("engine.step", cat="serving", kind=kind, batch=n_run):
-                    gemm = engine.linear_stack_latency(m)
-                    # attn, kv_dq and dt are arrays over the k steps, whose
-                    # decode context grows by n_dec a step (one kernel call;
-                    # a plain int at k == 1 keeps that step on Python floats).
-                    attn = kv_dq = stall = 0.0
-                    if n_dec:
-                        ctx = (dec_context + n_dec * np.arange(k) if k > 1
-                               else dec_context)
-                        attn = engine.decode_attention_time(ctx, n_dec)
-                        # KV dequant: decode attention's history-streaming
-                        # floor, capped by the attention time the kernel took.
-                        floor = kv_stream_seconds(
-                            ctx, engine._kv_bytes_per_token_per_gpu,
-                            engine.spec.hbm_bandwidth,
-                        )
-                        kv_dq = np.minimum(attn, floor) if k > 1 else min(attn, floor)
-                    if chunk:
-                        attn = attn + engine._chunk_attention_time(
-                            chunk, prefill_req.prefill_progress
-                        )
-                    dt = gemm + attn + DEFAULT_STEP_OVERHEAD
-                    if fault is not None and fault.kind is FaultKind.STRAGGLER:
-                        # The whole iteration straggles; the extra time is
-                        # framework-side stall, not GEMM/attention work.
-                        stall = dt * (fault.slowdown - 1.0)
-                        dt = dt + stall
+                    gemm, attn, kv_dq, stall, dt = engine.step_time(
+                        n_dec, ctx, chunk, progress,
+                        slowdown=1.0 if fault is None else fault.slowdown,
+                    )
                 if k > 1:
                     dts, attns, kv_dqs = dt.tolist(), attn.tolist(), kv_dq.tolist()
                     # Stop at the step whose clock reaches the next arrival

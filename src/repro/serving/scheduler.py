@@ -110,26 +110,27 @@ class Scheduler:
         does not fit or the batch is full; a lapsed request is shed and an
         arrival that can never fit refused on the way.  A whole-prompt
         prefill moves the pass's clock by its step time
-        (``run.prefill_cost``), so an arrival, a deadline or, while
-        retries are admitted, a retry's backoff that the clock reaches
-        during an earlier prefill counts in this pass.  A request fits
-        when the pool holds its prompt (with one growth block of headroom
-        under optimistic admission, else within the full-sequence
-        commitment); the pool then takes every admitted request's blocks
-        at once (:meth:`PagedKVManager.allocate_many`).
+        (:meth:`repro.serving.engine.ServingEngine.step_time`), so an
+        arrival, a deadline or, while retries are admitted, a retry's
+        backoff that the clock reaches during an earlier prefill counts in
+        this pass.  A request fits when the pool holds its prompt (with
+        one growth block of headroom under optimistic admission, else
+        within the full-sequence commitment); the pool then takes every
+        admitted request's blocks at once
+        (:meth:`PagedKVManager.allocate_many`).
 
         Returns the pass in event order, for ``run`` to carry out:
         ``("admit", req, cost)`` with the prefill's ``(gemm, attention,
-        dt)`` (None when prefill is chunked), ``("reject", req, reason)``
-        and ``("expire", req, reason)``; and the admitted requests' pool
-        rows, in order.  The shedding sweep's timeouts are reported at
-        once, before the pool takes anything."""
+        kv_dequant, stall, dt)`` (None when prefill is chunked),
+        ``("reject", req, reason)`` and ``("expire", req, reason)``; and
+        the admitted requests' pool rows, in order.  The shedding sweep's
+        timeouts are reported at once, before the pool takes anything."""
         clock = run.clock
         if self.has_slos:
             for req in self.expiry.expired(clock):
                 run.expire(req, "expired while waiting")
         kv = self.kv
-        cost = run.prefill_cost if self.config.prefill_chunk_tokens is None else None
+        step_time = None if self.config.prefill_chunk_tokens else run.engine.step_time
         reserve = self.config.reserve_full_sequence
         blocks_needed, headroom = kv.blocks_needed, kv.block_tokens
         room = self.max_batch - len(run.state)
@@ -154,9 +155,9 @@ class Scheduler:
             ids.append(req.request_id)
             tokens.append(n)
             step = None
-            if cost is not None:
-                step = cost(n)
-                clock += step[2]
+            if step_time is not None:
+                step = step_time(prompt_len=n)
+                clock += step[4]
             decided.append(("admit", req, step))
             return True
 

@@ -1,5 +1,6 @@
 """Tests for serving systems, memory planning, and the engine."""
 
+import numpy as np
 import pytest
 
 from repro.model.config import get_model_config, tiny_config
@@ -171,8 +172,73 @@ class TestEngine:
     def test_step_time_components_positive(self):
         eng = self._engine()
         assert eng.linear_stack_latency(128) > 0
-        assert eng.prefill_attention_time(128) > 0
-        assert eng.decode_attention_time(1024, 8) > 0
+        assert all(t > 0 for t in eng.step_time(prompt_len=128)[:2])
+        assert all(t > 0 for t in eng.step_time(8, 1024)[:3])
+
+
+#: ``float.hex`` of ``ServingEngine.step_time``'s ``(gemm, attention,
+#: kv_dequant, stall, dt)`` on llama-3-8b under comet, recorded from the
+#: step-cost helpers it replaced (``prefill_step_cost``,
+#: ``decode_attention_time``, ``_chunk_attention_time`` and the engine's
+#: inline straggler and ``kv_dequant`` terms).  An array term is a list.
+_CTX = 5613  # uneven inputs, so a reordered float operation shows
+STEP_TIME_PINS = {
+    "decode_k1": ({}, dict(n_dec=7, context=_CTX), (
+        "0x1.02523173c4014p-8", "0x1.072dacac44a06p-13",
+        "0x1.b1f00ecc072bcp-14", "0x0.0p+0", "0x1.11195793ed371p-8")),
+    "decode_k4": ({}, dict(n_dec=7, context=_CTX + 7 * np.arange(4)), (
+        "0x1.02523173c4014p-8",
+        ["0x1.072dacac44a06p-13", "0x1.0772f198b1453p-13",
+         "0x1.07b836851de9fp-13", "0x1.07fd7b718a8ecp-13"],
+        ["0x1.b1f00ecc072bcp-14", "0x1.b27a98a4e0755p-14",
+         "0x1.b305227db9beep-14", "0x1.b38fac5693087p-14"],
+        "0x0.0p+0",
+        ["0x1.11195793ed371p-8", "0x1.111b81bb509c4p-8",
+         "0x1.111dabe2b4016p-8", "0x1.111fd60a17668p-8"])),
+    "mixed": ({}, dict(n_dec=7, context=_CTX, chunk=200, progress=333), (
+        "0x1.2d0a5a4af3da0p-7", "0x1.267bb0c7755c6p-12",
+        "0x1.b1f00ecc072bcp-14", "0x0.0p+0", "0x1.3985142e930d4p-7")),
+    "chunk_only": ({}, dict(chunk=200), (
+        "0x1.29a1fce1ffe40p-7", "0x1.38d98dfef283ep-15", "0x0.0p+0",
+        "0x0.0p+0", "0x1.2e21b2cd625eep-7")),
+    "prefill_flash": ({}, dict(prompt_len=777), (
+        "0x1.7ce707aa9aa5ep-6", "0x1.0db3e2b1eb498p-10", "0x0.0p+0",
+        "0x0.0p+0", "0x1.8f65b4046b1ebp-6")),
+    "prefill_naive": (dict(prefill_attention="naive"), dict(prompt_len=777), (
+        "0x1.7ce707aa9aa5ep-6", "0x1.a10220bcefb2bp-10", "0x0.0p+0",
+        "0x0.0p+0", "0x1.989a97e51b654p-6")),
+    "decode_naive": (dict(decode_attention="naive"), dict(n_dec=7, context=_CTX), (
+        "0x1.02523173c4014p-8", "0x1.c9ad1cd0d175dp-13",
+        "0x1.b1f00ecc072bcp-14", "0x0.0p+0", "0x1.172d5315119dcp-8")),
+    "straggler": ({}, dict(n_dec=7, context=_CTX, slowdown=3.7), (
+        "0x1.02523173c4014p-8", "0x1.072dacac44a06p-13",
+        "0x1.b1f00ecc072bcp-14", "0x1.70af0307b370cp-7",
+        "0x1.f93baed1aa0c4p-7")),
+    "tp2_mixed": (
+        dict(tensor_parallel=2),
+        dict(n_dec=7, context=_CTX, chunk=200, progress=333), (
+            "0x1.f1a5293876ba5p-8", "0x1.d62e30209c230p-13",
+            "0x1.b1f00ecc072bcp-15", "0x0.0p+0", "0x1.037229ba21561p-7")),
+    "tp2_prefill": (dict(tensor_parallel=2), dict(prompt_len=777), (
+        "0x1.feb3c4dcb177ap-7", "0x1.0bd35489b9924p-10", "0x0.0p+0",
+        "0x0.0p+0", "0x1.11ba85e5a6192p-6")),
+}
+
+
+def _hexes(term):
+    if isinstance(term, np.ndarray):
+        return [float.hex(float(x)) for x in term]
+    return float.hex(term)
+
+
+@pytest.mark.parametrize("name", sorted(STEP_TIME_PINS))
+def test_step_time_pinned(llama8b, name):
+    """Every term of every composition is bit-equal to the pinned value,
+    on a cold engine and again from its caches."""
+    cfg, kwargs, expected = STEP_TIME_PINS[name]
+    eng = ServingEngine(llama8b, build_system("comet"), config=EngineConfig(**cfg))
+    for _ in range(2):
+        assert tuple(_hexes(t) for t in eng.step_time(**kwargs)) == expected
 
 
 class TestEndToEndOrdering:

@@ -427,7 +427,7 @@ def test_admission_pass_edges(llama8b):
     assert report.peak_batch == cfg["max_batch"]
     # Request 6's retry falls due during arrival 12's prefill and waits
     # for the next pass; 0's falls due during 6's and joins that pass.
-    _, _, prefill_12 = engine.prefill_step_cost(r[12].prompt_len)
+    prefill_12 = engine.step_time(prompt_len=r[12].prompt_len)[4]
     assert starts[3] < r[6].not_before <= starts[3] + prefill_12
     assert starts[4] < r[0].not_before <= clock[4, 0]
     assert r[0].retries == r[6].retries == 1
